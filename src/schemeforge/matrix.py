@@ -2,14 +2,17 @@
 
 Provides the products, transposes, traces, the normalized trace inner
 product, matrix-polynomial evaluation, and exact linear solves (fraction-free
-elimination) that the rest of the pipeline is built on. Matrices are
-immutable; every operation returns a fresh value.
+elimination) that the rest of the pipeline is built on. Products run on
+cleared integers: each row and column is scaled by the lcm of its
+denominators, and only the result entries become Fractions again. Matrices
+are immutable; every operation returns a fresh value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exact import Polynomial, Scalar
@@ -27,7 +30,10 @@ class RationalMatrix:
     __slots__ = ("order", "rows")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        grid = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        # Fractions are immutable, so existing ones are shared, not rebuilt
+        grid = tuple(
+            tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
+        )
         n = len(grid)
         if n == 0:
             raise ValueError("matrix must have positive order")
@@ -91,20 +97,22 @@ class RationalMatrix:
         return RationalMatrix([[c * a for a in row] for row in self.rows])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        """Exact product on cleared integers.
+
+        Each row of self is scaled by the lcm of its denominators and each
+        column of other by the lcm of its own, so every entry is one integer
+        dot product over one reduced Fraction.
+        """
         self._require_same_order(other)
-        n = self.order
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = Fraction(0)
-                for a, b in zip(row, col):
-                    if a:
-                        acc += a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return RationalMatrix(out)
+        rows = [_cleared(row) for row in self.rows]
+        cols = [_cleared(col) for col in zip(*other.rows)]
+        return RationalMatrix(
+            tuple(
+                Fraction(sum(map(mul, row, col)), row_den * col_den)
+                for col_den, col in cols
+            )
+            for row_den, row in rows
+        )
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.rows)))
@@ -233,17 +241,12 @@ def algebra_membership(
 # ---------------------------------------------------------------------------
 
 
-def _cleared_int_row(row: Sequence[Fraction]) -> list[int]:
-    """Scale one row by the lcm of its denominators; solutions unchanged."""
+def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, ints) with den the lcm of the denominators and ints = den * values."""
     den = 1
-    for v in row:
-        d = v.denominator
-        den = den // gcd(den, d) * d
-    out = []
-    for v in row:
-        scaled = v * den
-        out.append(scaled.numerator)  # denominator is 1 after scaling
-    return out
+    for v in values:
+        den = lcm(den, v.denominator)
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def solve_rational_system(
@@ -264,7 +267,7 @@ def solve_rational_system(
         frac_row = [Fraction(columns[j][r]) for j in range(k)]
         frac_row.append(Fraction(target[r]))
         if any(frac_row):
-            rows.append(_cleared_int_row(frac_row))
+            rows.append(_cleared(frac_row)[1])  # solutions unchanged
     width = k + 1
     pivot_cols: list[int] = []
     rank = 0

@@ -88,62 +88,82 @@ class SchemeCertificate:
     generator_polynomials: Optional[tuple[Polynomial, ...]] = None
 
 
-def intersection_numbers(class_matrices: Sequence[RationalMatrix]) -> IntersectionTensor:
-    """Structure constants of the class matrices, verified exactly.
+def _class_labels(class_matrices: Sequence[RationalMatrix]) -> list[list[int]]:
+    """The label grid label[x][y] = i of the class holding (x, y).
 
-    Each A_i A_j must be constant on the support of every A_h; the constant
-    is read off one entry and asserted across the whole support, then the
-    expansion identity A_i A_j = sum_h p^h_ij A_h is rechecked entry-wise.
+    Raises ValueError for a class with empty support, and SchemeAxiomError
+    AS2 at the first cell (x, y) where the classes are not a 0/1 partition
+    of the all-ones matrix.
     """
-    r = len(class_matrices)
+    if any(a.is_zero() for a in class_matrices):
+        raise ValueError("class matrix with empty support")
     n = class_matrices[0].order
-    supports: list[list[tuple[int, int]]] = []
-    for a in class_matrices:
-        support = [(x, y) for x in range(n) for y in range(n) if a.rows[x][y] != 0]
-        if not support:
-            raise ValueError("class matrix with empty support")
-        supports.append(support)
-    tensor: list[tuple[tuple[Fraction, ...], ...]] = []
-    for i in range(r):
-        tensor_i: list[tuple[Fraction, ...]] = []
-        for j in range(r):
-            product = class_matrices[i] @ class_matrices[j]
-            row: list[Fraction] = []
-            for h in range(r):
-                first_x, first_y = supports[h][0]
-                value = product.rows[first_x][first_y]
-                for x, y in supports[h]:
-                    if product.rows[x][y] != value:
-                        raise SchemeAxiomError("AS4", (i, j, h, x, y))
-                row.append(value)
-            reconstructed = RationalMatrix(
-                [
-                    [
-                        sum(
-                            (row[h] * class_matrices[h].rows[x][y] for h in range(r)),
-                            Fraction(0),
-                        )
-                        for y in range(n)
-                    ]
-                    for x in range(n)
-                ]
-            )
-            if reconstructed != product:
-                raise SchemeAxiomError("AS4", (i, j))
-            tensor_i.append(tuple(row))
-        tensor.append(tuple(tensor_i))
-    return tuple(tensor)
+    label = [[-1] * n for _ in range(n)]
+    for i, a in enumerate(class_matrices):
+        for x, row in enumerate(a.rows):
+            labels_x = label[x]
+            for y, v in enumerate(row):
+                if not v:
+                    continue
+                if v != 1 or labels_x[y] >= 0:
+                    raise SchemeAxiomError("AS2", (x, y))
+                labels_x[y] = i
+    for x, row in enumerate(label):
+        if -1 in row:
+            raise SchemeAxiomError("AS2", (x, row.index(-1)))
+    return label
+
+
+def intersection_numbers(class_matrices: Sequence[RationalMatrix]) -> IntersectionTensor:
+    """Structure constants of the class matrices, counted from their labels.
+
+    p^h_ij at an ordered pair (x, y) with h = label[x][y] is the number of
+    z with label[x][z] = i and label[z][y] = j, the (x, y) entry of A_i A_j.
+    It is counted as a popcount of two bitsets and asserted equal at every
+    ordered pair, which is exactly the condition A_i A_j = sum_h p^h_ij A_h.
+    """
+    label = _class_labels(class_matrices)
+    r = len(class_matrices)
+    n = len(label)
+    # row_bits[x][i] = {z : label[x][z] = i}, col_bits[y][j] = {z : label[z][y] = j}
+    row_bits = [[0] * r for _ in range(n)]
+    col_bits = [[0] * r for _ in range(n)]
+    for x, row in enumerate(label):
+        for z, i in enumerate(row):
+            row_bits[x][i] |= 1 << z
+            col_bits[z][i] |= 1 << x
+    counts: list[Optional[list[int]]] = [None] * r
+    for x, row in enumerate(label):
+        rows_x = row_bits[x]
+        for y, h in enumerate(row):
+            here = [(a & c).bit_count() for a in rows_x for c in col_bits[y]]
+            if counts[h] is None:
+                counts[h] = here
+            elif here != counts[h]:
+                ij = next(k for k, (u, v) in enumerate(zip(here, counts[h])) if u != v)
+                raise SchemeAxiomError("AS4", (*divmod(ij, r), h, x, y))
+    return tuple(
+        tuple(tuple(Fraction(counts[h][i * r + j]) for h in range(r)) for j in range(r))
+        for i in range(r)
+    )
 
 
 def transpose_map(class_matrices: Sequence[RationalMatrix]) -> tuple[int, ...]:
-    """For each i, the unique index i' with A_i^T = A_i'."""
-    perm: list[int] = []
-    for i, a in enumerate(class_matrices):
-        at = a.transpose()
-        matches = [j for j, c in enumerate(class_matrices) if c == at]
-        if len(matches) != 1:
+    """For each i, the unique index i' with A_i^T = A_i', read off label[y][x].
+
+    The transposed support of A_i must carry a single label i', and the map
+    i -> i' must be a bijection: the first i where either fails is the AS3
+    witness.
+    """
+    label = _class_labels(class_matrices)
+    targets: list[set[int]] = [set() for _ in class_matrices]
+    for x, row in enumerate(label):
+        for y, i in enumerate(row):
+            targets[i].add(label[y][x])
+    perm = [min(t) for t in targets]
+    for i, t in enumerate(targets):
+        if len(t) != 1 or perm.count(perm[i]) != 1:
             raise SchemeAxiomError("AS3", (i,))
-        perm.append(matches[0])
     return tuple(perm)
 
 
@@ -208,15 +228,9 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
             return axiom_failure("CLASS_POLYNOMIALITY", (i,))
 
     classes = structure.classes
-    n = b.order
-    if classes[0] != RationalMatrix.identity(n):
+    if classes[0] != RationalMatrix.identity(b.order):
         return axiom_failure("AS1", ())
-    total = RationalMatrix.zeros(n)
-    for a in classes:
-        total = total + a
-    if total != RationalMatrix.ones(n):
-        return axiom_failure("AS2", ())
-    try:
+    try:  # AS2 (a 0/1 partition of J) is checked while the classes are labelled
         perm = transpose_map(classes)
         tensor = intersection_numbers(classes)
     except SchemeAxiomError as exc:

@@ -2,11 +2,14 @@
 
 Everything here is written from first principles on plain lists of
 Fractions: no power caches, no fraction-free solver, no pipeline
-intermediates. Slow is fine; disagreement with the library is the signal.
+intermediates, and every matrix product goes through naive_mat_mul rather
+than the library's kernel. Slow is fine; disagreement with the library is
+the signal.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from schemeforge.exact import Polynomial
@@ -16,15 +19,18 @@ from schemeforge.matrix import RationalMatrix
 def charpoly_leverrier(b: RationalMatrix) -> Polynomial:
     """Characteristic polynomial det(tI - B) by the Leverrier-Faddeev recurrence."""
     n = b.order
+    grid = [list(row) for row in b.rows]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    mk = b
-    identity = RationalMatrix.identity(n)
+    mk = grid
     for k in range(1, n + 1):
-        ck = -mk.trace() / k
+        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
         coeffs[n - k] = ck
         if k < n:
-            mk = b @ (mk + ck * identity)
+            shifted = [
+                [v + ck if i == j else v for j, v in enumerate(row)] for i, row in enumerate(mk)
+            ]
+            mk = naive_mat_mul(grid, shifted)
     return Polynomial(coeffs)
 
 
@@ -58,6 +64,32 @@ def naive_mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list
         [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
         for i in range(n)
     ]
+
+
+def oracle_intersection_tensor(classes: list[RationalMatrix]) -> list[list[list[Fraction]]]:
+    """p^h_ij read off the explicit products A_i A_j, indexed [i][j][h].
+
+    Each value is taken at the first support point of A_h; the expansion
+    A_i A_j = sum_h p^h_ij A_h is then asserted entry by entry.
+    """
+    grids = [[list(row) for row in a.rows] for a in classes]
+    n = len(grids[0])
+    firsts = [
+        next((x, y) for x in range(n) for y in range(n) if a[x][y] != 0) for a in grids
+    ]
+    tensor = []
+    for a in grids:
+        plane = []
+        for b in grids:
+            product = naive_mat_mul(a, b)
+            row = [product[x][y] for x, y in firsts]
+            for x in range(n):
+                for y in range(n):
+                    expanded = sum((p * c[x][y] for p, c in zip(row, grids)), Fraction(0))
+                    assert product[x][y] == expanded, "product leaves the span of the classes"
+            plane.append(row)
+        tensor.append(plane)
+    return tensor
 
 
 def naive_poly_at(p: Polynomial, grid: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -134,3 +166,47 @@ def verify_scheme_axioms(classes: list[RationalMatrix]) -> str | None:
             if product != products[(j, i)]:
                 return f"AS5: classes {i} and {j} do not commute"
     return None
+
+
+def hamming_adjacency(d: int, q: int) -> list[list[int]]:
+    """H(d, q): words of length d over q symbols, adjacent at Hamming distance 1."""
+    words = list(itertools.product(range(q), repeat=d))
+    return [
+        [1 if sum(a != b for a, b in zip(u, v)) == 1 else 0 for v in words] for u in words
+    ]
+
+
+def hamming_intersection_array(d: int, q: int) -> tuple[list[int], list[int]]:
+    """(b_0..b_{d-1}, c_1..c_d) of H(d, q): b_i = (d - i)(q - 1), c_i = i (BCN 9.2)."""
+    return [(d - i) * (q - 1) for i in range(d)], list(range(1, d + 1))
+
+
+def johnson_adjacency(n: int, k: int) -> list[list[int]]:
+    """J(n, k): k-subsets of an n-set, adjacent when they share k - 1 points."""
+    subsets = [set(s) for s in itertools.combinations(range(n), k)]
+    return [[1 if len(s & t) == k - 1 else 0 for t in subsets] for s in subsets]
+
+
+def johnson_intersection_array(n: int, k: int) -> tuple[list[int], list[int]]:
+    """(b_0..b_{D-1}, c_1..c_D) of J(n, k), D = min(k, n - k):
+    b_i = (k - i)(n - k - i), c_i = i^2 (BCN 9.1)."""
+    diameter = min(k, n - k)
+    return [(k - i) * (n - k - i) for i in range(diameter)], [i * i for i in range(1, diameter + 1)]
+
+
+def distance_one_products(b: list[int], c: list[int]) -> list[list[int]]:
+    """rows[j][h] = p^h_1j of a distance-regular graph from its intersection array.
+
+    A_1 A_j = b_{j-1} A_{j-1} + a_j A_j + c_{j+1} A_{j+1}, a_j = b_0 - b_j - c_j.
+    """
+    diameter = len(b)
+    bs = b + [0]
+    cs = [0] + c
+    rows = [[0] * (diameter + 1) for _ in range(diameter + 1)]
+    for j in range(diameter + 1):
+        rows[j][j] = bs[0] - bs[j] - cs[j]
+        if j > 0:
+            rows[j][j - 1] = bs[j - 1]
+        if j < diameter:
+            rows[j][j + 1] = cs[j + 1]
+    return rows

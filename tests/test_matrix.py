@@ -14,7 +14,7 @@ from schemeforge.matrix import (
     trace_inner_product,
 )
 
-from oracles import naive_poly_at, trace_form_inner
+from oracles import naive_mat_mul, naive_poly_at, trace_form_inner
 
 rationals = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6
@@ -27,6 +27,36 @@ def square_grids(max_n=4, elements=rationals):
             st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
+
+
+# negative entries, zeros and mixed coprime denominators, plus all-integer
+# rows whose cleared denominator is 1
+mixed_entries = st.builds(
+    Fraction, st.integers(-20, 20), st.sampled_from((1, 2, 3, 4, 5, 7, 9, 11, 12))
+)
+integer_entries = st.integers(-20, 20).map(Fraction)
+
+
+def mixed_grid(n):
+    row = st.one_of(
+        st.lists(mixed_entries, min_size=n, max_size=n),
+        st.lists(integer_entries, min_size=n, max_size=n),
+    )
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(mixed_grid(n), mixed_grid(n))
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_matmul_matches_naive_product(grids):
+    a, b = grids
+    ma, mb = RationalMatrix(a), RationalMatrix(b)
+    assert ma @ mb == RationalMatrix(naive_mat_mul(a, b))
+    eye = RationalMatrix.identity(ma.order)
+    assert ma @ eye == eye @ ma == ma
 
 
 def test_identity_is_neutral(fig2):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,15 @@ from schemeforge.scheme import (
 from schemeforge.stochastic import random_lambda_ds, classify
 
 from conftest import load_fixture
-from oracles import verify_scheme_axioms
+from oracles import (
+    distance_one_products,
+    hamming_adjacency,
+    hamming_intersection_array,
+    johnson_adjacency,
+    johnson_intersection_array,
+    oracle_intersection_tensor,
+    verify_scheme_axioms,
+)
 
 # frozen from a hand-checked run: tensor[i][j] lists p^h_{ij} for h = 0..3
 FIG2_TENSOR = (
@@ -181,6 +190,22 @@ def test_intersection_numbers_fig2_brute_force(fig2):
             assert recombined == product
 
 
+def test_intersection_numbers_non_commutative_group_scheme():
+    # the thin scheme of S_3: A_g holds (x, y) with y = x g, and A_g A_h = A_gh
+    elements = list(itertools.permutations(range(3)))
+
+    def compose(p, q):
+        return tuple(q[p[k]] for k in range(3))
+
+    classes = [
+        RationalMatrix([[1 if y == compose(x, g) else 0 for y in elements] for x in elements])
+        for g in elements
+    ]
+    tensor = intersection_numbers(classes)
+    assert [[list(row) for row in plane] for plane in tensor] == oracle_intersection_tensor(classes)
+    assert any(tensor[i][j] != tensor[j][i] for i in range(6) for j in range(6))
+
+
 def test_intersection_numbers_flag_non_constant_products():
     # arcs of a directed path do not close into a coherent partition
     eye = RationalMatrix.identity(3)
@@ -189,6 +214,80 @@ def test_intersection_numbers_flag_non_constant_products():
     with pytest.raises(SchemeAxiomError) as excinfo:
         intersection_numbers([eye, arc, rest])
     assert excinfo.value.axiom == "AS4"
+
+
+@pytest.mark.parametrize(
+    "b,rows",
+    [
+        pytest.param(
+            Fraction(1, 6) * RationalMatrix(hamming_adjacency(3, 3)),
+            distance_one_products(*hamming_intersection_array(3, 3)),
+            id="H(3,3)",
+        ),
+        pytest.param(
+            Fraction(1, 9) * RationalMatrix(johnson_adjacency(6, 3)),
+            distance_one_products(*johnson_intersection_array(6, 3)),
+            id="J(6,3)",
+        ),
+        pytest.param(
+            directed_cycle_matrix(8, scale=Fraction(3, 2)),
+            [[1 if h == (j + 1) % 8 else 0 for h in range(8)] for j in range(8)],
+            id="directed-C8",
+        ),
+    ],
+)
+def test_closed_form_schemes_match_oracle_tensor(b, rows):
+    cert = detect_scheme(b)
+    assert cert.accepted
+    assert cert.d == cert.diameter == len(rows) - 1
+    oracle = oracle_intersection_tensor(list(cert.class_matrices))
+    assert [[list(row) for row in plane] for plane in cert.intersection_tensor] == oracle
+    assert [list(row) for row in cert.intersection_tensor[1]] == rows
+
+
+@pytest.mark.parametrize("kernel", [intersection_numbers, transpose_map])
+@pytest.mark.parametrize(
+    "classes,witness",
+    [
+        # the all-ones class overlaps the identity on the diagonal
+        ([RationalMatrix.identity(4), RationalMatrix.ones(4)], (0, 0)),
+        # nothing covers the arcs of length 2 and 3
+        ([RationalMatrix.identity(4), directed_cycle_matrix(4)], (0, 2)),
+        # a weighted class is not a 0/1 matrix
+        (
+            [RationalMatrix.identity(4), 2 * (RationalMatrix.ones(4) - RationalMatrix.identity(4))],
+            (0, 1),
+        ),
+    ],
+    ids=["overlap", "gap", "weighted"],
+)
+def test_label_kernels_reject_non_partitions(kernel, classes, witness):
+    with pytest.raises(SchemeAxiomError) as excinfo:
+        kernel(classes)
+    assert excinfo.value.axiom == "AS2"
+    assert excinfo.value.witness == witness
+
+
+@pytest.mark.parametrize("kernel", [intersection_numbers, transpose_map])
+def test_label_kernels_reject_empty_class(kernel):
+    eye = RationalMatrix.identity(4)
+    with pytest.raises(ValueError, match="empty support"):
+        kernel([eye, RationalMatrix.ones(4) - eye, RationalMatrix.zeros(4)])
+
+
+def test_transpose_map_rejects_shared_transpose_class():
+    # A^T and B^T both land in C, so i -> i' is not a bijection; A is the
+    # first class whose image is shared
+    def arcs(pairs):
+        return RationalMatrix([[1 if (x, y) in pairs else 0 for y in range(4)] for x in range(4)])
+
+    eye = RationalMatrix.identity(4)
+    a, b, c = arcs({(0, 1)}), arcs({(2, 3)}), arcs({(1, 0), (3, 2)})
+    rest = RationalMatrix.ones(4) - eye - a - b - c
+    with pytest.raises(SchemeAxiomError) as excinfo:
+        transpose_map([eye, a, b, c, rest])
+    assert excinfo.value.axiom == "AS3"
+    assert excinfo.value.witness == (1,)
 
 
 def test_transpose_map_symmetric_scheme():
