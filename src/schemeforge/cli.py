@@ -4,11 +4,16 @@ Exit codes: 0 for success or an accepted certificate, 1 for a mathematical
 rejection (failed hypotheses, rejected scheme), 2 for input errors. That
 split lets shell pipelines tell "the matrix is not a scheme" apart from
 "the file is broken".
+
+Reports print every rational exactly, however many digits it has: Python's
+int-to-str digit limit is lifted while a report is built and written, and
+only then, so parsing still rejects oversized integer literals.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -20,7 +25,7 @@ from .hoffman import (
     hoffman_product_form_check,
     minimal_polynomial,
 )
-from .matrix import RationalMatrix
+from .matrix import MatrixPowerBasis, RationalMatrix
 from .predistance import PredistanceHypothesisError, predistance_basis, verify_hoffman_sum
 from .scheme import detect_scheme
 from .spectral import (
@@ -85,6 +90,17 @@ def _load_matrix(path: str) -> RationalMatrix:
         return io.parse_matrix(handle.read())
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift the int-to-str digit limit for the enclosed report code only."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(report, indent=2))
@@ -107,20 +123,21 @@ def _classification_report(cls) -> dict:
 def _cmd_analyze(args) -> int:
     b = _load_matrix(args.file)
     cls = classify(b)
-    report = {"classification": _classification_report(cls)}
-    lam = io.fraction_str(cls.lam) if cls.lam is not None else "none"
-    _emit(
-        report,
-        args.json,
-        [
-            f"order: {cls.order}",
-            f"nonnegative: {cls.nonnegative}",
-            f"lambda: {lam}",
-            f"doubly stochastic: {cls.doubly_stochastic}",
-            f"normal: {cls.normal}",
-            f"irreducible: {cls.irreducible}",
-        ],
-    )
+    with _exact_digits():
+        report = {"classification": _classification_report(cls)}
+        lam = io.fraction_str(cls.lam) if cls.lam is not None else "none"
+        _emit(
+            report,
+            args.json,
+            [
+                f"order: {cls.order}",
+                f"nonnegative: {cls.nonnegative}",
+                f"lambda: {lam}",
+                f"doubly stochastic: {cls.doubly_stochastic}",
+                f"normal: {cls.normal}",
+                f"irreducible: {cls.irreducible}",
+            ],
+        )
     return EXIT_OK if cls.hoffman_ready else EXIT_REJECTED
 
 
@@ -131,25 +148,26 @@ def _cmd_hoffman(args) -> int:
     except HoffmanHypothesisError as exc:
         _emit({"hoffman": {"rejected": exc.hypothesis}}, args.json, [f"rejected: {exc.hypothesis}"])
         return EXIT_REJECTED
-    report = {
-        "hoffman": {
-            "lambda": io.fraction_str(info.lam),
-            "q": io.poly_coefficients(info.q),
-            "h": io.poly_coefficients(info.h),
-            "verified": True,
+    with _exact_digits():
+        report = {
+            "hoffman": {
+                "lambda": io.fraction_str(info.lam),
+                "q": io.poly_coefficients(info.q),
+                "h": io.poly_coefficients(info.h),
+                "verified": True,
+            }
         }
-    }
-    _emit(
-        report,
-        args.json,
-        [
-            f"lambda: {io.fraction_str(info.lam)}",
-            f"h(t) = {info.h}",
-            f"h coefficients (ascending): {info.h.coefficient_line()}",
-            f"q coefficients (ascending): {info.q.coefficient_line()}",
-            "verification: h(B) = J holds exactly",
-        ],
-    )
+        _emit(
+            report,
+            args.json,
+            [
+                f"lambda: {io.fraction_str(info.lam)}",
+                f"h(t) = {info.h}",
+                f"h coefficients (ascending): {info.h.coefficient_line()}",
+                f"q coefficients (ascending): {info.q.coefficient_line()}",
+                "verification: h(B) = J holds exactly",
+            ],
+        )
     return EXIT_OK
 
 
@@ -163,23 +181,24 @@ def _cmd_predistance(args) -> int:
         )
         return EXIT_REJECTED
     hoffman_sum_ok = verify_hoffman_sum(family, b)
-    report = {
-        "predistance": {
-            "lambda": io.fraction_str(family.lam),
-            "polynomials": [io.poly_coefficients(p) for p in family.polys],
-            "norms_squared": [io.fraction_str(v) for v in family.norms_sq],
-            "hoffman_sum_verified": hoffman_sum_ok,
+    with _exact_digits():
+        report = {
+            "predistance": {
+                "lambda": io.fraction_str(family.lam),
+                "polynomials": [io.poly_coefficients(p) for p in family.polys],
+                "norms_squared": [io.fraction_str(v) for v in family.norms_sq],
+                "hoffman_sum_verified": hoffman_sum_ok,
+            }
         }
-    }
-    lines = [f"lambda: {io.fraction_str(family.lam)}", f"d: {family.d}"]
-    for i, p in enumerate(family.polys):
-        lines.append(f"p_{i}(t) = {p}")
-        lines.append(f"  coefficients (ascending): {p.coefficient_line()}")
-        lines.append(f"  p_{i}(lambda) = {io.fraction_str(family.norms_sq[i])}")
-    lines.append(
-        "hoffman sum: verified" if hoffman_sum_ok else "hoffman sum: FAILED"
-    )
-    _emit(report, args.json, lines)
+        lines = [f"lambda: {io.fraction_str(family.lam)}", f"d: {family.d}"]
+        for i, p in enumerate(family.polys):
+            lines.append(f"p_{i}(t) = {p}")
+            lines.append(f"  coefficients (ascending): {p.coefficient_line()}")
+            lines.append(f"  p_{i}(lambda) = {io.fraction_str(family.norms_sq[i])}")
+        lines.append(
+            "hoffman sum: verified" if hoffman_sum_ok else "hoffman sum: FAILED"
+        )
+        _emit(report, args.json, lines)
     return EXIT_OK if hoffman_sum_ok else EXIT_REJECTED
 
 
@@ -221,52 +240,55 @@ def _scheme_report(b: RationalMatrix, certificate) -> dict:
 def _cmd_scheme(args) -> int:
     b = _load_matrix(args.file)
     certificate = detect_scheme(b)
-    report = _scheme_report(b, certificate)
-    lines = [f"verdict: {report['verdict']}"]
-    if certificate.reason is not None:
-        lines.append(f"reason: {certificate.reason.describe()}")
-    if report["lambda"] is not None:
-        lines.append(f"lambda: {report['lambda']}")
-    if certificate.d is not None:
-        lines.append(f"d: {certificate.d}  D: {certificate.diameter}")
-    if certificate.accepted:
-        lines.append(f"classes: {len(certificate.class_matrices)}")
-        for i, p in enumerate(certificate.generator_polynomials):
-            lines.append(f"p_{i}(t) = {p}")
-        lines.append(f"transpose map: {list(certificate.transpose_perm)}")
-        lines.append("intersection numbers (A_i A_j = sum_h p[h] A_h):")
-        for i, plane in enumerate(certificate.intersection_tensor):
-            for j, row in enumerate(plane):
-                lines.append(f"  ({i},{j}): {[int(v) for v in row]}")
-    _emit(report, args.json, lines)
+    with _exact_digits():
+        report = _scheme_report(b, certificate)
+        lines = [f"verdict: {report['verdict']}"]
+        if certificate.reason is not None:
+            lines.append(f"reason: {certificate.reason.describe()}")
+        if report["lambda"] is not None:
+            lines.append(f"lambda: {report['lambda']}")
+        if certificate.d is not None:
+            lines.append(f"d: {certificate.d}  D: {certificate.diameter}")
+        if certificate.accepted:
+            lines.append(f"classes: {len(certificate.class_matrices)}")
+            for i, p in enumerate(certificate.generator_polynomials):
+                lines.append(f"p_{i}(t) = {p}")
+            lines.append(f"transpose map: {list(certificate.transpose_perm)}")
+            lines.append("intersection numbers (A_i A_j = sum_h p[h] A_h):")
+            for i, plane in enumerate(certificate.intersection_tensor):
+                for j, row in enumerate(plane):
+                    lines.append(f"  ({i},{j}): {[int(v) for v in row]}")
+        _emit(report, args.json, lines)
     return EXIT_OK if certificate.accepted else EXIT_REJECTED
 
 
 def _cmd_decompose(args) -> int:
     b = _load_matrix(args.file)
-    try:
-        decomposition = entry_decomposition(b)
-    except ValueError as exc:
-        _emit({"decomposition": {"rejected": str(exc)}}, args.json, [f"rejected: {exc}"])
-        return EXIT_REJECTED
-    report = {
-        "decomposition": {
-            "coefficients": [io.fraction_str(c) for c in decomposition.coefficients],
-            "indicators": [io.zero_one_grid(f) for f in decomposition.indicators],
+    with _exact_digits():  # a rejection names the offending entry
+        try:
+            decomposition = entry_decomposition(b)
+        except ValueError as exc:
+            _emit({"decomposition": {"rejected": str(exc)}}, args.json, [f"rejected: {exc}"])
+            return EXIT_REJECTED
+        report = {
+            "decomposition": {
+                "coefficients": [io.fraction_str(c) for c in decomposition.coefficients],
+                "indicators": [io.zero_one_grid(f) for f in decomposition.indicators],
+            }
         }
-    }
-    lines = [f"distinct positive entries: {len(decomposition.coefficients)}"]
-    for c, f in zip(decomposition.coefficients, decomposition.indicators):
-        support = sum(1 for row in f.rows for v in row if v)
-        lines.append(f"coefficient {io.fraction_str(c)}: {support} positions")
-    _emit(report, args.json, lines)
+        lines = [f"distinct positive entries: {len(decomposition.coefficients)}"]
+        for c, f in zip(decomposition.coefficients, decomposition.indicators):
+            support = sum(1 for row in f.rows for v in row if v)
+            lines.append(f"coefficient {io.fraction_str(c)}: {support} positions")
+        _emit(report, args.json, lines)
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
     b = _load_matrix(args.file)
     cls = classify(b)
-    minimal = minimal_polynomial(b)
+    basis = MatrixPowerBasis(b)
+    minimal = minimal_polynomial(b, basis)
     try:
         spectrum = roots(minimal.poly, tol=args.tol)
     except RootConvergenceError as exc:
@@ -300,7 +322,10 @@ def _cmd_spectrum(args) -> int:
                 report_perron.allones_eigenvector_exact,
             )
         )
-        product_residual = hoffman_product_form_check(b, list(spectrum.eigenvalues[1:]))
+        info = hoffman_polynomial(b, classification=cls, basis=basis, minimal=minimal)
+        product_residual = hoffman_product_form_check(
+            b, list(spectrum.eigenvalues[1:]), hoffman=info
+        )
         section["hoffman_product_residual"] = product_residual
         lines.append(f"hoffman product-form residual: {product_residual:.3e}")
     try:

@@ -1,7 +1,10 @@
 """Exact minimal polynomials and Hoffman polynomials.
 
-The minimal polynomial comes from an incremental Krylov-style rank test on
-the vectorized powers of B, stopping at the first linear dependency. For a
+The minimal polynomial comes from one incremental fraction-free elimination
+of the vectorized powers of B, kept as cleared integers by the power basis:
+each new power is reduced against the rows kept so far, and the first one
+that reduces to zero gives the dependency. No linear system is solved and
+nothing is recomputed from one candidate degree to the next. For a
 lambda-doubly stochastic irreducible B with lambda != 0, the Hoffman
 polynomial h is the unique minimal-degree polynomial with h(B) = J; it is
 always verified against J before being returned.
@@ -11,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, zip_longest
+from math import gcd
 from typing import Optional, Sequence
 
 from .exact import Polynomial
-from .matrix import MatrixPowerBasis, RationalMatrix, solve_rational_system
+from .matrix import MatrixPowerBasis, RationalMatrix
 from .stochastic import MatrixClassification, classify
 
 
@@ -51,32 +56,55 @@ def minimal_polynomial(
 ) -> MinimalPolynomial:
     """Smallest monic m with m(B) = 0, found at the first dependent power.
 
-    Each candidate degree k tests whether vec(B^k) lies in the exact span of
-    the lower vectorized powers; the first consistent system gives the
-    (unique, monic) dependency.
+    One incremental fraction-free elimination over the cleared power
+    vectors ints_k = delta_k vec(B^k). Each new vector is reduced against
+    the rows kept so far, in insertion order, and carries the integer
+    combination of the ints_j it stands for; after every row operation the
+    vector and its combination are divided by their common content. Every
+    kept row is zero at the pivots of all earlier rows, so a vector in their
+    span reduces to exactly zero. The first power that does gives the
+    dependency sum_j c_j ints_j = 0, that is sum_j c_j delta_j B^j = 0,
+    which is made monic.
     """
     if basis is None:
         basis = MatrixPowerBasis(b)
-    k = 1
-    while True:
-        columns = [basis.vector(j) for j in range(k)]
-        solution = solve_rational_system(columns, basis.vector(k))
-        if solution is not None:
-            coeffs = [-c for c in solution]
-            coeffs.append(Fraction(1))
-            return MinimalPolynomial(Polynomial(coeffs))
-        k += 1
+    kept: list[tuple[int, list[int], list[int]]] = []  # (pivot, vector, combination)
+    for k in count():
+        vector = basis.cleared(k)[1]
+        combination = [0] * k + [1]
+        for pivot, row, row_combination in kept:
+            a = vector[pivot]
+            if not a:
+                continue
+            p = row[pivot]
+            vector = [p * x - a * y for x, y in zip(vector, row)]
+            combination = [
+                p * x - a * y for x, y in zip_longest(combination, row_combination, fillvalue=0)
+            ]
+            g = gcd(*vector, *combination)
+            if g > 1:
+                vector = [x // g for x in vector]
+                combination = [x // g for x in combination]
+        pivot = next((i for i, x in enumerate(vector) if x), None)
+        if pivot is None:
+            coeffs = [c * basis.cleared(j)[0] for j, c in enumerate(combination)]
+            lead = coeffs[-1]
+            return MinimalPolynomial(Polynomial(Fraction(c, lead) for c in coeffs))
+        kept.append((pivot, vector, combination))
 
 
 def hoffman_polynomial(
     b: RationalMatrix,
     classification: Optional[MatrixClassification] = None,
     basis: Optional[MatrixPowerBasis] = None,
+    minimal: Optional[MinimalPolynomial] = None,
 ) -> HoffmanPolynomial:
     """Hoffman polynomial of a lambda-DS irreducible matrix, verified exactly.
 
     Raises HoffmanHypothesisError naming the failed hypothesis when B is not
     nonnegative with equal line sums, not irreducible, or has lambda = 0.
+    A precomputed minimal polynomial of B may be passed in; h(B) = J is
+    checked either way.
     """
     cls = classification if classification is not None else classify(b)
     if not cls.nonnegative:
@@ -89,8 +117,9 @@ def hoffman_polynomial(
         raise HoffmanHypothesisError("common line sum is zero")
     if basis is None:
         basis = MatrixPowerBasis(b)
-    m = minimal_polynomial(b, basis).poly
-    q = m.divide_linear(cls.lam)
+    if minimal is None:
+        minimal = minimal_polynomial(b, basis)
+    q = minimal.poly.divide_linear(cls.lam)
     q_at_lam = q(cls.lam)
     if q_at_lam == 0:
         # impossible for a valid input: lambda is a simple eigenvalue
@@ -105,14 +134,16 @@ def hoffman_product_form_check(
     b: RationalMatrix,
     roots: Sequence[complex],
     sample_points: Optional[Sequence[float]] = None,
+    hoffman: Optional[HoffmanPolynomial] = None,
 ) -> float:
     """Compare h against its factored form over the numeric roots of q.
 
     Evaluates (n / q(lambda)) q(t) and (n / prod(lambda - r)) prod(t - r) at
     a fixed sample grid and returns the largest absolute discrepancy. Purely
-    diagnostic; nothing exact depends on it.
+    diagnostic; nothing exact depends on it. The Hoffman polynomial of B is
+    computed unless passed in.
     """
-    info = hoffman_polynomial(b)
+    info = hoffman if hoffman is not None else hoffman_polynomial(b)
     lam = float(info.lam)
     n = b.order
     if sample_points is None:

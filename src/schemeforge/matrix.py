@@ -2,22 +2,37 @@
 
 Provides the products, transposes, traces, the normalized trace inner
 product, matrix-polynomial evaluation, and exact linear solves (fraction-free
-elimination) that the rest of the pipeline is built on. Products run on
-cleared integers: each row and column is scaled by the lcm of its
-denominators, and only the result entries become Fractions again. Matrices
-are immutable; every operation returns a fresh value.
+elimination) that the rest of the pipeline is built on. The hot paths run
+on cleared integers, a vector of Fractions written as ints / den with den
+the lcm of its denominators:
+
+- products scale each row and column by its own lcm;
+- the power basis keeps every power B^k once, as (delta_k, ints_k);
+- `evaluate` combines those integer powers under one common denominator;
+- the trace inner product is one integer dot product.
+
+Only result entries become Fractions again. Matrices are immutable; every
+operation returns a fresh value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exact import Polynomial, Scalar
 
 Row = tuple[Fraction, ...]
+
+
+def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, ints) with den the lcm of the denominators and ints = den * values."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 class MatrixOrderError(ValueError):
@@ -161,62 +176,91 @@ def trace_inner_product(m: RationalMatrix, n: RationalMatrix) -> Fraction:
     """(1/order) * trace(M N^T), computed as the normalized Hadamard sum.
 
     Both operands are real rational, so conjugation is the identity and the
-    trace form and the entrywise form coincide.
+    trace form and the entrywise form coincide. Each flattening is cleared
+    by the lcm of its denominators, so the sum is one integer dot product
+    over delta_M * delta_N * order.
     """
     m._require_same_order(n)
-    acc = Fraction(0)
-    for ra, rb in zip(m.rows, n.rows):
-        for a, b in zip(ra, rb):
-            if a and b:
-                acc += a * b
-    return acc / m.order
+    m_den, m_ints = _cleared(m.flatten())
+    n_den, n_ints = _cleared(n.flatten())
+    return Fraction(sum(map(mul, m_ints, n_ints)), m_den * n_den * m.order)
+
+
+def _from_cleared(den: int, ints: Sequence[int], n: int) -> RationalMatrix:
+    """The n x n matrix with row-major flattening ints / den."""
+    return RationalMatrix(
+        [Fraction(v, den) for v in ints[i : i + n]] for i in range(0, n * n, n)
+    )
 
 
 class MatrixPowerBasis:
-    """Cached powers I, B, B^2, ... of one matrix, plus their flattenings.
+    """Powers I, B, B^2, ... of one matrix, each kept once as cleared integers.
 
-    Powers are built incrementally by one multiplication each; every power
-    up to the working degree is needed anyway, so repeated squaring would
-    not help.
+    Power k is stored as (delta_k, ints_k) with vec(B^k) = ints_k / delta_k
+    in lowest terms: B = M / delta with M an integer matrix, and
+    ints_{k+1} / delta_{k+1} is ints_k * M / (delta_k * delta) divided by its
+    content. Each power costs one integer product; every power up to the
+    working degree is needed anyway, so repeated squaring would not help.
+    Fraction matrices are built only on request (`power`, `powers`,
+    `vector`); `evaluate` combines the cleared integers directly.
     """
 
     def __init__(self, base: RationalMatrix):
         self.base = base
-        self._powers: list[RationalMatrix] = [RationalMatrix.identity(base.order)]
-        self._vectors: list[Row] = [self._powers[0].flatten()]
+        n = base.order
+        self._base_den, ints = _cleared(base.flatten())
+        self._base_columns = [ints[j::n] for j in range(n)]
+        identity = [0] * (n * n)
+        identity[:: n + 1] = [1] * n
+        self._cleared_powers: list[tuple[int, list[int]]] = [(1, identity)]
+
+    def cleared(self, k: int) -> tuple[int, list[int]]:
+        """(delta_k, ints_k) with vec(B^k) = ints_k / delta_k in lowest terms."""
+        powers, n = self._cleared_powers, self.base.order
+        while len(powers) <= k:
+            den, ints = powers[-1]
+            rows = [ints[i : i + n] for i in range(0, n * n, n)]
+            product = [sum(map(mul, row, col)) for row in rows for col in self._base_columns]
+            den *= self._base_den
+            g = gcd(den, *product)
+            if g > 1:
+                den //= g
+                product = [v // g for v in product]
+            powers.append((den, product))
+        return powers[k]
 
     def power(self, k: int) -> RationalMatrix:
-        while len(self._powers) <= k:
-            self._powers.append(self._powers[-1] @ self.base)
-            self._vectors.append(self._powers[-1].flatten())
-        return self._powers[k]
+        return _from_cleared(*self.cleared(k), self.base.order)
 
     def vector(self, k: int) -> Row:
-        self.power(k)
-        return self._vectors[k]
+        den, ints = self.cleared(k)
+        return tuple(Fraction(v, den) for v in ints)
 
     @property
     def powers(self) -> list[RationalMatrix]:
-        return list(self._powers)
+        return [self.power(k) for k in range(len(self._cleared_powers))]
 
     def evaluate(self, p: Polynomial) -> RationalMatrix:
-        """p(B) as a linear combination of cached powers (no fresh products)."""
+        """p(B) as one integer combination of the cleared powers.
+
+        With L the lcm of (coefficient denominator * delta_k) over the
+        nonzero terms, p(B) = (sum_k w_k ints_k) / L for integer weights w_k;
+        each output entry becomes one reduced Fraction.
+        """
         n = self.base.order
-        if p.is_zero():
+        terms = [(k, c) for k, c in enumerate(p.coeffs) if c]
+        if not terms:
             return RationalMatrix.zeros(n)
-        self.power(p.degree)
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for k, c in enumerate(p.coeffs):
-            if not c:
-                continue
-            rows = self._powers[k].rows
-            for i in range(n):
-                src = rows[i]
-                dst = out[i]
-                for j in range(n):
-                    if src[j]:
-                        dst[j] += c * src[j]
-        return RationalMatrix(out)
+        self.cleared(p.degree)
+        den = 1
+        for k, c in terms:
+            den = lcm(den, c.denominator * self._cleared_powers[k][0])
+        acc = [0] * (n * n)
+        for k, c in terms:
+            power_den, ints = self._cleared_powers[k]
+            weight = c.numerator * (den // (c.denominator * power_den))
+            acc = [a + weight * v for a, v in zip(acc, ints)]
+        return _from_cleared(den, acc, n)
 
 
 def algebra_membership(
@@ -228,7 +272,7 @@ def algebra_membership(
     coefficient polynomial when consistent, None when M is outside the span.
     """
     if degree is None:
-        degree = len(basis._powers) - 1
+        degree = len(basis._cleared_powers) - 1
     columns = [basis.vector(k) for k in range(degree + 1)]
     solution = solve_rational_system(columns, m.flatten())
     if solution is None:
@@ -239,14 +283,6 @@ def algebra_membership(
 # ---------------------------------------------------------------------------
 # Exact linear solving: fraction-free (Bareiss-style) elimination.
 # ---------------------------------------------------------------------------
-
-
-def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(den, ints) with den the lcm of the denominators and ints = den * values."""
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def solve_rational_system(

@@ -107,6 +107,45 @@ def naive_poly_at(p: Polynomial, grid: list[list[Fraction]]) -> list[list[Fracti
     return out
 
 
+def oracle_minimal_polynomial(grid: list[list[Fraction]]) -> Polynomial:
+    """Monic minimal polynomial by Gauss-Jordan on explicit vectorized powers.
+
+    For k = 1, 2, ... the powers I, B, ..., B^k come from naive_mat_mul; the
+    augmented system sum_j x_j vec(B^j) = vec(B^k) (j < k) is brought to
+    reduced row echelon form over Fractions from scratch. The first
+    consistent k gives m(t) = t^k - sum_j x_j t^j; the lower powers are
+    then independent, so the solution is unique.
+    """
+    n = len(grid)
+    power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    vectors = [[v for row in power for v in row]]
+    for k in range(1, n + 1):
+        power = naive_mat_mul(power, grid)
+        vectors.append([v for row in power for v in row])
+        aug = [[vectors[j][r] for j in range(k + 1)] for r in range(n * n)]
+        pivots: list[int] = []
+        for c in range(k + 1):
+            pivot = next((i for i in range(len(pivots), n * n) if aug[i][c] != 0), None)
+            if pivot is None:
+                continue
+            rank = len(pivots)
+            aug[rank], aug[pivot] = aug[pivot], aug[rank]
+            lead = aug[rank][c]
+            aug[rank] = [v / lead for v in aug[rank]]
+            for i in range(n * n):
+                if i != rank and aug[i][c] != 0:
+                    factor = aug[i][c]
+                    aug[i] = [v - factor * w for v, w in zip(aug[i], aug[rank])]
+            pivots.append(c)
+        if k in pivots:
+            continue  # vec(B^k) is outside the span of the lower powers
+        solution = [Fraction(0)] * k
+        for row, c in enumerate(pivots):
+            solution[c] = aug[row][k]
+        return Polynomial([-x for x in solution] + [Fraction(1)])
+    raise AssertionError("no dependency up to degree n contradicts Cayley-Hamilton")
+
+
 def trace_form_inner(m: list[list[Fraction]], other: list[list[Fraction]]) -> Fraction:
     """(1/n) trace(M N^T) via an explicit matrix product, not a Hadamard sum."""
     n = len(m)

@@ -236,3 +236,46 @@ def test_module_entry_point_runs(fixtures_dir):
     )
     assert result.returncode == 0
     assert "accepted" in result.stdout
+
+
+HUGE = "1" + "0" * 5000  # 10^5000, past the default int-to-str digit limit
+
+
+def test_huge_entries_get_exact_reports(capsys, tmp_path):
+    path = tmp_path / "huge.mat"
+    path.write_text("2\n1e5000 1e5000\n1e5000 1e5000\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    reports = {}
+    for command in ("analyze", "hoffman", "scheme", "predistance", "decompose"):
+        assert run_command([command, str(path), "--json"]) == 0, command
+        reports[command] = json.loads(capsys.readouterr().out)
+        assert sys.get_int_max_str_digits() == limit, command
+    lam = "2" + "0" * 5000
+    assert reports["analyze"]["classification"]["lambda"] == lam
+    assert reports["hoffman"]["hoffman"] == {
+        "lambda": lam,
+        "q": ["0", "1"],
+        "h": ["0", f"1/{HUGE}"],
+        "verified": True,
+    }
+    assert reports["scheme"]["verdict"] == "accepted"
+    assert (reports["scheme"]["d"], reports["scheme"]["D"]) == (1, 1)
+    assert reports["predistance"]["predistance"]["polynomials"] == [["1"], ["-1", f"1/{HUGE}"]]
+    assert reports["predistance"]["predistance"]["hoffman_sum_verified"] is True
+    assert reports["decompose"]["decomposition"]["coefficients"] == [HUGE]
+    path.write_text("2\n-1e5000 1\n1 1\n", encoding="utf-8")
+    assert run_command(["decompose", str(path), "--json"]) == 1
+    rejected = json.loads(capsys.readouterr().out)["decomposition"]["rejected"]
+    assert rejected.endswith(f"entry (0, 0) is -{HUGE}")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_oversized_integer_literal_is_input_error(capsys, tmp_path):
+    path = tmp_path / "long.mat"
+    path.write_text(f"2\n{HUGE} 1\n1 {HUGE}\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    assert run_command(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2, entry 1: cannot parse entry" in captured.err
+    assert sys.get_int_max_str_digits() == limit

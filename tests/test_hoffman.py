@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import (
@@ -18,7 +19,7 @@ from schemeforge.matrix import (
 from schemeforge.stochastic import classify, random_lambda_ds
 
 from conftest import load_fixture
-from oracles import charpoly_leverrier, divides
+from oracles import charpoly_leverrier, divides, naive_poly_at, oracle_minimal_polynomial
 
 FIG1_Q = Polynomial(
     [
@@ -173,3 +174,109 @@ def test_product_form_residual_random_normal_instance():
         seed += 1
     spectrum = roots(minimal_polynomial(b).poly)
     assert hoffman_product_form_check(b, list(spectrum.eigenvalues[1:])) < 1e-9
+
+
+# --- minimal polynomial against the Gauss-Jordan oracle ----------------------
+
+entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+eigenvalues = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)])
+
+
+def square_grid(n):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def block_diagonal(blocks):
+    n = sum(len(block) for block in blocks)
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            grid[offset + i][offset : offset + len(row)] = row
+        offset += len(block)
+    return grid
+
+
+def jordan_block(size, eigenvalue):
+    return [
+        [eigenvalue if i == j else Fraction(1) if j == i + 1 else Fraction(0) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def conjugate_by_permutation(grid, perm):
+    n = len(grid)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = grid[i][j]
+    return out
+
+
+@st.composite
+def krylov_cases(draw):
+    """Square grids (n <= 6) that stress the elimination: dense with negative
+    entries, zero, scalar, Jordan blocks sharing eigenvalues, and permuted
+    block-diagonal matrices whose repeated block makes them derogatory."""
+    kind = draw(st.sampled_from(["dense", "zero", "scalar", "jordan", "derogatory"]))
+    if kind == "dense":
+        return draw(square_grid(draw(st.integers(1, 6))))
+    if kind == "zero":
+        n = draw(st.integers(1, 6))
+        return [[Fraction(0)] * n for _ in range(n)]
+    if kind == "scalar":
+        n = draw(st.integers(1, 6))
+        c = draw(entries)
+        return [[c if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    if kind == "jordan":
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 6))
+        return block_diagonal([jordan_block(size, draw(eigenvalues)) for size in sizes])
+    size = draw(st.integers(1, 3))
+    block = draw(square_grid(size))
+    blocks = [block, block]
+    extra = draw(st.integers(0, 6 - 2 * size))
+    if extra:
+        blocks.append(jordan_block(extra, draw(eigenvalues)))
+    grid = block_diagonal(blocks)
+    return conjugate_by_permutation(grid, draw(st.permutations(range(len(grid)))))
+
+
+@given(krylov_cases())
+@settings(max_examples=200, deadline=None)
+def test_minimal_polynomial_matches_gauss_jordan_oracle(grid):
+    m = minimal_polynomial(RationalMatrix(grid)).poly
+    assert m == oracle_minimal_polynomial(grid)
+    n = len(grid)
+    assert naive_poly_at(m, grid) == [[Fraction(0)] * n for _ in range(n)]
+
+
+def test_deep_krylov_scaled_directed_cycle():
+    """(3/2) P for the directed 30-cycle P: m = t^30 - (3/2)^30, so d = 29.
+
+    Power k is 3^k P^k / 2^k, so the cleared form must carry delta_k = 2^k
+    exactly; the Hoffman polynomial is sum_j (2/3)^j t^j.
+    """
+    n = 30
+    scale = Fraction(3, 2)
+    b = RationalMatrix(
+        [[scale if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    )
+    basis = MatrixPowerBasis(b)
+    m = minimal_polynomial(b, basis)
+    assert m.degree - 1 == 29
+    assert m.poly == Polynomial([-(scale**n)] + [0] * (n - 1) + [1])
+    for k in range(n + 1):
+        den, ints = basis.cleared(k)
+        assert den == 2**k
+        assert sorted(ints) == [0] * (n * n - n) + [3**k] * n
+    info = hoffman_polynomial(b, basis=basis, minimal=m)
+    assert info.h == Polynomial([Fraction(2, 3) ** j for j in range(n)])
+
+
+def test_product_form_check_accepts_precomputed_hoffman(fig2):
+    root = 3 ** 0.5 / 4
+    roots_of_q = [0.5, complex(0.25, root), complex(0.25, -root)]
+    info = hoffman_polynomial(fig2)
+    assert hoffman_product_form_check(fig2, roots_of_q, hoffman=info) == (
+        hoffman_product_form_check(fig2, roots_of_q)
+    )

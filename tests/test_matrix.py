@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,3 +256,51 @@ def test_solver_agrees_with_gauss_on_consistency(data):
 def test_solver_flags_inconsistency():
     columns = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]]
     assert solve_rational_system(columns, [Fraction(0), Fraction(1)]) is None
+
+
+# --- cleared-integer power basis --------------------------------------------
+
+
+def integer_grid(n):
+    return st.lists(st.lists(integer_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def kernel_grid(n):
+    """Mixed or coprime denominators, all-integer (delta = 1), or zero."""
+    return st.one_of(mixed_grid(n), integer_grid(n), st.just([[Fraction(0)] * n for _ in range(n)]))
+
+
+# zero polynomials (empty lists), zero coefficients, integer and fractional ones
+coefficient_lists = st.lists(st.one_of(st.just(Fraction(0)), mixed_entries), max_size=6)
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(kernel_grid),
+    coefficient_lists,
+    coefficient_lists,
+)
+@settings(max_examples=100, deadline=None)
+def test_power_basis_evaluate_matches_naive_oracle(grid, cs, ds):
+    basis = MatrixPowerBasis(RationalMatrix(grid))
+    for coeffs in (cs, ds):  # the second call may reuse or extend the cache
+        p = Polynomial(coeffs)
+        assert basis.evaluate(p) == RationalMatrix(naive_poly_at(p, grid))
+    n = len(grid)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(4):
+        den, ints = basis.cleared(k)
+        assert gcd(den, *ints) == 1  # lowest terms
+        assert [Fraction(v, den) for v in ints] == [v for row in power for v in row]
+        assert basis.power(k) == RationalMatrix(power)
+        power = naive_mat_mul(power, grid)
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(kernel_grid(n), kernel_grid(n))
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_trace_inner_product_matches_trace_form_oracle(grids):
+    a, b = grids
+    assert trace_inner_product(RationalMatrix(a), RationalMatrix(b)) == trace_form_inner(a, b)
