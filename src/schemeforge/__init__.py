@@ -6,117 +6,38 @@ stochastic matrices, all in exact rational arithmetic with a floating-point
 spectral sidecar.
 """
 
-from .exact import Polynomial, rat_normalize
-from .matrix import (
-    MatrixPowerBasis,
-    RationalMatrix,
-    algebra_membership,
-    poly_eval,
-    solve_rational_system,
-    trace_inner_product,
-)
-from .digraph import (
-    Digraph,
-    DistanceStructure,
-    distance_structure,
-    is_strongly_connected,
-    underlying_digraph,
-    walk_count,
-)
-from .stochastic import (
-    EntryDecomposition,
-    MatrixClassification,
-    classify,
-    entry_decomposition,
-    random_lambda_ds,
-)
+from .exact import Polynomial
+from .matrix import RationalMatrix
+from .stochastic import MatrixClassification, RejectionCode, classify, random_lambda_ds
 from .hoffman import (
     HoffmanHypothesisError,
     HoffmanPolynomial,
-    MinimalPolynomial,
     hoffman_polynomial,
-    hoffman_product_form_check,
     minimal_polynomial,
 )
-from .predistance import (
-    PredistanceBasis,
-    PredistanceHypothesisError,
-    lambda_avoiding_gram_schmidt,
-    poly_inner,
-    predistance_basis,
-    verify_hoffman_sum,
-)
-from .scheme import (
-    Rejection,
-    RejectionCode,
-    SchemeAxiomError,
-    SchemeCertificate,
-    class_distance_constancy,
-    detect_scheme,
-    intersection_numbers,
-    transpose_map,
-    vanishing_product_check,
-)
-from .spectral import (
-    IdempotentFamily,
-    PerronReport,
-    RootConvergenceError,
-    Spectrum,
-    SpectrumDegeneracyError,
-    idempotents,
-    perron_check,
-    roots,
-)
+from .predistance import PredistanceBasis, PredistanceHypothesisError, predistance_basis
+from .scheme import Rejection, SchemeCertificate, detect_scheme
+from .spectral import Spectrum, roots
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Polynomial",
-    "rat_normalize",
     "RationalMatrix",
-    "MatrixPowerBasis",
-    "algebra_membership",
-    "poly_eval",
-    "solve_rational_system",
-    "trace_inner_product",
-    "Digraph",
-    "DistanceStructure",
-    "distance_structure",
-    "is_strongly_connected",
-    "underlying_digraph",
-    "walk_count",
-    "EntryDecomposition",
-    "MatrixClassification",
     "classify",
-    "entry_decomposition",
+    "MatrixClassification",
+    "RejectionCode",
     "random_lambda_ds",
-    "HoffmanHypothesisError",
-    "HoffmanPolynomial",
-    "MinimalPolynomial",
-    "hoffman_polynomial",
-    "hoffman_product_form_check",
     "minimal_polynomial",
+    "hoffman_polynomial",
+    "HoffmanPolynomial",
+    "HoffmanHypothesisError",
+    "predistance_basis",
     "PredistanceBasis",
     "PredistanceHypothesisError",
-    "lambda_avoiding_gram_schmidt",
-    "poly_inner",
-    "predistance_basis",
-    "verify_hoffman_sum",
-    "Rejection",
-    "RejectionCode",
-    "SchemeAxiomError",
-    "SchemeCertificate",
-    "class_distance_constancy",
     "detect_scheme",
-    "intersection_numbers",
-    "transpose_map",
-    "vanishing_product_check",
-    "IdempotentFamily",
-    "PerronReport",
-    "RootConvergenceError",
-    "Spectrum",
-    "SpectrumDegeneracyError",
-    "idempotents",
-    "perron_check",
+    "SchemeCertificate",
+    "Rejection",
     "roots",
+    "Spectrum",
 ]

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 for success or an accepted certificate, 1 for a mathematical
-rejection (failed hypotheses, rejected scheme), 2 for input errors. That
+rejection (failed hypotheses, rejected scheme), 2 for input errors, 3 for an
+internal error (any other exception, reported as one stderr line
+"internal error: <Type>: <first line of message>", never a traceback). That
 split lets shell pipelines tell "the matrix is not a scheme" apart from
-"the file is broken".
+"the file is broken" and from a crash.
 
 Reports print every rational exactly, however many digits it has: Python's
 int-to-str digit limit is lifted while a report is built and written, and
@@ -42,6 +44,7 @@ from .stochastic import classify, entry_decomposition, random_lambda_ds
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "SCHEMEFORGE_SEED"
@@ -113,7 +116,7 @@ def _classification_report(cls) -> dict:
     return {
         "order": cls.order,
         "nonnegative": cls.nonnegative,
-        "lambda": io.fraction_str(cls.lam) if cls.lam is not None else None,
+        "lambda": str(cls.lam) if cls.lam is not None else None,
         "doubly_stochastic": cls.doubly_stochastic,
         "normal": cls.normal,
         "irreducible": cls.irreducible,
@@ -125,7 +128,7 @@ def _cmd_analyze(args) -> int:
     cls = classify(b)
     with _exact_digits():
         report = {"classification": _classification_report(cls)}
-        lam = io.fraction_str(cls.lam) if cls.lam is not None else "none"
+        lam = str(cls.lam) if cls.lam is not None else "none"
         _emit(
             report,
             args.json,
@@ -151,7 +154,7 @@ def _cmd_hoffman(args) -> int:
     with _exact_digits():
         report = {
             "hoffman": {
-                "lambda": io.fraction_str(info.lam),
+                "lambda": str(info.lam),
                 "q": io.poly_coefficients(info.q),
                 "h": io.poly_coefficients(info.h),
                 "verified": True,
@@ -161,7 +164,7 @@ def _cmd_hoffman(args) -> int:
             report,
             args.json,
             [
-                f"lambda: {io.fraction_str(info.lam)}",
+                f"lambda: {info.lam}",
                 f"h(t) = {info.h}",
                 f"h coefficients (ascending): {info.h.coefficient_line()}",
                 f"q coefficients (ascending): {info.q.coefficient_line()}",
@@ -184,17 +187,17 @@ def _cmd_predistance(args) -> int:
     with _exact_digits():
         report = {
             "predistance": {
-                "lambda": io.fraction_str(family.lam),
+                "lambda": str(family.lam),
                 "polynomials": [io.poly_coefficients(p) for p in family.polys],
-                "norms_squared": [io.fraction_str(v) for v in family.norms_sq],
+                "norms_squared": [str(v) for v in family.norms_sq],
                 "hoffman_sum_verified": hoffman_sum_ok,
             }
         }
-        lines = [f"lambda: {io.fraction_str(family.lam)}", f"d: {family.d}"]
+        lines = [f"lambda: {family.lam}", f"d: {family.d}"]
         for i, p in enumerate(family.polys):
             lines.append(f"p_{i}(t) = {p}")
             lines.append(f"  coefficients (ascending): {p.coefficient_line()}")
-            lines.append(f"  p_{i}(lambda) = {io.fraction_str(family.norms_sq[i])}")
+            lines.append(f"  p_{i}(lambda) = {family.norms_sq[i]}")
         lines.append(
             "hoffman sum: verified" if hoffman_sum_ok else "hoffman sum: FAILED"
         )
@@ -215,7 +218,7 @@ def _scheme_report(b: RationalMatrix, certificate) -> dict:
     report = {
         "verdict": "accepted" if certificate.accepted else "rejected",
         "reason": certificate.reason.describe() if certificate.reason else None,
-        "lambda": io.fraction_str(cls.lam) if cls.lam is not None else None,
+        "lambda": str(cls.lam) if cls.lam is not None else None,
         "d": certificate.d,
         "D": certificate.diameter,
         "hoffman": hoffman_coeffs,
@@ -272,14 +275,14 @@ def _cmd_decompose(args) -> int:
             return EXIT_REJECTED
         report = {
             "decomposition": {
-                "coefficients": [io.fraction_str(c) for c in decomposition.coefficients],
+                "coefficients": [str(c) for c in decomposition.coefficients],
                 "indicators": [io.zero_one_grid(f) for f in decomposition.indicators],
             }
         }
         lines = [f"distinct positive entries: {len(decomposition.coefficients)}"]
         for c, f in zip(decomposition.coefficients, decomposition.indicators):
             support = sum(1 for row in f.rows for v in row if v)
-            lines.append(f"coefficient {io.fraction_str(c)}: {support} positions")
+            lines.append(f"coefficient {c}: {support} positions")
         _emit(report, args.json, lines)
     return EXIT_OK
 
@@ -391,6 +394,10 @@ def run_command(argv: list[str]) -> int:
     except io.MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        first_line = next(iter(str(exc).splitlines()), "")
+        print(f"internal error: {type(exc).__name__}: {first_line}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def main() -> None:

@@ -1,8 +1,8 @@
 """Digraphs underlying nonnegative matrices.
 
-Strong connectivity, BFS distances, diameter, the distance-i matrices, and
-walk counting. Distances are plain ints; an unreachable pair is a sentinel
-(None), never infinity arithmetic.
+Strong connectivity, BFS distances, diameter, and the distance-i matrices.
+Distances are plain ints; an unreachable pair is a sentinel (None), never
+infinity arithmetic.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class Digraph:
     """Vertex set 0..n-1 with integer arc multiplicities.
 
     Digraphs derived from a matrix's nonzero pattern are always 0/1 (loops
-    allowed); multiplicities > 1 are accepted so walk counting also covers
-    multigraphs.
+    allowed); multiplicities > 1 are accepted, so the powers of
+    adjacency_matrix() also count walks in multigraphs.
     """
 
     __slots__ = ("order", "adjacency", "arc_count")
@@ -111,9 +111,6 @@ class DistanceStructure:
     diameter: int
     classes: tuple[RationalMatrix, ...]
 
-    def distance(self, x: int, y: int) -> int:
-        return self.dist[x][y]
-
 
 def _bfs_row(g: Digraph, source: int) -> list[Optional[int]]:
     dist: list[Optional[int]] = [None] * g.order
@@ -144,14 +141,3 @@ def distance_structure(g: Digraph) -> DistanceStructure:
         for i in range(diameter + 1)
     )
     return DistanceStructure(dist=tuple(grid), diameter=diameter, classes=classes)
-
-
-def walk_count(g: Digraph, length: int) -> RationalMatrix:
-    """Matrix whose (x, y) entry counts directed walks of the given length."""
-    if length < 1:
-        raise ValueError("walk length must be a positive integer")
-    a = g.adjacency_matrix()
-    out = a
-    for _ in range(length - 1):
-        out = out @ a
-    return out

@@ -16,16 +16,6 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 
-def rat_normalize(num: int, den: int) -> Fraction:
-    """Canonical rational num/den: reduced, denominator positive.
-
-    Raises ZeroDivisionError for den == 0.
-    """
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
-
-
 class Polynomial:
     """Dense univariate polynomial over Fraction, coefficients ascending.
 
@@ -185,8 +175,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-ZERO = Polynomial()
-ONE = Polynomial([1])
-T = Polynomial([0, 1])

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .exact import Polynomial
 from .matrix import MatrixPowerBasis, RationalMatrix
-from .stochastic import MatrixClassification, classify
+from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
 
 
 class HoffmanHypothesisError(ValueError):
@@ -101,20 +101,15 @@ def hoffman_polynomial(
 ) -> HoffmanPolynomial:
     """Hoffman polynomial of a lambda-DS irreducible matrix, verified exactly.
 
-    Raises HoffmanHypothesisError naming the failed hypothesis when B is not
-    nonnegative with equal line sums, not irreducible, or has lambda = 0.
+    Raises HoffmanHypothesisError naming the first hypothesis the gate finds
+    failed (normality is not required).
     A precomputed minimal polynomial of B may be passed in; h(B) = J is
     checked either way.
     """
     cls = classification if classification is not None else classify(b)
-    if not cls.nonnegative:
-        raise HoffmanHypothesisError("matrix has a negative entry")
-    if not cls.irreducible:
-        raise HoffmanHypothesisError("matrix is not irreducible")
-    if cls.lam is None:
-        raise HoffmanHypothesisError("row and column sums do not share a common value")
-    if cls.lam == 0:
-        raise HoffmanHypothesisError("common line sum is zero")
+    failed = cls.failed_hypothesis(require_normal=False)
+    if failed is not None:
+        raise HoffmanHypothesisError(HYPOTHESIS_MESSAGES[failed])
     if basis is None:
         basis = MatrixPowerBasis(b)
     if minimal is None:

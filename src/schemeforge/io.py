@@ -22,9 +22,11 @@ class MatrixParseError(ValueError):
         super().__init__(f"line {line}, entry {column}: {message}")
 
 
-def parse_rational(token: str) -> Fraction:
-    """Exact value of one entry token (integer, p/q, or decimal)."""
-    return Fraction(token)
+def _shown(token: str) -> str:
+    """repr of a token for an error line; a long token is cut to 32 characters plus its length."""
+    if len(token) <= 32:
+        return repr(token)
+    return f"{token[:32]!r}... ({len(token)} characters)"
 
 
 def parse_matrix(text: str) -> RationalMatrix:
@@ -40,7 +42,7 @@ def parse_matrix(text: str) -> RationalMatrix:
     try:
         n = int(header)
     except ValueError:
-        raise MatrixParseError(f"expected matrix order, found {header!r}", header_line, 1) from None
+        raise MatrixParseError(f"expected matrix order, found {_shown(header)}", header_line, 1) from None
     if n <= 0:
         raise MatrixParseError(f"matrix order must be positive, found {n}", header_line, 1)
     body = data[1:]
@@ -55,9 +57,9 @@ def parse_matrix(text: str) -> RationalMatrix:
         row: list[Fraction] = []
         for col, token in enumerate(tokens, start=1):
             try:
-                row.append(parse_rational(token))
+                row.append(Fraction(token))
             except (ValueError, ZeroDivisionError):
-                raise MatrixParseError(f"cannot parse entry {token!r}", lineno, col) from None
+                raise MatrixParseError(f"cannot parse entry {_shown(token)}", lineno, col) from None
         rows.append(row)
     return RationalMatrix(rows)
 
@@ -74,19 +76,9 @@ def serialize_matrix(b: RationalMatrix, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fraction_str(value: Fraction) -> str:
-    """Report form of a rational: "p/q", or "p" for integers. Never a float."""
-    return str(value)
-
-
 def poly_coefficients(p) -> list[str]:
-    """Ascending coefficient list in report form."""
-    return [fraction_str(c) for c in p.coeffs]
-
-
-def matrix_grid(b: RationalMatrix) -> list[list[str]]:
-    """Row-major grid of report-form entries."""
-    return [[fraction_str(v) for v in row] for row in b.rows]
+    """Ascending coefficient list in report form ("p/q", or "p" for integers)."""
+    return [str(c) for c in p.coeffs]
 
 
 def zero_one_grid(b: RationalMatrix) -> list[list[int]]:

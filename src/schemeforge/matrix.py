@@ -1,7 +1,7 @@
 """Dense square matrices over exact rationals.
 
-Provides the products, transposes, traces, the normalized trace inner
-product, matrix-polynomial evaluation, and exact linear solves (fraction-free
+Provides the products, transposes, the normalized trace inner product,
+matrix-polynomial evaluation, and exact linear solves (fraction-free
 elimination) that the rest of the pipeline is built on. The hot paths run
 on cleared integers, a vector of Fractions written as ints / den with den
 the lcm of its denominators:
@@ -9,7 +9,8 @@ the lcm of its denominators:
 - products scale each row and column by its own lcm;
 - the power basis keeps every power B^k once, as (delta_k, ints_k);
 - `evaluate` combines those integer powers under one common denominator;
-- the trace inner product is one integer dot product.
+- the trace inner product is one integer dot product, and the polynomial
+  form `inner` is an integer combination of cached dot products of powers.
 
 Only result entries become Fractions again. Matrices are immutable; every
 operation returns a fresh value.
@@ -132,9 +133,6 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.rows)))
 
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.order)), Fraction(0))
-
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
 
@@ -152,24 +150,6 @@ class RationalMatrix:
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
-
-
-def poly_eval(p: Polynomial, b: RationalMatrix) -> RationalMatrix:
-    """Horner evaluation p(B); the constant term multiplies I.
-
-    The zero polynomial maps every matrix to the zero matrix.
-    """
-    n = b.order
-    acc = RationalMatrix.zeros(n)
-    for c in reversed(p.coeffs):
-        acc = acc @ b
-        if c:
-            acc = acc + _scalar_matrix(n, c)
-    return acc
-
-
-def _scalar_matrix(n: int, c: Fraction) -> RationalMatrix:
-    return RationalMatrix([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def trace_inner_product(m: RationalMatrix, n: RationalMatrix) -> Fraction:
@@ -201,8 +181,9 @@ class MatrixPowerBasis:
     ints_{k+1} / delta_{k+1} is ints_k * M / (delta_k * delta) divided by its
     content. Each power costs one integer product; every power up to the
     working degree is needed anyway, so repeated squaring would not help.
-    Fraction matrices are built only on request (`power`, `powers`,
-    `vector`); `evaluate` combines the cleared integers directly.
+    Fraction matrices are built only on request (`power`, `vector`);
+    `evaluate` combines the cleared integers directly, and `inner` takes the
+    trace form from integer dot products of the cleared powers.
     """
 
     def __init__(self, base: RationalMatrix):
@@ -213,6 +194,7 @@ class MatrixPowerBasis:
         identity = [0] * (n * n)
         identity[:: n + 1] = [1] * n
         self._cleared_powers: list[tuple[int, list[int]]] = [(1, identity)]
+        self._gram: dict[tuple[int, int], int] = {}
 
     def cleared(self, k: int) -> tuple[int, list[int]]:
         """(delta_k, ints_k) with vec(B^k) = ints_k / delta_k in lowest terms."""
@@ -236,31 +218,53 @@ class MatrixPowerBasis:
         den, ints = self.cleared(k)
         return tuple(Fraction(v, den) for v in ints)
 
-    @property
-    def powers(self) -> list[RationalMatrix]:
-        return [self.power(k) for k in range(len(self._cleared_powers))]
+    def _weights(self, p: Polynomial) -> tuple[int, list[tuple[int, int]]]:
+        """(L, [(k, w_k)]) with p(B) = (sum_k w_k ints_k) / L, L = lcm(den(p_k) delta_k)."""
+        terms = [(k, c) for k, c in enumerate(p.coeffs) if c]
+        powers = self._cleared_powers
+        if terms:
+            self.cleared(p.degree)
+        den = 1
+        for k, c in terms:
+            den = lcm(den, c.denominator * powers[k][0])
+        return den, [(k, c.numerator * (den // (c.denominator * powers[k][0]))) for k, c in terms]
 
     def evaluate(self, p: Polynomial) -> RationalMatrix:
         """p(B) as one integer combination of the cleared powers.
 
-        With L the lcm of (coefficient denominator * delta_k) over the
-        nonzero terms, p(B) = (sum_k w_k ints_k) / L for integer weights w_k;
-        each output entry becomes one reduced Fraction.
+        Each output entry of (sum_k w_k ints_k) / L becomes one reduced
+        Fraction.
         """
         n = self.base.order
-        terms = [(k, c) for k, c in enumerate(p.coeffs) if c]
-        if not terms:
+        den, weights = self._weights(p)
+        if not weights:
             return RationalMatrix.zeros(n)
-        self.cleared(p.degree)
-        den = 1
-        for k, c in terms:
-            den = lcm(den, c.denominator * self._cleared_powers[k][0])
         acc = [0] * (n * n)
-        for k, c in terms:
-            power_den, ints = self._cleared_powers[k]
-            weight = c.numerator * (den // (c.denominator * power_den))
-            acc = [a + weight * v for a, v in zip(acc, ints)]
+        for k, weight in weights:
+            acc = [a + weight * v for a, v in zip(acc, self._cleared_powers[k][1])]
         return _from_cleared(den, acc, n)
+
+    def inner(self, p: Polynomial, q: Polynomial) -> Fraction:
+        """<p, q> = (1/n) trace(p(B) q(B)^T) = sum_ab p_a q_b <B^a, B^b>.
+
+        With the weights of both polynomials this is sum_ab u_a v_b G_ab /
+        (L_p L_q n), where each Gram entry G_ab = ints_a . ints_b is one
+        integer dot product, computed once per basis.
+        """
+        p_den, p_weights = self._weights(p)
+        q_den, q_weights = self._weights(q)
+        gram = self._gram
+        total = 0
+        for a, u in p_weights:
+            for b, v in q_weights:
+                key = (a, b) if a <= b else (b, a)
+                entry = gram.get(key)
+                if entry is None:
+                    entry = gram[key] = sum(
+                        map(mul, self._cleared_powers[a][1], self._cleared_powers[b][1])
+                    )
+                total += u * v * entry
+        return Fraction(total, p_den * q_den * self.base.order)
 
 
 def algebra_membership(

@@ -7,6 +7,11 @@ basis polynomial nonvanishing at lambda, followed by the normalization
 p_i = (q_i(lambda) / |q_i|^2) q_i, yields the predistance family: orthogonal,
 deg p_i = i, |p_i|^2 = p_i(lambda) > 0, and sum_i p_i(B) = J.
 
+The form comes from the Gram entries <B^a, B^b> of the power basis
+(MatrixPowerBasis.inner). Each p_i is evaluated at B once; the invariant
+check re-verifies orthogonality and norms on those matrices with
+trace_inner_product, independently of the Gram entries.
+
 The normalization map above is the rational-arithmetic equivalent of scaling
 the unit-norm polynomial r_i by r_i(lambda); it never materializes a square
 root.
@@ -21,7 +26,7 @@ from typing import Optional
 from .exact import Polynomial
 from .hoffman import MinimalPolynomial, hoffman_polynomial, minimal_polynomial
 from .matrix import MatrixPowerBasis, RationalMatrix, trace_inner_product
-from .stochastic import MatrixClassification, classify
+from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
 
 
 class PredistanceHypothesisError(ValueError):
@@ -44,7 +49,7 @@ def poly_inner(
     """
     if basis is None:
         basis = MatrixPowerBasis(b)
-    return trace_inner_product(basis.evaluate(p), basis.evaluate(q))
+    return basis.inner(p, q)
 
 
 def lambda_avoiding_gram_schmidt(
@@ -66,27 +71,23 @@ def lambda_avoiding_gram_schmidt(
     if basis is None:
         basis = MatrixPowerBasis(b)
     polys: list[Polynomial] = []
-    evaluations: list[RationalMatrix] = []
     norms_sq: list[Fraction] = []
     for j in range(d + 1):
         monomial = Polynomial.monomial(j)
-        monomial_mat = basis.power(j)
         candidate = monomial
         for ell in range(j):
-            coeff = trace_inner_product(evaluations[ell], monomial_mat) / norms_sq[ell]
+            coeff = basis.inner(polys[ell], monomial) / norms_sq[ell]
             if coeff:
                 candidate = candidate - coeff * polys[ell]
         if candidate(lam) == 0:
             # doubling fallback: candidate + t^j evaluates to lam^j at lambda
             candidate = candidate + monomial
-        mat = basis.evaluate(candidate)
-        norm_sq = trace_inner_product(mat, mat)
+        norm_sq = basis.inner(candidate, candidate)
         if norm_sq == 0:
             raise PredistanceHypothesisError(
                 f"inner product degenerate at degree {j}; d exceeds deg(minpoly) - 1"
             )
         polys.append(candidate)
-        evaluations.append(mat)
         norms_sq.append(norm_sq)
     return polys
 
@@ -118,38 +119,21 @@ def predistance_basis(
     positivity, Hoffman sum) is asserted before returning.
     """
     cls = classification if classification is not None else classify(b)
-    if not cls.nonnegative:
-        raise PredistanceHypothesisError("matrix has a negative entry")
-    if not cls.irreducible:
-        raise PredistanceHypothesisError("matrix is not irreducible")
-    if cls.lam is None:
-        raise PredistanceHypothesisError("row and column sums do not share a common value")
-    if not cls.normal:
-        raise PredistanceHypothesisError("matrix is not normal")
-    if cls.lam == 0:
-        raise PredistanceHypothesisError("common line sum is zero")
+    failed = cls.failed_hypothesis()
+    if failed is not None:
+        raise PredistanceHypothesisError(HYPOTHESIS_MESSAGES[failed])
     if basis is None:
         basis = MatrixPowerBasis(b)
     if minimal is None:
         minimal = minimal_polynomial(b, basis)
     d = minimal.degree - 1
     orthogonal = lambda_avoiding_gram_schmidt(b, cls.lam, d, basis)
-    polys: list[Polynomial] = []
-    evaluations: list[RationalMatrix] = []
-    norms_sq: list[Fraction] = []
-    for q in orthogonal:
-        q_mat = basis.evaluate(q)
-        q_norm_sq = trace_inner_product(q_mat, q_mat)
-        scale = q(cls.lam) / q_norm_sq
-        p = scale * q
-        polys.append(p)
-        evaluations.append(scale * q_mat)
-        norms_sq.append(scale * scale * q_norm_sq)
+    polys = tuple(q(cls.lam) / basis.inner(q, q) * q for q in orthogonal)
     result = PredistanceBasis(
-        polys=tuple(polys),
+        polys=polys,
         lam=cls.lam,
-        norms_sq=tuple(norms_sq),
-        evaluations=tuple(evaluations),
+        norms_sq=tuple(basis.inner(p, p) for p in polys),
+        evaluations=tuple(basis.evaluate(p) for p in polys),
     )
     _assert_invariants(result, b)
     return result

@@ -14,7 +14,6 @@ unreachable, and any occurrence is loudly logged as a potential gap.
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,7 @@ from .exact import Polynomial
 from .matrix import MatrixPowerBasis, RationalMatrix
 from .hoffman import minimal_polynomial
 from .predistance import predistance_basis
-from .stochastic import classify
+from .stochastic import RejectionCode, classify
 
 logger = logging.getLogger(__name__)
 
@@ -39,17 +38,6 @@ class SchemeAxiomError(Exception):
         self.axiom = axiom
         self.witness = witness
         super().__init__(f"axiom {axiom} failed at {witness}")
-
-
-class RejectionCode(enum.Enum):
-    NOT_NONNEGATIVE = "NOT_NONNEGATIVE"
-    NOT_IRREDUCIBLE = "NOT_IRREDUCIBLE"
-    NOT_DOUBLY_STOCHASTIC = "NOT_DOUBLY_STOCHASTIC"
-    NOT_NORMAL = "NOT_NORMAL"
-    LAMBDA_ZERO = "LAMBDA_ZERO"
-    EIGENCOUNT_NE_DIAMETER = "EIGENCOUNT_NE_DIAMETER"
-    AD_NOT_POLYNOMIAL = "AD_NOT_POLYNOMIAL"
-    AXIOM_FAILURE = "AXIOM_FAILURE"
 
 
 @dataclass(frozen=True)
@@ -185,16 +173,9 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
         )
 
     cls = classify(b)
-    if not cls.nonnegative:
-        return rejected(RejectionCode.NOT_NONNEGATIVE)
-    if not cls.irreducible:
-        return rejected(RejectionCode.NOT_IRREDUCIBLE)
-    if cls.lam is None:
-        return rejected(RejectionCode.NOT_DOUBLY_STOCHASTIC)
-    if not cls.normal:
-        return rejected(RejectionCode.NOT_NORMAL)
-    if cls.lam == 0:
-        return rejected(RejectionCode.LAMBDA_ZERO)
+    failed = cls.failed_hypothesis()
+    if failed is not None:
+        return rejected(failed)
 
     structure = distance_structure(underlying_digraph(b))
     basis = MatrixPowerBasis(b)

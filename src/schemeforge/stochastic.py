@@ -1,12 +1,16 @@
-"""Classification of rational matrices and the distinct-entry decomposition.
+"""Classification of rational matrices, the hypothesis gate, and the
+distinct-entry decomposition.
 
 classify() reports the four exact flags the rest of the pipeline gates on:
 nonnegativity, a common line sum (lambda-double stochasticity), normality,
 and irreducibility. It never fails; bad inputs just classify negatively.
+MatrixClassification.failed_hypothesis() is the one gate on those flags, in
+the theorem's order; HYPOTHESIS_MESSAGES words each failure.
 """
 
 from __future__ import annotations
 
+import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +18,26 @@ from typing import Optional
 
 from .digraph import Digraph, is_strongly_connected
 from .matrix import RationalMatrix
+
+
+class RejectionCode(enum.Enum):
+    NOT_NONNEGATIVE = "NOT_NONNEGATIVE"
+    NOT_IRREDUCIBLE = "NOT_IRREDUCIBLE"
+    NOT_DOUBLY_STOCHASTIC = "NOT_DOUBLY_STOCHASTIC"
+    NOT_NORMAL = "NOT_NORMAL"
+    LAMBDA_ZERO = "LAMBDA_ZERO"
+    EIGENCOUNT_NE_DIAMETER = "EIGENCOUNT_NE_DIAMETER"
+    AD_NOT_POLYNOMIAL = "AD_NOT_POLYNOMIAL"
+    AXIOM_FAILURE = "AXIOM_FAILURE"
+
+
+HYPOTHESIS_MESSAGES = {
+    RejectionCode.NOT_NONNEGATIVE: "matrix has a negative entry",
+    RejectionCode.NOT_IRREDUCIBLE: "matrix is not irreducible",
+    RejectionCode.NOT_DOUBLY_STOCHASTIC: "row and column sums do not share a common value",
+    RejectionCode.NOT_NORMAL: "matrix is not normal",
+    RejectionCode.LAMBDA_ZERO: "common line sum is zero",
+}
 
 
 @dataclass(frozen=True)
@@ -35,10 +59,25 @@ class MatrixClassification:
     def doubly_stochastic(self) -> bool:
         return self.lam is not None
 
+    def failed_hypothesis(self, require_normal: bool = True) -> Optional[RejectionCode]:
+        """The first failed hypothesis in the theorem's order, or None.
+
+        The Hoffman polynomial exists without normality, so its gate passes
+        require_normal=False and skips that hypothesis.
+        """
+        checks = (
+            (RejectionCode.NOT_NONNEGATIVE, self.nonnegative),
+            (RejectionCode.NOT_IRREDUCIBLE, self.irreducible),
+            (RejectionCode.NOT_DOUBLY_STOCHASTIC, self.lam is not None),
+            (RejectionCode.NOT_NORMAL, self.normal or not require_normal),
+            (RejectionCode.LAMBDA_ZERO, self.lam != 0),
+        )
+        return next((code for code, holds in checks if not holds), None)
+
     @property
     def hoffman_ready(self) -> bool:
-        """Whether a Hoffman polynomial exists: lambda-DS, irreducible, lambda != 0."""
-        return self.lam is not None and self.irreducible and self.lam != 0
+        """Whether a Hoffman polynomial exists: the gate without normality passes."""
+        return self.failed_hypothesis(require_normal=False) is None
 
 
 def classify(b: RationalMatrix) -> MatrixClassification:

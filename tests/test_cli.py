@@ -278,4 +278,19 @@ def test_oversized_integer_literal_is_input_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 2, entry 1: cannot parse entry" in captured.err
+    assert "(5001 characters)" in captured.err
+    assert len(captured.err) < 200
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_crash_is_internal_error_not_rejection(capsys, tmp_path):
+    # entries past the float range: the numeric sidecar's float() overflows
+    path = tmp_path / "overflow.mat"
+    path.write_text("2\n1e400 1e400\n1e400 1e400\n", encoding="utf-8")
+    assert run_command(["spectrum", str(path), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: OverflowError: integer division result too large for a float"
+    ]
+    assert "Traceback" not in captured.err

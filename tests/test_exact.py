@@ -3,32 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from schemeforge.exact import Polynomial, rat_normalize
+from schemeforge.exact import Polynomial
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
 coeff_lists = st.lists(rationals, max_size=7)
-
-
-def test_rat_normalize_reduces():
-    assert rat_normalize(2, 4) == Fraction(1, 2)
-
-
-def test_rat_normalize_sign_canonical():
-    v = rat_normalize(-3, -9)
-    assert v == Fraction(1, 3)
-    assert v.denominator == 3 and v.numerator == 1
-
-
-def test_rat_normalize_zero():
-    v = rat_normalize(0, 7)
-    assert v.numerator == 0 and v.denominator == 1
-
-
-def test_rat_normalize_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rat_normalize(1, 0)
 
 
 @given(rationals, rationals, rationals)

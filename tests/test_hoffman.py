@@ -10,12 +10,7 @@ from schemeforge.hoffman import (
     hoffman_product_form_check,
     minimal_polynomial,
 )
-from schemeforge.matrix import (
-    MatrixPowerBasis,
-    RationalMatrix,
-    algebra_membership,
-    poly_eval,
-)
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, algebra_membership
 from schemeforge.stochastic import classify, random_lambda_ds
 
 from conftest import load_fixture
@@ -46,13 +41,13 @@ def test_minimal_polynomial_fig2(fig2):
         [Fraction(-1, 8), Fraction(1, 2), -1, 1]
     )
     assert m == expected
-    assert poly_eval(m, fig2) == RationalMatrix.zeros(6)
+    assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig2])) == RationalMatrix.zeros(6)
 
 
 def test_minimal_polynomial_fig1(fig1):
     m = minimal_polynomial(fig1).poly
     assert m == Polynomial([-1, 1]) * FIG1_Q
-    assert poly_eval(m, fig1) == RationalMatrix.zeros(8)
+    assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig1])) == RationalMatrix.zeros(8)
 
 
 def test_minimal_polynomial_is_minimal(fig2):
@@ -71,7 +66,7 @@ def test_hoffman_fig1_matches_reference_values(fig1):
     assert info.lam == 1
     assert info.q == FIG1_Q
     assert info.h == Fraction(8) / FIG1_Q(1) * FIG1_Q
-    assert poly_eval(info.h, fig1) == RationalMatrix.ones(8)
+    assert RationalMatrix(naive_poly_at(info.h, [list(r) for r in fig1])) == RationalMatrix.ones(8)
 
 
 def test_hoffman_fig2(fig2):

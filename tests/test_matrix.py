@@ -10,7 +10,6 @@ from schemeforge.matrix import (
     MatrixPowerBasis,
     RationalMatrix,
     algebra_membership,
-    poly_eval,
     solve_rational_system,
     trace_inner_product,
 )
@@ -80,40 +79,40 @@ def test_order_mismatch_rejected():
 
 
 def test_poly_eval_of_t_is_matrix(fig2):
-    assert poly_eval(Polynomial([0, 1]), fig2) == fig2
+    assert MatrixPowerBasis(fig2).evaluate(Polynomial([0, 1])) == fig2
 
 
 def test_hoffman_cubic_maps_fig2_to_allones(fig2):
     h = Polynomial([-2, 8, -16, 16])
-    assert poly_eval(h, fig2) == RationalMatrix.ones(6)
+    assert MatrixPowerBasis(fig2).evaluate(h) == RationalMatrix.ones(6)
 
 
 def test_poly_eval_idempotent_relation_on_scaled_allones():
     n = 5
     jn = Fraction(1, n) * RationalMatrix.ones(n)
-    assert poly_eval(Polynomial([0, -1, 1]), jn) == RationalMatrix.zeros(n)
+    assert MatrixPowerBasis(jn).evaluate(Polynomial([0, -1, 1])) == RationalMatrix.zeros(n)
 
 
 def test_poly_eval_zero_and_constant(fig2):
-    assert poly_eval(Polynomial(), fig2) == RationalMatrix.zeros(6)
-    assert poly_eval(Polynomial([Fraction(3, 7)]), fig2) == Fraction(3, 7) * RationalMatrix.identity(6)
+    basis = MatrixPowerBasis(fig2)
+    assert basis.evaluate(Polynomial()) == RationalMatrix.zeros(6)
+    assert basis.evaluate(Polynomial([Fraction(3, 7)])) == Fraction(3, 7) * RationalMatrix.identity(6)
 
 
 @given(square_grids(), st.lists(rationals, max_size=4), st.lists(rationals, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_poly_eval_respects_ring_structure(grid, cs, ds):
-    b = RationalMatrix(grid)
+    basis = MatrixPowerBasis(RationalMatrix(grid))
     p, q = Polynomial(cs), Polynomial(ds)
-    assert poly_eval(p + q, b) == poly_eval(p, b) + poly_eval(q, b)
-    assert poly_eval(p * q, b) == poly_eval(p, b) @ poly_eval(q, b)
+    assert basis.evaluate(p + q) == basis.evaluate(p) + basis.evaluate(q)
+    assert basis.evaluate(p * q) == basis.evaluate(p) @ basis.evaluate(q)
 
 
 @given(square_grids(), st.lists(rationals, max_size=4))
 @settings(max_examples=25, deadline=None)
 def test_poly_eval_matches_naive_oracle(grid, cs):
-    b = RationalMatrix(grid)
     p = Polynomial(cs)
-    assert poly_eval(p, b) == RationalMatrix(naive_poly_at(p, [list(r) for r in b.rows]))
+    assert MatrixPowerBasis(RationalMatrix(grid)).evaluate(p) == RationalMatrix(naive_poly_at(p, grid))
 
 
 def test_trace_inner_product_identity():
@@ -129,7 +128,7 @@ def test_trace_inner_product_allones():
 
 
 def test_trace_inner_product_first_predistance(fig2):
-    p1 = poly_eval(Polynomial([-2, 4]), fig2)
+    p1 = MatrixPowerBasis(fig2).evaluate(Polynomial([-2, 4]))
     assert trace_inner_product(p1, p1) == 2
 
 
@@ -304,3 +303,22 @@ def test_power_basis_evaluate_matches_naive_oracle(grid, cs, ds):
 def test_trace_inner_product_matches_trace_form_oracle(grids):
     a, b = grids
     assert trace_inner_product(RationalMatrix(a), RationalMatrix(b)) == trace_form_inner(a, b)
+
+
+# degree <= 4, with zero polynomials (empty lists) and zero coefficients
+inner_coefficients = st.lists(st.one_of(st.just(Fraction(0)), mixed_entries), max_size=5)
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(kernel_grid),
+    inner_coefficients,
+    inner_coefficients,
+)
+@settings(max_examples=100, deadline=None)
+def test_power_basis_inner_matches_trace_form_oracle(grid, cs, ds):
+    basis = MatrixPowerBasis(RationalMatrix(grid))
+    p, q = Polynomial(cs), Polynomial(ds)
+    expected = trace_form_inner(naive_poly_at(p, grid), naive_poly_at(q, grid))
+    assert basis.inner(p, q) == expected
+    assert basis.inner(q, p) == expected  # symmetric, and served from the cached Gram entries
+    assert basis.inner(p, Polynomial()) == 0

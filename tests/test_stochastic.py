@@ -4,8 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schemeforge.digraph import is_strongly_connected, underlying_digraph
+from schemeforge.hoffman import HoffmanHypothesisError, hoffman_polynomial
 from schemeforge.matrix import RationalMatrix
-from schemeforge.stochastic import classify, entry_decomposition, random_lambda_ds
+from schemeforge.predistance import PredistanceHypothesisError, predistance_basis
+from schemeforge.scheme import detect_scheme
+from schemeforge.stochastic import (
+    HYPOTHESIS_MESSAGES,
+    RejectionCode,
+    classify,
+    entry_decomposition,
+    random_lambda_ds,
+)
+
+from conftest import load_fixture
 
 
 def test_classify_fig1(fig1):
@@ -44,6 +55,33 @@ def test_classify_zero_one_by_one():
     cls = classify(RationalMatrix([[0]]))
     assert cls.lam == 0 and cls.irreducible
     assert not cls.hoffman_ready
+
+
+@pytest.mark.parametrize(
+    "grid, first",
+    [
+        ([[-1, 0], [0, -1]], RejectionCode.NOT_NONNEGATIVE),  # also reducible
+        ([[0, -1], [2, 0]], RejectionCode.NOT_NONNEGATIVE),  # also no line sum, not normal
+        ([[1, 0], [1, 1]], RejectionCode.NOT_IRREDUCIBLE),  # also no common line sum
+        ([[0, 1], [2, 0]], RejectionCode.NOT_DOUBLY_STOCHASTIC),  # also not normal
+        ([[0]], RejectionCode.LAMBDA_ZERO),
+        ("fig1.mat", RejectionCode.NOT_NORMAL),  # the Hoffman gate skips normality
+    ],
+)
+def test_every_stage_reports_the_gates_first_failure(grid, first):
+    b = load_fixture(grid) if isinstance(grid, str) else RationalMatrix(grid)
+    assert classify(b).failed_hypothesis() is first
+    assert detect_scheme(b).reason.code is first
+    with pytest.raises(PredistanceHypothesisError) as excinfo:
+        predistance_basis(b)
+    assert excinfo.value.hypothesis == HYPOTHESIS_MESSAGES[first]
+    if first is RejectionCode.NOT_NORMAL:
+        assert classify(b).failed_hypothesis(require_normal=False) is None
+        assert hoffman_polynomial(b).lam == 1
+    else:
+        with pytest.raises(HoffmanHypothesisError) as excinfo:
+            hoffman_polynomial(b)
+        assert excinfo.value.hypothesis == HYPOTHESIS_MESSAGES[first]
 
 
 def test_irreducibility_matches_digraph_connectivity(fig1, fig2):
