@@ -326,9 +326,12 @@ def _cmd_spectrum(args) -> int:
             )
         )
         info = hoffman_polynomial(b, classification=cls, basis=basis, minimal=minimal)
-        product_residual = hoffman_product_form_check(
-            b, list(spectrum.eigenvalues[1:]), hoffman=info
-        )
+        # the roots of q are all eigenvalues but lambda; every eigenvalue may
+        # have modulus lambda, so rounding can sort another one ahead of it
+        lam = float(cls.lam)
+        others = list(spectrum.eigenvalues)
+        others.pop(min(range(len(others)), key=lambda i: abs(others[i] - lam)))
+        product_residual = hoffman_product_form_check(b, others, hoffman=info)
         section["hoffman_product_residual"] = product_residual
         lines.append(f"hoffman product-form residual: {product_residual:.3e}")
     try:

@@ -1,25 +1,29 @@
 """Exact minimal polynomials and Hoffman polynomials.
 
-The minimal polynomial comes from one incremental fraction-free elimination
-of the vectorized powers of B, kept as cleared integers by the power basis:
-each new power is reduced against the rows kept so far, and the first one
-that reduces to zero gives the dependency. No linear system is solved and
-nothing is recomputed from one candidate degree to the next. For a
-lambda-doubly stochastic irreducible B with lambda != 0, the Hoffman
-polynomial h is the unique minimal-degree polynomial with h(B) = J; it is
-always verified against J before being returned.
+The minimal polynomial is found modulo a word-size prime and certified
+exactly. The cleared powers ints_k = delta_k vec(B^k) of the power basis are
+reduced modulo p and eliminated incrementally as int64 vectors; the first
+dependent power gives a candidate degree k and k pivot coordinates. One
+exact k x k solve on those coordinates gives the coefficients, and the
+candidate is accepted only after m(B) = 0 is checked on all n^2 cleared
+integers; otherwise the next prime is tried. No verdict depends on the
+choice of prime. For a lambda-doubly stochastic irreducible B with
+lambda != 0, the Hoffman polynomial h is the unique minimal-degree
+polynomial with h(B) = J; it is always verified against J before being
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, zip_longest
-from math import gcd
-from typing import Optional, Sequence
+from itertools import count
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .exact import Polynomial
-from .matrix import MatrixPowerBasis, RationalMatrix
+from .matrix import MatrixPowerBasis, RationalMatrix, solve_rational_system
 from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
 
 
@@ -51,46 +55,92 @@ class HoffmanPolynomial:
     lam: Fraction
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7, which is exact below 3.2e9."""
+    bases = (2, 3, 5, 7)
+    if n in bases:
+        return True
+    if n < 2 or any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _word_primes() -> Iterator[int]:
+    """The odd primes below 2^31 in descending order, from 2^31 - 1."""
+    return (p for p in range(2**31 - 1, 2, -2) if _is_prime(p))
+
+
+def _krylov_pivots(basis: MatrixPowerBasis, p: int) -> list[int]:
+    """Pivot coordinates of I, B, ..., B^(k-1), where B^k is the first power
+    that depends on the lower ones modulo p.
+
+    Each ints_k is reduced mod p (on Python ints, so entries of any size
+    work) and then against the rows kept so far, in insertion order. A kept
+    row is normalized to 1 at its pivot and is zero at the pivots of all
+    earlier rows, so a vector in their span reduces to exactly zero. All
+    residues are below p < 2^31, so every product fits in int64.
+    """
+    kept: list[tuple[int, np.ndarray]] = []  # (pivot, row)
+    for k in count():
+        vector = np.array([v % p for v in basis.cleared(k)[1]], dtype=np.int64)
+        for pivot, row in kept:
+            a = vector[pivot]
+            if a:
+                vector = (vector - a * row) % p
+        nonzero = np.flatnonzero(vector)
+        if not nonzero.size:
+            return [pivot for pivot, _ in kept]
+        pivot = int(nonzero[0])
+        kept.append((pivot, vector * pow(int(vector[pivot]), -1, p) % p))
+
+
+def _candidate(basis: MatrixPowerBasis, p: int) -> Polynomial:
+    """Monic m of the degree k found modulo p, solved exactly on the pivots R.
+
+    sum_j y_j ints_j[R] = ints_k[R] gives m(t) = t^k - sum_j y_j (delta_j /
+    delta_k) t^j. The k x k minor of ints_0, ..., ints_(k-1) on R is nonzero
+    mod p, hence nonzero over the integers, so the solve has one solution
+    and I, B, ..., B^(k-1) are independent: deg m_B >= k.
+    """
+    pivots = _krylov_pivots(basis, p)
+    k = len(pivots)
+    delta_k, ints_k = basis.cleared(k)
+    columns = [[basis.cleared(j)[1][r] for r in pivots] for j in range(k)]
+    solution = solve_rational_system(columns, [ints_k[r] for r in pivots])
+    return Polynomial(
+        [-y * Fraction(basis.cleared(j)[0], delta_k) for j, y in enumerate(solution)] + [1]
+    )
+
+
 def minimal_polynomial(
     b: RationalMatrix, basis: Optional[MatrixPowerBasis] = None
 ) -> MinimalPolynomial:
-    """Smallest monic m with m(B) = 0, found at the first dependent power.
+    """Smallest monic m with m(B) = 0: a candidate modulo a prime, certified exactly.
 
-    One incremental fraction-free elimination over the cleared power
-    vectors ints_k = delta_k vec(B^k). Each new vector is reduced against
-    the rows kept so far, in insertion order, and carries the integer
-    combination of the ints_j it stands for; after every row operation the
-    vector and its combination are divided by their common content. Every
-    kept row is zero at the pivots of all earlier rows, so a vector in their
-    span reduces to exactly zero. The first power that does gives the
-    dependency sum_j c_j ints_j = 0, that is sum_j c_j delta_j B^j = 0,
-    which is made monic.
+    A candidate m with m(B) = 0 on all entries is monic of degree k <= deg
+    m_B and annihilates B, so m = m_B. Otherwise p divides one of finitely
+    many fixed nonzero minors, and the next prime is tried.
     """
     if basis is None:
         basis = MatrixPowerBasis(b)
-    kept: list[tuple[int, list[int], list[int]]] = []  # (pivot, vector, combination)
-    for k in count():
-        vector = basis.cleared(k)[1]
-        combination = [0] * k + [1]
-        for pivot, row, row_combination in kept:
-            a = vector[pivot]
-            if not a:
-                continue
-            p = row[pivot]
-            vector = [p * x - a * y for x, y in zip(vector, row)]
-            combination = [
-                p * x - a * y for x, y in zip_longest(combination, row_combination, fillvalue=0)
-            ]
-            g = gcd(*vector, *combination)
-            if g > 1:
-                vector = [x // g for x in vector]
-                combination = [x // g for x in combination]
-        pivot = next((i for i, x in enumerate(vector) if x), None)
-        if pivot is None:
-            coeffs = [c * basis.cleared(j)[0] for j, c in enumerate(combination)]
-            lead = coeffs[-1]
-            return MinimalPolynomial(Polynomial(Fraction(c, lead) for c in coeffs))
-        kept.append((pivot, vector, combination))
+    for p in _word_primes():
+        candidate = _candidate(basis, p)
+        if basis.annihilated_by(candidate):
+            return MinimalPolynomial(candidate)
+    raise ArithmeticError("no prime below 2^31 gave a certified minimal polynomial")
 
 
 def hoffman_polynomial(

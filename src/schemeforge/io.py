@@ -44,11 +44,13 @@ def parse_matrix(text: str) -> RationalMatrix:
     except ValueError:
         raise MatrixParseError(f"expected matrix order, found {_shown(header)}", header_line, 1) from None
     if n <= 0:
-        raise MatrixParseError(f"matrix order must be positive, found {n}", header_line, 1)
+        raise MatrixParseError(
+            f"matrix order must be positive, found {_shown(header)}", header_line, 1
+        )
     body = data[1:]
     if len(body) != n:
         where = body[-1][0] if body else header_line
-        raise MatrixParseError(f"expected {n} data rows, found {len(body)}", where, 1)
+        raise MatrixParseError(f"expected {_shown(header)} data rows, found {len(body)}", where, 1)
     rows: list[list[Fraction]] = []
     for lineno, line in body:
         tokens = line.split()

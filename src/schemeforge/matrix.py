@@ -8,9 +8,11 @@ the lcm of its denominators:
 
 - products scale each row and column by its own lcm;
 - the power basis keeps every power B^k once, as (delta_k, ints_k);
-- `evaluate` combines those integer powers under one common denominator;
-- the trace inner product is one integer dot product, and the polynomial
-  form `inner` is an integer combination of cached dot products of powers.
+- `evaluate` combines those integer powers under one common denominator,
+  and `annihilated_by` decides p(B) = 0 on the same integer combination;
+- the trace inner product is one integer dot product of cleared
+  flattenings, and the polynomial form `inner` is an integer combination
+  of cached dot products of powers.
 
 Only result entries become Fractions again. Matrices are immutable; every
 operation returns a fresh value.
@@ -28,7 +30,7 @@ from .exact import Polynomial, Scalar
 Row = tuple[Fraction, ...]
 
 
-def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def clear_denominators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(den, ints) with den the lcm of the denominators and ints = den * values."""
     den = 1
     for v in values:
@@ -120,8 +122,8 @@ class RationalMatrix:
         dot product over one reduced Fraction.
         """
         self._require_same_order(other)
-        rows = [_cleared(row) for row in self.rows]
-        cols = [_cleared(col) for col in zip(*other.rows)]
+        rows = [clear_denominators(row) for row in self.rows]
+        cols = [clear_denominators(col) for col in zip(*other.rows)]
         return RationalMatrix(
             tuple(
                 Fraction(sum(map(mul, row, col)), row_den * col_den)
@@ -152,18 +154,28 @@ class RationalMatrix:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
 
+def cleared_trace_inner(
+    m: tuple[int, Sequence[int]], n: tuple[int, Sequence[int]], order: int
+) -> Fraction:
+    """trace_inner_product of two order x order matrices given by their cleared flattenings.
+
+    One integer dot product over delta_M * delta_N * order.
+    """
+    (m_den, m_ints), (n_den, n_ints) = m, n
+    return Fraction(sum(map(mul, m_ints, n_ints)), m_den * n_den * order)
+
+
 def trace_inner_product(m: RationalMatrix, n: RationalMatrix) -> Fraction:
     """(1/order) * trace(M N^T), computed as the normalized Hadamard sum.
 
     Both operands are real rational, so conjugation is the identity and the
     trace form and the entrywise form coincide. Each flattening is cleared
-    by the lcm of its denominators, so the sum is one integer dot product
-    over delta_M * delta_N * order.
+    by the lcm of its denominators, so the sum is one integer dot product.
     """
     m._require_same_order(n)
-    m_den, m_ints = _cleared(m.flatten())
-    n_den, n_ints = _cleared(n.flatten())
-    return Fraction(sum(map(mul, m_ints, n_ints)), m_den * n_den * m.order)
+    return cleared_trace_inner(
+        clear_denominators(m.flatten()), clear_denominators(n.flatten()), m.order
+    )
 
 
 def _from_cleared(den: int, ints: Sequence[int], n: int) -> RationalMatrix:
@@ -180,16 +192,18 @@ class MatrixPowerBasis:
     in lowest terms: B = M / delta with M an integer matrix, and
     ints_{k+1} / delta_{k+1} is ints_k * M / (delta_k * delta) divided by its
     content. Each power costs one integer product; every power up to the
-    working degree is needed anyway, so repeated squaring would not help.
+    working degree is needed anyway (the minimal polynomial reduces each one
+    modulo a prime), so repeated squaring would not help.
     Fraction matrices are built only on request (`power`, `vector`);
-    `evaluate` combines the cleared integers directly, and `inner` takes the
-    trace form from integer dot products of the cleared powers.
+    `evaluate` and `annihilated_by` combine the cleared integers directly,
+    and `inner` takes the trace form from integer dot products of the
+    cleared powers.
     """
 
     def __init__(self, base: RationalMatrix):
         self.base = base
         n = base.order
-        self._base_den, ints = _cleared(base.flatten())
+        self._base_den, ints = clear_denominators(base.flatten())
         self._base_columns = [ints[j::n] for j in range(n)]
         identity = [0] * (n * n)
         identity[:: n + 1] = [1] * n
@@ -229,20 +243,25 @@ class MatrixPowerBasis:
             den = lcm(den, c.denominator * powers[k][0])
         return den, [(k, c.numerator * (den // (c.denominator * powers[k][0]))) for k, c in terms]
 
+    def _combination(self, weights: list[tuple[int, int]]) -> list[int]:
+        """sum_k w_k ints_k, entry by entry."""
+        acc = [0] * (self.base.order**2)
+        for k, weight in weights:
+            acc = [a + weight * v for a, v in zip(acc, self._cleared_powers[k][1])]
+        return acc
+
     def evaluate(self, p: Polynomial) -> RationalMatrix:
         """p(B) as one integer combination of the cleared powers.
 
         Each output entry of (sum_k w_k ints_k) / L becomes one reduced
         Fraction.
         """
-        n = self.base.order
         den, weights = self._weights(p)
-        if not weights:
-            return RationalMatrix.zeros(n)
-        acc = [0] * (n * n)
-        for k, weight in weights:
-            acc = [a + weight * v for a, v in zip(acc, self._cleared_powers[k][1])]
-        return _from_cleared(den, acc, n)
+        return _from_cleared(den, self._combination(weights), self.base.order)
+
+    def annihilated_by(self, p: Polynomial) -> bool:
+        """Whether p(B) = 0, decided on the integers sum_k w_k ints_k; no Fraction is built."""
+        return not any(self._combination(self._weights(p)[1]))
 
     def inner(self, p: Polynomial, q: Polynomial) -> Fraction:
         """<p, q> = (1/n) trace(p(B) q(B)^T) = sum_ab p_a q_b <B^a, B^b>.
@@ -307,7 +326,7 @@ def solve_rational_system(
         frac_row = [Fraction(columns[j][r]) for j in range(k)]
         frac_row.append(Fraction(target[r]))
         if any(frac_row):
-            rows.append(_cleared(frac_row)[1])  # solutions unchanged
+            rows.append(clear_denominators(frac_row)[1])  # solutions unchanged
     width = k + 1
     pivot_cols: list[int] = []
     rank = 0

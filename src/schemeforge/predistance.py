@@ -9,8 +9,9 @@ deg p_i = i, |p_i|^2 = p_i(lambda) > 0, and sum_i p_i(B) = J.
 
 The form comes from the Gram entries <B^a, B^b> of the power basis
 (MatrixPowerBasis.inner). Each p_i is evaluated at B once; the invariant
-check re-verifies orthogonality and norms on those matrices with
-trace_inner_product, independently of the Gram entries.
+check clears each evaluation once and re-verifies orthogonality and norms
+on those matrices with the trace inner product, independently of the Gram
+entries.
 
 The normalization map above is the rational-arithmetic equivalent of scaling
 the unit-norm polynomial r_i by r_i(lambda); it never materializes a square
@@ -25,7 +26,12 @@ from typing import Optional
 
 from .exact import Polynomial
 from .hoffman import MinimalPolynomial, hoffman_polynomial, minimal_polynomial
-from .matrix import MatrixPowerBasis, RationalMatrix, trace_inner_product
+from .matrix import (
+    MatrixPowerBasis,
+    RationalMatrix,
+    clear_denominators,
+    cleared_trace_inner,
+)
 from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
 
 
@@ -144,16 +150,17 @@ def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
     if polys[0] != Polynomial([1]):
         raise ArithmeticError("internal invariant violated: p_0 != 1")
     total = RationalMatrix.zeros(b.order)
+    cleared = [clear_denominators(mat.flatten()) for mat in family.evaluations]
     for i, (p, mat, norm_sq) in enumerate(zip(polys, family.evaluations, family.norms_sq)):
         if p.degree != i:
             raise ArithmeticError(f"internal invariant violated: deg(p_{i}) != {i}")
         value = p(lam)
         if value <= 0 or value != norm_sq:
             raise ArithmeticError(f"internal invariant violated: |p_{i}|^2 != p_{i}(lambda) > 0")
-        if trace_inner_product(mat, mat) != norm_sq:
+        if cleared_trace_inner(cleared[i], cleared[i], b.order) != norm_sq:
             raise ArithmeticError(f"internal invariant violated: cached norm of p_{i}")
         for j in range(i):
-            if trace_inner_product(family.evaluations[j], mat) != 0:
+            if cleared_trace_inner(cleared[j], cleared[i], b.order) != 0:
                 raise ArithmeticError(f"internal invariant violated: <p_{j}, p_{i}> != 0")
         total = total + mat
     if total != RationalMatrix.ones(b.order):

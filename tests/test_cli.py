@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import FIXTURES
+
 from schemeforge.cli import run_command
 from schemeforge.io import MatrixParseError, parse_matrix, serialize_matrix
 from schemeforge.matrix import RationalMatrix
@@ -55,6 +57,16 @@ def test_parse_rejects_nonpositive_order():
 def test_parse_rejects_missing_rows():
     with pytest.raises(MatrixParseError):
         parse_matrix("3\n1 0 0\n0 1 0\n")
+
+
+def test_huge_order_is_not_echoed(capsys, tmp_path):
+    path = tmp_path / "order.mat"
+    path.write_text("9" * 4000 + "\n1\n", encoding="utf-8")
+    assert run_command(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "data rows, found 1" in captured.err
+    assert "(4000 characters)" in captured.err
+    assert len(captured.err) < 200
 
 
 def test_parse_serialize_roundtrip_on_fixtures(fixtures_dir):
@@ -173,6 +185,40 @@ def test_spectrum_fig2_json(capsys, fixtures_dir):
     assert section["perron"]["modulus_matches"] is True
     assert all(v < 1e-9 for v in section["idempotent_residuals"].values())
     assert section["hoffman_product_residual"] < 1e-9
+
+
+def test_spectrum_when_lambda_is_not_sorted_first(capsys, fixtures_dir):
+    # every eigenvalue of the scaled directed 5-cycle has modulus lambda
+    code = run_command(["spectrum", fixture_path(fixtures_dir, "cyclic_5.mat"), "--json"])
+    assert code == 0
+    section = json.loads(capsys.readouterr().out)["spectrum"]
+    assert len(section["eigenvalues"]) == 5
+    assert section["hoffman_product_residual"] < 1e-9  # finite: inf and nan fail it
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.glob("*.mat")))
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["hoffman"], ["predistance"], ["scheme"], ["decompose"], ["spectrum", "--json"]],
+)
+def test_every_command_on_every_fixture(capsys, fixtures_dir, name, command):
+    code = run_command([command[0], fixture_path(fixtures_dir, name), *command[1:]])
+    assert code in (0, 1)
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_hoffman_json_after_an_unlucky_prime(capsys, tmp_path):
+    # B = identity mod 2^31 - 1, the first prime of the modular elimination
+    p = 2**31 - 1
+    path = tmp_path / "unlucky.mat"
+    path.write_text(f"2\n1 {p}\n{p} 1\n", encoding="utf-8")
+    assert run_command(["hoffman", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["hoffman"] == {
+        "lambda": str(p + 1),
+        "q": [str(p - 1), "1"],
+        "h": [f"{p - 1}/{p}", f"1/{p}"],
+        "verified": True,
+    }
 
 
 def test_reports_are_byte_deterministic(capsys, fixtures_dir):

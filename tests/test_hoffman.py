@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import (
     HoffmanHypothesisError,
+    _candidate,
     hoffman_polynomial,
     hoffman_product_form_check,
     minimal_polynomial,
@@ -15,6 +16,8 @@ from schemeforge.stochastic import classify, random_lambda_ds
 
 from conftest import load_fixture
 from oracles import charpoly_leverrier, divides, naive_poly_at, oracle_minimal_polynomial
+
+WORD_PRIME = 2**31 - 1  # the first prime the modular elimination tries
 
 FIG1_Q = Polynomial(
     [
@@ -257,9 +260,11 @@ def test_deep_krylov_scaled_directed_cycle():
         [[scale if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
     )
     basis = MatrixPowerBasis(b)
+    expected = Polynomial([-(scale**n)] + [0] * (n - 1) + [1])
+    assert _candidate(basis, WORD_PRIME) == expected
     m = minimal_polynomial(b, basis)
     assert m.degree - 1 == 29
-    assert m.poly == Polynomial([-(scale**n)] + [0] * (n - 1) + [1])
+    assert m.poly == expected
     for k in range(n + 1):
         den, ints = basis.cleared(k)
         assert den == 2**k
@@ -275,3 +280,36 @@ def test_product_form_check_accepts_precomputed_hoffman(fig2):
     assert hoffman_product_form_check(fig2, roots_of_q, hoffman=info) == (
         hoffman_product_form_check(fig2, roots_of_q)
     )
+
+
+def test_unlucky_prime_is_caught_by_the_certificate():
+    """B = [[1, p], [p, 1]] is the identity mod p = 2^31 - 1.
+
+    The first prime sees B^1 = B^0 and proposes m = t - 1; the exact check
+    m(B) = 0 must reject it, and a later prime gives the true m and h.
+    """
+    p = WORD_PRIME
+    b = RationalMatrix([[1, p], [p, 1]])
+    basis = MatrixPowerBasis(b)
+    assert _candidate(basis, p) == Polynomial([-1, 1])
+    m = minimal_polynomial(b, basis)
+    assert m.poly == Polynomial([1 - p * p, -2, 1])
+    info = hoffman_polynomial(b, basis=basis, minimal=m)
+    assert info.lam == 1 + p
+    assert info.h == Polynomial([Fraction(p - 1, p), Fraction(1, p)])
+
+
+HUGE_ENTRY_GRIDS = [
+    [[2**64 + 1, 3, 0], [5, 2**70, 7], [1, 1, 2**65]],
+    [[Fraction(1, 2**64 + 13), 2**63], [-(2**80), Fraction(2**90, 3)]],
+    # the same 2 x 2 block twice: derogatory, degree 2 at n = 4
+    [[2**64, 1, 0, 0], [3, 2**63 + 5, 0, 0], [0, 0, 2**64, 1], [0, 0, 3, 2**63 + 5]],
+    [[2**100, 0], [0, 2**100]],
+]
+
+
+@pytest.mark.parametrize("grid", HUGE_ENTRY_GRIDS)
+def test_minimal_polynomial_with_entries_past_int64(grid):
+    grid = [[Fraction(v) for v in row] for row in grid]
+    m = minimal_polynomial(RationalMatrix(grid)).poly
+    assert m == oracle_minimal_polynomial(grid)

@@ -283,7 +283,9 @@ def test_power_basis_evaluate_matches_naive_oracle(grid, cs, ds):
     basis = MatrixPowerBasis(RationalMatrix(grid))
     for coeffs in (cs, ds):  # the second call may reuse or extend the cache
         p = Polynomial(coeffs)
-        assert basis.evaluate(p) == RationalMatrix(naive_poly_at(p, grid))
+        expected = RationalMatrix(naive_poly_at(p, grid))
+        assert basis.evaluate(p) == expected
+        assert basis.annihilated_by(p) == expected.is_zero()
     n = len(grid)
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(4):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from schemeforge.hoffman import hoffman_polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.predistance import (
     PredistanceHypothesisError,
+    _assert_invariants,
     lambda_avoiding_gram_schmidt,
     poly_inner,
     predistance_basis,
@@ -128,6 +130,22 @@ def test_predistance_invariants_on_cycles():
             assert family.norms_sq[i] == p(lam) > 0
             for j in range(i):
                 assert poly_inner(family.polys[j], p, b) == 0
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda mat: 2 * mat, "cached norm of p_1"),
+        # same entries, so the same norm, but no longer orthogonal to p_0(B) = I
+        (lambda mat: RationalMatrix(reversed(mat.rows)), "<p_0, p_1> != 0"),
+    ],
+)
+def test_invariants_are_checked_on_the_evaluated_matrices(fig2, tamper, message):
+    family = predistance_basis(fig2)
+    evaluations = list(family.evaluations)
+    evaluations[1] = tamper(evaluations[1])
+    with pytest.raises(ArithmeticError, match=message):
+        _assert_invariants(dataclasses.replace(family, evaluations=tuple(evaluations)), fig2)
 
 
 def test_fourier_identity(fig2):
