@@ -176,14 +176,19 @@ def _cmd_hoffman(args) -> int:
 
 def _cmd_predistance(args) -> int:
     b = _load_matrix(args.file)
+    cls = classify(b)
+    basis = MatrixPowerBasis(b)
+    # the one minimal polynomial serves the family and h; a failed gate needs none
+    minimal = minimal_polynomial(b, basis) if cls.failed_hypothesis() is None else None
     try:
-        family = predistance_basis(b)
+        family = predistance_basis(b, classification=cls, basis=basis, minimal=minimal)
     except PredistanceHypothesisError as exc:
         _emit(
             {"predistance": {"rejected": exc.hypothesis}}, args.json, [f"rejected: {exc.hypothesis}"]
         )
         return EXIT_REJECTED
-    hoffman_sum_ok = verify_hoffman_sum(family, b)
+    hoffman = hoffman_polynomial(b, classification=cls, basis=basis, minimal=minimal)
+    hoffman_sum_ok = verify_hoffman_sum(family, b, hoffman=hoffman)
     with _exact_digits():
         report = {
             "predistance": {
@@ -210,7 +215,7 @@ def _scheme_report(b: RationalMatrix, certificate) -> dict:
     hoffman_coeffs = None
     predistance_polys = None
     if cls.hoffman_ready:
-        hoffman_coeffs = io.poly_coefficients(hoffman_polynomial(b).h)
+        hoffman_coeffs = io.poly_coefficients(hoffman_polynomial(b, classification=cls).h)
         if cls.normal:
             predistance_polys = [
                 io.poly_coefficients(p) for p in predistance_basis(b, classification=cls).polys

@@ -9,8 +9,8 @@ candidate is accepted only after m(B) = 0 is checked on all n^2 cleared
 integers; otherwise the next prime is tried. No verdict depends on the
 choice of prime. For a lambda-doubly stochastic irreducible B with
 lambda != 0, the Hoffman polynomial h is the unique minimal-degree
-polynomial with h(B) = J; it is always verified against J before being
-returned.
+polynomial with h(B) = J; it is always verified against J, on the cleared
+integers of h(B), before being returned.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def hoffman_polynomial(
         # impossible for a valid input: lambda is a simple eigenvalue
         raise ArithmeticError("internal invariant violated: q(lambda) = 0")
     h = Fraction(b.order, 1) / q_at_lam * q
-    if basis.evaluate(h) != RationalMatrix.ones(b.order):
+    if basis.evaluate_cleared(h) != (1, [1] * (b.order * b.order)):
         raise ArithmeticError("internal invariant violated: h(B) != J")
     return HoffmanPolynomial(h=h, q=q, lam=cls.lam)
 

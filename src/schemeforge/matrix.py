@@ -8,14 +8,17 @@ the lcm of its denominators:
 
 - products scale each row and column by its own lcm;
 - the power basis keeps every power B^k once, as (delta_k, ints_k);
-- `evaluate` combines those integer powers under one common denominator,
-  and `annihilated_by` decides p(B) = 0 on the same integer combination;
+- `evaluate_cleared` combines those integer powers under one common
+  denominator into p(B) as (den, ints), and `annihilated_by` decides
+  p(B) = 0 on the same integer combination;
 - the trace inner product is one integer dot product of cleared
   flattenings, and the polynomial form `inner` is an integer combination
   of cached dot products of powers.
 
-Only result entries become Fractions again. Matrices are immutable; every
-operation returns a fresh value.
+Fraction matrices (`RationalMatrix`) are built when a file is parsed, when
+a report is written, and by `power`, `vector` and `evaluate` on request;
+the pipeline decides every exact identity on the cleared integers.
+Matrices are immutable; every operation returns a fresh value.
 """
 
 from __future__ import annotations
@@ -194,10 +197,10 @@ class MatrixPowerBasis:
     content. Each power costs one integer product; every power up to the
     working degree is needed anyway (the minimal polynomial reduces each one
     modulo a prime), so repeated squaring would not help.
-    Fraction matrices are built only on request (`power`, `vector`);
-    `evaluate` and `annihilated_by` combine the cleared integers directly,
-    and `inner` takes the trace form from integer dot products of the
-    cleared powers.
+    Fraction matrices are built only on request (`power`, `vector`,
+    `evaluate`); `evaluate_cleared` and `annihilated_by` combine the
+    cleared integers directly, and `inner` takes the trace form from
+    integer dot products of the cleared powers.
     """
 
     def __init__(self, base: RationalMatrix):
@@ -250,14 +253,23 @@ class MatrixPowerBasis:
             acc = [a + weight * v for a, v in zip(acc, self._cleared_powers[k][1])]
         return acc
 
-    def evaluate(self, p: Polynomial) -> RationalMatrix:
-        """p(B) as one integer combination of the cleared powers.
+    def evaluate_cleared(self, p: Polynomial) -> tuple[int, list[int]]:
+        """(den, ints) with vec(p(B)) = ints / den in lowest terms.
 
-        Each output entry of (sum_k w_k ints_k) / L becomes one reduced
-        Fraction.
+        One integer combination (sum_k w_k ints_k) / L of the cleared
+        powers, divided by its content; no Fraction is built.
         """
         den, weights = self._weights(p)
-        return _from_cleared(den, self._combination(weights), self.base.order)
+        ints = self._combination(weights)
+        g = gcd(den, *ints)
+        if g > 1:
+            den //= g
+            ints = [v // g for v in ints]
+        return den, ints
+
+    def evaluate(self, p: Polynomial) -> RationalMatrix:
+        """p(B) as a matrix: the entries of evaluate_cleared(p) as Fractions."""
+        return _from_cleared(*self.evaluate_cleared(p), self.base.order)
 
     def annihilated_by(self, p: Polynomial) -> bool:
         """Whether p(B) = 0, decided on the integers sum_k w_k ints_k; no Fraction is built."""

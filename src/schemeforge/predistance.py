@@ -8,10 +8,11 @@ p_i = (q_i(lambda) / |q_i|^2) q_i, yields the predistance family: orthogonal,
 deg p_i = i, |p_i|^2 = p_i(lambda) > 0, and sum_i p_i(B) = J.
 
 The form comes from the Gram entries <B^a, B^b> of the power basis
-(MatrixPowerBasis.inner). Each p_i is evaluated at B once; the invariant
-check clears each evaluation once and re-verifies orthogonality and norms
-on those matrices with the trace inner product, independently of the Gram
-entries.
+(MatrixPowerBasis.inner). Each p_i is evaluated at B once and kept as
+cleared integers (den, ints); no Fraction matrix is built. The invariant
+check re-verifies orthogonality and norms on those evaluations with the
+trace inner product, independently of the Gram entries, and sum_i p_i(B) = J
+as one integer sum.
 
 The normalization map above is the rational-arithmetic equivalent of scaling
 the unit-norm polynomial r_i by r_i(lambda); it never materializes a square
@@ -22,16 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .exact import Polynomial
-from .hoffman import MinimalPolynomial, hoffman_polynomial, minimal_polynomial
-from .matrix import (
-    MatrixPowerBasis,
-    RationalMatrix,
-    clear_denominators,
-    cleared_trace_inner,
+from .hoffman import (
+    HoffmanPolynomial,
+    MinimalPolynomial,
+    hoffman_polynomial,
+    minimal_polynomial,
 )
+from .matrix import MatrixPowerBasis, RationalMatrix, cleared_trace_inner
 from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
 
 
@@ -100,12 +102,16 @@ def lambda_avoiding_gram_schmidt(
 
 @dataclass(frozen=True)
 class PredistanceBasis:
-    """The family p_0..p_d with cached norms and evaluations at B."""
+    """The family p_0..p_d with cached norms and evaluations at B.
+
+    evaluations[i] is p_i(B) cleared: (den, ints) with vec(p_i(B)) = ints /
+    den in lowest terms, as MatrixPowerBasis.evaluate_cleared returns it.
+    """
 
     polys: tuple[Polynomial, ...]
     lam: Fraction
     norms_sq: tuple[Fraction, ...]
-    evaluations: tuple[RationalMatrix, ...]
+    evaluations: tuple[tuple[int, list[int]], ...]
 
     @property
     def d(self) -> int:
@@ -139,42 +145,58 @@ def predistance_basis(
         polys=polys,
         lam=cls.lam,
         norms_sq=tuple(basis.inner(p, p) for p in polys),
-        evaluations=tuple(basis.evaluate(p) for p in polys),
+        evaluations=tuple(basis.evaluate_cleared(p) for p in polys),
     )
     _assert_invariants(result, b)
     return result
 
 
+def _sums_to_ones(evaluations: tuple[tuple[int, list[int]], ...], order: int) -> bool:
+    """Whether sum_i p_i(B) = J, decided on the cleared evaluations.
+
+    One integer sum under the lcm L of their denominators, compared with L
+    on every entry.
+    """
+    den = lcm(*(d for d, _ in evaluations))
+    total = [0] * (order * order)
+    for d, ints in evaluations:
+        scale = den // d
+        total = [t + scale * v for t, v in zip(total, ints)]
+    return total == [den] * (order * order)
+
+
 def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
-    polys, lam = family.polys, family.lam
+    polys, lam, evaluations = family.polys, family.lam, family.evaluations
     if polys[0] != Polynomial([1]):
         raise ArithmeticError("internal invariant violated: p_0 != 1")
-    total = RationalMatrix.zeros(b.order)
-    cleared = [clear_denominators(mat.flatten()) for mat in family.evaluations]
-    for i, (p, mat, norm_sq) in enumerate(zip(polys, family.evaluations, family.norms_sq)):
+    for i, (p, norm_sq) in enumerate(zip(polys, family.norms_sq)):
         if p.degree != i:
             raise ArithmeticError(f"internal invariant violated: deg(p_{i}) != {i}")
         value = p(lam)
         if value <= 0 or value != norm_sq:
             raise ArithmeticError(f"internal invariant violated: |p_{i}|^2 != p_{i}(lambda) > 0")
-        if cleared_trace_inner(cleared[i], cleared[i], b.order) != norm_sq:
+        if cleared_trace_inner(evaluations[i], evaluations[i], b.order) != norm_sq:
             raise ArithmeticError(f"internal invariant violated: cached norm of p_{i}")
         for j in range(i):
-            if cleared_trace_inner(cleared[j], cleared[i], b.order) != 0:
+            if cleared_trace_inner(evaluations[j], evaluations[i], b.order) != 0:
                 raise ArithmeticError(f"internal invariant violated: <p_{j}, p_{i}> != 0")
-        total = total + mat
-    if total != RationalMatrix.ones(b.order):
+    if not _sums_to_ones(evaluations, b.order):
         raise ArithmeticError("internal invariant violated: sum of p_i(B) != J")
 
 
-def verify_hoffman_sum(family: PredistanceBasis, b: RationalMatrix) -> bool:
-    """Check sum_i p_i(B) = J, and cross-check sum_i p_i = h coefficient-wise."""
-    total_mat = RationalMatrix.zeros(b.order)
-    for mat in family.evaluations:
-        total_mat = total_mat + mat
-    if total_mat != RationalMatrix.ones(b.order):
+def verify_hoffman_sum(
+    family: PredistanceBasis,
+    b: RationalMatrix,
+    hoffman: Optional[HoffmanPolynomial] = None,
+) -> bool:
+    """Check sum_i p_i(B) = J, and cross-check sum_i p_i = h coefficient-wise.
+
+    The Hoffman polynomial of B is computed unless passed in.
+    """
+    if not _sums_to_ones(family.evaluations, b.order):
         return False
     total_poly = Polynomial()
     for p in family.polys:
         total_poly = total_poly + p
-    return total_poly == hoffman_polynomial(b).h
+    info = hoffman if hoffman is not None else hoffman_polynomial(b)
+    return total_poly == info.h

@@ -4,7 +4,8 @@ detect_scheme runs the full decision pipeline: classification gates, the
 distance structure of the underlying digraph, the eigenvalue-count vs
 diameter comparison, the predistance basis, and the single matrix equality
 A_D = p_D(B) that settles whether the distance-D matrix is a polynomial in
-B. An accepted certificate carries the standard basis, the intersection
+B, decided on the cleared evaluation (den, ints) as ints = den * A_D. An
+accepted certificate carries the standard basis, the intersection
 tensor, and the transpose permutation; a rejection carries a typed reason.
 
 Rejection is a value, never an exception. The AXIOM_FAILURE reason exists
@@ -185,7 +186,13 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
         return rejected(RejectionCode.EIGENCOUNT_NE_DIAMETER, d=d, diameter=structure.diameter)
 
     family = predistance_basis(b, classification=cls, basis=basis, minimal=minimal)
-    if structure.classes[d] != family.evaluations[d]:
+
+    def is_class(i: int) -> bool:
+        """A_i = p_i(B), decided as ints == den * A_i on the cleared evaluation."""
+        den, ints = family.evaluations[i]
+        return ints == [den if v == i else 0 for row in structure.dist for v in row]
+
+    if not is_class(d):
         return rejected(RejectionCode.AD_NOT_POLYNOMIAL, d=d, diameter=structure.diameter)
 
     def axiom_failure(axiom: str, witness: tuple) -> SchemeCertificate:
@@ -205,7 +212,7 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
 
     # guaranteed once A_D = p_D(B), but re-verified class by class
     for i in range(d + 1):
-        if structure.classes[i] != family.evaluations[i]:
+        if not is_class(i):
             return axiom_failure("CLASS_POLYNOMIALITY", (i,))
 
     classes = structure.classes

@@ -92,6 +92,26 @@ def oracle_intersection_tensor(classes: list[RationalMatrix]) -> list[list[list[
     return tensor
 
 
+def cleared_grid(den: int, ints: list[int], n: int) -> list[list[Fraction]]:
+    """The n x n grid whose row-major flattening is ints / den."""
+    return [[Fraction(v, den) for v in ints[i : i + n]] for i in range(0, n * n, n)]
+
+
+def oracle_classification(grid: list[list[Fraction]]) -> tuple[bool, Fraction | None, bool]:
+    """(nonnegative, lambda, normal) from Fraction line sums and naive products.
+
+    lambda is the common value of all 2n line sums when every entry is
+    nonnegative, else None; normal means B B^T = B^T B.
+    """
+    n = len(grid)
+    transpose = [[grid[j][i] for j in range(n)] for i in range(n)]
+    nonnegative = all(v >= 0 for row in grid for v in row)
+    sums = {sum(row, Fraction(0)) for row in grid} | {sum(col, Fraction(0)) for col in transpose}
+    lam = sums.pop() if nonnegative and len(sums) == 1 else None
+    normal = naive_mat_mul(grid, transpose) == naive_mat_mul(transpose, grid)
+    return nonnegative, lam, normal
+
+
 def naive_poly_at(p: Polynomial, grid: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(grid)
     power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]

@@ -26,7 +26,7 @@ from schemeforge.spectral import idempotents, roots
 from schemeforge.stochastic import classify, random_lambda_ds
 
 from conftest import FIXTURES, load_fixture
-from oracles import charpoly_leverrier, count_walks_dfs, divides
+from oracles import charpoly_leverrier, cleared_grid, count_walks_dfs, divides, naive_poly_at
 
 
 @contextmanager
@@ -94,9 +94,12 @@ def test_criterion_2_fig2_pipeline(capsys):
             Polynomial([-3, 12, -24, 16]),
         )
         assert hoffman_polynomial(fig2).h == Polynomial([-2, 8, -16, 16])
+        grid = [list(row) for row in fig2.rows]
         total = RationalMatrix.zeros(6)
-        for mat in family.evaluations:
-            total = total + mat
+        for p, (den, ints) in zip(family.polys, family.evaluations):
+            mat = cleared_grid(den, ints, 6)
+            assert mat == naive_poly_at(p, grid)
+            total = total + RationalMatrix(mat)
         assert total == RationalMatrix.ones(6)
         code = run_command(["scheme", str(FIXTURES / "fig2.mat"), "--json"])
         elapsed = time.monotonic() - started
@@ -142,8 +145,9 @@ def test_criterion_3_property_suite():
                     for j in range(i):
                         assert poly_inner(family.polys[j], p, b, basis) == 0
                 total = RationalMatrix.zeros(n)
-                for mat in family.evaluations:
-                    total = total + mat
+                for p, (den, ints) in zip(family.polys, family.evaluations):
+                    assert (den, ints) == basis.evaluate_cleared(p)
+                    total = total + RationalMatrix(cleared_grid(den, ints, n))
                 assert total == RationalMatrix.ones(n)
         assert normal_seen > 0
 
@@ -205,7 +209,9 @@ def test_criterion_4_oracle_equivalence():
             if d != structure.diameter:
                 continue
             family = predistance_basis(b, classification=cls, basis=basis, minimal=minimal)
-            single_equality = structure.classes[d] == family.evaluations[d]
+            single_equality = structure.classes[d] == RationalMatrix(
+                cleared_grid(*family.evaluations[d], b.order)
+            )
             member = algebra_membership(structure.classes[d], basis, degree=d)
             assert single_equality == (member is not None)
             if member is not None:

@@ -148,6 +148,35 @@ def test_predistance_fig2_json(capsys, fixtures_dir):
     assert section["norms_squared"] == ["1", "2", "2", "1"]
 
 
+@pytest.mark.parametrize(
+    "command, name, classify_calls, minimal_calls",
+    [
+        ("predistance", "fig2.mat", 1, 1),
+        ("predistance", "fig1.mat", 1, 0),  # the gate rejects before any power is taken
+        ("scheme", "fig2.mat", 2, 3),
+    ],
+)
+def test_pipeline_intermediates_per_command(
+    capsys, fixtures_dir, monkeypatch, command, name, classify_calls, minimal_calls
+):
+    from schemeforge import cli, hoffman, predistance, scheme
+
+    calls = {"classify": 0, "minimal_polynomial": 0}
+    for attr in calls:
+        original = getattr(hoffman, attr)
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for module in (cli, hoffman, predistance, scheme):
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    run_command([command, fixture_path(fixtures_dir, name), "--json"])
+    capsys.readouterr()
+    assert calls == {"classify": classify_calls, "minimal_polynomial": minimal_calls}
+
+
 def test_predistance_rejects_fig1(capsys, fixtures_dir):
     assert run_command(["predistance", fixture_path(fixtures_dir, "fig1.mat")]) == 1
     assert "normal" in capsys.readouterr().out

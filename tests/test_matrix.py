@@ -284,6 +284,9 @@ def test_power_basis_evaluate_matches_naive_oracle(grid, cs, ds):
     for coeffs in (cs, ds):  # the second call may reuse or extend the cache
         p = Polynomial(coeffs)
         expected = RationalMatrix(naive_poly_at(p, grid))
+        den, ints = basis.evaluate_cleared(p)
+        assert gcd(den, *ints) == 1  # lowest terms
+        assert [Fraction(v, den) for v in ints] == list(expected.flatten())
         assert basis.evaluate(p) == expected
         assert basis.annihilated_by(p) == expected.is_zero()
     n = len(grid)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from schemeforge.exact import Polynomial
-from schemeforge.hoffman import hoffman_polynomial
+from schemeforge.hoffman import hoffman_polynomial, minimal_polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.predistance import (
     PredistanceHypothesisError,
@@ -135,17 +135,43 @@ def test_predistance_invariants_on_cycles():
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (lambda mat: 2 * mat, "cached norm of p_1"),
-        # same entries, so the same norm, but no longer orthogonal to p_0(B) = I
-        (lambda mat: RationalMatrix(reversed(mat.rows)), "<p_0, p_1> != 0"),
+        (lambda den, ints: (den, [2 * v for v in ints]), "cached norm of p_1"),
+        # the six rows of p_1(B) reversed: the same entries, so the same
+        # norm, but no longer orthogonal to p_0(B) = I
+        (
+            lambda den, ints: (den, [v for i in range(30, -1, -6) for v in ints[i : i + 6]]),
+            "<p_0, p_1> != 0",
+        ),
+        # same integers over another denominator: p_1(B) / 2
+        (lambda den, ints: (2 * den, ints), "violated: cached norm of p_1"),
     ],
 )
 def test_invariants_are_checked_on_the_evaluated_matrices(fig2, tamper, message):
     family = predistance_basis(fig2)
     evaluations = list(family.evaluations)
-    evaluations[1] = tamper(evaluations[1])
+    evaluations[1] = tamper(*evaluations[1])
     with pytest.raises(ArithmeticError, match=message):
         _assert_invariants(dataclasses.replace(family, evaluations=tuple(evaluations)), fig2)
+
+
+def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):
+    # classify, h(B) = J, the family's invariants and the Hoffman sum all run
+    # on cleared integers
+    built = []
+    init = RationalMatrix.__init__
+
+    def counting_init(self, rows):
+        built.append(self)
+        init(self, rows)
+
+    basis = MatrixPowerBasis(fig2)
+    monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
+    cls = classify(fig2)
+    minimal = minimal_polynomial(fig2, basis)
+    info = hoffman_polynomial(fig2, classification=cls, basis=basis, minimal=minimal)
+    family = predistance_basis(fig2, classification=cls, basis=basis, minimal=minimal)
+    assert verify_hoffman_sum(family, fig2, hoffman=info)
+    assert not built
 
 
 def test_fourier_identity(fig2):

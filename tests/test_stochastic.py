@@ -17,6 +17,7 @@ from schemeforge.stochastic import (
 )
 
 from conftest import load_fixture
+from oracles import oracle_classification
 
 
 def test_classify_fig1(fig1):
@@ -82,6 +83,42 @@ def test_every_stage_reports_the_gates_first_failure(grid, first):
         with pytest.raises(HoffmanHypothesisError) as excinfo:
             hoffman_polynomial(b)
         assert excinfo.value.hypothesis == HYPOTHESIS_MESSAGES[first]
+
+
+# entries past 2^63, negative ones and zeros, over mixed denominators
+classify_entries = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 4))),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.sampled_from((1, 3, 7, 2**64 + 1))),
+)
+
+
+@st.composite
+def classify_grids(draw):
+    """Random and symmetric grids, and sums of scaled permutation matrices,
+    whose line sums all equal the sum of the scales: zero when they cancel."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(("random", "symmetric", "permutations")))
+    if kind == "permutations":
+        grid = [[Fraction(0)] * n for _ in range(n)]
+        scales = draw(st.lists(classify_entries, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            scales.append(-sum(scales))
+        for c in scales:
+            image = draw(st.permutations(range(n)))
+            for x in range(n):
+                grid[x][image[x]] += c
+        return grid
+    grid = draw(st.lists(st.lists(classify_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "symmetric":
+        grid = [[grid[x][y] + grid[y][x] for y in range(n)] for x in range(n)]
+    return grid
+
+
+@given(classify_grids())
+@settings(max_examples=200, deadline=None)
+def test_classify_matches_fraction_oracle(grid):
+    cls = classify(RationalMatrix(grid))
+    assert (cls.nonnegative, cls.lam, cls.normal) == oracle_classification(grid)
 
 
 def test_irreducibility_matches_digraph_connectivity(fig1, fig2):
