@@ -39,7 +39,7 @@ from .spectral import (
     perron_check,
     roots,
 )
-from .stochastic import classify, entry_decomposition, random_lambda_ds
+from .stochastic import MatrixClassification, classify, entry_decomposition, random_lambda_ds
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -210,8 +210,7 @@ def _cmd_predistance(args) -> int:
     return EXIT_OK if hoffman_sum_ok else EXIT_REJECTED
 
 
-def _scheme_report(b: RationalMatrix, certificate) -> dict:
-    cls = classify(b)
+def _scheme_report(b: RationalMatrix, cls: MatrixClassification, certificate) -> dict:
     hoffman_coeffs = None
     predistance_polys = None
     if cls.hoffman_ready:
@@ -247,9 +246,10 @@ def _scheme_report(b: RationalMatrix, certificate) -> dict:
 
 def _cmd_scheme(args) -> int:
     b = _load_matrix(args.file)
-    certificate = detect_scheme(b)
+    cls = classify(b)
+    certificate = detect_scheme(b, classification=cls)
     with _exact_digits():
-        report = _scheme_report(b, certificate)
+        report = _scheme_report(b, cls, certificate)
         lines = [f"verdict: {report['verdict']}"]
         if certificate.reason is not None:
             lines.append(f"reason: {certificate.reason.describe()}")

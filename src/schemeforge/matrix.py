@@ -16,8 +16,9 @@ the lcm of its denominators:
   of cached dot products of powers.
 
 Fraction matrices (`RationalMatrix`) are built when a file is parsed, when
-a report is written, and by `power`, `vector` and `evaluate` on request;
-the pipeline decides every exact identity on the cleared integers.
+a report is written, for the two products of the normality check, and by
+`power`, `vector` and `evaluate` on request; the pipeline decides every
+other exact identity on the cleared integers.
 Matrices are immutable; every operation returns a fresh value.
 """
 
@@ -181,6 +182,14 @@ def trace_inner_product(m: RationalMatrix, n: RationalMatrix) -> Fraction:
     )
 
 
+def _lowest_terms(den: int, ints: list[int]) -> tuple[int, list[int]]:
+    """(den, ints) divided by the gcd of den and every entry."""
+    g = gcd(den, *ints)
+    if g > 1:
+        return den // g, [v // g for v in ints]
+    return den, ints
+
+
 def _from_cleared(den: int, ints: Sequence[int], n: int) -> RationalMatrix:
     """The n x n matrix with row-major flattening ints / den."""
     return RationalMatrix(
@@ -220,12 +229,7 @@ class MatrixPowerBasis:
             den, ints = powers[-1]
             rows = [ints[i : i + n] for i in range(0, n * n, n)]
             product = [sum(map(mul, row, col)) for row in rows for col in self._base_columns]
-            den *= self._base_den
-            g = gcd(den, *product)
-            if g > 1:
-                den //= g
-                product = [v // g for v in product]
-            powers.append((den, product))
+            powers.append(_lowest_terms(den * self._base_den, product))
         return powers[k]
 
     def power(self, k: int) -> RationalMatrix:
@@ -260,12 +264,7 @@ class MatrixPowerBasis:
         powers, divided by its content; no Fraction is built.
         """
         den, weights = self._weights(p)
-        ints = self._combination(weights)
-        g = gcd(den, *ints)
-        if g > 1:
-            den //= g
-            ints = [v // g for v in ints]
-        return den, ints
+        return _lowest_terms(den, self._combination(weights))
 
     def evaluate(self, p: Polynomial) -> RationalMatrix:
         """p(B) as a matrix: the entries of evaluate_cleared(p) as Fractions."""

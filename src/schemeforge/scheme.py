@@ -25,7 +25,7 @@ from .exact import Polynomial
 from .matrix import MatrixPowerBasis, RationalMatrix
 from .hoffman import minimal_polynomial
 from .predistance import predistance_basis
-from .stochastic import RejectionCode, classify
+from .stochastic import MatrixClassification, RejectionCode, classify
 
 logger = logging.getLogger(__name__)
 
@@ -156,13 +156,16 @@ def transpose_map(class_matrices: Sequence[RationalMatrix]) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
+def detect_scheme(
+    b: RationalMatrix, classification: Optional[MatrixClassification] = None
+) -> SchemeCertificate:
     """Decide whether the polynomial algebra of B is a Bose-Mesner algebra.
 
     Acceptance requires B normal, lambda-doubly stochastic (lambda != 0),
     irreducible, with eigenvalue count D + 1 matching the diameter D of the
     underlying digraph, and the distance-D matrix equal to p_D(B). Every
-    accepted certificate is built from re-verified axiom checks.
+    accepted certificate is built from re-verified axiom checks. B is
+    classified unless its classification is passed in.
     """
 
     def rejected(code: RejectionCode, **details) -> SchemeCertificate:
@@ -173,7 +176,7 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
             diameter=details.get("diameter"),
         )
 
-    cls = classify(b)
+    cls = classification if classification is not None else classify(b)
     failed = cls.failed_hypothesis()
     if failed is not None:
         return rejected(failed)

@@ -3,9 +3,9 @@ distinct-entry decomposition.
 
 classify() reports the four exact flags the rest of the pipeline gates on:
 nonnegativity, a common line sum (lambda-double stochasticity), normality,
-and irreducibility. It decides them on the matrix cleared of its
-denominators and builds no Fraction matrix. It never fails; bad inputs just
-classify negatively.
+and irreducibility. Signs and line sums are decided on the matrix cleared
+of its denominators; normality compares two matrix products. It never
+fails; bad inputs just classify negatively.
 MatrixClassification.failed_hypothesis() is the one gate on those flags, in
 the theorem's order; HYPOTHESIS_MESSAGES words each failure.
 """
@@ -16,7 +16,6 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional
 
 from .digraph import Digraph, is_strongly_connected
@@ -84,26 +83,23 @@ class MatrixClassification:
 
 
 def classify(b: RationalMatrix) -> MatrixClassification:
-    """The four flags, decided on M = delta B, with delta the lcm of B's denominators.
+    """The four flags; signs and line sums are decided on M = delta B.
 
-    Line sums are integer sums (lambda = row sum / delta), and normality is
-    M M^T = M^T M entry by entry: row x . row y against column x . column y,
-    both symmetric in (x, y), so only y >= x is compared.
+    delta is the lcm of B's denominators, so the line sums are integer sums
+    (lambda = row sum / delta). Normality compares the two products B B^T
+    and B^T B.
     """
     n = b.order
     den, ints = clear_denominators(b.flatten())
     rows = [ints[i : i + n] for i in range(0, n * n, n)]
-    cols = [ints[j::n] for j in range(n)]
     nonnegative = all(v >= 0 for v in ints)
     row_sums = [sum(row) for row in rows]
+    col_sums = [sum(ints[j::n]) for j in range(n)]
     lam: Optional[Fraction] = None
-    if nonnegative and all(s == row_sums[0] for s in row_sums + [sum(col) for col in cols]):
+    if nonnegative and all(s == row_sums[0] for s in row_sums + col_sums):
         lam = Fraction(row_sums[0], den)
-    normal = all(
-        sum(map(mul, rows[x], rows[y])) == sum(map(mul, cols[x], cols[y]))
-        for x in range(n)
-        for y in range(x, n)
-    )
+    bt = b.transpose()
+    normal = (b @ bt) == (bt @ b)
     pattern = Digraph([[1 if v != 0 else 0 for v in row] for row in rows])
     irreducible = is_strongly_connected(pattern)
     return MatrixClassification(

@@ -153,7 +153,7 @@ def test_predistance_fig2_json(capsys, fixtures_dir):
     [
         ("predistance", "fig2.mat", 1, 1),
         ("predistance", "fig1.mat", 1, 0),  # the gate rejects before any power is taken
-        ("scheme", "fig2.mat", 2, 3),
+        ("scheme", "fig2.mat", 1, 3),
     ],
 )
 def test_pipeline_intermediates_per_command(

@@ -155,8 +155,8 @@ def test_invariants_are_checked_on_the_evaluated_matrices(fig2, tamper, message)
 
 
 def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):
-    # classify, h(B) = J, the family's invariants and the Hoffman sum all run
-    # on cleared integers
+    # h(B) = J, the family's invariants and the Hoffman sum all run on
+    # cleared integers (classify still compares B B^T with B^T B)
     built = []
     init = RationalMatrix.__init__
 
@@ -165,8 +165,8 @@ def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):
         init(self, rows)
 
     basis = MatrixPowerBasis(fig2)
-    monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
     cls = classify(fig2)
+    monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
     minimal = minimal_polynomial(fig2, basis)
     info = hoffman_polynomial(fig2, classification=cls, basis=basis, minimal=minimal)
     family = predistance_basis(fig2, classification=cls, basis=basis, minimal=minimal)
