@@ -3,9 +3,11 @@
 Exit codes: 0 for success or an accepted certificate, 1 for a mathematical
 rejection (failed hypotheses, rejected scheme), 2 for input errors, 3 for an
 internal error (any other exception, reported as one stderr line
-"internal error: <Type>: <first line of message>", never a traceback). That
-split lets shell pipelines tell "the matrix is not a scheme" apart from
-"the file is broken" and from a crash.
+"internal error: <Type>: <first line of message>", never a traceback) and
+for a numeric failure of the `spectrum` sidecar (its root iteration did not
+converge: the report with the residuals still goes to stdout, plus one
+stderr line). That split lets shell pipelines tell "the matrix is not a
+scheme" apart from "the file is broken" and from a crash.
 
 Reports print every rational exactly, however many digits it has: Python's
 int-to-str digit limit is lifted while a report is built and written, and
@@ -300,12 +302,14 @@ def _cmd_spectrum(args) -> int:
     try:
         spectrum = roots(minimal.poly, tol=args.tol)
     except RootConvergenceError as exc:
+        # a numeric failure of the sidecar, not a verdict on the matrix
         _emit(
             {"spectrum": {"error": "no convergence", "residuals": list(exc.residuals)}},
             args.json,
             [f"root iteration failed to converge; residuals {list(exc.residuals)}"],
         )
-        return EXIT_REJECTED
+        print("error: spectrum root iteration did not converge", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     section: dict = {
         "eigenvalues": [{"re": z.real, "im": z.imag} for z in spectrum.eigenvalues],
         "residuals": list(spectrum.residuals),

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix import RationalMatrix
+from .matrix import ONE, ZERO, RationalMatrix
 
 
 class NegativeEntryError(ValueError):
@@ -112,13 +112,13 @@ class DistanceStructure:
     classes: tuple[RationalMatrix, ...]
 
 
-def _bfs_row(g: Digraph, source: int) -> list[Optional[int]]:
-    dist: list[Optional[int]] = [None] * g.order
+def _bfs_row(successors: list[list[int]], source: int) -> list[Optional[int]]:
+    dist: list[Optional[int]] = [None] * len(successors)
     dist[source] = 0
     queue = deque([source])
     while queue:
         x = queue.popleft()
-        for y in g.successors(x):
+        for y in successors[x]:
             if dist[y] is None:
                 dist[y] = dist[x] + 1
                 queue.append(y)
@@ -128,16 +128,17 @@ def _bfs_row(g: Digraph, source: int) -> list[Optional[int]]:
 def distance_structure(g: Digraph) -> DistanceStructure:
     """BFS from every vertex; raises UnreachablePairError if any pair is unreachable."""
     n = g.order
+    successors = [g.successors(x) for x in range(n)]
     grid: list[tuple[int, ...]] = []
     for x in range(n):
-        row = _bfs_row(g, x)
+        row = _bfs_row(successors, x)
         for y, d in enumerate(row):
             if d is None:
                 raise UnreachablePairError(f"no directed path from {x} to {y}")
         grid.append(tuple(row))  # type: ignore[arg-type]
     diameter = max(max(row) for row in grid)
     classes = tuple(
-        RationalMatrix([[1 if grid[x][y] == i else 0 for y in range(n)] for x in range(n)])
+        RationalMatrix([[ONE if d == i else ZERO for d in row] for row in grid])
         for i in range(diameter + 1)
     )
     return DistanceStructure(dist=tuple(grid), diameter=diameter, classes=classes)

@@ -6,8 +6,14 @@ elimination) that the rest of the pipeline is built on. The hot paths run
 on cleared integers, a vector of Fractions written as ints / den with den
 the lcm of its denominators:
 
-- products scale each row and column by its own lcm;
-- the power basis keeps every power B^k once, as (delta_k, ints_k);
+- every matrix product is one call of `integer_product`, the exact product
+  of two integer matrices: one int64 numpy matmul when a bound on the
+  entries proves that no partial sum can overflow, the Python-int loop
+  otherwise;
+- `RationalMatrix` products scale each row and column by its own lcm and
+  multiply the two cleared grids with that kernel;
+- the power basis keeps every power B^k once, as (delta_k, ints_k), each
+  one integer product of the previous power with the cleared base;
 - `evaluate_cleared` combines those integer powers under one common
   denominator into p(B) as (den, ints), and `annihilated_by` decides
   p(B) = 0 on the same integer combination;
@@ -29,9 +35,15 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .exact import Polynomial, Scalar
 
 Row = tuple[Fraction, ...]
+
+# Shared entries of the 0/1 matrices; Fractions are immutable.
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def clear_denominators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -40,6 +52,32 @@ def clear_denominators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     for v in values:
         den = lcm(den, v.denominator)
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def integer_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The exact product of two n x n integer matrices, flattened row-major.
+
+    Every partial sum of an entry is at most n * max|a| * max|b| in absolute
+    value. When that bound, with each maximum taken as at least 1 so that
+    both operands fit as well, is below 2^63, one int64 matmul is exact;
+    otherwise the product runs on Python ints. The bound comes first because
+    numpy integer matmul wraps on overflow without a warning.
+    """
+    bound = n * max(1, max(a), -min(a)) * max(1, max(b), -min(b))
+    if bound < 2**63:
+        return _int64_product(a, b, n)
+    return _python_product(a, b, n)
+
+
+def _int64_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    left = np.array(a, dtype=np.int64).reshape(n, n)
+    right = np.array(b, dtype=np.int64).reshape(n, n)
+    return (left @ right).ravel().tolist()
+
+
+def _python_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    columns = [b[j::n] for j in range(n)]
+    return [sum(map(mul, a[i : i + n], col)) for i in range(0, n * n, n) for col in columns]
 
 
 class MatrixOrderError(ValueError):
@@ -70,16 +108,16 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, n: int) -> "RationalMatrix":
-        return cls([[0] * n for _ in range(n)])
+        return cls([[ZERO] * n for _ in range(n)])
 
     @classmethod
     def ones(cls, n: int) -> "RationalMatrix":
         """The all-ones matrix J."""
-        return cls([[1] * n for _ in range(n)])
+        return cls([[ONE] * n for _ in range(n)])
 
     def __getitem__(self, x: int) -> Row:
         return self.rows[x]
@@ -122,18 +160,23 @@ class RationalMatrix:
         """Exact product on cleared integers.
 
         Each row of self is scaled by the lcm of its denominators and each
-        column of other by the lcm of its own, so every entry is one integer
-        dot product over one reduced Fraction.
+        column of other by the lcm of its own; one `integer_product` of the
+        two cleared grids gives every entry over one reduced Fraction.
         """
         self._require_same_order(other)
+        n = self.order
         rows = [clear_denominators(row) for row in self.rows]
         cols = [clear_denominators(col) for col in zip(*other.rows)]
+        left = [v for _, ints in rows for v in ints]
+        right = [v for line in zip(*(ints for _, ints in cols)) for v in line]
+        product = integer_product(left, right, n)
+        col_dens = [den for den, _ in cols]
         return RationalMatrix(
             tuple(
-                Fraction(sum(map(mul, row, col)), row_den * col_den)
-                for col_den, col in cols
+                Fraction(v, row_den * col_den)
+                for v, col_den in zip(product[i * n : i * n + n], col_dens)
             )
-            for row_den, row in rows
+            for i, (row_den, _) in enumerate(rows)
         )
 
     def transpose(self) -> "RationalMatrix":
@@ -146,9 +189,7 @@ class RationalMatrix:
         return tuple(v for row in self.rows for v in row)
 
     def to_float(self):
-        """Dense float copy for the numeric sidecar (import numpy lazily)."""
-        import numpy as np
-
+        """Dense float copy for the numeric sidecar."""
         return np.array([[float(v) for v in row] for row in self.rows], dtype=float)
 
     def __repr__(self) -> str:
@@ -201,9 +242,11 @@ class MatrixPowerBasis:
     """Powers I, B, B^2, ... of one matrix, each kept once as cleared integers.
 
     Power k is stored as (delta_k, ints_k) with vec(B^k) = ints_k / delta_k
-    in lowest terms: B = M / delta with M an integer matrix, and
-    ints_{k+1} / delta_{k+1} is ints_k * M / (delta_k * delta) divided by its
-    content. Each power costs one integer product; every power up to the
+    in lowest terms: B = M / delta with M an integer matrix, kept as one
+    flat int list, and ints_{k+1} / delta_{k+1} is ints_k * M / (delta_k *
+    delta) divided by its content. Each power costs one `integer_product`
+    (int64 while the entry bound allows it, Python ints beyond); every
+    power up to the
     working degree is needed anyway (the minimal polynomial reduces each one
     modulo a prime), so repeated squaring would not help.
     Fraction matrices are built only on request (`power`, `vector`,
@@ -215,8 +258,7 @@ class MatrixPowerBasis:
     def __init__(self, base: RationalMatrix):
         self.base = base
         n = base.order
-        self._base_den, ints = clear_denominators(base.flatten())
-        self._base_columns = [ints[j::n] for j in range(n)]
+        self._base_den, self._base_ints = clear_denominators(base.flatten())
         identity = [0] * (n * n)
         identity[:: n + 1] = [1] * n
         self._cleared_powers: list[tuple[int, list[int]]] = [(1, identity)]
@@ -227,8 +269,7 @@ class MatrixPowerBasis:
         powers, n = self._cleared_powers, self.base.order
         while len(powers) <= k:
             den, ints = powers[-1]
-            rows = [ints[i : i + n] for i in range(0, n * n, n)]
-            product = [sum(map(mul, row, col)) for row in rows for col in self._base_columns]
+            product = integer_product(ints, self._base_ints, n)
             powers.append(_lowest_terms(den * self._base_den, product))
         return powers[k]
 

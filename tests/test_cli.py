@@ -369,3 +369,15 @@ def test_crash_is_internal_error_not_rejection(capsys, tmp_path):
         "internal error: OverflowError: integer division result too large for a float"
     ]
     assert "Traceback" not in captured.err
+
+
+def test_spectrum_without_convergence_is_not_a_rejection(capsys, tmp_path):
+    # Durand-Kerner ends with residuals near 1e51 on this draw
+    path = tmp_path / "g28.mat"
+    assert run_command(["gen", "28", "2", "--seed", "1", "--out", str(path)]) == 0
+    assert run_command(["spectrum", str(path), "--json"]) == 3
+    captured = capsys.readouterr()
+    section = json.loads(captured.out)["spectrum"]
+    assert section["error"] == "no convergence"
+    assert len(section["residuals"]) == 28 and min(section["residuals"]) > 1
+    assert captured.err.splitlines() == ["error: spectrum root iteration did not converge"]

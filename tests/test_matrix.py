@@ -4,12 +4,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schemeforge import matrix
+from schemeforge.cli import run_command
 from schemeforge.exact import Polynomial
+from schemeforge.io import serialize_matrix
 from schemeforge.matrix import (
     MatrixOrderError,
     MatrixPowerBasis,
     RationalMatrix,
     algebra_membership,
+    integer_product,
     solve_rational_system,
     trace_inner_product,
 )
@@ -45,18 +49,109 @@ def mixed_grid(n):
     return st.lists(row, min_size=n, max_size=n)
 
 
+# numerators past 2^64 and denominators past 2^40, so the cleared rows and
+# columns of a product overflow int64 and take the Python-int path
+huge_entries = st.builds(
+    Fraction,
+    st.integers(-(2**70), 2**70),
+    st.sampled_from((1, 3, 2**40 + 15, 10**15 + 37)),
+)
+
+
 @given(
     st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.tuples(mixed_grid(n), mixed_grid(n))
+        lambda n: st.tuples(
+            st.one_of(
+                mixed_grid(n),
+                st.lists(st.lists(huge_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+            ),
+            mixed_grid(n),
+        )
     )
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_matmul_matches_naive_product(grids):
     a, b = grids
     ma, mb = RationalMatrix(a), RationalMatrix(b)
     assert ma @ mb == RationalMatrix(naive_mat_mul(a, b))
+    assert mb @ ma == RationalMatrix(naive_mat_mul(b, a))
     eye = RationalMatrix.identity(ma.order)
     assert ma @ eye == eye @ ma == ma
+
+
+def product_paths(monkeypatch) -> dict:
+    """Count the calls of each path of integer_product from now on."""
+    calls = {"int64": 0, "python": 0}
+    for path, name in (("int64", "_int64_product"), ("python", "_python_product")):
+        original = getattr(matrix, name)
+
+        def counted(*args, path=path, original=original):
+            calls[path] += 1
+            return original(*args)
+
+        monkeypatch.setattr(matrix, name, counted)
+    return calls
+
+
+def flat_integer_grid(n, bits):
+    bound = 2**bits
+    return st.lists(st.integers(-bound, bound), min_size=n * n, max_size=n * n)
+
+
+# operand sizes from 1 to 71 bits: n * max|a| * max|b| falls on both sides of 2^63
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 70).flatmap(lambda bits: flat_integer_grid(n, bits)),
+            st.integers(0, 70).flatmap(lambda bits: flat_integer_grid(n, bits)),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_product_matches_naive_oracle(operands):
+    n, a, b = operands
+    rows = lambda flat: [flat[i : i + n] for i in range(0, n * n, n)]
+    expected = [v for row in naive_mat_mul(rows(a), rows(b)) for v in row]
+    assert integer_product(a, b, n) == expected
+
+
+@pytest.mark.parametrize(
+    "n, a, b, path",
+    [
+        (7, 7 * 73 * 127, 337 * 92737 * 649657, "int64"),  # n * a * b = 2^63 - 1
+        (8, 2**30, 2**30, "python"),  # n * a * b = 2^63
+    ],
+)
+def test_integer_product_at_the_int64_bound(monkeypatch, n, a, b, path):
+    assert n * a * b == (2**63 - 1 if path == "int64" else 2**63)
+    calls = product_paths(monkeypatch)
+    for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        # every entry of the product is +-n * a * b, the extreme partial sum
+        product = integer_product([sa * a] * (n * n), [sb * b] * (n * n), n)
+        assert product == [sa * sb * n * a * b] * (n * n)
+    assert calls[path] == 4 and sum(calls.values()) == 4
+
+
+def test_integer_product_of_a_zero_operand_with_entries_past_int64(monkeypatch):
+    calls = product_paths(monkeypatch)
+    huge = [10**30, -(2**64), 2**63, 1]
+    zero = [0] * 4
+    assert integer_product(zero, huge, 2) == zero
+    assert integer_product(huge, zero, 2) == zero
+    assert calls == {"int64": 0, "python": 2}
+
+
+def test_entry_sizes_alone_choose_the_product_path(monkeypatch, tmp_path):
+    n = 6
+    cycle = [[1 if y == (x + 1) % n else 0 for y in range(n)] for x in range(n)]
+    calls = product_paths(monkeypatch)
+    for scale, path in ((1, "int64"), (10**30, "python")):
+        file = tmp_path / f"cycle-{path}.mat"
+        file.write_text(serialize_matrix(RationalMatrix([[scale * v for v in row] for row in cycle])))
+        calls.update(int64=0, python=0)
+        assert run_command(["scheme", str(file), "--json"]) == 0
+        assert calls[path] > 0 and sum(calls.values()) == calls[path]
 
 
 def test_identity_is_neutral(fig2):
