@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 for success or an accepted certificate, 1 for a mathematical
-rejection (failed hypotheses, rejected scheme), 2 for input errors, 3 for an
-internal error (any other exception, reported as one stderr line
+rejection (failed hypotheses, rejected scheme), 2 for input errors (bad
+arguments, a malformed matrix, a file that cannot be read as UTF-8 text or
+written), 3 for an internal error (any other exception, reported as one stderr line
 "internal error: <Type>: <first line of message>", never a traceback) and
 for a numeric failure of the `spectrum` sidecar (its root iteration did not
 converge: the report with the residuals still goes to stdout, plus one
@@ -90,9 +91,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class InputFileError(Exception):
+    """A file named on the command line cannot be read as text or written."""
+
+
 def _load_matrix(path: str) -> RationalMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        return io.parse_matrix(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise InputFileError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path!r} is not UTF-8 text: {exc}") from None
+    return io.parse_matrix(text)
 
 
 @contextlib.contextmanager
@@ -373,8 +384,11 @@ def _cmd_gen(args) -> int:
     b = random_lambda_ds(args.order, args.terms, seed)
     text = io.serialize_matrix(b, comment=f"random lambda-DS matrix n={args.order} k={args.terms} seed={seed}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputFileError(str(exc)) from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -400,10 +414,7 @@ def run_command(argv: list[str]) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except io.MatrixParseError as exc:
+    except (InputFileError, io.MatrixParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:

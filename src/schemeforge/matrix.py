@@ -19,7 +19,7 @@ the lcm of its denominators:
   p(B) = 0 on the same integer combination;
 - the trace inner product is one integer dot product of cleared
   flattenings, and the polynomial form `inner` is an integer combination
-  of cached dot products of powers.
+  of the entries of the basis's one Gram matrix G_ab = ints_a . ints_b.
 
 Fraction matrices (`RationalMatrix`) are built when a file is parsed, when
 a report is written, for the two products of the normality check, and by
@@ -251,8 +251,13 @@ class MatrixPowerBasis:
     modulo a prime), so repeated squaring would not help.
     Fraction matrices are built only on request (`power`, `vector`,
     `evaluate`); `evaluate_cleared` and `annihilated_by` combine the
-    cleared integers directly, and `inner` takes the trace form from
-    integer dot products of the cleared powers.
+    cleared integers directly.
+
+    The basis also holds the one integer Gram matrix of the trace form,
+    G_ab = ints_a . ints_b, filled entry by entry on first use (`gram`).
+    `inner` reads it, and so does the predistance Gram-Schmidt, which works
+    on the weights of its polynomials and the images G w rather than on
+    polynomials of Fractions.
     """
 
     def __init__(self, base: RationalMatrix):
@@ -280,7 +285,7 @@ class MatrixPowerBasis:
         den, ints = self.cleared(k)
         return tuple(Fraction(v, den) for v in ints)
 
-    def _weights(self, p: Polynomial) -> tuple[int, list[tuple[int, int]]]:
+    def weights(self, p: Polynomial) -> tuple[int, list[tuple[int, int]]]:
         """(L, [(k, w_k)]) with p(B) = (sum_k w_k ints_k) / L, L = lcm(den(p_k) delta_k)."""
         terms = [(k, c) for k, c in enumerate(p.coeffs) if c]
         powers = self._cleared_powers
@@ -304,7 +309,7 @@ class MatrixPowerBasis:
         One integer combination (sum_k w_k ints_k) / L of the cleared
         powers, divided by its content; no Fraction is built.
         """
-        den, weights = self._weights(p)
+        den, weights = self.weights(p)
         return _lowest_terms(den, self._combination(weights))
 
     def evaluate(self, p: Polynomial) -> RationalMatrix:
@@ -313,28 +318,30 @@ class MatrixPowerBasis:
 
     def annihilated_by(self, p: Polynomial) -> bool:
         """Whether p(B) = 0, decided on the integers sum_k w_k ints_k; no Fraction is built."""
-        return not any(self._combination(self._weights(p)[1]))
+        return not any(self._combination(self.weights(p)[1]))
+
+    def gram(self, a: int, b: int) -> int:
+        """G_ab = ints_a . ints_b, one integer dot product, computed once per basis.
+
+        <B^a, B^b> = G_ab / (delta_a delta_b n); `inner` and the predistance
+        Gram-Schmidt both read their form from these entries.
+        """
+        key = (a, b) if a <= b else (b, a)
+        entry = self._gram.get(key)
+        if entry is None:
+            a_ints, b_ints = self.cleared(a)[1], self.cleared(b)[1]
+            entry = self._gram[key] = sum(map(mul, a_ints, b_ints))
+        return entry
 
     def inner(self, p: Polynomial, q: Polynomial) -> Fraction:
         """<p, q> = (1/n) trace(p(B) q(B)^T) = sum_ab p_a q_b <B^a, B^b>.
 
         With the weights of both polynomials this is sum_ab u_a v_b G_ab /
-        (L_p L_q n), where each Gram entry G_ab = ints_a . ints_b is one
-        integer dot product, computed once per basis.
+        (L_p L_q n), over the cached Gram entries G_ab (`gram`).
         """
-        p_den, p_weights = self._weights(p)
-        q_den, q_weights = self._weights(q)
-        gram = self._gram
-        total = 0
-        for a, u in p_weights:
-            for b, v in q_weights:
-                key = (a, b) if a <= b else (b, a)
-                entry = gram.get(key)
-                if entry is None:
-                    entry = gram[key] = sum(
-                        map(mul, self._cleared_powers[a][1], self._cleared_powers[b][1])
-                    )
-                total += u * v * entry
+        p_den, p_weights = self.weights(p)
+        q_den, q_weights = self.weights(q)
+        total = sum(u * v * self.gram(a, b) for a, u in p_weights for b, v in q_weights)
         return Fraction(total, p_den * q_den * self.base.order)
 
 

@@ -7,12 +7,17 @@ basis polynomial nonvanishing at lambda, followed by the normalization
 p_i = (q_i(lambda) / |q_i|^2) q_i, yields the predistance family: orthogonal,
 deg p_i = i, |p_i|^2 = p_i(lambda) > 0, and sum_i p_i(B) = J.
 
-The form comes from the Gram entries <B^a, B^b> of the power basis
-(MatrixPowerBasis.inner). Each p_i is evaluated at B once and kept as
-cleared integers (den, ints); no Fraction matrix is built. The invariant
-check re-verifies orthogonality and norms on those evaluations with the
-trace inner product, independently of the Gram entries, and sum_i p_i(B) = J
-as one integer sum.
+The form comes from one integer Gram matrix G_ab = ints_a . ints_b of the
+cleared powers, kept in the power basis (MatrixPowerBasis.gram). The
+Gram-Schmidt pass runs on it in coefficient space, on integer weight
+vectors, and hands its norms |q_i|^2 on to the normalization, so no inner
+product is taken twice. Each p_i is evaluated at B once and kept as cleared
+integers (den, ints); no Fraction matrix is built. The invariant check
+re-verifies the family on those evaluations, independently of the Gram
+entries: the norm of p_i as E_i . E_i, and <p_j, p_i> = 0 from the dot
+products of the cleared powers with E_i. sum_i p_i(B) = J is decided as one
+evaluation of sum_i p_i, whose coefficients are those of the Hoffman
+polynomial.
 
 The normalization map above is the rational-arithmetic equivalent of scaling
 the unit-norm polynomial r_i by r_i(lambda); it never materializes a square
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
 from .exact import Polynomial
@@ -60,44 +66,97 @@ def poly_inner(
     return basis.inner(p, q)
 
 
+class OrthogonalFamily(list):
+    """q_0..q_d as `lambda_avoiding_gram_schmidt` returns them.
+
+    A list of the polynomials, carrying norms_sq[j] = <q_j, q_j> from the
+    Gram-Schmidt pass, so that the normalization reads them instead of
+    taking the inner products again.
+    """
+
+    def __init__(self, polys: list[Polynomial], norms_sq: list[Fraction]):
+        super().__init__(polys)
+        self.norms_sq = tuple(norms_sq)
+
+
+def _vanishes_at(coeffs: list[int], lam: Fraction) -> bool:
+    """Whether sum_k coeffs_k lam^k = 0, decided on den(lam)^deg times that sum."""
+    num, den = lam.numerator, lam.denominator
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc == 0
+
+
 def lambda_avoiding_gram_schmidt(
     b: RationalMatrix,
     lam: Fraction,
     d: int,
     basis: Optional[MatrixPowerBasis] = None,
-) -> list[Polynomial]:
+) -> OrthogonalFamily:
     """Orthogonalize the monomials 1, t, ..., t^d while avoiding roots at lambda.
 
     Classical (not modified) Gram-Schmidt is enough because the arithmetic
     is exact. When the plain residual r_j vanishes at lambda, the doubled
     candidate 2 t^j - sum(projections) is used instead, which evaluates to
     lambda^j != 0 at lambda.
+
+    The pass runs in coefficient space on the integer Gram matrix G_ab =
+    ints_a . ints_b of the cleared powers (`MatrixPowerBasis.gram`). Each
+    q_l is kept as q_l(B) = s_l sum_k w_lk ints_k, with w_l a primitive
+    integer vector, and its image G w_l is taken once. With N_l = w_l . G
+    w_l the projection coefficient <q_l, t^j> / |q_l|^2 times q_l(B) is
+    ((G w_l)_j / N_l) (sum_k w_lk ints_k) / delta_j, so the candidate is
+    the integer combination u = M e_j - sum_l M (G w_l)_j / N_l w_l over
+    delta_j M, M the lcm of the reduced denominators of those ratios. Its
+    norm is N_j s_j^2 / n; Fractions are built only for the coefficients.
     """
     lam = Fraction(lam)
     if lam == 0:
         raise PredistanceHypothesisError("lambda is zero")
     if basis is None:
         basis = MatrixPowerBasis(b)
+    deltas = [basis.cleared(k)[0] for k in range(d + 1)]
+    gram = [[basis.gram(a, c) for c in range(d + 1)] for a in range(d + 1)]
+    weights: list[list[int]] = []
+    images: list[list[int]] = []
+    gram_norms: list[int] = []
     polys: list[Polynomial] = []
     norms_sq: list[Fraction] = []
     for j in range(d + 1):
-        monomial = Polynomial.monomial(j)
-        candidate = monomial
-        for ell in range(j):
-            coeff = basis.inner(polys[ell], monomial) / norms_sq[ell]
-            if coeff:
-                candidate = candidate - coeff * polys[ell]
-        if candidate(lam) == 0:
+        ratios = []
+        for image, norm in zip(images, gram_norms):
+            g = gcd(image[j], norm)
+            ratios.append((image[j] // g, norm // g))
+        m = lcm(*(den for _, den in ratios))
+        u = [0] * j + [m]
+        for (num, den), w in zip(ratios, weights):
+            if num:
+                factor = num * (m // den)
+                for k, v in enumerate(w):
+                    u[k] -= factor * v
+        # q_j = sum_k u_k delta_k t^k / (delta_j m)
+        coeffs = list(map(mul, u, deltas))
+        if _vanishes_at(coeffs, lam):
             # doubling fallback: candidate + t^j evaluates to lam^j at lambda
-            candidate = candidate + monomial
-        norm_sq = basis.inner(candidate, candidate)
-        if norm_sq == 0:
+            u[j] += m
+            coeffs[j] += m * deltas[j]
+        g = gcd(*u)
+        w = [v // g for v in u]
+        image = [sum(map(mul, row, w)) for row in gram]
+        norm = sum(map(mul, w, image))
+        if norm == 0:
             raise PredistanceHypothesisError(
                 f"inner product degenerate at degree {j}; d exceeds deg(minpoly) - 1"
             )
-        polys.append(candidate)
-        norms_sq.append(norm_sq)
-    return polys
+        den = deltas[j] * m
+        polys.append(Polynomial([Fraction(c, den) for c in coeffs]))
+        norms_sq.append(Fraction(g * g * norm, den * den * b.order))
+        weights.append(w)
+        images.append(image)
+        gram_norms.append(norm)
+    return OrthogonalFamily(polys, norms_sq)
 
 
 @dataclass(frozen=True)
@@ -140,35 +199,35 @@ def predistance_basis(
         minimal = minimal_polynomial(b, basis)
     d = minimal.degree - 1
     orthogonal = lambda_avoiding_gram_schmidt(b, cls.lam, d, basis)
-    polys = tuple(q(cls.lam) / basis.inner(q, q) * q for q in orthogonal)
+    # p_j = (q_j(lambda) / |q_j|^2) q_j, so |p_j|^2 = q_j(lambda)^2 / |q_j|^2
+    scales = [q(cls.lam) / norm_sq for q, norm_sq in zip(orthogonal, orthogonal.norms_sq)]
+    polys = tuple(s * q for s, q in zip(scales, orthogonal))
     result = PredistanceBasis(
         polys=polys,
         lam=cls.lam,
-        norms_sq=tuple(basis.inner(p, p) for p in polys),
+        norms_sq=tuple(s * s * norm_sq for s, norm_sq in zip(scales, orthogonal.norms_sq)),
         evaluations=tuple(basis.evaluate_cleared(p) for p in polys),
     )
-    _assert_invariants(result, b)
+    _assert_invariants(result, b, basis)
     return result
 
 
-def _sums_to_ones(evaluations: tuple[tuple[int, list[int]], ...], order: int) -> bool:
-    """Whether sum_i p_i(B) = J, decided on the cleared evaluations.
+def _assert_invariants(
+    family: PredistanceBasis, b: RationalMatrix, basis: Optional[MatrixPowerBasis] = None
+) -> None:
+    """Re-verify the family on its evaluations E_i = p_i(B), not on the Gram entries.
 
-    One integer sum under the lcm L of their denominators, compared with L
-    on every entry.
+    The cached norm of p_i is checked as E_i . E_i. For j < i, <p_j, p_i> is
+    sum_k w_jk X_ki over a nonzero denominator, with w_j the weights of p_j
+    on the cleared powers and X_ki = ints_k . E_i, so each pair costs one
+    short integer sum. sum_i p_i(B) = J is one evaluation of sum_i p_i.
     """
-    den = lcm(*(d for d, _ in evaluations))
-    total = [0] * (order * order)
-    for d, ints in evaluations:
-        scale = den // d
-        total = [t + scale * v for t, v in zip(total, ints)]
-    return total == [den] * (order * order)
-
-
-def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
+    if basis is None:
+        basis = MatrixPowerBasis(b)
     polys, lam, evaluations = family.polys, family.lam, family.evaluations
     if polys[0] != Polynomial([1]):
         raise ArithmeticError("internal invariant violated: p_0 != 1")
+    weights: list[list[tuple[int, int]]] = []
     for i, (p, norm_sq) in enumerate(zip(polys, family.norms_sq)):
         if p.degree != i:
             raise ArithmeticError(f"internal invariant violated: deg(p_{i}) != {i}")
@@ -177,10 +236,13 @@ def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
             raise ArithmeticError(f"internal invariant violated: |p_{i}|^2 != p_{i}(lambda) > 0")
         if cleared_trace_inner(evaluations[i], evaluations[i], b.order) != norm_sq:
             raise ArithmeticError(f"internal invariant violated: cached norm of p_{i}")
+        e_ints = evaluations[i][1]
+        products = [sum(map(mul, basis.cleared(k)[1], e_ints)) for k in range(i)]
         for j in range(i):
-            if cleared_trace_inner(evaluations[j], evaluations[i], b.order) != 0:
+            if sum(w * products[k] for k, w in weights[j]):
                 raise ArithmeticError(f"internal invariant violated: <p_{j}, p_{i}> != 0")
-    if not _sums_to_ones(evaluations, b.order):
+        weights.append(basis.weights(p)[1])
+    if basis.evaluate_cleared(sum(polys, Polynomial())) != (1, [1] * (b.order * b.order)):
         raise ArithmeticError("internal invariant violated: sum of p_i(B) != J")
 
 
@@ -189,14 +251,12 @@ def verify_hoffman_sum(
     b: RationalMatrix,
     hoffman: Optional[HoffmanPolynomial] = None,
 ) -> bool:
-    """Check sum_i p_i(B) = J, and cross-check sum_i p_i = h coefficient-wise.
+    """Check sum_i p_i = h coefficient-wise.
 
-    The Hoffman polynomial of B is computed unless passed in.
+    That settles sum_i p_i(B) = J as well: hoffman_polynomial verifies h(B)
+    = J exactly, and predistance_basis asserts sum_i p_i(B) = J before it
+    returns the family. The Hoffman polynomial of B is computed unless
+    passed in.
     """
-    if not _sums_to_ones(family.evaluations, b.order):
-        return False
-    total_poly = Polynomial()
-    for p in family.polys:
-        total_poly = total_poly + p
     info = hoffman if hoffman is not None else hoffman_polynomial(b)
-    return total_poly == info.h
+    return sum(family.polys, Polynomial()) == info.h

@@ -127,6 +127,45 @@ def naive_poly_at(p: Polynomial, grid: list[list[Fraction]]) -> list[list[Fracti
     return out
 
 
+def oracle_gram_schmidt(grid: list[list[Fraction]], lam: Fraction, d: int) -> list[Polynomial]:
+    """Classical Gram-Schmidt over 1, t, ..., t^d with the doubling fallback.
+
+    Every inner product is trace_form_inner of naive_poly_at evaluations.
+    q_j = t^j - sum_l (<q_l, t^j> / <q_l, q_l>) q_l, and when that residual
+    vanishes at lam, 2 t^j - the same projections; later degrees still
+    project onto such a q_j, orthogonal or not.
+    """
+
+    def inner(p: Polynomial, q: Polynomial) -> Fraction:
+        return trace_form_inner(naive_poly_at(p, grid), naive_poly_at(q, grid))
+
+    qs: list[Polynomial] = []
+    for j in range(d + 1):
+        monomial = Polynomial.monomial(j)
+        candidate = monomial
+        for q in qs:
+            candidate = candidate - (inner(q, monomial) / inner(q, q)) * q
+        if candidate(lam) == 0:
+            candidate = candidate + monomial
+        qs.append(candidate)
+    return qs
+
+
+def oracle_predistance(
+    grid: list[list[Fraction]], lam: Fraction, d: int
+) -> tuple[list[Polynomial], list[Fraction]]:
+    """(p_0..p_d, <p_j, p_j>) with p_j = (q_j(lam) / <q_j, q_j>) q_j over oracle_gram_schmidt."""
+    polys = []
+    for q in oracle_gram_schmidt(grid, lam, d):
+        q_at = naive_poly_at(q, grid)
+        polys.append((q(lam) / trace_form_inner(q_at, q_at)) * q)
+    norms = []
+    for p in polys:
+        p_at = naive_poly_at(p, grid)
+        norms.append(trace_form_inner(p_at, p_at))
+    return polys, norms
+
+
 def oracle_minimal_polynomial(grid: list[list[Fraction]]) -> Polynomial:
     """Monic minimal polynomial by Gauss-Jordan on explicit vectorized powers.
 

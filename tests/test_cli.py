@@ -381,3 +381,23 @@ def test_spectrum_without_convergence_is_not_a_rejection(capsys, tmp_path):
     assert section["error"] == "no convergence"
     assert len(section["residuals"]) == 28 and min(section["residuals"]) > 1
     assert captured.err.splitlines() == ["error: spectrum root iteration did not converge"]
+
+
+def test_directory_as_input_is_input_error(capsys, tmp_path):
+    assert run_command(["scheme", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_undecodable_input_is_input_error(capsys, tmp_path):
+    path = tmp_path / "binary.mat"
+    path.write_bytes(b"2\n1 0\n0 \xff\n")
+    assert run_command(["scheme", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err and err.count("\n") == 1
+
+
+def test_gen_out_to_a_directory_is_input_error(capsys, tmp_path):
+    assert run_command(["gen", "4", "2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,6 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import hoffman_polynomial, minimal_polynomial
@@ -17,7 +18,13 @@ from schemeforge.predistance import (
 from schemeforge.stochastic import classify, random_lambda_ds
 
 from conftest import load_fixture
-from oracles import naive_poly_at, trace_form_inner
+from oracles import (
+    naive_poly_at,
+    oracle_gram_schmidt,
+    oracle_minimal_polynomial,
+    oracle_predistance,
+    trace_form_inner,
+)
 
 FIG2_PREDISTANCE = (
     Polynomial([1]),
@@ -97,6 +104,47 @@ def test_gram_schmidt_doubling_fallback_keeps_lambda_value():
     assert polys[1](probe) == probe
 
 
+def test_gram_schmidt_after_a_fallback_projects_onto_the_doubled_candidate():
+    # polys[1] = 2t - 1/2 is the doubled candidate, not orthogonal to
+    # polys[0]; classical Gram-Schmidt still projects t^2 onto it
+    b = RationalMatrix([[0, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
+    probe = Fraction(1, 2)
+    grid = [list(row) for row in b.rows]
+    polys = lambda_avoiding_gram_schmidt(b, probe, 2)
+    expected = oracle_gram_schmidt(grid, probe, 2)
+    assert polys == expected
+    for q, norm_sq in zip(expected, polys.norms_sq):
+        assert norm_sq == trace_form_inner(naive_poly_at(q, grid), naive_poly_at(q, grid))
+
+
+@st.composite
+def normal_circulants(draw):
+    """sum_s w_s P^s for 2-3 distinct shifts s of Z_n, n <= 7, small positive weights."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    shift = st.integers(min_value=0, max_value=n - 1)
+    shifts = draw(st.lists(shift, min_size=2, max_size=3, unique=True))
+    weight = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for s in shifts:
+        w = draw(weight)
+        for x in range(n):
+            grid[x][(x + s) % n] += w
+    return RationalMatrix(grid)
+
+
+@given(normal_circulants())
+@settings(max_examples=30, deadline=None)
+def test_predistance_basis_matches_fraction_gram_schmidt(b):
+    cls = classify(b)
+    assume(cls.failed_hypothesis() is None)
+    grid = [list(row) for row in b.rows]
+    d = oracle_minimal_polynomial(grid).degree - 1
+    polys, norms = oracle_predistance(grid, cls.lam, d)
+    family = predistance_basis(b, classification=cls)
+    assert family.polys == tuple(polys)
+    assert family.norms_sq == tuple(norms)
+
+
 def test_predistance_basis_fig2(fig2):
     family = predistance_basis(fig2)
     assert family.polys == FIG2_PREDISTANCE
@@ -151,6 +199,17 @@ def test_invariants_are_checked_on_the_evaluated_matrices(fig2, tamper, message)
     evaluations = list(family.evaluations)
     evaluations[1] = tamper(*evaluations[1])
     with pytest.raises(ArithmeticError, match=message):
+        _assert_invariants(dataclasses.replace(family, evaluations=tuple(evaluations)), fig2)
+
+
+def test_orthogonality_is_checked_for_every_lower_degree(fig2):
+    # p_2(B) transposed keeps its norm and its trace, so <p_0, p_2> still
+    # vanishes; <p_1, p_2> does not
+    family = predistance_basis(fig2)
+    evaluations = list(family.evaluations)
+    den, ints = evaluations[2]
+    evaluations[2] = (den, [ints[6 * c + r] for r in range(6) for c in range(6)])
+    with pytest.raises(ArithmeticError, match="<p_1, p_2> != 0"):
         _assert_invariants(dataclasses.replace(family, evaluations=tuple(evaluations)), fig2)
 
 
