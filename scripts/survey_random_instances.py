@@ -55,7 +55,7 @@ def main() -> None:
     for seed, n, k, certificate in accepted:
         print(
             f"accepted: seed={seed} n={n} k={k} "
-            f"d=D={certificate.d} classes={len(certificate.class_matrices)} "
+            f"d=D={certificate.d} classes={certificate.d + 1} "
             f"transpose_map={list(certificate.transpose_perm)}"
         )
 

@@ -7,8 +7,10 @@ written), 3 for an internal error (any other exception, reported as one stderr l
 "internal error: <Type>: <first line of message>", never a traceback) and
 for a numeric failure of the `spectrum` sidecar (its root iteration did not
 converge: the report with the residuals still goes to stdout, plus one
-stderr line). That split lets shell pipelines tell "the matrix is not a
-scheme" apart from "the file is broken" and from a crash.
+stderr line), and 141 (128 + SIGPIPE) with nothing on stderr when stdout
+is closed before the report is written, as in `| head`. That split lets
+shell pipelines tell "the matrix is not a scheme" apart from "the file is
+broken" and from a crash.
 
 Reports print every rational exactly, however many digits it has: Python's
 int-to-str digit limit is lifted while a report is built and written, and
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "SCHEMEFORGE_SEED"
@@ -241,8 +244,11 @@ def _scheme_report(b: RationalMatrix, cls: MatrixClassification, certificate) ->
         "hoffman": hoffman_coeffs,
         "predistance": predistance_polys,
         "classes": (
-            [io.zero_one_grid(a) for a in certificate.class_matrices]
-            if certificate.class_matrices
+            [
+                [[int(v == i) for v in row] for row in certificate.labels]
+                for i in range(certificate.d + 1)
+            ]
+            if certificate.labels
             else None
         ),
         "intersection_numbers": (
@@ -271,7 +277,7 @@ def _cmd_scheme(args) -> int:
         if certificate.d is not None:
             lines.append(f"d: {certificate.d}  D: {certificate.diameter}")
         if certificate.accepted:
-            lines.append(f"classes: {len(certificate.class_matrices)}")
+            lines.append(f"classes: {certificate.d + 1}")
             for i, p in enumerate(certificate.generator_polynomials):
                 lines.append(f"p_{i}(t) = {p}")
             lines.append(f"transpose map: {list(certificate.transpose_perm)}")
@@ -413,7 +419,15 @@ def run_command(argv: list[str]) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT_ERROR
     handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: exit quietly, with the final flush going nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (InputFileError, io.MatrixParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

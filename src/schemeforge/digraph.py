@@ -1,8 +1,10 @@
 """Digraphs underlying nonnegative matrices.
 
-Strong connectivity, BFS distances, diameter, and the distance-i matrices.
-Distances are plain ints; an unreachable pair is a sentinel (None), never
-infinity arithmetic.
+Strong connectivity, BFS distances and the diameter. The distance grid
+dist[x][y] is the one form of the distance classes: the distance-i matrix
+A_i is its level set {(x, y) : dist[x][y] = i}, so no class matrix is
+built. Distances are plain ints; an unreachable pair is a sentinel (None)
+during the BFS, never infinity arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix import ONE, ZERO, RationalMatrix
+from .matrix import RationalMatrix
 
 
 class NegativeEntryError(ValueError):
@@ -102,14 +104,13 @@ def is_strongly_connected(g: Digraph) -> bool:
 class DistanceStructure:
     """All-pairs BFS distances of a strongly connected digraph.
 
-    classes[i] is the 0/1 distance-i matrix; classes[0] is the identity and
-    the classes partition all ordered pairs, so they sum to the all-ones
-    matrix.
+    dist is the label grid of the distance classes: (x, y) lies in class
+    dist[x][y], every label 0..diameter labels some pair, and label 0
+    labels exactly the diagonal.
     """
 
     dist: tuple[tuple[int, ...], ...]
     diameter: int
-    classes: tuple[RationalMatrix, ...]
 
 
 def _bfs_row(successors: list[list[int]], source: int) -> list[Optional[int]]:
@@ -136,9 +137,4 @@ def distance_structure(g: Digraph) -> DistanceStructure:
             if d is None:
                 raise UnreachablePairError(f"no directed path from {x} to {y}")
         grid.append(tuple(row))  # type: ignore[arg-type]
-    diameter = max(max(row) for row in grid)
-    classes = tuple(
-        RationalMatrix([[ONE if d == i else ZERO for d in row] for row in grid])
-        for i in range(diameter + 1)
-    )
-    return DistanceStructure(dist=tuple(grid), diameter=diameter, classes=classes)
+    return DistanceStructure(dist=tuple(grid), diameter=max(max(row) for row in grid))

@@ -127,24 +127,6 @@ class Polynomial:
             raise ValueError(f"{root} is not a root (remainder {remainder})")
         return Polynomial(quotient)
 
-    def __divmod__(self, other: "Polynomial"):
-        """Exact polynomial long division: self = q*other + r, deg r < deg other."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.leading_coefficient()
-        for k in range(len(q) - 1, -1, -1):
-            factor = rem[k + other.degree] / lead
-            q[k] = factor
-            if factor:
-                for j, c in enumerate(other.coeffs):
-                    rem[k + j] -= factor * c
-        return Polynomial(q), Polynomial(rem)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def coefficient_line(self) -> str:
         """Ascending coefficient report form: "c0 c1 c2 ..."."""
         if not self.coeffs:

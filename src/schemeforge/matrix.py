@@ -21,10 +21,11 @@ the lcm of its denominators:
   flattenings, and the polynomial form `inner` is an integer combination
   of the entries of the basis's one Gram matrix G_ab = ints_a . ints_b.
 
-Fraction matrices (`RationalMatrix`) are built when a file is parsed, when
-a report is written, for the two products of the normality check, and by
-`power`, `vector` and `evaluate` on request; the pipeline decides every
-other exact identity on the cleared integers.
+Fraction matrices (`RationalMatrix`) are built when a file is parsed, for
+the two products of the normality check, and by `power`, `vector` and
+`evaluate` on request; the pipeline decides every other exact identity on
+the cleared integers, and the distance classes stay one integer label grid
+from the BFS to the report.
 Matrices are immutable; every operation returns a fresh value.
 """
 

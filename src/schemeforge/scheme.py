@@ -4,9 +4,12 @@ detect_scheme runs the full decision pipeline: classification gates, the
 distance structure of the underlying digraph, the eigenvalue-count vs
 diameter comparison, the predistance basis, and the single matrix equality
 A_D = p_D(B) that settles whether the distance-D matrix is a polynomial in
-B, decided on the cleared evaluation (den, ints) as ints = den * A_D. An
-accepted certificate carries the standard basis, the intersection
-tensor, and the transpose permutation; a rejection carries a typed reason.
+B, decided on the cleared evaluation (den, ints) as ints = den * A_D. The
+classes are never built as matrices: the BFS distance grid is their label
+grid, with A_i the level set {(x, y) : dist[x][y] = i}, and the axiom
+kernels read it directly. An accepted certificate carries that grid, the
+intersection tensor, and the transpose permutation; a rejection carries a
+typed reason.
 
 Rejection is a value, never an exception. The AXIOM_FAILURE reason exists
 only as a self-check trap: when the acceptance hypotheses hold it is
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .digraph import DistanceStructure, distance_structure, underlying_digraph
+from .digraph import distance_structure, underlying_digraph
 from .exact import Polynomial
 from .matrix import MatrixPowerBasis, RationalMatrix
 from .hoffman import minimal_polynomial
@@ -30,6 +33,7 @@ from .stochastic import MatrixClassification, RejectionCode, classify
 logger = logging.getLogger(__name__)
 
 IntersectionTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
+LabelGrid = Sequence[Sequence[int]]
 
 
 class SchemeAxiomError(Exception):
@@ -61,8 +65,9 @@ class Rejection:
 class SchemeCertificate:
     """Verdict of detect_scheme plus, when accepted, the scheme data.
 
-    class_matrices are the distance matrices A_0..A_D (each equal to
-    p_i(B)); intersection_tensor is indexed [i][j][h] with
+    labels is the distance grid: (x, y) lies in class labels[x][y], so the
+    distance matrix A_i (equal to p_i(B)) is the level set of label i;
+    intersection_tensor is indexed [i][j][h] with
     A_i A_j = sum_h tensor[i][j][h] A_h; transpose_perm maps i to the index
     of A_i^T.
     """
@@ -71,58 +76,40 @@ class SchemeCertificate:
     reason: Optional[Rejection]
     d: Optional[int] = None
     diameter: Optional[int] = None
-    class_matrices: Optional[tuple[RationalMatrix, ...]] = None
+    labels: Optional[tuple[tuple[int, ...], ...]] = None
     intersection_tensor: Optional[IntersectionTensor] = None
     transpose_perm: Optional[tuple[int, ...]] = None
     generator_polynomials: Optional[tuple[Polynomial, ...]] = None
 
 
-def _class_labels(class_matrices: Sequence[RationalMatrix]) -> list[list[int]]:
-    """The label grid label[x][y] = i of the class holding (x, y).
-
-    Raises ValueError for a class with empty support, and SchemeAxiomError
-    AS2 at the first cell (x, y) where the classes are not a 0/1 partition
-    of the all-ones matrix.
-    """
-    if any(a.is_zero() for a in class_matrices):
-        raise ValueError("class matrix with empty support")
-    n = class_matrices[0].order
-    label = [[-1] * n for _ in range(n)]
-    for i, a in enumerate(class_matrices):
-        for x, row in enumerate(a.rows):
-            labels_x = label[x]
-            for y, v in enumerate(row):
-                if not v:
-                    continue
-                if v != 1 or labels_x[y] >= 0:
-                    raise SchemeAxiomError("AS2", (x, y))
-                labels_x[y] = i
-    for x, row in enumerate(label):
-        if -1 in row:
-            raise SchemeAxiomError("AS2", (x, row.index(-1)))
-    return label
+def _class_count(labels: LabelGrid) -> int:
+    """r = max label + 1; ValueError unless every label 0..r-1 labels some pair."""
+    used = {i for row in labels for i in row}
+    r = max(used) + 1
+    if used != set(range(r)):
+        raise ValueError("label grid has a class with empty support")
+    return r
 
 
-def intersection_numbers(class_matrices: Sequence[RationalMatrix]) -> IntersectionTensor:
-    """Structure constants of the class matrices, counted from their labels.
+def intersection_numbers(labels: LabelGrid) -> IntersectionTensor:
+    """Structure constants of the classes of a label grid.
 
-    p^h_ij at an ordered pair (x, y) with h = label[x][y] is the number of
-    z with label[x][z] = i and label[z][y] = j, the (x, y) entry of A_i A_j.
+    p^h_ij at an ordered pair (x, y) with h = labels[x][y] is the number of
+    z with labels[x][z] = i and labels[z][y] = j, the (x, y) entry of A_i A_j.
     It is counted as a popcount of two bitsets and asserted equal at every
     ordered pair, which is exactly the condition A_i A_j = sum_h p^h_ij A_h.
     """
-    label = _class_labels(class_matrices)
-    r = len(class_matrices)
-    n = len(label)
-    # row_bits[x][i] = {z : label[x][z] = i}, col_bits[y][j] = {z : label[z][y] = j}
+    r = _class_count(labels)
+    n = len(labels)
+    # row_bits[x][i] = {z : labels[x][z] = i}, col_bits[y][j] = {z : labels[z][y] = j}
     row_bits = [[0] * r for _ in range(n)]
     col_bits = [[0] * r for _ in range(n)]
-    for x, row in enumerate(label):
+    for x, row in enumerate(labels):
         for z, i in enumerate(row):
             row_bits[x][i] |= 1 << z
             col_bits[z][i] |= 1 << x
     counts: list[Optional[list[int]]] = [None] * r
-    for x, row in enumerate(label):
+    for x, row in enumerate(labels):
         rows_x = row_bits[x]
         for y, h in enumerate(row):
             here = [(a & c).bit_count() for a in rows_x for c in col_bits[y]]
@@ -137,18 +124,17 @@ def intersection_numbers(class_matrices: Sequence[RationalMatrix]) -> Intersecti
     )
 
 
-def transpose_map(class_matrices: Sequence[RationalMatrix]) -> tuple[int, ...]:
-    """For each i, the unique index i' with A_i^T = A_i', read off label[y][x].
+def transpose_map(labels: LabelGrid) -> tuple[int, ...]:
+    """For each i, the unique index i' with A_i^T = A_i', read off labels[y][x].
 
     The transposed support of A_i must carry a single label i', and the map
     i -> i' must be a bijection: the first i where either fails is the AS3
     witness.
     """
-    label = _class_labels(class_matrices)
-    targets: list[set[int]] = [set() for _ in class_matrices]
-    for x, row in enumerate(label):
+    targets: list[set[int]] = [set() for _ in range(_class_count(labels))]
+    for x, row in enumerate(labels):
         for y, i in enumerate(row):
-            targets[i].add(label[y][x])
+            targets[i].add(labels[y][x])
     perm = [min(t) for t in targets]
     for i, t in enumerate(targets):
         if len(t) != 1 or perm.count(perm[i]) != 1:
@@ -218,12 +204,13 @@ def detect_scheme(
         if not is_class(i):
             return axiom_failure("CLASS_POLYNOMIALITY", (i,))
 
-    classes = structure.classes
-    if classes[0] != RationalMatrix.identity(b.order):
+    # AS2 (a 0/1 partition of J) holds by construction: each pair has one label
+    labels = structure.dist
+    if any((v == 0) != (x == y) for x, row in enumerate(labels) for y, v in enumerate(row)):
         return axiom_failure("AS1", ())
-    try:  # AS2 (a 0/1 partition of J) is checked while the classes are labelled
-        perm = transpose_map(classes)
-        tensor = intersection_numbers(classes)
+    try:
+        perm = transpose_map(labels)
+        tensor = intersection_numbers(labels)
     except SchemeAxiomError as exc:
         return axiom_failure(exc.axiom, exc.witness)
     for i in range(d + 1):
@@ -240,46 +227,8 @@ def detect_scheme(
         reason=None,
         d=d,
         diameter=structure.diameter,
-        class_matrices=classes,
+        labels=labels,
         intersection_tensor=tensor,
         transpose_perm=perm,
         generator_polynomials=family.polys,
     )
-
-
-def vanishing_product_check(b: RationalMatrix, structure: DistanceStructure) -> bool:
-    """Structural check: (A_{D-j} B^T)_{xy} = 0 whenever dist(x, y) < D-j-1.
-
-    Runs over every applicable j (those with D - j - 1 >= 2) and is
-    vacuously true for diameters below 3. Independent of the scheme
-    pipeline.
-    """
-    n = b.order
-    diameter = structure.diameter
-    bt = b.transpose()
-    for j in range(diameter - 2):
-        product = structure.classes[diameter - j] @ bt
-        threshold = diameter - j - 1
-        for x in range(n):
-            for y in range(n):
-                if structure.dist[x][y] < threshold and product.rows[x][y] != 0:
-                    return False
-    return True
-
-
-def class_distance_constancy(
-    certificate: SchemeCertificate, structure: DistanceStructure
-) -> bool:
-    """Whether each class support lies at a single digraph distance."""
-    if not certificate.class_matrices:
-        raise ValueError("certificate carries no class matrices")
-    n = structure.classes[0].order
-    for a in certificate.class_matrices:
-        seen: set[int] = set()
-        for x in range(n):
-            for y in range(n):
-                if a.rows[x][y] != 0:
-                    seen.add(structure.dist[x][y])
-        if len(seen) > 1:
-            return False
-    return True

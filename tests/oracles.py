@@ -35,8 +35,14 @@ def charpoly_leverrier(b: RationalMatrix) -> Polynomial:
 
 
 def divides(divisor: Polynomial, multiple: Polynomial) -> bool:
-    _, remainder = divmod(multiple, divisor)
-    return remainder.is_zero()
+    """Schoolbook long division of the coefficient lists; True iff the remainder is 0."""
+    rem = list(multiple.coeffs)
+    lead = divisor.coeffs[-1]
+    for k in range(len(rem) - len(divisor.coeffs), -1, -1):
+        factor = rem[k + divisor.degree] / lead
+        for j, c in enumerate(divisor.coeffs):
+            rem[k + j] -= factor * c
+    return not any(rem)
 
 
 def count_walks_dfs(adjacency: list[list[int]], start: int, end: int, length: int) -> int:
@@ -90,6 +96,47 @@ def oracle_intersection_tensor(classes: list[RationalMatrix]) -> list[list[list[
             plane.append(row)
         tensor.append(plane)
     return tensor
+
+
+def class_matrices(labels) -> list[RationalMatrix]:
+    """The 0/1 class matrices A_0..A_r-1 of a label grid: A_i holds (x, y) where labels[x][y] = i."""
+    r = max(max(row) for row in labels) + 1
+    return [RationalMatrix([[int(v == i) for v in row] for row in labels]) for i in range(r)]
+
+
+def labels_of(classes: list[RationalMatrix]) -> list[list[int]]:
+    """The label grid of 0/1 class matrices that partition the all-ones matrix."""
+    n = classes[0].order
+    labels: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i, a in enumerate(classes):
+        for x, row in enumerate(a.rows):
+            for y, v in enumerate(row):
+                if v:
+                    assert v == 1 and labels[x][y] is None, "classes are not a 0/1 partition"
+                    labels[x][y] = i
+    assert all(v is not None for row in labels for v in row), "classes leave a pair uncovered"
+    return labels  # type: ignore[return-value]
+
+
+def vanishing_product_check(b: RationalMatrix, dist) -> bool:
+    """Structural check: (A_{D-j} B^T)_{xy} = 0 whenever dist(x, y) < D-j-1.
+
+    A_i is the 0/1 level set of the distance grid, and each product is a
+    naive Fraction product. Runs over every applicable j (those with
+    D - j - 1 >= 2) and is vacuously true for diameters below 3.
+    """
+    n = b.order
+    diameter = max(max(row) for row in dist)
+    bt = [[b.rows[y][x] for y in range(n)] for x in range(n)]
+    for j in range(diameter - 2):
+        a = [[Fraction(int(v == diameter - j)) for v in row] for row in dist]
+        product = naive_mat_mul(a, bt)
+        threshold = diameter - j - 1
+        for x in range(n):
+            for y in range(n):
+                if dist[x][y] < threshold and product[x][y] != 0:
+                    return False
+    return True
 
 
 def cleared_grid(den: int, ints: list[int], n: int) -> list[list[Fraction]]:

@@ -26,7 +26,15 @@ from schemeforge.spectral import idempotents, roots
 from schemeforge.stochastic import classify, random_lambda_ds
 
 from conftest import FIXTURES, load_fixture
-from oracles import charpoly_leverrier, cleared_grid, count_walks_dfs, divides, naive_poly_at
+from oracles import (
+    charpoly_leverrier,
+    class_matrices,
+    cleared_grid,
+    count_walks_dfs,
+    divides,
+    naive_poly_at,
+    vanishing_product_check,
+)
 
 
 @contextmanager
@@ -209,10 +217,11 @@ def test_criterion_4_oracle_equivalence():
             if d != structure.diameter:
                 continue
             family = predistance_basis(b, classification=cls, basis=basis, minimal=minimal)
-            single_equality = structure.classes[d] == RationalMatrix(
+            distance_d = class_matrices(structure.dist)[d]
+            single_equality = distance_d == RationalMatrix(
                 cleared_grid(*family.evaluations[d], b.order)
             )
-            member = algebra_membership(structure.classes[d], basis, degree=d)
+            member = algebra_membership(distance_d, basis, degree=d)
             assert single_equality == (member is not None)
             if member is not None:
                 assert member == family.polys[d]
@@ -267,10 +276,8 @@ def test_criterion_6_numeric_sidecar():
 
 def test_criterion_7_vanishing_lemmas():
     with criterion(7, "vanishing lemmas"):
-        from schemeforge.scheme import vanishing_product_check
-
         fig2 = load_fixture("fig2.mat")
-        assert vanishing_product_check(fig2, distance_structure(underlying_digraph(fig2)))
+        assert vanishing_product_check(fig2, distance_structure(underlying_digraph(fig2)).dist)
         for n in (5, 6, 7):
             b = load_fixture(f"cyclic_{n}.mat")
-            assert vanishing_product_check(b, distance_structure(underlying_digraph(b)))
+            assert vanishing_product_check(b, distance_structure(underlying_digraph(b)).dist)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -311,6 +312,25 @@ def test_module_entry_point_runs(fixtures_dir):
     )
     assert result.returncode == 0
     assert "accepted" in result.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_quietly(fixtures_dir, unbuffered):
+    # the read end is closed before the spawn, so every write fails: no race;
+    # buffered, the report would otherwise first reach the pipe at interpreter exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "schemeforge", "scheme", fixture_path(fixtures_dir, "fig2.mat")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == b""
 
 
 HUGE = "1" + "0" * 5000  # 10^5000, past the default int-to-str digit limit

@@ -267,8 +267,8 @@ def test_membership_of_matrix_itself(fig2):
 def test_membership_rejects_perturbed_distance_class(fig2):
     from schemeforge.digraph import distance_structure, underlying_digraph
 
-    classes = distance_structure(underlying_digraph(fig2)).classes
-    perturbed = [[v for v in row] for row in classes[3].rows]
+    dist = distance_structure(underlying_digraph(fig2)).dist
+    perturbed = [[int(v == 3) for v in row] for row in dist]
     perturbed[0][0] += 1
     basis = MatrixPowerBasis(fig2)
     assert algebra_membership(RationalMatrix(perturbed), basis, degree=3) is None

@@ -14,23 +14,23 @@ from schemeforge.matrix import (
 from schemeforge.scheme import (
     RejectionCode,
     SchemeAxiomError,
-    SchemeCertificate,
-    class_distance_constancy,
     detect_scheme,
     intersection_numbers,
     transpose_map,
-    vanishing_product_check,
 )
 from schemeforge.stochastic import random_lambda_ds, classify
 
 from conftest import load_fixture
 from oracles import (
+    class_matrices,
     distance_one_products,
     hamming_adjacency,
     hamming_intersection_array,
     johnson_adjacency,
     johnson_intersection_array,
+    labels_of,
     oracle_intersection_tensor,
+    vanishing_product_check,
     verify_scheme_axioms,
 )
 
@@ -71,7 +71,7 @@ def test_fig2_accepted(fig2):
         Polynomial([2, -8, 8]),
         Polynomial([-3, 12, -24, 16]),
     )
-    assert cert.class_matrices == distance_structure(underlying_digraph(fig2)).classes
+    assert cert.labels == distance_structure(underlying_digraph(fig2)).dist
 
 
 def test_fig1_rejected_not_normal(fig1):
@@ -144,7 +144,7 @@ def test_rejection_ad_not_polynomial():
     # the general membership solver agrees with the single-equality test
     structure = distance_structure(underlying_digraph(b))
     basis = MatrixPowerBasis(b)
-    assert algebra_membership(structure.classes[3], basis, degree=3) is None
+    assert algebra_membership(class_matrices(structure.dist)[3], basis, degree=3) is None
 
 
 def test_rejection_monotonicity_under_entry_perturbation(fig2):
@@ -160,7 +160,7 @@ def test_intersection_numbers_trivial_scheme():
     n = 6
     eye = RationalMatrix.identity(n)
     rest = RationalMatrix.ones(n) - eye
-    tensor = intersection_numbers([eye, rest])
+    tensor = intersection_numbers(labels_of([eye, rest]))
     assert tensor[1][1][0] == n - 1
     assert tensor[1][1][1] == n - 2
 
@@ -171,7 +171,7 @@ def test_intersection_numbers_cyclic_three():
         directed_cycle_matrix(3),
         directed_cycle_matrix(3) @ directed_cycle_matrix(3),
     ]
-    tensor = intersection_numbers(classes)
+    tensor = intersection_numbers(labels_of(classes))
     for i in range(3):
         for j in range(3):
             for h in range(3):
@@ -179,8 +179,9 @@ def test_intersection_numbers_cyclic_three():
 
 
 def test_intersection_numbers_fig2_brute_force(fig2):
-    classes = distance_structure(underlying_digraph(fig2)).classes
-    tensor = intersection_numbers(classes)
+    dist = distance_structure(underlying_digraph(fig2)).dist
+    tensor = intersection_numbers(dist)
+    classes = class_matrices(dist)
     for i in range(4):
         for j in range(4):
             product = classes[i] @ classes[j]
@@ -201,7 +202,7 @@ def test_intersection_numbers_non_commutative_group_scheme():
         RationalMatrix([[1 if y == compose(x, g) else 0 for y in elements] for x in elements])
         for g in elements
     ]
-    tensor = intersection_numbers(classes)
+    tensor = intersection_numbers(labels_of(classes))
     assert [[list(row) for row in plane] for plane in tensor] == oracle_intersection_tensor(classes)
     assert any(tensor[i][j] != tensor[j][i] for i in range(6) for j in range(6))
 
@@ -212,7 +213,7 @@ def test_intersection_numbers_flag_non_constant_products():
     arc = RationalMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     rest = RationalMatrix.ones(3) - eye - arc
     with pytest.raises(SchemeAxiomError) as excinfo:
-        intersection_numbers([eye, arc, rest])
+        intersection_numbers(labels_of([eye, arc, rest]))
     assert excinfo.value.axiom == "AS4"
 
 
@@ -240,39 +241,17 @@ def test_closed_form_schemes_match_oracle_tensor(b, rows):
     cert = detect_scheme(b)
     assert cert.accepted
     assert cert.d == cert.diameter == len(rows) - 1
-    oracle = oracle_intersection_tensor(list(cert.class_matrices))
+    oracle = oracle_intersection_tensor(class_matrices(cert.labels))
     assert [[list(row) for row in plane] for plane in cert.intersection_tensor] == oracle
     assert [list(row) for row in cert.intersection_tensor[1]] == rows
 
 
 @pytest.mark.parametrize("kernel", [intersection_numbers, transpose_map])
-@pytest.mark.parametrize(
-    "classes,witness",
-    [
-        # the all-ones class overlaps the identity on the diagonal
-        ([RationalMatrix.identity(4), RationalMatrix.ones(4)], (0, 0)),
-        # nothing covers the arcs of length 2 and 3
-        ([RationalMatrix.identity(4), directed_cycle_matrix(4)], (0, 2)),
-        # a weighted class is not a 0/1 matrix
-        (
-            [RationalMatrix.identity(4), 2 * (RationalMatrix.ones(4) - RationalMatrix.identity(4))],
-            (0, 1),
-        ),
-    ],
-    ids=["overlap", "gap", "weighted"],
-)
-def test_label_kernels_reject_non_partitions(kernel, classes, witness):
-    with pytest.raises(SchemeAxiomError) as excinfo:
-        kernel(classes)
-    assert excinfo.value.axiom == "AS2"
-    assert excinfo.value.witness == witness
-
-
-@pytest.mark.parametrize("kernel", [intersection_numbers, transpose_map])
 def test_label_kernels_reject_empty_class(kernel):
-    eye = RationalMatrix.identity(4)
+    # labels 0 and 2 with no pair labelled 1
+    labels = [[0 if x == y else 2 for y in range(4)] for x in range(4)]
     with pytest.raises(ValueError, match="empty support"):
-        kernel([eye, RationalMatrix.ones(4) - eye, RationalMatrix.zeros(4)])
+        kernel(labels)
 
 
 def test_transpose_map_rejects_shared_transpose_class():
@@ -285,7 +264,7 @@ def test_transpose_map_rejects_shared_transpose_class():
     a, b, c = arcs({(0, 1)}), arcs({(2, 3)}), arcs({(1, 0), (3, 2)})
     rest = RationalMatrix.ones(4) - eye - a - b - c
     with pytest.raises(SchemeAxiomError) as excinfo:
-        transpose_map([eye, a, b, c, rest])
+        transpose_map(labels_of([eye, a, b, c, rest]))
     assert excinfo.value.axiom == "AS3"
     assert excinfo.value.witness == (1,)
 
@@ -293,17 +272,17 @@ def test_transpose_map_rejects_shared_transpose_class():
 def test_transpose_map_symmetric_scheme():
     eye = RationalMatrix.identity(5)
     rest = RationalMatrix.ones(5) - eye
-    assert transpose_map([eye, rest]) == (0, 1)
+    assert transpose_map(labels_of([eye, rest])) == (0, 1)
 
 
 def test_transpose_map_cyclic_three():
     c = directed_cycle_matrix(3)
-    assert transpose_map([RationalMatrix.identity(3), c, c @ c]) == (0, 2, 1)
+    assert transpose_map(labels_of([RationalMatrix.identity(3), c, c @ c])) == (0, 2, 1)
 
 
 def test_transpose_map_fig2(fig2):
-    classes = distance_structure(underlying_digraph(fig2)).classes
-    assert transpose_map(classes) == (0, 2, 1, 3)
+    dist = distance_structure(underlying_digraph(fig2)).dist
+    assert transpose_map(dist) == (0, 2, 1, 3)
 
 
 def test_transpose_map_reports_missing_transpose():
@@ -311,49 +290,27 @@ def test_transpose_map_reports_missing_transpose():
     single_arc = RationalMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     rest = RationalMatrix.ones(3) - eye - single_arc
     with pytest.raises(SchemeAxiomError) as excinfo:
-        transpose_map([eye, single_arc, rest])
+        transpose_map(labels_of([eye, single_arc, rest]))
     assert excinfo.value.axiom == "AS3"
 
 
 def test_vanishing_product_check_fig2(fig2):
     structure = distance_structure(underlying_digraph(fig2))
-    assert vanishing_product_check(fig2, structure)
+    assert vanishing_product_check(fig2, structure.dist)
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_vanishing_product_check_cycles(n):
     b = directed_cycle_matrix(n, scale=Fraction(3, 2))
     structure = distance_structure(underlying_digraph(b))
-    assert vanishing_product_check(b, structure)
+    assert vanishing_product_check(b, structure.dist)
 
 
 def test_vanishing_product_check_vacuous_small_diameter():
     b = Fraction(1, 4) * RationalMatrix.ones(4)
     structure = distance_structure(underlying_digraph(b))
     assert structure.diameter <= 2
-    assert vanishing_product_check(b, structure)
-
-
-def test_class_distance_constancy_accepted_certificates(fig2):
-    for b in (fig2, directed_cycle_matrix(5, scale=Fraction(3, 2))):
-        structure = distance_structure(underlying_digraph(b))
-        cert = detect_scheme(b)
-        assert class_distance_constancy(cert, structure)
-
-
-def test_class_distance_constancy_detects_mixed_partition():
-    c = directed_cycle_matrix(4)
-    structure = distance_structure(underlying_digraph(c))
-    mixed = SchemeCertificate(
-        accepted=True,
-        reason=None,
-        class_matrices=(
-            RationalMatrix.identity(4),
-            c + c @ c,  # mixes distances 1 and 2
-            c @ c @ c,
-        ),
-    )
-    assert not class_distance_constancy(mixed, structure)
+    assert vanishing_product_check(b, structure.dist)
 
 
 def test_accepted_certificates_pass_brute_force_axioms(fig2):
@@ -366,17 +323,18 @@ def test_accepted_certificates_pass_brute_force_axioms(fig2):
     for b in candidates:
         cert = detect_scheme(b)
         assert cert.accepted
-        assert verify_scheme_axioms(list(cert.class_matrices)) is None
+        assert verify_scheme_axioms(class_matrices(cert.labels)) is None
 
 
 def test_accepted_span_equals_power_span(fig2):
     cert = detect_scheme(fig2)
     basis = MatrixPowerBasis(fig2)
     # each class is a polynomial in B ...
-    for a in cert.class_matrices:
+    classes = class_matrices(cert.labels)
+    for a in classes:
         assert algebra_membership(a, basis, degree=cert.d) is not None
     # ... and each power lies in the span of the classes
-    class_vectors = [a.flatten() for a in cert.class_matrices]
+    class_vectors = [a.flatten() for a in classes]
     for k in range(cert.d + 1):
         assert solve_rational_system(class_vectors, basis.vector(k)) is not None
 
@@ -386,18 +344,20 @@ def test_accepted_span_equals_power_span(fig2):
 )
 def test_recombinations_of_scheme_classes_are_accepted(fig2, theta0, theta1):
     cert = detect_scheme(fig2)
-    recombined = theta0 * cert.class_matrices[0] + theta1 * cert.class_matrices[1]
+    classes = class_matrices(cert.labels)
+    recombined = theta0 * classes[0] + theta1 * classes[1]
     again = detect_scheme(recombined)
     assert again.accepted
-    assert again.class_matrices == cert.class_matrices
+    assert again.labels == cert.labels
 
 
 def test_recombinations_of_cyclic_classes_are_accepted():
     base = detect_scheme(directed_cycle_matrix(5))
-    recombined = Fraction(1, 2) * base.class_matrices[0] + Fraction(7, 3) * base.class_matrices[1]
+    classes = class_matrices(base.labels)
+    recombined = Fraction(1, 2) * classes[0] + Fraction(7, 3) * classes[1]
     cert = detect_scheme(recombined)
     assert cert.accepted
-    assert cert.class_matrices == base.class_matrices
+    assert cert.labels == base.labels
 
 
 def test_random_accepted_instances_pass_brute_force():
@@ -411,5 +371,5 @@ def test_random_accepted_instances_pass_brute_force():
         cert = detect_scheme(b)
         if cert.accepted:
             found += 1
-            assert verify_scheme_axioms(list(cert.class_matrices)) is None
+            assert verify_scheme_axioms(class_matrices(cert.labels)) is None
     assert found == 3
