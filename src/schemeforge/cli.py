@@ -5,10 +5,10 @@ rejection (failed hypotheses, rejected scheme), 2 for input errors (bad
 arguments, a malformed matrix, a file that cannot be read as UTF-8 text or
 written), 3 for an internal error (any other exception, reported as one stderr line
 "internal error: <Type>: <first line of message>", never a traceback) and
-for a numeric failure of the `spectrum` sidecar (its root iteration did not
-converge: the report with the residuals still goes to stdout, plus one
-stderr line), and 141 (128 + SIGPIPE) with nothing on stderr when stdout
-is closed before the report is written, as in `| head`. That split lets
+for a numeric failure of the `spectrum` sidecar (a root whose relative
+residual exceeds `--tol`: the report with the residuals still goes to
+stdout, plus one stderr line), and 141 (128 + SIGPIPE) with nothing on
+stderr when stdout is closed before the report is written, as in `| head`. That split lets
 shell pipelines tell "the matrix is not a scheme" apart from "the file is
 broken" and from a crash.
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -37,7 +38,7 @@ from .predistance import PredistanceHypothesisError, predistance_basis, verify_h
 from .scheme import detect_scheme
 from .spectral import (
     ASSERTION_TOL,
-    ITERATION_TOL,
+    RESIDUAL_TOL,
     RootConvergenceError,
     SpectrumDegeneracyError,
     idempotents,
@@ -63,6 +64,13 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _tolerance_value(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("tolerance must be a finite nonnegative number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schemeforge",
@@ -82,9 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     file_command("scheme", "decide whether the matrix generates a commutative association scheme")
     file_command("decompose", "split the matrix over its distinct positive entries")
     spectrum = file_command("spectrum", "numeric eigenvalues, idempotents, Perron report")
-    spectrum.add_argument("--tol", type=float, default=ITERATION_TOL, help="root iteration tolerance")
     spectrum.add_argument(
-        "--check-tol", type=float, default=ASSERTION_TOL, help="tolerance for invariant checks"
+        "--tol", type=_tolerance_value, default=RESIDUAL_TOL, help="bound on each root's relative residual"
+    )
+    spectrum.add_argument(
+        "--check-tol", type=_tolerance_value, default=ASSERTION_TOL, help="tolerance for invariant checks"
     )
     gen = sub.add_parser("gen", help="generate a random lambda-doubly stochastic matrix")
     gen.add_argument("order", type=int, help="matrix order n")
@@ -321,11 +331,11 @@ def _cmd_spectrum(args) -> int:
     except RootConvergenceError as exc:
         # a numeric failure of the sidecar, not a verdict on the matrix
         _emit(
-            {"spectrum": {"error": "no convergence", "residuals": list(exc.residuals)}},
+            {"spectrum": {"error": "residual above tol", "residuals": list(exc.residuals)}},
             args.json,
-            [f"root iteration failed to converge; residuals {list(exc.residuals)}"],
+            [f"root residual above --tol; residuals {list(exc.residuals)}"],
         )
-        print("error: spectrum root iteration did not converge", file=sys.stderr)
+        print("error: spectrum root residual above --tol", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
     section: dict = {
         "eigenvalues": [{"re": z.real, "im": z.imag} for z in spectrum.eigenvalues],
@@ -334,7 +344,6 @@ def _cmd_spectrum(args) -> int:
     lines = ["eigenvalues:"]
     for z, r in zip(spectrum.eigenvalues, spectrum.residuals):
         lines.append(f"  {z.real:+.12f} {z.imag:+.12f}i   |m| residual {r:.3e}")
-    product_residual = None
     if cls.hoffman_ready:
         report_perron = perron_check(b, spectrum, tol=args.check_tol, classification=cls)
         section["perron"] = {
@@ -352,12 +361,8 @@ def _cmd_spectrum(args) -> int:
             )
         )
         info = hoffman_polynomial(b, classification=cls, basis=basis, minimal=minimal)
-        # the roots of q are all eigenvalues but lambda; every eigenvalue may
-        # have modulus lambda, so rounding can sort another one ahead of it
-        lam = float(cls.lam)
-        others = list(spectrum.eigenvalues)
-        others.pop(min(range(len(others)), key=lambda i: abs(others[i] - lam)))
-        product_residual = hoffman_product_form_check(b, others, hoffman=info)
+        # lambda comes first, and the roots of q are all the other eigenvalues
+        product_residual = hoffman_product_form_check(b, spectrum.eigenvalues[1:], hoffman=info)
         section["hoffman_product_residual"] = product_residual
         lines.append(f"hoffman product-form residual: {product_residual:.3e}")
     try:

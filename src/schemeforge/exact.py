@@ -49,11 +49,6 @@ class Polynomial:
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.coeffs == other.coeffs
@@ -97,16 +92,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
-        return acc
-
-    def monic(self) -> "Polynomial":
-        lead = self.leading_coefficient()
-        return Polynomial([c / lead for c in self.coeffs])
 
     def divide_linear(self, root: Scalar) -> "Polynomial":
         """Exact synthetic division by (t - root).

@@ -193,12 +193,13 @@ def hoffman_product_form_check(
     n = b.order
     if sample_points is None:
         sample_points = [0.0, 0.25 * lam, 0.5 * lam, 0.75 * lam, lam, 1.25 * lam, -0.5 * lam]
+    h_coeffs = [float(c) for c in reversed(info.h.coeffs)]  # descending, as np.polyval takes them
     pi0 = 1.0 + 0.0j
     for r in roots:
         pi0 *= lam - r
     worst = 0.0
     for s in sample_points:
-        exact_side = info.h.eval_complex(s)
+        exact_side = np.polyval(h_coeffs, s)
         product = 1.0 + 0.0j
         for r in roots:
             product *= s - r

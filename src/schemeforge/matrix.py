@@ -18,14 +18,14 @@ the lcm of its denominators:
   denominator into p(B) as (den, ints), and `annihilated_by` decides
   p(B) = 0 on the same integer combination;
 - the trace inner product is one integer dot product of cleared
-  flattenings, and the polynomial form `inner` is an integer combination
-  of the entries of the basis's one Gram matrix G_ab = ints_a . ints_b.
+  flattenings, and the polynomial form is an integer combination of the
+  entries of the basis's one Gram matrix G_ab = ints_a . ints_b.
 
 Fraction matrices (`RationalMatrix`) are built when a file is parsed, for
-the two products of the normality check, and by `power`, `vector` and
-`evaluate` on request; the pipeline decides every other exact identity on
-the cleared integers, and the distance classes stay one integer label grid
-from the BFS to the report.
+the two products of the normality check, and by `evaluate` on request;
+the pipeline decides every other exact identity on the cleared integers,
+and the distance classes stay one integer label grid from the BFS to the
+report.
 Matrices are immutable; every operation returns a fresh value.
 """
 
@@ -250,15 +250,15 @@ class MatrixPowerBasis:
     power up to the
     working degree is needed anyway (the minimal polynomial reduces each one
     modulo a prime), so repeated squaring would not help.
-    Fraction matrices are built only on request (`power`, `vector`,
-    `evaluate`); `evaluate_cleared` and `annihilated_by` combine the
-    cleared integers directly.
+    Fraction matrices are built only on request (`evaluate`);
+    `evaluate_cleared` and `annihilated_by` combine the cleared integers
+    directly.
 
     The basis also holds the one integer Gram matrix of the trace form,
     G_ab = ints_a . ints_b, filled entry by entry on first use (`gram`).
-    `inner` reads it, and so does the predistance Gram-Schmidt, which works
-    on the weights of its polynomials and the images G w rather than on
-    polynomials of Fractions.
+    The predistance Gram-Schmidt reads it, working on the weights of its
+    polynomials and the images G w rather than on polynomials of
+    Fractions.
     """
 
     def __init__(self, base: RationalMatrix):
@@ -278,13 +278,6 @@ class MatrixPowerBasis:
             product = integer_product(ints, self._base_ints, n)
             powers.append(_lowest_terms(den * self._base_den, product))
         return powers[k]
-
-    def power(self, k: int) -> RationalMatrix:
-        return _from_cleared(*self.cleared(k), self.base.order)
-
-    def vector(self, k: int) -> Row:
-        den, ints = self.cleared(k)
-        return tuple(Fraction(v, den) for v in ints)
 
     def weights(self, p: Polynomial) -> tuple[int, list[tuple[int, int]]]:
         """(L, [(k, w_k)]) with p(B) = (sum_k w_k ints_k) / L, L = lcm(den(p_k) delta_k)."""
@@ -324,8 +317,8 @@ class MatrixPowerBasis:
     def gram(self, a: int, b: int) -> int:
         """G_ab = ints_a . ints_b, one integer dot product, computed once per basis.
 
-        <B^a, B^b> = G_ab / (delta_a delta_b n); `inner` and the predistance
-        Gram-Schmidt both read their form from these entries.
+        <B^a, B^b> = G_ab / (delta_a delta_b n); the predistance Gram-Schmidt
+        reads its form from these entries.
         """
         key = (a, b) if a <= b else (b, a)
         entry = self._gram.get(key)
@@ -333,34 +326,6 @@ class MatrixPowerBasis:
             a_ints, b_ints = self.cleared(a)[1], self.cleared(b)[1]
             entry = self._gram[key] = sum(map(mul, a_ints, b_ints))
         return entry
-
-    def inner(self, p: Polynomial, q: Polynomial) -> Fraction:
-        """<p, q> = (1/n) trace(p(B) q(B)^T) = sum_ab p_a q_b <B^a, B^b>.
-
-        With the weights of both polynomials this is sum_ab u_a v_b G_ab /
-        (L_p L_q n), over the cached Gram entries G_ab (`gram`).
-        """
-        p_den, p_weights = self.weights(p)
-        q_den, q_weights = self.weights(q)
-        total = sum(u * v * self.gram(a, b) for a, u in p_weights for b, v in q_weights)
-        return Fraction(total, p_den * q_den * self.base.order)
-
-
-def algebra_membership(
-    m: RationalMatrix, basis: MatrixPowerBasis, degree: Optional[int] = None
-) -> Optional[Polynomial]:
-    """Express M as a polynomial of degree <= `degree` in the basis matrix.
-
-    Solves the exact linear system over the vectorized powers; returns the
-    coefficient polynomial when consistent, None when M is outside the span.
-    """
-    if degree is None:
-        degree = len(basis._cleared_powers) - 1
-    columns = [basis.vector(k) for k in range(degree + 1)]
-    solution = solve_rational_system(columns, m.flatten())
-    if solution is None:
-        return None
-    return Polynomial(solution)
 
 
 # ---------------------------------------------------------------------------

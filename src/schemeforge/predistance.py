@@ -51,21 +51,6 @@ class PredistanceHypothesisError(ValueError):
         super().__init__(f"predistance basis undefined: {hypothesis}")
 
 
-def poly_inner(
-    p: Polynomial,
-    q: Polynomial,
-    b: RationalMatrix,
-    basis: Optional[MatrixPowerBasis] = None,
-) -> Fraction:
-    """Exact value of <p, q> = (1/n) trace(p(B) q(B)^T).
-
-    Real rational data throughout, so conjugation is the identity.
-    """
-    if basis is None:
-        basis = MatrixPowerBasis(b)
-    return basis.inner(p, q)
-
-
 class OrthogonalFamily(list):
     """q_0..q_d as `lambda_avoiding_gram_schmidt` returns them.
 

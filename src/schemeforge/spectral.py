@@ -1,14 +1,17 @@
 """Floating-point spectral sidecar.
 
-Numeric roots of the (exact) minimal polynomial via Durand-Kerner
-simultaneous iteration, Lagrange-interpolation primitive idempotents, and a
-Perron sanity report. Everything here is advisory: the exact pipeline never
+Numeric roots of the (exact) minimal polynomial as the eigenvalues of its
+companion matrix (`numpy.roots`, one LAPACK call), each refined by one
+Newton step; Lagrange-interpolation primitive idempotents; and a Perron
+sanity report. LAPACK returns the eigenvalues of a real matrix as exact
+conjugate pairs, and companion eigenvalues are backward stable (Edelman and
+Murakami, Math. Comp. 64, 1995), so no iteration, pairing pass or iteration
+cap is needed. Everything here is advisory: the exact pipeline never
 consumes these values for an accept/reject decision.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,16 +21,16 @@ from .exact import Polynomial
 from .matrix import RationalMatrix
 from .stochastic import MatrixClassification, classify
 
-ITERATION_TOL = 1e-12
+RESIDUAL_TOL = 1e-12
 ASSERTION_TOL = 1e-9
 
 
 class RootConvergenceError(RuntimeError):
-    """Durand-Kerner failed to converge; carries the best residuals seen."""
+    """A root's relative residual exceeds the bound; carries |m(z)| for every root."""
 
     def __init__(self, residuals: Sequence[float]):
         self.residuals = tuple(residuals)
-        super().__init__(f"root iteration did not converge; residuals {self.residuals}")
+        super().__init__(f"root residual above the bound; residuals {self.residuals}")
 
 
 class SpectrumDegeneracyError(RuntimeError):
@@ -42,84 +45,28 @@ class Spectrum:
     residuals: tuple[float, ...]
 
 
-def _conjugate_symmetrize(values: list[complex]) -> list[complex]:
-    """Pair roots with their conjugates and average out asymmetry.
+def roots(m: Polynomial, tol: float = RESIDUAL_TOL) -> Spectrum:
+    """All roots of m, sorted by descending real part, then by imaginary part.
 
-    Real coefficients force conjugate-closed root sets; the iteration only
-    delivers that up to rounding, so each root is matched to the nearest
-    conjugate (possibly itself, making it real) and the pair is replaced by
-    an exactly conjugate pair.
-    """
-    order = sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag))
-    remaining = list(order)
-    out: dict[int, complex] = {}
-    while remaining:
-        i = remaining.pop(0)
-        z = values[i]
-        best_j = i
-        best_gap = abs(z - z.conjugate())
-        for j in remaining:
-            gap = abs(z - values[j].conjugate())
-            if gap < best_gap:
-                best_gap = gap
-                best_j = j
-        if best_j == i:
-            out[i] = complex(z.real, 0.0)
-        else:
-            remaining.remove(best_j)
-            center = (z + values[best_j].conjugate()) / 2
-            out[i] = center
-            out[best_j] = center.conjugate()
-    return [out[i] for i in range(len(values))]
-
-
-def roots(m: Polynomial, tol: float = ITERATION_TOL, max_iter: int = 500) -> Spectrum:
-    """All roots of m by Durand-Kerner from a perturbed-circle start.
-
-    m should be squarefree (true for minimal polynomials of normal
-    matrices); repeated roots stall the quadratic convergence and will
-    usually trip RootConvergenceError instead of returning bad data.
+    The eigenvalues of the companion matrix of m, each moved by one Newton
+    step (skipped where m'(z) = 0). Raises RootConvergenceError when a root's
+    relative residual |m(z)| / sum_j |c_j| |z|^j exceeds tol. For a
+    nonnegative matrix with line sums lambda, lambda has the strictly
+    largest real part of any eigenvalue, so it comes first.
     """
     if m.degree < 1:
         raise ValueError("need a polynomial of degree at least 1")
-    coeffs = [float(c) for c in m.coeffs]
-    lead = coeffs[-1]
-    degree = m.degree
-    radius = 1.0 + max(abs(c / lead) for c in coeffs[:-1]) if degree else 1.0
-
-    def value(z: complex) -> complex:
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    z = [
-        radius * cmath.exp(2j * cmath.pi * (k / degree) + 0.4j) for k in range(degree)
-    ]
-    converged = False
-    for _ in range(max_iter):
-        shift = 0.0
-        for k in range(degree):
-            denom = lead
-            for j in range(degree):
-                if j != k:
-                    denom *= z[k] - z[j]
-            if denom == 0:
-                denom = 1e-30
-            delta = value(z[k]) / denom
-            z[k] -= delta
-            shift = max(shift, abs(delta))
-        if shift < tol:
-            converged = True
-            break
-    residuals = [abs(value(w)) for w in z]
-    if not converged:
-        raise RootConvergenceError(residuals)
-    z = _conjugate_symmetrize(z)
-    order = sorted(range(degree), key=lambda k: (-abs(z[k]), -z[k].real, z[k].imag))
-    z = [z[k] for k in order]
-    residuals = [abs(value(w)) for w in z]
-    return Spectrum(eigenvalues=tuple(z), residuals=tuple(residuals))
+    coeffs = np.array([float(c) for c in reversed(m.coeffs)])  # descending, as numpy takes them
+    z = np.roots(coeffs).astype(complex)
+    slope = np.polyval(np.polyder(coeffs), z)
+    step = slope != 0
+    z[step] -= np.polyval(coeffs, z[step]) / slope[step]
+    z = z[np.lexsort((z.imag, -z.real))]
+    residuals = np.abs(np.polyval(coeffs, z))
+    scale = np.polyval(np.abs(coeffs), np.abs(z))
+    if not np.all(residuals <= tol * scale):  # a NaN residual fails too
+        raise RootConvergenceError(residuals.tolist())
+    return Spectrum(eigenvalues=tuple(z.tolist()), residuals=tuple(residuals.tolist()))
 
 
 @dataclass(frozen=True)
@@ -202,18 +149,14 @@ def perron_check(
         raise ValueError("perron check needs a lambda-doubly stochastic matrix")
     lam = cls.lam
     values = spectrum.eigenvalues
+    perron = values[0]  # roots lists lambda first
     max_modulus = max(abs(v) for v in values)
-    gaps = [abs(v - complex(float(lam), 0.0)) for v in values]
-    nearest = min(range(len(values)), key=lambda i: gaps[i])
-    min_gap = min(
-        (abs(values[nearest] - v) for i, v in enumerate(values) if i != nearest),
-        default=float("inf"),
-    )
+    min_gap = min((abs(perron - v) for v in values[1:]), default=float("inf"))
     row_sums_ok = all(sum(row, start=0 * lam) == lam for row in b.rows)
     return PerronReport(
         lam=float(lam),
         max_modulus=max_modulus,
-        modulus_matches=abs(max_modulus - float(lam)) < tol and gaps[nearest] < tol,
+        modulus_matches=abs(max_modulus - float(lam)) < tol and abs(perron - float(lam)) < tol,
         perron_simple=min_gap > tol,
         min_gap_to_perron=min_gap,
         allones_eigenvector_exact=row_sums_ok,

@@ -5,6 +5,11 @@ Fractions: no power caches, no fraction-free solver, no pipeline
 intermediates, and every matrix product goes through naive_mat_mul rather
 than the library's kernel. Slow is fine; disagreement with the library is
 the signal.
+
+The last section is the exception: test conveniences that read a
+MatrixPowerBasis (its cleared powers, weights and Gram entries) as
+Fractions, plus the exact solver for membership in the span of the powers.
+The library itself never needs them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import itertools
 from fractions import Fraction
 
 from schemeforge.exact import Polynomial
-from schemeforge.matrix import RationalMatrix
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, solve_rational_system
 
 
 def charpoly_leverrier(b: RationalMatrix) -> Polynomial:
@@ -355,3 +360,50 @@ def distance_one_products(b: list[int], c: list[int]) -> list[list[int]]:
         if j < diameter:
             rows[j][j + 1] = cs[j + 1]
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Test conveniences on the library's power basis (not oracles).
+# ---------------------------------------------------------------------------
+
+
+def monic(p: Polynomial) -> Polynomial:
+    """p divided by its leading coefficient."""
+    return Polynomial([c / p.coeffs[-1] for c in p.coeffs])
+
+
+def basis_power(basis: MatrixPowerBasis, k: int) -> RationalMatrix:
+    """B^k as a Fraction matrix, from the cleared power (delta_k, ints_k)."""
+    return RationalMatrix(cleared_grid(*basis.cleared(k), basis.base.order))
+
+
+def basis_vector(basis: MatrixPowerBasis, k: int) -> tuple[Fraction, ...]:
+    """vec(B^k) as Fractions, from the cleared power (delta_k, ints_k)."""
+    den, ints = basis.cleared(k)
+    return tuple(Fraction(v, den) for v in ints)
+
+
+def poly_inner(
+    p: Polynomial, q: Polynomial, b: RationalMatrix, basis: MatrixPowerBasis | None = None
+) -> Fraction:
+    """<p, q> = (1/n) trace(p(B) q(B)^T) = sum_ab u_a v_b G_ab / (L_p L_q n).
+
+    u, v and L_p, L_q are the weights of p and q on the cleared powers, and
+    G_ab are the basis's cached Gram entries.
+    """
+    if basis is None:
+        basis = MatrixPowerBasis(b)
+    p_den, p_weights = basis.weights(p)
+    q_den, q_weights = basis.weights(q)
+    total = sum(u * v * basis.gram(a, c) for a, u in p_weights for c, v in q_weights)
+    return Fraction(total, p_den * q_den * b.order)
+
+
+def algebra_membership(m: RationalMatrix, basis: MatrixPowerBasis, degree: int) -> Polynomial | None:
+    """The polynomial p of degree <= `degree` with p(B) = M, or None when M is outside the span.
+
+    One exact solve over the vectorized powers vec(B^0), ..., vec(B^degree).
+    """
+    columns = [basis_vector(basis, k) for k in range(degree + 1)]
+    solution = solve_rational_system(columns, m.flatten())
+    return None if solution is None else Polynomial(solution)

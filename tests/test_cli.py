@@ -9,8 +9,10 @@ import pytest
 from conftest import FIXTURES
 
 from schemeforge.cli import run_command
+from schemeforge.hoffman import minimal_polynomial
 from schemeforge.io import MatrixParseError, parse_matrix, serialize_matrix
 from schemeforge.matrix import RationalMatrix
+from schemeforge.stochastic import classify, random_lambda_ds
 
 
 def test_parse_one_by_one():
@@ -206,6 +208,16 @@ def test_spectrum_tolerance_flags(capsys, fixtures_dir):
     assert len(report["spectrum"]["eigenvalues"]) == 6
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--check-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+def test_spectrum_rejects_invalid_tolerance(capsys, fixtures_dir, flag, value):
+    code = run_command(["spectrum", fixture_path(fixtures_dir, "fig2.mat"), f"{flag}={value}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must be a finite nonnegative number" in captured.err
+
+
 def test_spectrum_fig2_json(capsys, fixtures_dir):
     code = run_command(["spectrum", fixture_path(fixtures_dir, "fig2.mat"), "--json"])
     assert code == 0
@@ -392,15 +404,34 @@ def test_crash_is_internal_error_not_rejection(capsys, tmp_path):
 
 
 def test_spectrum_without_convergence_is_not_a_rejection(capsys, tmp_path):
-    # Durand-Kerner ends with residuals near 1e51 on this draw
     path = tmp_path / "g28.mat"
     assert run_command(["gen", "28", "2", "--seed", "1", "--out", str(path)]) == 0
-    assert run_command(["spectrum", str(path), "--json"]) == 3
+    assert run_command(["spectrum", str(path), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["spectrum"]["eigenvalues"]) == 28
+    # no float root meets this bound: a numeric failure of the sidecar, never a rejection
+    assert run_command(["spectrum", str(path), "--json", "--tol", "1e-300"]) == 3
     captured = capsys.readouterr()
     section = json.loads(captured.out)["spectrum"]
-    assert section["error"] == "no convergence"
-    assert len(section["residuals"]) == 28 and min(section["residuals"]) > 1
-    assert captured.err.splitlines() == ["error: spectrum root iteration did not converge"]
+    assert section["error"] == "residual above tol"
+    assert len(section["residuals"]) == 28
+    assert captured.err.splitlines() == ["error: spectrum root residual above --tol"]
+
+
+@pytest.mark.parametrize(
+    "order, terms, seed",
+    [(20, 2, 1), (20, 4, 1), (20, 5, 1), (24, 4, 3), (24, 5, 3), (28, 2, 1), (28, 2, 2), (28, 4, 1)],
+)
+def test_spectrum_of_random_draws(capsys, tmp_path, order, terms, seed):
+    path = tmp_path / "draw.mat"
+    assert run_command(["gen", str(order), str(terms), "--seed", str(seed), "--out", str(path)]) == 0
+    assert run_command(["spectrum", str(path), "--json"]) == 0
+    section = json.loads(capsys.readouterr().out)["spectrum"]
+    values = [complex(z["re"], z["im"]) for z in section["eigenvalues"]]
+    b = random_lambda_ds(order, terms, seed)
+    assert len(values) == minimal_polynomial(b).degree
+    assert sorted((z.real, z.imag) for z in values) == sorted((z.real, -z.imag) for z in values)
+    lam = float(classify(b).lam)
+    assert values[0].imag == 0 and abs(values[0].real - lam) < 1e-9 * lam
 
 
 def test_directory_as_input_is_input_error(capsys, tmp_path):

@@ -11,11 +11,18 @@ from schemeforge.hoffman import (
     hoffman_product_form_check,
     minimal_polynomial,
 )
-from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, algebra_membership
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.stochastic import classify, random_lambda_ds
 
 from conftest import load_fixture
-from oracles import charpoly_leverrier, divides, naive_poly_at, oracle_minimal_polynomial
+from oracles import (
+    algebra_membership,
+    basis_vector,
+    charpoly_leverrier,
+    divides,
+    naive_poly_at,
+    oracle_minimal_polynomial,
+)
 
 WORD_PRIME = 2**31 - 1  # the first prime the modular elimination tries
 
@@ -60,8 +67,8 @@ def test_minimal_polynomial_is_minimal(fig2):
     for k in range(1, m.degree):
         from schemeforge.matrix import solve_rational_system
 
-        columns = [basis.vector(j) for j in range(k)]
-        assert solve_rational_system(columns, basis.vector(k)) is None
+        columns = [basis_vector(basis, j) for j in range(k)]
+        assert solve_rational_system(columns, basis_vector(basis, k)) is None
 
 
 def test_hoffman_fig1_matches_reference_values(fig1):

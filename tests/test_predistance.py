@@ -11,7 +11,6 @@ from schemeforge.predistance import (
     PredistanceHypothesisError,
     _assert_invariants,
     lambda_avoiding_gram_schmidt,
-    poly_inner,
     predistance_basis,
     verify_hoffman_sum,
 )
@@ -23,6 +22,7 @@ from oracles import (
     oracle_gram_schmidt,
     oracle_minimal_polynomial,
     oracle_predistance,
+    poly_inner,
     trace_form_inner,
 )
 

@@ -5,12 +5,7 @@ import pytest
 
 from schemeforge.digraph import distance_structure, underlying_digraph
 from schemeforge.exact import Polynomial
-from schemeforge.matrix import (
-    MatrixPowerBasis,
-    RationalMatrix,
-    algebra_membership,
-    solve_rational_system,
-)
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, solve_rational_system
 from schemeforge.scheme import (
     RejectionCode,
     SchemeAxiomError,
@@ -22,6 +17,8 @@ from schemeforge.stochastic import random_lambda_ds, classify
 
 from conftest import load_fixture
 from oracles import (
+    algebra_membership,
+    basis_vector,
     class_matrices,
     distance_one_products,
     hamming_adjacency,
@@ -336,7 +333,7 @@ def test_accepted_span_equals_power_span(fig2):
     # ... and each power lies in the span of the classes
     class_vectors = [a.flatten() for a in classes]
     for k in range(cert.d + 1):
-        assert solve_rational_system(class_vectors, basis.vector(k)) is not None
+        assert solve_rational_system(class_vectors, basis_vector(basis, k)) is not None
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import minimal_polynomial
-from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, algebra_membership
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.spectral import (
     RootConvergenceError,
     Spectrum,
@@ -15,6 +15,9 @@ from schemeforge.spectral import (
     perron_check,
     roots,
 )
+from schemeforge.stochastic import random_lambda_ds
+
+from oracles import algebra_membership
 
 
 def directed_cycle_matrix(n, scale=1):
@@ -77,9 +80,10 @@ def test_roots_requires_degree():
 
 
 def test_roots_non_convergence_carries_residuals():
+    m = minimal_polynomial(random_lambda_ds(28, 2, seed=1)).poly
     with pytest.raises(RootConvergenceError) as excinfo:
-        roots(Polynomial([-1] + [0] * 7 + [1]), max_iter=1)
-    assert len(excinfo.value.residuals) == 8
+        roots(m, tol=1e-300)
+    assert len(excinfo.value.residuals) == m.degree
 
 
 def test_idempotents_of_scaled_allones():
