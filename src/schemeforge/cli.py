@@ -262,7 +262,7 @@ def _scheme_report(b: RationalMatrix, cls: MatrixClassification, certificate) ->
             else None
         ),
         "intersection_numbers": (
-            [[[int(v) for v in row] for row in plane] for plane in certificate.intersection_tensor]
+            [[list(row) for row in plane] for plane in certificate.intersection_tensor]
             if certificate.intersection_tensor
             else None
         ),
@@ -294,7 +294,7 @@ def _cmd_scheme(args) -> int:
             lines.append("intersection numbers (A_i A_j = sum_h p[h] A_h):")
             for i, plane in enumerate(certificate.intersection_tensor):
                 for j, row in enumerate(plane):
-                    lines.append(f"  ({i},{j}): {[int(v) for v in row]}")
+                    lines.append(f"  ({i},{j}): {list(row)}")
         _emit(report, args.json, lines)
     return EXIT_OK if certificate.accepted else EXIT_REJECTED
 

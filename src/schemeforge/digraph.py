@@ -32,8 +32,8 @@ class Digraph:
     """Vertex set 0..n-1 with integer arc multiplicities.
 
     Digraphs derived from a matrix's nonzero pattern are always 0/1 (loops
-    allowed); multiplicities > 1 are accepted, so the powers of
-    adjacency_matrix() also count walks in multigraphs.
+    allowed); multiplicities > 1 are accepted, so the powers of the
+    adjacency grid also count walks in multigraphs.
     """
 
     __slots__ = ("order", "adjacency", "arc_count")
@@ -58,17 +58,17 @@ class Digraph:
     def successors(self, x: int) -> list[int]:
         return [y for y, v in enumerate(self.adjacency[x]) if v]
 
-    def adjacency_matrix(self) -> RationalMatrix:
-        return RationalMatrix(self.adjacency)
-
 
 def underlying_digraph(b: RationalMatrix) -> Digraph:
-    """0/1 digraph with an arc (x, y) exactly where the entry (x, y) > 0."""
-    for x, row in enumerate(b.rows):
-        for y, v in enumerate(row):
-            if v < 0:
-                raise NegativeEntryError((x, y))
-    return Digraph([[1 if v > 0 else 0 for v in row] for row in b.rows])
+    """0/1 digraph with an arc (x, y) exactly where the entry (x, y) > 0.
+
+    The signs are read off b.ints, since b.den > 0.
+    """
+    n, ints = b.order, b.ints
+    for k, v in enumerate(ints):
+        if v < 0:
+            raise NegativeEntryError(divmod(k, n))
+    return Digraph([[1 if v > 0 else 0 for v in ints[i : i + n]] for i in range(0, n * n, n)])
 
 
 def is_strongly_connected(g: Digraph) -> bool:

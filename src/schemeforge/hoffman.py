@@ -1,16 +1,16 @@
 """Exact minimal polynomials and Hoffman polynomials.
 
 The minimal polynomial is found modulo a word-size prime and certified
-exactly. The cleared powers ints_k = delta_k vec(B^k) of the power basis are
-reduced modulo p and eliminated incrementally as int64 vectors; the first
-dependent power gives a candidate degree k and k pivot coordinates. One
-exact k x k solve on those coordinates gives the coefficients, and the
-candidate is accepted only after m(B) = 0 is checked on all n^2 cleared
-integers; otherwise the next prime is tried. No verdict depends on the
-choice of prime. For a lambda-doubly stochastic irreducible B with
+exactly. Each power B^k = ints_k / delta_k of the power basis is reduced
+modulo p on its integers and eliminated incrementally as an int64 vector;
+the first dependent power gives a candidate degree k and k pivot
+coordinates. One exact k x k solve on those coordinates gives the
+coefficients, and the candidate is accepted only after m(B) = 0 is checked
+on all n^2 integers; otherwise the next prime is tried. No verdict depends
+on the choice of prime. For a lambda-doubly stochastic irreducible B with
 lambda != 0, the Hoffman polynomial h is the unique minimal-degree
-polynomial with h(B) = J; it is always verified against J, on the cleared
-integers of h(B), before being returned.
+polynomial with h(B) = J; it is always verified against J, as the matrix
+equality h(B) == J, before being returned.
 """
 
 from __future__ import annotations
@@ -87,15 +87,16 @@ def _krylov_pivots(basis: MatrixPowerBasis, p: int) -> list[int]:
     """Pivot coordinates of I, B, ..., B^(k-1), where B^k is the first power
     that depends on the lower ones modulo p.
 
-    Each ints_k is reduced mod p (on Python ints, so entries of any size
-    work) and then against the rows kept so far, in insertion order. A kept
-    row is normalized to 1 at its pivot and is zero at the pivots of all
-    earlier rows, so a vector in their span reduces to exactly zero. All
-    residues are below p < 2^31, so every product fits in int64.
+    Each ints_k = basis.power(k).ints is reduced mod p (on Python ints, so
+    entries of any size work) and then against the rows kept so far, in
+    insertion order. A kept row is normalized to 1 at its pivot and is zero
+    at the pivots of all earlier rows, so a vector in their span reduces to
+    exactly zero. All residues are below p < 2^31, so every product fits in
+    int64.
     """
     kept: list[tuple[int, np.ndarray]] = []  # (pivot, row)
     for k in count():
-        vector = np.array([v % p for v in basis.cleared(k)[1]], dtype=np.int64)
+        vector = np.array([v % p for v in basis.power(k).ints], dtype=np.int64)
         for pivot, row in kept:
             a = vector[pivot]
             if a:
@@ -117,11 +118,11 @@ def _candidate(basis: MatrixPowerBasis, p: int) -> Polynomial:
     """
     pivots = _krylov_pivots(basis, p)
     k = len(pivots)
-    delta_k, ints_k = basis.cleared(k)
-    columns = [[basis.cleared(j)[1][r] for r in pivots] for j in range(k)]
-    solution = solve_rational_system(columns, [ints_k[r] for r in pivots])
+    powers = [basis.power(j) for j in range(k + 1)]
+    columns = [[power.ints[r] for r in pivots] for power in powers[:k]]
+    solution = solve_rational_system(columns, [powers[k].ints[r] for r in pivots])
     return Polynomial(
-        [-y * Fraction(basis.cleared(j)[0], delta_k) for j, y in enumerate(solution)] + [1]
+        [-y * Fraction(powers[j].den, powers[k].den) for j, y in enumerate(solution)] + [1]
     )
 
 
@@ -170,7 +171,7 @@ def hoffman_polynomial(
         # impossible for a valid input: lambda is a simple eigenvalue
         raise ArithmeticError("internal invariant violated: q(lambda) = 0")
     h = Fraction(b.order, 1) / q_at_lam * q
-    if basis.evaluate_cleared(h) != (1, [1] * (b.order * b.order)):
+    if basis.evaluate(h) != RationalMatrix.ones(b.order):
         raise ArithmeticError("internal invariant violated: h(B) != J")
     return HoffmanPolynomial(h=h, q=q, lam=cls.lam)
 

@@ -2,12 +2,14 @@
 
 File format: '#' comment lines anywhere, then the order n on its own line,
 then n rows of n whitespace-separated tokens. Tokens are integers ("2"),
-fractions ("1/3"), or decimals ("0.25"); decimals convert exactly, never
-through a float.
+fractions ("1/3"), or decimals ("0.25", "1e-3"); decimals convert exactly,
+never through a float. A decimal exponent above MAX_EXPONENT in absolute
+value is an input error: 1e1000000 alone is a 3.3-million-bit integer.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .matrix import RationalMatrix
@@ -20,6 +22,19 @@ class MatrixParseError(ValueError):
         self.line = line
         self.column = column
         super().__init__(f"line {line}, entry {column}: {message}")
+
+
+MAX_EXPONENT = 10_000
+# the exponent of a decimal token, written as Fraction reads it: sign, digits, underscores
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+
+
+def _exponent_too_large(token: str) -> bool:
+    match = _EXPONENT.search(token)
+    if match is None:
+        return False
+    digits = match.group(1).replace("_", "").lstrip("0")
+    return len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT
 
 
 def _shown(token: str) -> str:
@@ -58,6 +73,10 @@ def parse_matrix(text: str) -> RationalMatrix:
             raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", lineno, len(tokens))
         row: list[Fraction] = []
         for col, token in enumerate(tokens, start=1):
+            if _exponent_too_large(token):
+                raise MatrixParseError(
+                    f"exponent of {_shown(token)} exceeds {MAX_EXPONENT} in absolute value", lineno, col
+                )
             try:
                 row.append(Fraction(token))
             except (ValueError, ZeroDivisionError):

@@ -8,16 +8,16 @@ p_i = (q_i(lambda) / |q_i|^2) q_i, yields the predistance family: orthogonal,
 deg p_i = i, |p_i|^2 = p_i(lambda) > 0, and sum_i p_i(B) = J.
 
 The form comes from one integer Gram matrix G_ab = ints_a . ints_b of the
-cleared powers, kept in the power basis (MatrixPowerBasis.gram). The
-Gram-Schmidt pass runs on it in coefficient space, on integer weight
-vectors, and hands its norms |q_i|^2 on to the normalization, so no inner
-product is taken twice. Each p_i is evaluated at B once and kept as cleared
-integers (den, ints); no Fraction matrix is built. The invariant check
-re-verifies the family on those evaluations, independently of the Gram
-entries: the norm of p_i as E_i . E_i, and <p_j, p_i> = 0 from the dot
-products of the cleared powers with E_i. sum_i p_i(B) = J is decided as one
-evaluation of sum_i p_i, whose coefficients are those of the Hoffman
-polynomial.
+powers B^k = ints_k / delta_k, kept in the power basis
+(MatrixPowerBasis.gram). The Gram-Schmidt pass runs on it in coefficient
+space, on integer weight vectors, and hands its norms |q_i|^2 on to the
+normalization, so no inner product is taken twice. Each p_i is evaluated
+at B once, as a `RationalMatrix` E_i. The invariant check re-verifies the
+family on those evaluations, independently of the Gram entries: the norm of
+p_i as the trace inner product of E_i with itself, and <p_j, p_i> = 0 from
+the dot products of the powers' integers with those of E_i. sum_i p_i(B) =
+J is decided as one evaluation of sum_i p_i, whose coefficients are those
+of the Hoffman polynomial.
 
 The normalization map above is the rational-arithmetic equivalent of scaling
 the unit-norm polynomial r_i by r_i(lambda); it never materializes a square
@@ -39,7 +39,7 @@ from .hoffman import (
     hoffman_polynomial,
     minimal_polynomial,
 )
-from .matrix import MatrixPowerBasis, RationalMatrix, cleared_trace_inner
+from .matrix import MatrixPowerBasis, RationalMatrix, trace_inner_product
 from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
 
 
@@ -88,7 +88,7 @@ def lambda_avoiding_gram_schmidt(
     lambda^j != 0 at lambda.
 
     The pass runs in coefficient space on the integer Gram matrix G_ab =
-    ints_a . ints_b of the cleared powers (`MatrixPowerBasis.gram`). Each
+    ints_a . ints_b of the powers (`MatrixPowerBasis.gram`). Each
     q_l is kept as q_l(B) = s_l sum_k w_lk ints_k, with w_l a primitive
     integer vector, and its image G w_l is taken once. With N_l = w_l . G
     w_l the projection coefficient <q_l, t^j> / |q_l|^2 times q_l(B) is
@@ -102,7 +102,7 @@ def lambda_avoiding_gram_schmidt(
         raise PredistanceHypothesisError("lambda is zero")
     if basis is None:
         basis = MatrixPowerBasis(b)
-    deltas = [basis.cleared(k)[0] for k in range(d + 1)]
+    deltas = [basis.power(k).den for k in range(d + 1)]
     gram = [[basis.gram(a, c) for c in range(d + 1)] for a in range(d + 1)]
     weights: list[list[int]] = []
     images: list[list[int]] = []
@@ -148,14 +148,14 @@ def lambda_avoiding_gram_schmidt(
 class PredistanceBasis:
     """The family p_0..p_d with cached norms and evaluations at B.
 
-    evaluations[i] is p_i(B) cleared: (den, ints) with vec(p_i(B)) = ints /
-    den in lowest terms, as MatrixPowerBasis.evaluate_cleared returns it.
+    evaluations[i] is the matrix p_i(B), as MatrixPowerBasis.evaluate
+    returns it.
     """
 
     polys: tuple[Polynomial, ...]
     lam: Fraction
     norms_sq: tuple[Fraction, ...]
-    evaluations: tuple[tuple[int, list[int]], ...]
+    evaluations: tuple[RationalMatrix, ...]
 
     @property
     def d(self) -> int:
@@ -191,7 +191,7 @@ def predistance_basis(
         polys=polys,
         lam=cls.lam,
         norms_sq=tuple(s * s * norm_sq for s, norm_sq in zip(scales, orthogonal.norms_sq)),
-        evaluations=tuple(basis.evaluate_cleared(p) for p in polys),
+        evaluations=tuple(basis.evaluate(p) for p in polys),
     )
     _assert_invariants(result, b, basis)
     return result
@@ -202,9 +202,9 @@ def _assert_invariants(
 ) -> None:
     """Re-verify the family on its evaluations E_i = p_i(B), not on the Gram entries.
 
-    The cached norm of p_i is checked as E_i . E_i. For j < i, <p_j, p_i> is
-    sum_k w_jk X_ki over a nonzero denominator, with w_j the weights of p_j
-    on the cleared powers and X_ki = ints_k . E_i, so each pair costs one
+    The cached norm of p_i is checked as <E_i, E_i>. For j < i, <p_j, p_i>
+    is sum_k w_jk X_ki over a nonzero denominator, with w_j the weights of
+    p_j on the powers and X_ki = ints_k . E_i.ints, so each pair costs one
     short integer sum. sum_i p_i(B) = J is one evaluation of sum_i p_i.
     """
     if basis is None:
@@ -219,15 +219,15 @@ def _assert_invariants(
         value = p(lam)
         if value <= 0 or value != norm_sq:
             raise ArithmeticError(f"internal invariant violated: |p_{i}|^2 != p_{i}(lambda) > 0")
-        if cleared_trace_inner(evaluations[i], evaluations[i], b.order) != norm_sq:
+        if trace_inner_product(evaluations[i], evaluations[i]) != norm_sq:
             raise ArithmeticError(f"internal invariant violated: cached norm of p_{i}")
-        e_ints = evaluations[i][1]
-        products = [sum(map(mul, basis.cleared(k)[1], e_ints)) for k in range(i)]
+        e_ints = evaluations[i].ints
+        products = [sum(map(mul, basis.power(k).ints, e_ints)) for k in range(i)]
         for j in range(i):
             if sum(w * products[k] for k, w in weights[j]):
                 raise ArithmeticError(f"internal invariant violated: <p_{j}, p_{i}> != 0")
         weights.append(basis.weights(p)[1])
-    if basis.evaluate_cleared(sum(polys, Polynomial())) != (1, [1] * (b.order * b.order)):
+    if basis.evaluate(sum(polys, Polynomial())) != RationalMatrix.ones(b.order):
         raise ArithmeticError("internal invariant violated: sum of p_i(B) != J")
 
 

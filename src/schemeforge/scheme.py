@@ -4,12 +4,12 @@ detect_scheme runs the full decision pipeline: classification gates, the
 distance structure of the underlying digraph, the eigenvalue-count vs
 diameter comparison, the predistance basis, and the single matrix equality
 A_D = p_D(B) that settles whether the distance-D matrix is a polynomial in
-B, decided on the cleared evaluation (den, ints) as ints = den * A_D. The
-classes are never built as matrices: the BFS distance grid is their label
-grid, with A_i the level set {(x, y) : dist[x][y] = i}, and the axiom
-kernels read it directly. An accepted certificate carries that grid, the
-intersection tensor, and the transpose permutation; a rejection carries a
-typed reason.
+B, decided on the integers of the evaluation p_D(B) = ints / den as ints =
+den * A_D. The classes are never built as matrices: the BFS distance grid
+is their label grid, with A_i the level set {(x, y) : dist[x][y] = i}, and
+the axiom kernels read it directly. An accepted certificate carries that
+grid, the integer intersection tensor, and the transpose permutation; a
+rejection carries a typed reason.
 
 Rejection is a value, never an exception. The AXIOM_FAILURE reason exists
 only as a self-check trap: when the acceptance hypotheses hold it is
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .digraph import distance_structure, underlying_digraph
@@ -32,7 +31,7 @@ from .stochastic import MatrixClassification, RejectionCode, classify
 
 logger = logging.getLogger(__name__)
 
-IntersectionTensor = tuple[tuple[tuple[Fraction, ...], ...], ...]
+IntersectionTensor = tuple[tuple[tuple[int, ...], ...], ...]
 LabelGrid = Sequence[Sequence[int]]
 
 
@@ -119,7 +118,7 @@ def intersection_numbers(labels: LabelGrid) -> IntersectionTensor:
                 ij = next(k for k, (u, v) in enumerate(zip(here, counts[h])) if u != v)
                 raise SchemeAxiomError("AS4", (*divmod(ij, r), h, x, y))
     return tuple(
-        tuple(tuple(Fraction(counts[h][i * r + j]) for h in range(r)) for j in range(r))
+        tuple(tuple(counts[h][i * r + j] for h in range(r)) for j in range(r))
         for i in range(r)
     )
 
@@ -177,9 +176,9 @@ def detect_scheme(
     family = predistance_basis(b, classification=cls, basis=basis, minimal=minimal)
 
     def is_class(i: int) -> bool:
-        """A_i = p_i(B), decided as ints == den * A_i on the cleared evaluation."""
-        den, ints = family.evaluations[i]
-        return ints == [den if v == i else 0 for row in structure.dist for v in row]
+        """A_i = p_i(B), decided as ints == den * A_i on the evaluation p_i(B)."""
+        e = family.evaluations[i]
+        return e.ints == tuple(e.den if v == i else 0 for row in structure.dist for v in row)
 
     if not is_class(d):
         return rejected(RejectionCode.AD_NOT_POLYNOMIAL, d=d, diameter=structure.diameter)
@@ -216,10 +215,7 @@ def detect_scheme(
     for i in range(d + 1):
         for j in range(d + 1):
             for h in range(d + 1):
-                value = tensor[i][j][h]
-                if value.denominator != 1 or value < 0:
-                    return axiom_failure("AS4", (i, j, h))
-                if value != tensor[j][i][h]:
+                if tensor[i][j][h] != tensor[j][i][h]:
                     return axiom_failure("AS5", (i, j, h))
 
     return SchemeCertificate(

@@ -3,9 +3,9 @@ distinct-entry decomposition.
 
 classify() reports the four exact flags the rest of the pipeline gates on:
 nonnegativity, a common line sum (lambda-double stochasticity), normality,
-and irreducibility. Signs and line sums are decided on the matrix cleared
-of its denominators; normality compares two matrix products. It never
-fails; bad inputs just classify negatively.
+and irreducibility. All four are read off the integers of B = M / delta:
+signs and line sums off M, normality as B B^T = B^T B, two integer
+products. It never fails; bad inputs just classify negatively.
 MatrixClassification.failed_hypothesis() is the one gate on those flags, in
 the theorem's order; HYPOTHESIS_MESSAGES words each failure.
 """
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .digraph import Digraph, is_strongly_connected
-from .matrix import RationalMatrix, clear_denominators
+from .matrix import RationalMatrix
 
 
 class RejectionCode(enum.Enum):
@@ -85,12 +85,10 @@ class MatrixClassification:
 def classify(b: RationalMatrix) -> MatrixClassification:
     """The four flags; signs and line sums are decided on M = delta B.
 
-    delta is the lcm of B's denominators, so the line sums are integer sums
-    (lambda = row sum / delta). Normality compares the two products B B^T
-    and B^T B.
+    delta = b.den, so the line sums are integer sums (lambda = row sum /
+    delta). Normality compares the two products B B^T and B^T B.
     """
-    n = b.order
-    den, ints = clear_denominators(b.flatten())
+    n, den, ints = b.order, b.den, b.ints
     rows = [ints[i : i + n] for i in range(0, n * n, n)]
     nonnegative = all(v >= 0 for v in ints)
     row_sums = [sum(row) for row in rows]
@@ -117,12 +115,6 @@ class EntryDecomposition:
 
     coefficients: tuple[Fraction, ...]
     indicators: tuple[RationalMatrix, ...]
-
-    def reconstruct(self, order: int) -> RationalMatrix:
-        acc = RationalMatrix.zeros(order)
-        for c, f in zip(self.coefficients, self.indicators):
-            acc = acc + c * f
-        return acc
 
 
 def entry_decomposition(b: RationalMatrix) -> EntryDecomposition:

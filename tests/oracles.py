@@ -6,8 +6,11 @@ intermediates, and every matrix product goes through naive_mat_mul rather
 than the library's kernel. Slow is fine; disagreement with the library is
 the signal.
 
-The last section is the exception: test conveniences that read a
-MatrixPowerBasis (its cleared powers, weights and Gram entries) as
+Two sections are not oracles. Matrix arithmetic on Fraction grids builds
+test inputs: it reads every RationalMatrix through `.rows` and builds its
+results with the RationalMatrix constructor, never from the library's
+integer encoding or its product. The last section holds test conveniences
+that read a MatrixPowerBasis (its powers, weights and Gram entries) as
 Fractions, plus the exact solver for membership in the span of the powers.
 The library itself never needs them.
 """
@@ -142,11 +145,6 @@ def vanishing_product_check(b: RationalMatrix, dist) -> bool:
                 if dist[x][y] < threshold and product[x][y] != 0:
                     return False
     return True
-
-
-def cleared_grid(den: int, ints: list[int], n: int) -> list[list[Fraction]]:
-    """The n x n grid whose row-major flattening is ints / den."""
-    return [[Fraction(v, den) for v in ints[i : i + n]] for i in range(0, n * n, n)]
 
 
 def oracle_classification(grid: list[list[Fraction]]) -> tuple[bool, Fraction | None, bool]:
@@ -363,6 +361,58 @@ def distance_one_products(b: list[int], c: list[int]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Matrix arithmetic on Fraction grids, for building test inputs (not oracles).
+# ---------------------------------------------------------------------------
+
+
+def identity(n: int) -> RationalMatrix:
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def zeros(n: int) -> RationalMatrix:
+    return RationalMatrix([[0] * n for _ in range(n)])
+
+
+def add(*terms: RationalMatrix) -> RationalMatrix:
+    """The sum of matrices of one order."""
+    assert len({m.order for m in terms}) == 1, "order mismatch"
+    return RationalMatrix([list(map(sum, zip(*rows))) for rows in zip(*(m.rows for m in terms))])
+
+
+def sub(a: RationalMatrix, *terms: RationalMatrix) -> RationalMatrix:
+    """A minus each of the other matrices."""
+    return add(a, *(scaled(-1, m) for m in terms))
+
+
+def scaled(c, a: RationalMatrix) -> RationalMatrix:
+    """c * A for a scalar c."""
+    c = Fraction(c)
+    return RationalMatrix([[c * v for v in row] for row in a.rows])
+
+
+def is_zero(a: RationalMatrix) -> bool:
+    return not any(flat(a))
+
+
+def flat(a: RationalMatrix) -> tuple[Fraction, ...]:
+    """vec(A), row-major, as Fractions."""
+    return tuple(v for row in a.rows for v in row)
+
+
+def reconstruct(decomposition, order: int) -> RationalMatrix:
+    """sum_i coefficients[i] * indicators[i] of an EntryDecomposition."""
+    acc = zeros(order)
+    for c, f in zip(decomposition.coefficients, decomposition.indicators):
+        acc = add(acc, scaled(c, f))
+    return acc
+
+
+def adjacency_matrix(g) -> RationalMatrix:
+    """The arc multiplicities of a Digraph as a matrix."""
+    return RationalMatrix(g.adjacency)
+
+
+# ---------------------------------------------------------------------------
 # Test conveniences on the library's power basis (not oracles).
 # ---------------------------------------------------------------------------
 
@@ -372,23 +422,12 @@ def monic(p: Polynomial) -> Polynomial:
     return Polynomial([c / p.coeffs[-1] for c in p.coeffs])
 
 
-def basis_power(basis: MatrixPowerBasis, k: int) -> RationalMatrix:
-    """B^k as a Fraction matrix, from the cleared power (delta_k, ints_k)."""
-    return RationalMatrix(cleared_grid(*basis.cleared(k), basis.base.order))
-
-
-def basis_vector(basis: MatrixPowerBasis, k: int) -> tuple[Fraction, ...]:
-    """vec(B^k) as Fractions, from the cleared power (delta_k, ints_k)."""
-    den, ints = basis.cleared(k)
-    return tuple(Fraction(v, den) for v in ints)
-
-
 def poly_inner(
     p: Polynomial, q: Polynomial, b: RationalMatrix, basis: MatrixPowerBasis | None = None
 ) -> Fraction:
     """<p, q> = (1/n) trace(p(B) q(B)^T) = sum_ab u_a v_b G_ab / (L_p L_q n).
 
-    u, v and L_p, L_q are the weights of p and q on the cleared powers, and
+    u, v and L_p, L_q are the weights of p and q on the powers, and
     G_ab are the basis's cached Gram entries.
     """
     if basis is None:
@@ -404,6 +443,6 @@ def algebra_membership(m: RationalMatrix, basis: MatrixPowerBasis, degree: int) 
 
     One exact solve over the vectorized powers vec(B^0), ..., vec(B^degree).
     """
-    columns = [basis_vector(basis, k) for k in range(degree + 1)]
-    solution = solve_rational_system(columns, m.flatten())
+    columns = [flat(basis.power(k)) for k in range(degree + 1)]
+    solution = solve_rational_system(columns, flat(m))
     return None if solution is None else Polynomial(solution)

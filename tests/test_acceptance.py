@@ -27,16 +27,17 @@ from schemeforge.stochastic import classify, random_lambda_ds
 
 from conftest import FIXTURES, load_fixture
 from oracles import (
+    add,
+    adjacency_matrix,
     algebra_membership,
-    basis_power,
     charpoly_leverrier,
     class_matrices,
-    cleared_grid,
     count_walks_dfs,
     divides,
     naive_poly_at,
     poly_inner,
     vanishing_product_check,
+    zeros,
 )
 
 
@@ -106,11 +107,10 @@ def test_criterion_2_fig2_pipeline(capsys):
         )
         assert hoffman_polynomial(fig2).h == Polynomial([-2, 8, -16, 16])
         grid = [list(row) for row in fig2.rows]
-        total = RationalMatrix.zeros(6)
-        for p, (den, ints) in zip(family.polys, family.evaluations):
-            mat = cleared_grid(den, ints, 6)
-            assert mat == naive_poly_at(p, grid)
-            total = total + RationalMatrix(mat)
+        total = zeros(6)
+        for p, value in zip(family.polys, family.evaluations):
+            assert [list(row) for row in value.rows] == naive_poly_at(p, grid)
+            total = add(total, value)
         assert total == RationalMatrix.ones(6)
         code = run_command(["scheme", str(FIXTURES / "fig2.mat"), "--json"])
         elapsed = time.monotonic() - started
@@ -155,10 +155,10 @@ def test_criterion_3_property_suite():
                     assert poly_inner(info.h, p, b, basis) == family.norms_sq[i]
                     for j in range(i):
                         assert poly_inner(family.polys[j], p, b, basis) == 0
-                total = RationalMatrix.zeros(n)
-                for p, (den, ints) in zip(family.polys, family.evaluations):
-                    assert (den, ints) == basis.evaluate_cleared(p)
-                    total = total + RationalMatrix(cleared_grid(den, ints, n))
+                total = zeros(n)
+                for p, value in zip(family.polys, family.evaluations):
+                    assert value == basis.evaluate(p)
+                    total = add(total, value)
                 assert total == RationalMatrix.ones(n)
         assert normal_seen > 0
 
@@ -177,9 +177,9 @@ def test_criterion_4_oracle_equivalence():
             adjacency = [[rng.randint(0, 1) for _ in range(5)] for _ in range(5)]
             from schemeforge.digraph import Digraph
 
-            basis = MatrixPowerBasis(Digraph(adjacency).adjacency_matrix())
+            basis = MatrixPowerBasis(adjacency_matrix(Digraph(adjacency)))
             for length in (1, 2, 3, 4):
-                counted = basis_power(basis, length)
+                counted = basis.power(length)
                 for x in range(5):
                     for y in range(5):
                         assert counted[x][y] == count_walks_dfs(adjacency, x, y, length)
@@ -221,9 +221,7 @@ def test_criterion_4_oracle_equivalence():
                 continue
             family = predistance_basis(b, classification=cls, basis=basis, minimal=minimal)
             distance_d = class_matrices(structure.dist)[d]
-            single_equality = distance_d == RationalMatrix(
-                cleared_grid(*family.evaluations[d], b.order)
-            )
+            single_equality = distance_d == family.evaluations[d]
             member = algebra_membership(distance_d, basis, degree=d)
             assert single_equality == (member is not None)
             if member is not None:

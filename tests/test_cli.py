@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from schemeforge.hoffman import minimal_polynomial
 from schemeforge.io import MatrixParseError, parse_matrix, serialize_matrix
 from schemeforge.matrix import RationalMatrix
 from schemeforge.stochastic import classify, random_lambda_ds
+
+from oracles import identity
 
 
 def test_parse_one_by_one():
@@ -35,7 +38,7 @@ def test_parse_decimals_exactly():
 
 def test_parse_skips_comments():
     b = parse_matrix("# heading\n2\n# middle\n1 0\n0 1\n")
-    assert b == RationalMatrix.identity(2)
+    assert b == identity(2)
 
 
 def test_parse_reports_ragged_row():
@@ -126,7 +129,7 @@ def test_hoffman_fig1_text(capsys, fixtures_dir):
 
 def test_hoffman_rejects_reducible(capsys, tmp_path):
     path = tmp_path / "id.mat"
-    path.write_text(serialize_matrix(RationalMatrix.identity(3)), encoding="utf-8")
+    path.write_text(serialize_matrix(identity(3)), encoding="utf-8")
     code = run_command(["hoffman", str(path)])
     assert code == 1
     assert "irreducible" in capsys.readouterr().out
@@ -388,6 +391,27 @@ def test_oversized_integer_literal_is_input_error(capsys, tmp_path):
     assert "(5001 characters)" in captured.err
     assert len(captured.err) < 200
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("token", ["1e1000000000", "1e-1000000000"])
+def test_oversized_exponent_is_input_error(capsys, tmp_path, token):
+    # read by Fraction, either token alone is an integer of 3.3 billion bits
+    path = tmp_path / "exponent.mat"
+    path.write_text(f"2\n1 {token}\n1 1\n", encoding="utf-8")
+    started = time.monotonic()
+    assert run_command(["scheme", str(path)]) == 2
+    assert time.monotonic() - started < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2, entry 2: exponent of {token!r} exceeds 10000 in absolute value\n"
+
+
+def test_parse_exponent_bound():
+    assert parse_matrix("1\n1e10_000\n") == RationalMatrix([[10**10000]])
+    assert parse_matrix("1\n1E-0010000\n") == RationalMatrix([[Fraction(1, 10**10000)]])
+    for token in ("1e10001", "1e-1_0001", "0.5E+99999", "1e" + "0" * 40 + "10001"):
+        with pytest.raises(MatrixParseError, match="exceeds 10000"):
+            parse_matrix(f"1\n{token}\n")
 
 
 def test_crash_is_internal_error_not_rejection(capsys, tmp_path):

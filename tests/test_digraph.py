@@ -13,7 +13,7 @@ from schemeforge.digraph import (
 )
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 
-from oracles import basis_power, class_matrices, count_walks_dfs
+from oracles import add, adjacency_matrix, class_matrices, count_walks_dfs, identity, scaled, zeros
 
 
 def directed_cycle(n):
@@ -28,14 +28,14 @@ def test_underlying_digraph_of_fig2(fig2):
 
 
 def test_underlying_digraph_of_identity():
-    g = underlying_digraph(RationalMatrix.identity(4))
+    g = underlying_digraph(identity(4))
     assert g.adjacency == tuple(
         tuple(1 if x == y else 0 for y in range(4)) for x in range(4)
     )
 
 
 def test_underlying_digraph_of_scaled_allones():
-    g = underlying_digraph(Fraction(1, 5) * RationalMatrix.ones(5))
+    g = underlying_digraph(scaled(Fraction(1, 5), RationalMatrix.ones(5)))
     assert all(v == 1 for row in g.adjacency for v in row)
 
 
@@ -106,9 +106,9 @@ def test_distance_classes_partition_and_triangle_inequality(fig1, fig2):
         g = underlying_digraph(b)
         ds = distance_structure(g)
         n = g.order
-        total = RationalMatrix.zeros(n)
+        total = zeros(n)
         for a in class_matrices(ds.dist):
-            total = total + a
+            total = add(total, a)
         assert total == RationalMatrix.ones(n)
         for x in range(n):
             for y in range(n):
@@ -118,16 +118,16 @@ def test_distance_classes_partition_and_triangle_inequality(fig1, fig2):
 
 def walk_count(g, length):
     """Walks of the given length counted as a power of the adjacency matrix."""
-    return basis_power(MatrixPowerBasis(g.adjacency_matrix()), length)
+    return MatrixPowerBasis(adjacency_matrix(g)).power(length)
 
 
 def test_walk_count_length_one_is_adjacency():
     g = directed_cycle(4)
-    assert walk_count(g, 1) == g.adjacency_matrix()
+    assert walk_count(g, 1) == adjacency_matrix(g)
 
 
 def test_walk_count_cycle_returns_home():
-    assert walk_count(directed_cycle(3), 3) == RationalMatrix.identity(3)
+    assert walk_count(directed_cycle(3), 3) == identity(3)
 
 
 @given(st.integers(min_value=0, max_value=2**25 - 1))
@@ -168,10 +168,10 @@ def test_nonzero_pattern_equivalence(grid):
     b = RationalMatrix(grid)
     g = underlying_digraph(b)
     power_b = b
-    power_a = g.adjacency_matrix()
+    power_a = adjacency_matrix(g)
     for _ in range(b.order):
         for x in range(b.order):
             for y in range(b.order):
                 assert (power_b[x][y] != 0) == (power_a[x][y] != 0)
         power_b = power_b @ b
-        power_a = power_a @ g.adjacency_matrix()
+        power_a = power_a @ adjacency_matrix(g)

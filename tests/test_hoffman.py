@@ -17,11 +17,14 @@ from schemeforge.stochastic import classify, random_lambda_ds
 from conftest import load_fixture
 from oracles import (
     algebra_membership,
-    basis_vector,
     charpoly_leverrier,
     divides,
+    flat,
+    identity,
     naive_poly_at,
     oracle_minimal_polynomial,
+    scaled,
+    zeros,
 )
 
 WORD_PRIME = 2**31 - 1  # the first prime the modular elimination tries
@@ -41,7 +44,7 @@ FIG1_Q = Polynomial(
 
 
 def test_minimal_polynomial_of_identity():
-    m = minimal_polynomial(RationalMatrix.identity(5))
+    m = minimal_polynomial(identity(5))
     assert m.poly == Polynomial([-1, 1])
 
 
@@ -51,13 +54,13 @@ def test_minimal_polynomial_fig2(fig2):
         [Fraction(-1, 8), Fraction(1, 2), -1, 1]
     )
     assert m == expected
-    assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig2])) == RationalMatrix.zeros(6)
+    assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig2])) == zeros(6)
 
 
 def test_minimal_polynomial_fig1(fig1):
     m = minimal_polynomial(fig1).poly
     assert m == Polynomial([-1, 1]) * FIG1_Q
-    assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig1])) == RationalMatrix.zeros(8)
+    assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig1])) == zeros(8)
 
 
 def test_minimal_polynomial_is_minimal(fig2):
@@ -67,8 +70,8 @@ def test_minimal_polynomial_is_minimal(fig2):
     for k in range(1, m.degree):
         from schemeforge.matrix import solve_rational_system
 
-        columns = [basis_vector(basis, j) for j in range(k)]
-        assert solve_rational_system(columns, basis_vector(basis, k)) is None
+        columns = [flat(basis.power(j)) for j in range(k)]
+        assert solve_rational_system(columns, flat(basis.power(k))) is None
 
 
 def test_hoffman_fig1_matches_reference_values(fig1):
@@ -87,7 +90,7 @@ def test_hoffman_fig2(fig2):
 
 def test_hoffman_of_scaled_allones():
     n = 4
-    jn = Fraction(1, n) * RationalMatrix.ones(n)
+    jn = scaled(Fraction(1, n), RationalMatrix.ones(n))
     info = hoffman_polynomial(jn)
     assert info.h == Polynomial([0, n])
     assert info.lam == 1
@@ -100,7 +103,7 @@ def test_hoffman_requires_common_line_sum():
 
 def test_hoffman_requires_irreducibility():
     with pytest.raises(HoffmanHypothesisError) as excinfo:
-        hoffman_polynomial(RationalMatrix.identity(3))
+        hoffman_polynomial(identity(3))
     assert "irreducible" in str(excinfo.value)
 
 
@@ -162,7 +165,7 @@ def test_product_form_residual_fig2(fig2):
 
 
 def test_product_form_residual_scaled_allones():
-    jn = Fraction(1, 6) * RationalMatrix.ones(6)
+    jn = scaled(Fraction(1, 6), RationalMatrix.ones(6))
     assert hoffman_product_form_check(jn, [0.0]) < 1e-12
 
 
@@ -258,7 +261,7 @@ def test_minimal_polynomial_matches_gauss_jordan_oracle(grid):
 def test_deep_krylov_scaled_directed_cycle():
     """(3/2) P for the directed 30-cycle P: m = t^30 - (3/2)^30, so d = 29.
 
-    Power k is 3^k P^k / 2^k, so the cleared form must carry delta_k = 2^k
+    Power k is 3^k P^k / 2^k, so its integers must carry den = 2^k
     exactly; the Hoffman polynomial is sum_j (2/3)^j t^j.
     """
     n = 30
@@ -273,9 +276,9 @@ def test_deep_krylov_scaled_directed_cycle():
     assert m.degree - 1 == 29
     assert m.poly == expected
     for k in range(n + 1):
-        den, ints = basis.cleared(k)
-        assert den == 2**k
-        assert sorted(ints) == [0] * (n * n - n) + [3**k] * n
+        power = basis.power(k)
+        assert power.den == 2**k
+        assert sorted(power.ints) == [0] * (n * n - n) + [3**k] * n
     info = hoffman_polynomial(b, basis=basis, minimal=m)
     assert info.h == Polynomial([Fraction(2, 3) ** j for j in range(n)])
 

@@ -18,11 +18,13 @@ from schemeforge.stochastic import classify, random_lambda_ds
 
 from conftest import load_fixture
 from oracles import (
+    identity,
     naive_poly_at,
     oracle_gram_schmidt,
     oracle_minimal_polynomial,
     oracle_predistance,
     poly_inner,
+    scaled,
     trace_form_inner,
 )
 
@@ -161,7 +163,7 @@ def test_predistance_basis_complete_graph():
 
 def test_predistance_basis_scaled_allones():
     n = 5
-    jn = Fraction(1, n) * RationalMatrix.ones(n)
+    jn = scaled(Fraction(1, n), RationalMatrix.ones(n))
     family = predistance_basis(jn)
     assert family.polys == (Polynomial([1]), Polynomial([-1, n]))
     assert family.norms_sq[1] == family.polys[1](1)
@@ -183,21 +185,18 @@ def test_predistance_invariants_on_cycles():
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (lambda den, ints: (den, [2 * v for v in ints]), "cached norm of p_1"),
+        (lambda e: scaled(2, e), "cached norm of p_1"),
         # the six rows of p_1(B) reversed: the same entries, so the same
         # norm, but no longer orthogonal to p_0(B) = I
-        (
-            lambda den, ints: (den, [v for i in range(30, -1, -6) for v in ints[i : i + 6]]),
-            "<p_0, p_1> != 0",
-        ),
+        (lambda e: RationalMatrix(e.rows[::-1]), "<p_0, p_1> != 0"),
         # same integers over another denominator: p_1(B) / 2
-        (lambda den, ints: (2 * den, ints), "violated: cached norm of p_1"),
+        (lambda e: scaled(Fraction(1, 2), e), "violated: cached norm of p_1"),
     ],
 )
 def test_invariants_are_checked_on_the_evaluated_matrices(fig2, tamper, message):
     family = predistance_basis(fig2)
     evaluations = list(family.evaluations)
-    evaluations[1] = tamper(*evaluations[1])
+    evaluations[1] = tamper(evaluations[1])
     with pytest.raises(ArithmeticError, match=message):
         _assert_invariants(dataclasses.replace(family, evaluations=tuple(evaluations)), fig2)
 
@@ -207,15 +206,14 @@ def test_orthogonality_is_checked_for_every_lower_degree(fig2):
     # vanishes; <p_1, p_2> does not
     family = predistance_basis(fig2)
     evaluations = list(family.evaluations)
-    den, ints = evaluations[2]
-    evaluations[2] = (den, [ints[6 * c + r] for r in range(6) for c in range(6)])
+    evaluations[2] = evaluations[2].transpose()
     with pytest.raises(ArithmeticError, match="<p_1, p_2> != 0"):
         _assert_invariants(dataclasses.replace(family, evaluations=tuple(evaluations)), fig2)
 
 
 def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):
-    # h(B) = J, the family's invariants and the Hoffman sum all run on
-    # cleared integers (classify still compares B B^T with B^T B)
+    # the classification, h(B) = J, the family's invariants and the Hoffman
+    # sum all run on the matrices' integers: no matrix is built from rows
     built = []
     init = RationalMatrix.__init__
 
@@ -224,8 +222,8 @@ def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):
         init(self, rows)
 
     basis = MatrixPowerBasis(fig2)
-    cls = classify(fig2)
     monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
+    cls = classify(fig2)
     minimal = minimal_polynomial(fig2, basis)
     info = hoffman_polynomial(fig2, classification=cls, basis=basis, minimal=minimal)
     family = predistance_basis(fig2, classification=cls, basis=basis, minimal=minimal)
@@ -279,7 +277,7 @@ def test_predistance_rejects_non_normal(fig1):
 
 def test_predistance_rejects_reducible():
     with pytest.raises(PredistanceHypothesisError):
-        predistance_basis(RationalMatrix.identity(3))
+        predistance_basis(identity(3))
 
 
 def test_predistance_rejects_missing_line_sum():

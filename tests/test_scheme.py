@@ -17,18 +17,23 @@ from schemeforge.stochastic import random_lambda_ds, classify
 
 from conftest import load_fixture
 from oracles import (
+    add,
     algebra_membership,
-    basis_vector,
     class_matrices,
     distance_one_products,
+    flat,
     hamming_adjacency,
     hamming_intersection_array,
+    identity,
     johnson_adjacency,
     johnson_intersection_array,
     labels_of,
     oracle_intersection_tensor,
+    scaled,
+    sub,
     vanishing_product_check,
     verify_scheme_axioms,
+    zeros,
 )
 
 # frozen from a hand-checked run: tensor[i][j] lists p^h_{ij} for h = 0..3
@@ -94,7 +99,7 @@ def test_one_by_one_positive_matrix_is_degenerate_scheme():
     cert = detect_scheme(RationalMatrix([[Fraction(2, 3)]]))
     assert cert.accepted
     assert cert.d == 0 and cert.diameter == 0
-    assert cert.intersection_tensor == (((Fraction(1),),),)
+    assert cert.intersection_tensor == (((1,),),)
 
 
 def test_rejection_not_nonnegative():
@@ -103,7 +108,7 @@ def test_rejection_not_nonnegative():
 
 
 def test_rejection_not_irreducible():
-    cert = detect_scheme(RationalMatrix.identity(3))
+    cert = detect_scheme(identity(3))
     assert cert.reason.code is RejectionCode.NOT_IRREDUCIBLE
 
 
@@ -155,8 +160,8 @@ def test_rejection_monotonicity_under_entry_perturbation(fig2):
 
 def test_intersection_numbers_trivial_scheme():
     n = 6
-    eye = RationalMatrix.identity(n)
-    rest = RationalMatrix.ones(n) - eye
+    eye = identity(n)
+    rest = sub(RationalMatrix.ones(n), eye)
     tensor = intersection_numbers(labels_of([eye, rest]))
     assert tensor[1][1][0] == n - 1
     assert tensor[1][1][1] == n - 2
@@ -164,7 +169,7 @@ def test_intersection_numbers_trivial_scheme():
 
 def test_intersection_numbers_cyclic_three():
     classes = [
-        RationalMatrix.identity(3),
+        identity(3),
         directed_cycle_matrix(3),
         directed_cycle_matrix(3) @ directed_cycle_matrix(3),
     ]
@@ -178,13 +183,14 @@ def test_intersection_numbers_cyclic_three():
 def test_intersection_numbers_fig2_brute_force(fig2):
     dist = distance_structure(underlying_digraph(fig2)).dist
     tensor = intersection_numbers(dist)
+    assert all(type(v) is int for plane in tensor for row in plane for v in row)
     classes = class_matrices(dist)
     for i in range(4):
         for j in range(4):
             product = classes[i] @ classes[j]
-            recombined = RationalMatrix.zeros(6)
+            recombined = zeros(6)
             for h in range(4):
-                recombined = recombined + tensor[i][j][h] * classes[h]
+                recombined = add(recombined, scaled(tensor[i][j][h], classes[h]))
             assert recombined == product
 
 
@@ -206,9 +212,9 @@ def test_intersection_numbers_non_commutative_group_scheme():
 
 def test_intersection_numbers_flag_non_constant_products():
     # arcs of a directed path do not close into a coherent partition
-    eye = RationalMatrix.identity(3)
+    eye = identity(3)
     arc = RationalMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    rest = RationalMatrix.ones(3) - eye - arc
+    rest = sub(RationalMatrix.ones(3), eye, arc)
     with pytest.raises(SchemeAxiomError) as excinfo:
         intersection_numbers(labels_of([eye, arc, rest]))
     assert excinfo.value.axiom == "AS4"
@@ -218,12 +224,12 @@ def test_intersection_numbers_flag_non_constant_products():
     "b,rows",
     [
         pytest.param(
-            Fraction(1, 6) * RationalMatrix(hamming_adjacency(3, 3)),
+            scaled(Fraction(1, 6), RationalMatrix(hamming_adjacency(3, 3))),
             distance_one_products(*hamming_intersection_array(3, 3)),
             id="H(3,3)",
         ),
         pytest.param(
-            Fraction(1, 9) * RationalMatrix(johnson_adjacency(6, 3)),
+            scaled(Fraction(1, 9), RationalMatrix(johnson_adjacency(6, 3))),
             distance_one_products(*johnson_intersection_array(6, 3)),
             id="J(6,3)",
         ),
@@ -257,9 +263,9 @@ def test_transpose_map_rejects_shared_transpose_class():
     def arcs(pairs):
         return RationalMatrix([[1 if (x, y) in pairs else 0 for y in range(4)] for x in range(4)])
 
-    eye = RationalMatrix.identity(4)
+    eye = identity(4)
     a, b, c = arcs({(0, 1)}), arcs({(2, 3)}), arcs({(1, 0), (3, 2)})
-    rest = RationalMatrix.ones(4) - eye - a - b - c
+    rest = sub(RationalMatrix.ones(4), eye, a, b, c)
     with pytest.raises(SchemeAxiomError) as excinfo:
         transpose_map(labels_of([eye, a, b, c, rest]))
     assert excinfo.value.axiom == "AS3"
@@ -267,14 +273,14 @@ def test_transpose_map_rejects_shared_transpose_class():
 
 
 def test_transpose_map_symmetric_scheme():
-    eye = RationalMatrix.identity(5)
-    rest = RationalMatrix.ones(5) - eye
+    eye = identity(5)
+    rest = sub(RationalMatrix.ones(5), eye)
     assert transpose_map(labels_of([eye, rest])) == (0, 1)
 
 
 def test_transpose_map_cyclic_three():
     c = directed_cycle_matrix(3)
-    assert transpose_map(labels_of([RationalMatrix.identity(3), c, c @ c])) == (0, 2, 1)
+    assert transpose_map(labels_of([identity(3), c, c @ c])) == (0, 2, 1)
 
 
 def test_transpose_map_fig2(fig2):
@@ -283,9 +289,9 @@ def test_transpose_map_fig2(fig2):
 
 
 def test_transpose_map_reports_missing_transpose():
-    eye = RationalMatrix.identity(3)
+    eye = identity(3)
     single_arc = RationalMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    rest = RationalMatrix.ones(3) - eye - single_arc
+    rest = sub(RationalMatrix.ones(3), eye, single_arc)
     with pytest.raises(SchemeAxiomError) as excinfo:
         transpose_map(labels_of([eye, single_arc, rest]))
     assert excinfo.value.axiom == "AS3"
@@ -304,7 +310,7 @@ def test_vanishing_product_check_cycles(n):
 
 
 def test_vanishing_product_check_vacuous_small_diameter():
-    b = Fraction(1, 4) * RationalMatrix.ones(4)
+    b = scaled(Fraction(1, 4), RationalMatrix.ones(4))
     structure = distance_structure(underlying_digraph(b))
     assert structure.diameter <= 2
     assert vanishing_product_check(b, structure.dist)
@@ -315,7 +321,7 @@ def test_accepted_certificates_pass_brute_force_axioms(fig2):
         fig2,
         directed_cycle_matrix(5, scale=Fraction(3, 2)),
         load_fixture("complete_4.mat"),
-        Fraction(1, 6) * RationalMatrix.ones(6),
+        scaled(Fraction(1, 6), RationalMatrix.ones(6)),
     ]
     for b in candidates:
         cert = detect_scheme(b)
@@ -331,9 +337,9 @@ def test_accepted_span_equals_power_span(fig2):
     for a in classes:
         assert algebra_membership(a, basis, degree=cert.d) is not None
     # ... and each power lies in the span of the classes
-    class_vectors = [a.flatten() for a in classes]
+    class_vectors = [flat(a) for a in classes]
     for k in range(cert.d + 1):
-        assert solve_rational_system(class_vectors, basis_vector(basis, k)) is not None
+        assert solve_rational_system(class_vectors, flat(basis.power(k))) is not None
 
 
 @pytest.mark.parametrize(
@@ -342,7 +348,7 @@ def test_accepted_span_equals_power_span(fig2):
 def test_recombinations_of_scheme_classes_are_accepted(fig2, theta0, theta1):
     cert = detect_scheme(fig2)
     classes = class_matrices(cert.labels)
-    recombined = theta0 * classes[0] + theta1 * classes[1]
+    recombined = add(scaled(theta0, classes[0]), scaled(theta1, classes[1]))
     again = detect_scheme(recombined)
     assert again.accepted
     assert again.labels == cert.labels
@@ -351,7 +357,7 @@ def test_recombinations_of_scheme_classes_are_accepted(fig2, theta0, theta1):
 def test_recombinations_of_cyclic_classes_are_accepted():
     base = detect_scheme(directed_cycle_matrix(5))
     classes = class_matrices(base.labels)
-    recombined = Fraction(1, 2) * classes[0] + Fraction(7, 3) * classes[1]
+    recombined = add(scaled(Fraction(1, 2), classes[0]), scaled(Fraction(7, 3), classes[1]))
     cert = detect_scheme(recombined)
     assert cert.accepted
     assert cert.labels == base.labels

@@ -17,7 +17,7 @@ from schemeforge.spectral import (
 )
 from schemeforge.stochastic import random_lambda_ds
 
-from oracles import algebra_membership
+from oracles import algebra_membership, scaled
 
 
 def directed_cycle_matrix(n, scale=1):
@@ -88,7 +88,7 @@ def test_roots_non_convergence_carries_residuals():
 
 def test_idempotents_of_scaled_allones():
     n = 4
-    jn = Fraction(1, n) * RationalMatrix.ones(n)
+    jn = scaled(Fraction(1, n), RationalMatrix.ones(n))
     spectrum = roots(minimal_polynomial(jn).poly)
     family = idempotents(jn, spectrum)
     e_perron = family.projectors[0]

@@ -17,7 +17,7 @@ from schemeforge.stochastic import (
 )
 
 from conftest import load_fixture
-from oracles import oracle_classification
+from oracles import identity, oracle_classification, reconstruct
 
 
 def test_classify_fig1(fig1):
@@ -122,19 +122,19 @@ def test_classify_matches_fraction_oracle(grid):
 
 
 def test_irreducibility_matches_digraph_connectivity(fig1, fig2):
-    for b in (fig1, fig2, RationalMatrix.identity(3), RationalMatrix.ones(4)):
+    for b in (fig1, fig2, identity(3), RationalMatrix.ones(4)):
         assert classify(b).irreducible == is_strongly_connected(underlying_digraph(b))
 
 
 def test_entry_decomposition_fig2(fig2):
     decomposition = entry_decomposition(fig2)
     assert decomposition.coefficients == (Fraction(1, 4), Fraction(1, 2))
-    assert decomposition.indicators[1] == RationalMatrix.identity(6)
+    assert decomposition.indicators[1] == identity(6)
     off_diagonal_support = sum(
         1 for row in decomposition.indicators[0].rows for v in row if v
     )
     assert off_diagonal_support == 12
-    assert decomposition.reconstruct(6) == fig2
+    assert reconstruct(decomposition, 6) == fig2
 
 
 def test_entry_decomposition_allones():
@@ -152,7 +152,7 @@ def test_entry_decomposition_fig1(fig1):
     ]
     # 16 nonzero positions split over the three values
     assert support_sizes == [10, 4, 2]
-    assert decomposition.reconstruct(8) == fig1
+    assert reconstruct(decomposition, 8) == fig1
 
 
 def test_entry_decomposition_rejects_negative():
@@ -177,7 +177,7 @@ def test_entry_decomposition_rejects_negative():
 def test_entry_decomposition_reconstructs(grid):
     b = RationalMatrix(grid)
     decomposition = entry_decomposition(b)
-    assert decomposition.reconstruct(b.order) == b
+    assert reconstruct(decomposition, b.order) == b
     assert list(decomposition.coefficients) == sorted(set(decomposition.coefficients))
     assert all(c > 0 for c in decomposition.coefficients)
     for i, fi in enumerate(decomposition.indicators):
