@@ -179,7 +179,6 @@ def hoffman_polynomial(
 def hoffman_product_form_check(
     b: RationalMatrix,
     roots: Sequence[complex],
-    sample_points: Optional[Sequence[float]] = None,
     hoffman: Optional[HoffmanPolynomial] = None,
 ) -> float:
     """Compare h against its factored form over the numeric roots of q.
@@ -192,14 +191,12 @@ def hoffman_product_form_check(
     info = hoffman if hoffman is not None else hoffman_polynomial(b)
     lam = float(info.lam)
     n = b.order
-    if sample_points is None:
-        sample_points = [0.0, 0.25 * lam, 0.5 * lam, 0.75 * lam, lam, 1.25 * lam, -0.5 * lam]
     h_coeffs = [float(c) for c in reversed(info.h.coeffs)]  # descending, as np.polyval takes them
     pi0 = 1.0 + 0.0j
     for r in roots:
         pi0 *= lam - r
     worst = 0.0
-    for s in sample_points:
+    for s in (0.0, 0.25 * lam, 0.5 * lam, 0.75 * lam, lam, 1.25 * lam, -0.5 * lam):
         exact_side = np.polyval(h_coeffs, s)
         product = 1.0 + 0.0j
         for r in roots:

@@ -8,9 +8,9 @@ denominators, ints / den with ints a flat row-major tuple of integers, in
 lowest terms. Every operation is an integer operation on that encoding:
 
 - every matrix product is one call of `integer_product` over den * den',
-  the exact product of two integer matrices: one int64 numpy matmul when a
-  bound on the entries proves that no partial sum can overflow, the
-  Python-int loop otherwise;
+  the exact product of two integer matrices: one numpy matmul, on int64
+  when a bound on the entries proves that no partial sum can overflow and
+  on object arrays of Python ints otherwise;
 - the power basis keeps every power B^k once, each one product of the
   previous power with B;
 - `evaluate` combines those powers under one common denominator into
@@ -53,25 +53,16 @@ def integer_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 
     Every partial sum of an entry is at most n * max|a| * max|b| in absolute
     value. When that bound, with each maximum taken as at least 1 so that
-    both operands fit as well, is below 2^63, one int64 matmul is exact;
-    otherwise the product runs on Python ints. The bound comes first because
-    numpy integer matmul wraps on overflow without a warning.
+    both operands fit as well, is below 2^63, the matmul runs on int64;
+    otherwise the same matmul runs on object arrays of Python ints. The
+    bound comes first because numpy integer matmul wraps on overflow without
+    a warning.
     """
     bound = n * max(1, max(a), -min(a)) * max(1, max(b), -min(b))
-    if bound < 2**63:
-        return _int64_product(a, b, n)
-    return _python_product(a, b, n)
-
-
-def _int64_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    left = np.array(a, dtype=np.int64).reshape(n, n)
-    right = np.array(b, dtype=np.int64).reshape(n, n)
+    dtype = np.int64 if bound < 2**63 else object
+    left = np.array(a, dtype=dtype).reshape(n, n)
+    right = np.array(b, dtype=dtype).reshape(n, n)
     return (left @ right).ravel().tolist()
-
-
-def _python_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    columns = [b[j::n] for j in range(n)]
-    return [sum(map(mul, a[i : i + n], col)) for i in range(0, n * n, n) for col in columns]
 
 
 class MatrixOrderError(ValueError):
@@ -158,8 +149,13 @@ class RationalMatrix:
         return RationalMatrix._cleared(self.den, [v for y in range(n) for v in ints[y::n]], n)
 
     def to_float(self):
-        """Dense float copy for the numeric sidecar, each entry rounded from its Fraction."""
-        return np.array([[float(v) for v in row] for row in self.rows], dtype=float)
+        """Dense float copy for the numeric sidecar.
+
+        Each entry is v / den, a correctly rounded int division, so it equals
+        float(Fraction(v, den)) without building the Fraction.
+        """
+        n, den = self.order, self.den
+        return np.array([v / den for v in self.ints], dtype=float).reshape(n, n)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({[list(map(str, r)) for r in self.rows]!r})"
@@ -182,10 +178,10 @@ def trace_inner_product(m: RationalMatrix, n: RationalMatrix) -> Fraction:
 class MatrixPowerBasis:
     """Powers I, B, B^2, ... of one matrix, each computed once.
 
-    power(k) is B^k = power(k - 1) @ B, one `integer_product` (int64 while
-    the entry bound allows it, Python ints beyond); every power up to the
-    working degree is needed anyway (the minimal polynomial reduces each one
-    modulo a prime), so repeated squaring would not help. `evaluate` and
+    power(k) is B^k = power(k - 1) @ B, one `integer_product` (on int64
+    while the entry bound allows it, on Python ints beyond); every power up
+    to the working degree is needed anyway (the minimal polynomial reduces
+    each one modulo a prime), so repeated squaring would not help. `evaluate` and
     `annihilated_by` combine the powers' integers under one common
     denominator.
 

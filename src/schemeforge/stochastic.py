@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .digraph import Digraph, is_strongly_connected
+from .digraph import is_strongly_connected
 from .matrix import RationalMatrix
 
 
@@ -98,8 +98,7 @@ def classify(b: RationalMatrix) -> MatrixClassification:
         lam = Fraction(row_sums[0], den)
     bt = b.transpose()
     normal = (b @ bt) == (bt @ b)
-    pattern = Digraph([[1 if v != 0 else 0 for v in row] for row in rows])
-    irreducible = is_strongly_connected(pattern)
+    irreducible = is_strongly_connected([[y for y, v in enumerate(row) if v] for row in rows])
     return MatrixClassification(
         order=n, nonnegative=nonnegative, lam=lam, normal=normal, irreducible=irreducible
     )

@@ -407,9 +407,10 @@ def reconstruct(decomposition, order: int) -> RationalMatrix:
     return acc
 
 
-def adjacency_matrix(g) -> RationalMatrix:
-    """The arc multiplicities of a Digraph as a matrix."""
-    return RationalMatrix(g.adjacency)
+def adjacency_matrix(successors: list[list[int]]) -> RationalMatrix:
+    """The 0/1 adjacency matrix of a digraph given by its successor lists."""
+    n = len(successors)
+    return RationalMatrix([[1 if y in ys else 0 for y in range(n)] for ys in successors])
 
 
 # ---------------------------------------------------------------------------

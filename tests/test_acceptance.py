@@ -28,7 +28,6 @@ from schemeforge.stochastic import classify, random_lambda_ds
 from conftest import FIXTURES, load_fixture
 from oracles import (
     add,
-    adjacency_matrix,
     algebra_membership,
     charpoly_leverrier,
     class_matrices,
@@ -175,9 +174,7 @@ def test_criterion_4_oracle_equivalence():
         rng = random.Random(20240)
         for _ in range(20):
             adjacency = [[rng.randint(0, 1) for _ in range(5)] for _ in range(5)]
-            from schemeforge.digraph import Digraph
-
-            basis = MatrixPowerBasis(adjacency_matrix(Digraph(adjacency)))
+            basis = MatrixPowerBasis(RationalMatrix(adjacency))
             for length in (1, 2, 3, 4):
                 counted = basis.power(length)
                 for x in range(5):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schemeforge.digraph import (
-    Digraph,
     NegativeEntryError,
     UnreachablePairError,
     distance_structure,
@@ -17,26 +16,23 @@ from oracles import add, adjacency_matrix, class_matrices, count_walks_dfs, iden
 
 
 def directed_cycle(n):
-    return Digraph([[1 if y == (x + 1) % n else 0 for y in range(n)] for x in range(n)])
+    return [[(x + 1) % n] for x in range(n)]
 
 
 def test_underlying_digraph_of_fig2(fig2):
     g = underlying_digraph(fig2)
-    loops = sum(g.adjacency[x][x] for x in range(6))
+    loops = sum(x in g[x] for x in range(6))
     assert loops == 6
-    assert g.arc_count - loops == 12
+    assert sum(map(len, g)) - loops == 12
 
 
 def test_underlying_digraph_of_identity():
-    g = underlying_digraph(identity(4))
-    assert g.adjacency == tuple(
-        tuple(1 if x == y else 0 for y in range(4)) for x in range(4)
-    )
+    assert underlying_digraph(identity(4)) == [[x] for x in range(4)]
 
 
 def test_underlying_digraph_of_scaled_allones():
     g = underlying_digraph(scaled(Fraction(1, 5), RationalMatrix.ones(5)))
-    assert all(v == 1 for row in g.adjacency for v in row)
+    assert g == [list(range(5))] * 5
 
 
 def test_underlying_digraph_names_negative_entry():
@@ -51,15 +47,7 @@ def test_cycle_is_strongly_connected():
 
 
 def test_disjoint_cycles_are_not_strongly_connected():
-    g = Digraph(
-        [
-            [0, 1, 0, 0],
-            [1, 0, 0, 0],
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-        ]
-    )
-    assert not is_strongly_connected(g)
+    assert not is_strongly_connected([[1], [0], [3], [2]])
 
 
 def test_fig1_digraph_is_strongly_connected(fig1):
@@ -67,7 +55,7 @@ def test_fig1_digraph_is_strongly_connected(fig1):
 
 
 def test_one_vertex_no_loop_is_strongly_connected():
-    assert is_strongly_connected(Digraph([[0]]))
+    assert is_strongly_connected([[]])
 
 
 def test_cycle_distance_structure():
@@ -96,16 +84,14 @@ def test_fig2_distance_structure(fig2):
 
 
 def test_distance_structure_rejects_disconnected():
-    g = Digraph([[0, 1], [0, 0]])
     with pytest.raises(UnreachablePairError):
-        distance_structure(g)
+        distance_structure([[1], []])
 
 
 def test_distance_classes_partition_and_triangle_inequality(fig1, fig2):
     for b in (fig1, fig2):
-        g = underlying_digraph(b)
-        ds = distance_structure(g)
-        n = g.order
+        ds = distance_structure(underlying_digraph(b))
+        n = b.order
         total = zeros(n)
         for a in class_matrices(ds.dist):
             total = add(total, a)
@@ -116,18 +102,18 @@ def test_distance_classes_partition_and_triangle_inequality(fig1, fig2):
                     assert ds.dist[x][z] <= ds.dist[x][y] + ds.dist[y][z]
 
 
-def walk_count(g, length):
+def walk_count(adjacency, length):
     """Walks of the given length counted as a power of the adjacency matrix."""
-    return MatrixPowerBasis(adjacency_matrix(g)).power(length)
+    return MatrixPowerBasis(adjacency).power(length)
 
 
 def test_walk_count_length_one_is_adjacency():
-    g = directed_cycle(4)
-    assert walk_count(g, 1) == adjacency_matrix(g)
+    a = adjacency_matrix(directed_cycle(4))
+    assert walk_count(a, 1) == a
 
 
 def test_walk_count_cycle_returns_home():
-    assert walk_count(directed_cycle(3), 3) == identity(3)
+    assert walk_count(adjacency_matrix(directed_cycle(3)), 3) == identity(3)
 
 
 @given(st.integers(min_value=0, max_value=2**25 - 1))
@@ -136,18 +122,17 @@ def test_walk_count_matches_exhaustive_enumeration(bits):
     # 5-vertex digraph decoded from the bits of the draw
     n = 5
     adjacency = [[(bits >> (x * n + y)) & 1 for y in range(n)] for x in range(n)]
-    g = Digraph(adjacency)
     for length in (1, 2, 3, 4):
-        counted = walk_count(g, length)
+        counted = walk_count(RationalMatrix(adjacency), length)
         for x in range(n):
             for y in range(n):
                 assert counted[x][y] == count_walks_dfs(adjacency, x, y, length)
 
 
 def test_walk_count_supports_multiple_arcs():
-    g = Digraph([[0, 2], [1, 0]])
-    assert walk_count(g, 2) == RationalMatrix([[2, 0], [0, 2]])
-    assert walk_count(g, 2)[0][0] == count_walks_dfs([[0, 2], [1, 0]], 0, 0, 2)
+    a = RationalMatrix([[0, 2], [1, 0]])
+    assert walk_count(a, 2) == RationalMatrix([[2, 0], [0, 2]])
+    assert walk_count(a, 2)[0][0] == count_walks_dfs([[0, 2], [1, 0]], 0, 0, 2)
 
 
 @given(
@@ -166,12 +151,12 @@ def test_walk_count_supports_multiple_arcs():
 @settings(max_examples=30, deadline=None)
 def test_nonzero_pattern_equivalence(grid):
     b = RationalMatrix(grid)
-    g = underlying_digraph(b)
+    a = adjacency_matrix(underlying_digraph(b))
     power_b = b
-    power_a = adjacency_matrix(g)
+    power_a = a
     for _ in range(b.order):
         for x in range(b.order):
             for y in range(b.order):
                 assert (power_b[x][y] != 0) == (power_a[x][y] != 0)
         power_b = power_b @ b
-        power_a = power_a @ adjacency_matrix(g)
+        power_a = power_a @ a

@@ -17,7 +17,7 @@ from schemeforge.stochastic import (
 )
 
 from conftest import load_fixture
-from oracles import identity, oracle_classification, reconstruct
+from oracles import identity, naive_mat_mul, oracle_classification, reconstruct
 
 
 def test_classify_fig1(fig1):
@@ -124,6 +124,33 @@ def test_classify_matches_fraction_oracle(grid):
 def test_irreducibility_matches_digraph_connectivity(fig1, fig2):
     for b in (fig1, fig2, identity(3), RationalMatrix.ones(4)):
         assert classify(b).irreducible == is_strongly_connected(underlying_digraph(b))
+
+
+@st.composite
+def sparse_grids(draw):
+    """Grids of order at most 6, mostly zero, with negative entries and up to
+    two rows and two columns zeroed out."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entries = st.sampled_from((0, 0, 0, 1, 2, -1, Fraction(1, 3)))
+    grid = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    for x in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        grid[x] = [0] * n
+    for y in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in grid:
+            row[y] = 0
+    return grid
+
+
+@given(sparse_grids())
+@settings(max_examples=200, deadline=None)
+def test_irreducibility_matches_positive_power_of_pattern(grid):
+    # B is irreducible iff (I + P)^(n - 1) is entrywise positive, P the nonzero pattern of B
+    n = len(grid)
+    step = [[int(x == y or v != 0) for y, v in enumerate(row)] for x, row in enumerate(grid)]
+    power = [[int(x == y) for y in range(n)] for x in range(n)]
+    for _ in range(n - 1):
+        power = naive_mat_mul(power, step)
+    assert classify(RationalMatrix(grid)).irreducible == all(v > 0 for row in power for v in row)
 
 
 def test_entry_decomposition_fig2(fig2):
