@@ -33,7 +33,7 @@ from .hoffman import (
     hoffman_product_form_check,
     minimal_polynomial,
 )
-from .matrix import MatrixPowerBasis, RationalMatrix
+from .matrix import RationalMatrix
 from .predistance import PredistanceHypothesisError, predistance_basis, verify_hoffman_sum
 from .scheme import detect_scheme
 from .spectral import (
@@ -203,17 +203,16 @@ def _cmd_hoffman(args) -> int:
 def _cmd_predistance(args) -> int:
     b = _load_matrix(args.file)
     cls = classify(b)
-    basis = MatrixPowerBasis(b)
     # the one minimal polynomial serves the family and h; a failed gate needs none
-    minimal = minimal_polynomial(b, basis) if cls.failed_hypothesis() is None else None
+    minimal = minimal_polynomial(b) if cls.failed_hypothesis() is None else None
     try:
-        family = predistance_basis(b, classification=cls, basis=basis, minimal=minimal)
+        family = predistance_basis(b, classification=cls, minimal=minimal)
     except PredistanceHypothesisError as exc:
         _emit(
             {"predistance": {"rejected": exc.hypothesis}}, args.json, [f"rejected: {exc.hypothesis}"]
         )
         return EXIT_REJECTED
-    hoffman = hoffman_polynomial(b, classification=cls, basis=basis, minimal=minimal)
+    hoffman = hoffman_polynomial(b, classification=cls, minimal=minimal)
     hoffman_sum_ok = verify_hoffman_sum(family, b, hoffman=hoffman)
     with _exact_digits():
         report = {
@@ -324,10 +323,9 @@ def _cmd_decompose(args) -> int:
 def _cmd_spectrum(args) -> int:
     b = _load_matrix(args.file)
     cls = classify(b)
-    basis = MatrixPowerBasis(b)
-    minimal = minimal_polynomial(b, basis)
+    minimal = minimal_polynomial(b)
     try:
-        spectrum = roots(minimal.poly, tol=args.tol)
+        spectrum = roots(minimal, tol=args.tol)
     except RootConvergenceError as exc:
         # a numeric failure of the sidecar, not a verdict on the matrix
         _emit(
@@ -360,7 +358,7 @@ def _cmd_spectrum(args) -> int:
                 report_perron.allones_eigenvector_exact,
             )
         )
-        info = hoffman_polynomial(b, classification=cls, basis=basis, minimal=minimal)
+        info = hoffman_polynomial(b, classification=cls, minimal=minimal)
         # lambda comes first, and the roots of q are all the other eigenvalues
         product_residual = hoffman_product_form_check(b, spectrum.eigenvalues[1:], hoffman=info)
         section["hoffman_product_residual"] = product_residual

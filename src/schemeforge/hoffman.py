@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .exact import Polynomial
-from .matrix import MatrixPowerBasis, RationalMatrix, solve_rational_system
+from .matrix import RationalMatrix, solve_rational_system
 from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
 
 
@@ -33,17 +33,6 @@ class HoffmanHypothesisError(ValueError):
     def __init__(self, hypothesis: str):
         self.hypothesis = hypothesis
         super().__init__(f"Hoffman polynomial undefined: {hypothesis}")
-
-
-@dataclass(frozen=True)
-class MinimalPolynomial:
-    """Monic polynomial of least degree annihilating B."""
-
-    poly: Polynomial
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
 
 
 @dataclass(frozen=True)
@@ -83,11 +72,11 @@ def _word_primes() -> Iterator[int]:
     return (p for p in range(2**31 - 1, 2, -2) if _is_prime(p))
 
 
-def _krylov_pivots(basis: MatrixPowerBasis, p: int) -> list[int]:
+def _krylov_pivots(b: RationalMatrix, p: int) -> list[int]:
     """Pivot coordinates of I, B, ..., B^(k-1), where B^k is the first power
     that depends on the lower ones modulo p.
 
-    Each ints_k = basis.power(k).ints is reduced mod p (on Python ints, so
+    Each ints_k = b.powers.power(k).ints is reduced mod p (on Python ints, so
     entries of any size work) and then against the rows kept so far, in
     insertion order. A kept row is normalized to 1 at its pivot and is zero
     at the pivots of all earlier rows, so a vector in their span reduces to
@@ -96,7 +85,7 @@ def _krylov_pivots(basis: MatrixPowerBasis, p: int) -> list[int]:
     """
     kept: list[tuple[int, np.ndarray]] = []  # (pivot, row)
     for k in count():
-        vector = np.array([v % p for v in basis.power(k).ints], dtype=np.int64)
+        vector = np.array([v % p for v in b.powers.power(k).ints], dtype=np.int64)
         for pivot, row in kept:
             a = vector[pivot]
             if a:
@@ -108,7 +97,7 @@ def _krylov_pivots(basis: MatrixPowerBasis, p: int) -> list[int]:
         kept.append((pivot, vector * pow(int(vector[pivot]), -1, p) % p))
 
 
-def _candidate(basis: MatrixPowerBasis, p: int) -> Polynomial:
+def _candidate(b: RationalMatrix, p: int) -> Polynomial:
     """Monic m of the degree k found modulo p, solved exactly on the pivots R.
 
     sum_j y_j ints_j[R] = ints_k[R] gives m(t) = t^k - sum_j y_j (delta_j /
@@ -116,9 +105,9 @@ def _candidate(basis: MatrixPowerBasis, p: int) -> Polynomial:
     mod p, hence nonzero over the integers, so the solve has one solution
     and I, B, ..., B^(k-1) are independent: deg m_B >= k.
     """
-    pivots = _krylov_pivots(basis, p)
+    pivots = _krylov_pivots(b, p)
     k = len(pivots)
-    powers = [basis.power(j) for j in range(k + 1)]
+    powers = [b.powers.power(j) for j in range(k + 1)]
     columns = [[power.ints[r] for r in pivots] for power in powers[:k]]
     solution = solve_rational_system(columns, [powers[k].ints[r] for r in pivots])
     return Polynomial(
@@ -126,29 +115,24 @@ def _candidate(basis: MatrixPowerBasis, p: int) -> Polynomial:
     )
 
 
-def minimal_polynomial(
-    b: RationalMatrix, basis: Optional[MatrixPowerBasis] = None
-) -> MinimalPolynomial:
+def minimal_polynomial(b: RationalMatrix) -> Polynomial:
     """Smallest monic m with m(B) = 0: a candidate modulo a prime, certified exactly.
 
     A candidate m with m(B) = 0 on all entries is monic of degree k <= deg
     m_B and annihilates B, so m = m_B. Otherwise p divides one of finitely
     many fixed nonzero minors, and the next prime is tried.
     """
-    if basis is None:
-        basis = MatrixPowerBasis(b)
     for p in _word_primes():
-        candidate = _candidate(basis, p)
-        if basis.annihilated_by(candidate):
-            return MinimalPolynomial(candidate)
+        candidate = _candidate(b, p)
+        if b.powers.annihilated_by(candidate):
+            return candidate
     raise ArithmeticError("no prime below 2^31 gave a certified minimal polynomial")
 
 
 def hoffman_polynomial(
     b: RationalMatrix,
     classification: Optional[MatrixClassification] = None,
-    basis: Optional[MatrixPowerBasis] = None,
-    minimal: Optional[MinimalPolynomial] = None,
+    minimal: Optional[Polynomial] = None,
 ) -> HoffmanPolynomial:
     """Hoffman polynomial of a lambda-DS irreducible matrix, verified exactly.
 
@@ -161,17 +145,15 @@ def hoffman_polynomial(
     failed = cls.failed_hypothesis(require_normal=False)
     if failed is not None:
         raise HoffmanHypothesisError(HYPOTHESIS_MESSAGES[failed])
-    if basis is None:
-        basis = MatrixPowerBasis(b)
     if minimal is None:
-        minimal = minimal_polynomial(b, basis)
-    q = minimal.poly.divide_linear(cls.lam)
+        minimal = minimal_polynomial(b)
+    q = minimal.divide_linear(cls.lam)
     q_at_lam = q(cls.lam)
     if q_at_lam == 0:
         # impossible for a valid input: lambda is a simple eigenvalue
         raise ArithmeticError("internal invariant violated: q(lambda) = 0")
     h = Fraction(b.order, 1) / q_at_lam * q
-    if basis.evaluate(h) != RationalMatrix.ones(b.order):
+    if b.powers.evaluate(h) != RationalMatrix.ones(b.order):
         raise ArithmeticError("internal invariant violated: h(B) != J")
     return HoffmanPolynomial(h=h, q=q, lam=cls.lam)
 

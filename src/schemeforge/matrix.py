@@ -11,14 +11,16 @@ lowest terms. Every operation is an integer operation on that encoding:
   the exact product of two integer matrices: one numpy matmul, on int64
   when a bound on the entries proves that no partial sum can overflow and
   on object arrays of Python ints otherwise;
-- the power basis keeps every power B^k once, each one product of the
-  previous power with B;
+- each matrix owns one power basis (`RationalMatrix.powers`, built on
+  first access and kept), so every stage that reads B^k, p(B) or the Gram
+  matrix of B shares the same powers; each power B^k is kept once, one
+  product of the previous power with B;
 - `evaluate` combines those powers under one common denominator into
   p(B), and `annihilated_by` decides p(B) = 0 on the same integer
   combination;
 - the trace inner product is one integer dot product of the flattenings,
   and the polynomial form is an integer combination of the entries of the
-  basis's one Gram matrix G_ab = ints_a . ints_b.
+  one Gram matrix G_ab = ints_a . ints_b that the power basis of B keeps.
 
 Fractions are built when a file is parsed and when a boundary asks for
 `rows` (reports, the entry decomposition, the float sidecar); the
@@ -40,8 +42,11 @@ from .exact import Polynomial, Scalar
 Row = tuple[Fraction, ...]
 
 
-def clear_denominators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(den, ints) with den the lcm of the denominators and ints = den * values."""
+def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """(den, ints) with den the lcm of the denominators and ints = den * values.
+
+    The values may be Fractions or ints: both carry numerator and denominator.
+    """
     den = 1
     for v in values:
         den = lcm(den, v.denominator)
@@ -75,9 +80,11 @@ class RationalMatrix:
     Entry (x, y) is ints[x * n + y] / den, with ints a flat row-major tuple
     of ints, den > 0 and gcd(den, *ints) = 1, so each matrix has exactly
     one (order, den, ints). The Fraction rows are built only on request.
+    The power basis (`powers`) is a cache beside that encoding: equality
+    and hashing read only (order, den, ints).
     """
 
-    __slots__ = ("order", "den", "ints")
+    __slots__ = ("order", "den", "ints", "_powers")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         grid = [[v if type(v) in (Fraction, int) else Fraction(v) for v in row] for row in rows]
@@ -94,6 +101,7 @@ class RationalMatrix:
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "_powers", None)
 
     @classmethod
     def _cleared(cls, den: int, ints: Sequence[int], n: int) -> "RationalMatrix":
@@ -110,6 +118,13 @@ class RationalMatrix:
     def ones(cls, n: int) -> "RationalMatrix":
         """The all-ones matrix J."""
         return cls._cleared(1, [1] * (n * n), n)
+
+    @property
+    def powers(self) -> "MatrixPowerBasis":
+        """The power basis I, B, B^2, ... of this matrix, built on first access and kept."""
+        if self._powers is None:
+            object.__setattr__(self, "_powers", MatrixPowerBasis(self))
+        return self._powers
 
     @property
     def rows(self) -> tuple[Row, ...]:
@@ -177,6 +192,10 @@ def trace_inner_product(m: RationalMatrix, n: RationalMatrix) -> Fraction:
 
 class MatrixPowerBasis:
     """Powers I, B, B^2, ... of one matrix, each computed once.
+
+    The pipeline reads the one basis a matrix owns, `B.powers`, so the
+    minimal polynomial, the Hoffman polynomial and the predistance family
+    of B share its powers and Gram entries.
 
     power(k) is B^k = power(k - 1) @ B, one `integer_product` (on int64
     while the entry bound allows it, on Python ints beyond); every power up
@@ -248,9 +267,9 @@ class MatrixPowerBasis:
 
 
 def solve_rational_system(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
+    columns: Sequence[Sequence[Scalar]], target: Sequence[Scalar]
 ) -> Optional[list[Fraction]]:
-    """Solve sum_j x_j * columns[j] = target exactly over the rationals.
+    """Solve sum_j x_j * columns[j] = target exactly over the rationals (ints or Fractions).
 
     Returns one solution (free variables set to zero) or None when the
     system is inconsistent. Forward elimination is fraction-free on
@@ -262,10 +281,10 @@ def solve_rational_system(
     m = len(target)
     rows: list[list[int]] = []
     for r in range(m):
-        frac_row = [Fraction(columns[j][r]) for j in range(k)]
-        frac_row.append(Fraction(target[r]))
-        if any(frac_row):
-            rows.append(clear_denominators(frac_row)[1])  # solutions unchanged
+        row = [columns[j][r] for j in range(k)]
+        row.append(target[r])
+        if any(row):
+            rows.append(clear_denominators(row)[1])  # solutions unchanged
     width = k + 1
     pivot_cols: list[int] = []
     rank = 0

@@ -8,8 +8,8 @@ p_i = (q_i(lambda) / |q_i|^2) q_i, yields the predistance family: orthogonal,
 deg p_i = i, |p_i|^2 = p_i(lambda) > 0, and sum_i p_i(B) = J.
 
 The form comes from one integer Gram matrix G_ab = ints_a . ints_b of the
-powers B^k = ints_k / delta_k, kept in the power basis
-(MatrixPowerBasis.gram). The Gram-Schmidt pass runs on it in coefficient
+powers B^k = ints_k / delta_k, kept in the power basis that B owns
+(`B.powers.gram`). The Gram-Schmidt pass runs on it in coefficient
 space, on integer weight vectors, and hands its norms |q_i|^2 on to the
 normalization, so no inner product is taken twice. Each p_i is evaluated
 at B once, as a `RationalMatrix` E_i. The invariant check re-verifies the
@@ -33,13 +33,8 @@ from operator import mul
 from typing import Optional
 
 from .exact import Polynomial
-from .hoffman import (
-    HoffmanPolynomial,
-    MinimalPolynomial,
-    hoffman_polynomial,
-    minimal_polynomial,
-)
-from .matrix import MatrixPowerBasis, RationalMatrix, trace_inner_product
+from .hoffman import HoffmanPolynomial, hoffman_polynomial, minimal_polynomial
+from .matrix import RationalMatrix, trace_inner_product
 from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
 
 
@@ -78,7 +73,6 @@ def lambda_avoiding_gram_schmidt(
     b: RationalMatrix,
     lam: Fraction,
     d: int,
-    basis: Optional[MatrixPowerBasis] = None,
 ) -> OrthogonalFamily:
     """Orthogonalize the monomials 1, t, ..., t^d while avoiding roots at lambda.
 
@@ -88,7 +82,7 @@ def lambda_avoiding_gram_schmidt(
     lambda^j != 0 at lambda.
 
     The pass runs in coefficient space on the integer Gram matrix G_ab =
-    ints_a . ints_b of the powers (`MatrixPowerBasis.gram`). Each
+    ints_a . ints_b of the powers (`B.powers.gram`). Each
     q_l is kept as q_l(B) = s_l sum_k w_lk ints_k, with w_l a primitive
     integer vector, and its image G w_l is taken once. With N_l = w_l . G
     w_l the projection coefficient <q_l, t^j> / |q_l|^2 times q_l(B) is
@@ -100,8 +94,7 @@ def lambda_avoiding_gram_schmidt(
     lam = Fraction(lam)
     if lam == 0:
         raise PredistanceHypothesisError("lambda is zero")
-    if basis is None:
-        basis = MatrixPowerBasis(b)
+    basis = b.powers
     deltas = [basis.power(k).den for k in range(d + 1)]
     gram = [[basis.gram(a, c) for c in range(d + 1)] for a in range(d + 1)]
     weights: list[list[int]] = []
@@ -165,8 +158,7 @@ class PredistanceBasis:
 def predistance_basis(
     b: RationalMatrix,
     classification: Optional[MatrixClassification] = None,
-    basis: Optional[MatrixPowerBasis] = None,
-    minimal: Optional[MinimalPolynomial] = None,
+    minimal: Optional[Polynomial] = None,
 ) -> PredistanceBasis:
     """Construct and fully check the predistance family of B.
 
@@ -178,12 +170,10 @@ def predistance_basis(
     failed = cls.failed_hypothesis()
     if failed is not None:
         raise PredistanceHypothesisError(HYPOTHESIS_MESSAGES[failed])
-    if basis is None:
-        basis = MatrixPowerBasis(b)
     if minimal is None:
-        minimal = minimal_polynomial(b, basis)
+        minimal = minimal_polynomial(b)
     d = minimal.degree - 1
-    orthogonal = lambda_avoiding_gram_schmidt(b, cls.lam, d, basis)
+    orthogonal = lambda_avoiding_gram_schmidt(b, cls.lam, d)
     # p_j = (q_j(lambda) / |q_j|^2) q_j, so |p_j|^2 = q_j(lambda)^2 / |q_j|^2
     scales = [q(cls.lam) / norm_sq for q, norm_sq in zip(orthogonal, orthogonal.norms_sq)]
     polys = tuple(s * q for s, q in zip(scales, orthogonal))
@@ -191,15 +181,13 @@ def predistance_basis(
         polys=polys,
         lam=cls.lam,
         norms_sq=tuple(s * s * norm_sq for s, norm_sq in zip(scales, orthogonal.norms_sq)),
-        evaluations=tuple(basis.evaluate(p) for p in polys),
+        evaluations=tuple(b.powers.evaluate(p) for p in polys),
     )
-    _assert_invariants(result, b, basis)
+    _assert_invariants(result, b)
     return result
 
 
-def _assert_invariants(
-    family: PredistanceBasis, b: RationalMatrix, basis: Optional[MatrixPowerBasis] = None
-) -> None:
+def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
     """Re-verify the family on its evaluations E_i = p_i(B), not on the Gram entries.
 
     The cached norm of p_i is checked as <E_i, E_i>. For j < i, <p_j, p_i>
@@ -207,8 +195,7 @@ def _assert_invariants(
     p_j on the powers and X_ki = ints_k . E_i.ints, so each pair costs one
     short integer sum. sum_i p_i(B) = J is one evaluation of sum_i p_i.
     """
-    if basis is None:
-        basis = MatrixPowerBasis(b)
+    basis = b.powers
     polys, lam, evaluations = family.polys, family.lam, family.evaluations
     if polys[0] != Polynomial([1]):
         raise ArithmeticError("internal invariant violated: p_0 != 1")

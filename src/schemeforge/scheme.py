@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .digraph import distance_structure, underlying_digraph
 from .exact import Polynomial
-from .matrix import MatrixPowerBasis, RationalMatrix
+from .matrix import RationalMatrix
 from .hoffman import minimal_polynomial
 from .predistance import predistance_basis
 from .stochastic import MatrixClassification, RejectionCode, classify
@@ -167,13 +167,12 @@ def detect_scheme(
         return rejected(failed)
 
     structure = distance_structure(underlying_digraph(b))
-    basis = MatrixPowerBasis(b)
-    minimal = minimal_polynomial(b, basis)
+    minimal = minimal_polynomial(b)
     d = minimal.degree - 1
     if d != structure.diameter:
         return rejected(RejectionCode.EIGENCOUNT_NE_DIAMETER, d=d, diameter=structure.diameter)
 
-    family = predistance_basis(b, classification=cls, basis=basis, minimal=minimal)
+    family = predistance_basis(b, classification=cls, minimal=minimal)
 
     def is_class(i: int) -> bool:
         """A_i = p_i(B), decided as ints == den * A_i on the evaluation p_i(B)."""

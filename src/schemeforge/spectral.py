@@ -144,7 +144,11 @@ def perron_check(
     tol: float = ASSERTION_TOL,
     classification: MatrixClassification | None = None,
 ) -> PerronReport:
-    """Check lambda dominates the spectrum, is simple, and B 1 = lambda 1 exactly."""
+    """Check lambda dominates the spectrum and is simple.
+
+    B 1 = lambda 1 holds exactly whenever the classification has lambda:
+    classify sets it only when every line sum of B agrees.
+    """
     cls = classification if classification is not None else classify(b)
     if cls.lam is None:
         raise ValueError("perron check needs a lambda-doubly stochastic matrix")
@@ -153,12 +157,11 @@ def perron_check(
     perron = values[0]  # roots lists lambda first
     max_modulus = max(abs(v) for v in values)
     min_gap = min((abs(perron - v) for v in values[1:]), default=float("inf"))
-    row_sums_ok = all(sum(row, start=0 * lam) == lam for row in b.rows)
     return PerronReport(
         lam=float(lam),
         max_modulus=max_modulus,
         modulus_matches=abs(max_modulus - float(lam)) < tol and abs(perron - float(lam)) < tol,
         perron_simple=min_gap > tol,
         min_gap_to_perron=min_gap,
-        allones_eigenvector_exact=row_sums_ok,
+        allones_eigenvector_exact=cls.doubly_stochastic,
     )

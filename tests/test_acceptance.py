@@ -138,7 +138,7 @@ def test_criterion_3_property_suite():
             collected += 1
             n = b.order
             basis = MatrixPowerBasis(b)
-            info = hoffman_polynomial(b, classification=cls, basis=basis)
+            info = hoffman_polynomial(b, classification=cls)
             # h(B) = J exactly
             assert basis.evaluate(info.h) == RationalMatrix.ones(n)
             # minimality: no lower-degree polynomial reaches J
@@ -148,7 +148,7 @@ def test_criterion_3_property_suite():
             )
             if cls.normal:
                 normal_seen += 1
-                family = predistance_basis(b, classification=cls, basis=basis)
+                family = predistance_basis(b, classification=cls)
                 for i, p in enumerate(family.polys):
                     assert family.norms_sq[i] == p(family.lam)
                     assert poly_inner(info.h, p, b, basis) == family.norms_sq[i]
@@ -169,7 +169,7 @@ def test_criterion_4_oracle_equivalence():
             b = load_fixture(path.name)
             if b.order > 8:
                 continue
-            assert divides(minimal_polynomial(b).poly, charpoly_leverrier(b))
+            assert divides(minimal_polynomial(b), charpoly_leverrier(b))
         # (b) walk counts match exhaustive DFS enumeration
         rng = random.Random(20240)
         for _ in range(20):
@@ -211,12 +211,12 @@ def test_criterion_4_oracle_equivalence():
         for b in stage_inputs:
             cls = classify(b)
             structure = distance_structure(underlying_digraph(b))
-            basis = MatrixPowerBasis(b)
-            minimal = minimal_polynomial(b, basis)
+            basis = b.powers
+            minimal = minimal_polynomial(b)
             d = minimal.degree - 1
             if d != structure.diameter:
                 continue
-            family = predistance_basis(b, classification=cls, basis=basis, minimal=minimal)
+            family = predistance_basis(b, classification=cls, minimal=minimal)
             distance_d = class_matrices(structure.dist)[d]
             single_equality = distance_d == family.evaluations[d]
             member = algebra_membership(distance_d, basis, degree=d)
@@ -244,7 +244,7 @@ def test_criterion_5_cyclic_family_and_fig1_rejection():
 def test_criterion_6_numeric_sidecar():
     with criterion(6, "numeric sidecar"):
         fig2 = load_fixture("fig2.mat")
-        spectrum = roots(minimal_polynomial(fig2).poly)
+        spectrum = roots(minimal_polynomial(fig2))
         s = 3 ** 0.5 / 4
         expected = [1.0, 0.5, complex(0.25, s), complex(0.25, -s)]
         remaining = list(expected)
@@ -259,7 +259,7 @@ def test_criterion_6_numeric_sidecar():
         # product form on fig1, fig2, and 20 random normal instances
         for name in ("fig1.mat", "fig2.mat"):
             b = load_fixture(name)
-            numeric = roots(minimal_polynomial(b).poly)
+            numeric = roots(minimal_polynomial(b))
             assert hoffman_product_form_check(b, list(numeric.eigenvalues[1:])) < 1e-9
         instances = iter_random_instances()
         checked = 0
@@ -267,7 +267,7 @@ def test_criterion_6_numeric_sidecar():
             _, b, cls = next(instances)
             if not (cls.normal and cls.irreducible and cls.lam):
                 continue
-            numeric = roots(minimal_polynomial(b).poly)
+            numeric = roots(minimal_polynomial(b))
             assert hoffman_product_form_check(b, list(numeric.eigenvalues[1:])) < 1e-9
             checked += 1
 

@@ -160,6 +160,8 @@ def test_predistance_fig2_json(capsys, fixtures_dir):
         ("predistance", "fig2.mat", 1, 1),
         ("predistance", "fig1.mat", 1, 0),  # the gate rejects before any power is taken
         ("scheme", "fig2.mat", 1, 3),
+        ("hoffman", "fig2.mat", 1, 1),
+        ("spectrum", "fig2.mat", 1, 1),
     ],
 )
 def test_pipeline_intermediates_per_command(
@@ -178,9 +180,24 @@ def test_pipeline_intermediates_per_command(
         for module in (cli, hoffman, predistance, scheme):
             if getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, counted)
+    matmul = RationalMatrix.__matmul__
+    calls["products"] = 0
+
+    def counted_matmul(self, other):
+        calls["products"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counted_matmul)
+    # run_command parses the file afresh, so no power basis is cached beforehand
     run_command([command, fixture_path(fixtures_dir, name), "--json"])
     capsys.readouterr()
-    assert calls == {"classify": classify_calls, "minimal_polynomial": minimal_calls}
+    # classify takes B B^T and B^T B; fig2's minimal polynomial has degree 4, and
+    # the one power basis of B takes B^1..B^4 however many stages read it
+    assert calls == {
+        "classify": classify_calls,
+        "minimal_polynomial": minimal_calls,
+        "products": 2 + (4 if minimal_calls else 0),
+    }
 
 
 def test_predistance_rejects_fig1(capsys, fixtures_dir):

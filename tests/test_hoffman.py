@@ -45,11 +45,11 @@ FIG1_Q = Polynomial(
 
 def test_minimal_polynomial_of_identity():
     m = minimal_polynomial(identity(5))
-    assert m.poly == Polynomial([-1, 1])
+    assert m == Polynomial([-1, 1])
 
 
 def test_minimal_polynomial_fig2(fig2):
-    m = minimal_polynomial(fig2).poly
+    m = minimal_polynomial(fig2)
     expected = Polynomial([-1, 1]) * Polynomial(
         [Fraction(-1, 8), Fraction(1, 2), -1, 1]
     )
@@ -58,7 +58,7 @@ def test_minimal_polynomial_fig2(fig2):
 
 
 def test_minimal_polynomial_fig1(fig1):
-    m = minimal_polynomial(fig1).poly
+    m = minimal_polynomial(fig1)
     assert m == Polynomial([-1, 1]) * FIG1_Q
     assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig1])) == zeros(8)
 
@@ -145,7 +145,7 @@ def test_no_lower_degree_polynomial_reaches_allones(fig1, fig2):
 )
 def test_minimal_polynomial_divides_charpoly(name):
     b = load_fixture(name)
-    m = minimal_polynomial(b).poly
+    m = minimal_polynomial(b)
     assert divides(m, charpoly_leverrier(b))
 
 
@@ -153,7 +153,7 @@ def test_eigenvalue_count_matches_degree_for_normal(fig2):
     from schemeforge.spectral import roots
 
     m = minimal_polynomial(fig2)
-    spectrum = roots(m.poly)
+    spectrum = roots(m)
     assert len(set(spectrum.eigenvalues)) == m.degree
 
 
@@ -180,7 +180,7 @@ def test_product_form_residual_random_normal_instance():
         if cls.normal and cls.irreducible and cls.lam:
             b = candidate
         seed += 1
-    spectrum = roots(minimal_polynomial(b).poly)
+    spectrum = roots(minimal_polynomial(b))
     assert hoffman_product_form_check(b, list(spectrum.eigenvalues[1:])) < 1e-9
 
 
@@ -252,7 +252,7 @@ def krylov_cases(draw):
 @given(krylov_cases())
 @settings(max_examples=200, deadline=None)
 def test_minimal_polynomial_matches_gauss_jordan_oracle(grid):
-    m = minimal_polynomial(RationalMatrix(grid)).poly
+    m = minimal_polynomial(RationalMatrix(grid))
     assert m == oracle_minimal_polynomial(grid)
     n = len(grid)
     assert naive_poly_at(m, grid) == [[Fraction(0)] * n for _ in range(n)]
@@ -269,17 +269,16 @@ def test_deep_krylov_scaled_directed_cycle():
     b = RationalMatrix(
         [[scale if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
     )
-    basis = MatrixPowerBasis(b)
     expected = Polynomial([-(scale**n)] + [0] * (n - 1) + [1])
-    assert _candidate(basis, WORD_PRIME) == expected
-    m = minimal_polynomial(b, basis)
+    assert _candidate(b, WORD_PRIME) == expected
+    m = minimal_polynomial(b)
     assert m.degree - 1 == 29
-    assert m.poly == expected
+    assert m == expected
     for k in range(n + 1):
-        power = basis.power(k)
+        power = b.powers.power(k)
         assert power.den == 2**k
         assert sorted(power.ints) == [0] * (n * n - n) + [3**k] * n
-    info = hoffman_polynomial(b, basis=basis, minimal=m)
+    info = hoffman_polynomial(b, minimal=m)
     assert info.h == Polynomial([Fraction(2, 3) ** j for j in range(n)])
 
 
@@ -300,11 +299,10 @@ def test_unlucky_prime_is_caught_by_the_certificate():
     """
     p = WORD_PRIME
     b = RationalMatrix([[1, p], [p, 1]])
-    basis = MatrixPowerBasis(b)
-    assert _candidate(basis, p) == Polynomial([-1, 1])
-    m = minimal_polynomial(b, basis)
-    assert m.poly == Polynomial([1 - p * p, -2, 1])
-    info = hoffman_polynomial(b, basis=basis, minimal=m)
+    assert _candidate(b, p) == Polynomial([-1, 1])
+    m = minimal_polynomial(b)
+    assert m == Polynomial([1 - p * p, -2, 1])
+    info = hoffman_polynomial(b, minimal=m)
     assert info.lam == 1 + p
     assert info.h == Polynomial([Fraction(p - 1, p), Fraction(1, p)])
 
@@ -321,5 +319,5 @@ HUGE_ENTRY_GRIDS = [
 @pytest.mark.parametrize("grid", HUGE_ENTRY_GRIDS)
 def test_minimal_polynomial_with_entries_past_int64(grid):
     grid = [[Fraction(v) for v in row] for row in grid]
-    m = minimal_polynomial(RationalMatrix(grid)).poly
+    m = minimal_polynomial(RationalMatrix(grid))
     assert m == oracle_minimal_polynomial(grid)

@@ -19,6 +19,7 @@ from schemeforge.matrix import (
     trace_inner_product,
 )
 
+from conftest import load_fixture
 from oracles import (
     add,
     algebra_membership,
@@ -272,6 +273,18 @@ def test_power_basis_caches_incrementally(fig2):
     assert basis.power(2) == fig2 @ fig2
     assert basis.power(1) == fig2
     assert basis.evaluate(Polynomial([-2, 8, -16, 16])) == RationalMatrix.ones(6)
+
+
+def test_matrix_keeps_one_power_basis_outside_its_value():
+    b = load_fixture("fig2.mat")  # a fresh parse: the session fixture may hold a filled basis
+    basis = b.powers
+    assert b.powers is basis
+    assert basis.base is b
+    basis.power(4)
+    basis.gram(2, 3)
+    fresh = load_fixture("fig2.mat")
+    assert b == fresh and hash(b) == hash(fresh)
+    assert fresh.powers is not basis
 
 
 def test_membership_of_allones_gives_hoffman_coefficients(fig2):

@@ -221,12 +221,11 @@ def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):
         built.append(self)
         init(self, rows)
 
-    basis = MatrixPowerBasis(fig2)
     monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
     cls = classify(fig2)
-    minimal = minimal_polynomial(fig2, basis)
-    info = hoffman_polynomial(fig2, classification=cls, basis=basis, minimal=minimal)
-    family = predistance_basis(fig2, classification=cls, basis=basis, minimal=minimal)
+    minimal = minimal_polynomial(fig2)
+    info = hoffman_polynomial(fig2, classification=cls, minimal=minimal)
+    family = predistance_basis(fig2, classification=cls, minimal=minimal)
     assert verify_hoffman_sum(family, fig2, hoffman=info)
     assert not built
 

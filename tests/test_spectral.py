@@ -50,7 +50,7 @@ def test_roots_of_unity(n):
 
 
 def test_roots_of_fig2_minimal_polynomial(fig2):
-    m = minimal_polynomial(fig2).poly
+    m = minimal_polynomial(fig2)
     spectrum = roots(m)
     s = 3 ** 0.5 / 4
     assert_multiset_close(
@@ -60,7 +60,7 @@ def test_roots_of_fig2_minimal_polynomial(fig2):
 
 
 def test_roots_are_conjugate_closed(fig1):
-    spectrum = roots(minimal_polynomial(fig1).poly)
+    spectrum = roots(minimal_polynomial(fig1))
     values = list(spectrum.eigenvalues)
     for z in values:
         assert any(w == z.conjugate() for w in values)
@@ -68,7 +68,7 @@ def test_roots_are_conjugate_closed(fig1):
 
 def test_root_residuals_are_tiny(fig1, fig2):
     for b in (fig1, fig2):
-        m = minimal_polynomial(b).poly
+        m = minimal_polynomial(b)
         spectrum = roots(m)
         scale = max(abs(float(c)) for c in m.coeffs)
         assert all(r / scale < 1e-10 for r in spectrum.residuals)
@@ -80,7 +80,7 @@ def test_roots_requires_degree():
 
 
 def test_roots_non_convergence_carries_residuals():
-    m = minimal_polynomial(random_lambda_ds(28, 2, seed=1)).poly
+    m = minimal_polynomial(random_lambda_ds(28, 2, seed=1))
     with pytest.raises(RootConvergenceError) as excinfo:
         roots(m, tol=1e-300)
     assert len(excinfo.value.residuals) == m.degree
@@ -89,7 +89,7 @@ def test_roots_non_convergence_carries_residuals():
 def test_idempotents_of_scaled_allones():
     n = 4
     jn = scaled(Fraction(1, n), RationalMatrix.ones(n))
-    spectrum = roots(minimal_polynomial(jn).poly)
+    spectrum = roots(minimal_polynomial(jn))
     family = idempotents(jn, spectrum)
     e_perron = family.projectors[0]
     assert np.max(np.abs(e_perron - np.full((n, n), 1.0 / n))) < 1e-9
@@ -97,7 +97,7 @@ def test_idempotents_of_scaled_allones():
 
 
 def test_idempotents_fig2_invariants(fig2):
-    spectrum = roots(minimal_polynomial(fig2).poly)
+    spectrum = roots(minimal_polynomial(fig2))
     family = idempotents(fig2, spectrum)
     assert all(v < 1e-9 for v in family.residuals.values())
 
@@ -105,7 +105,7 @@ def test_idempotents_fig2_invariants(fig2):
 def test_idempotents_cyclic_are_fourier_projectors():
     n = 3
     c = directed_cycle_matrix(n)
-    spectrum = roots(minimal_polynomial(c).poly)
+    spectrum = roots(minimal_polynomial(c))
     family = idempotents(c, spectrum)
     cf = c.to_float().astype(complex)
     powers = [np.eye(n, dtype=complex), cf, cf @ cf]
@@ -123,7 +123,7 @@ def test_idempotents_reject_degenerate_spectrum(fig2):
 
 
 def test_power_identity(fig2):
-    spectrum = roots(minimal_polynomial(fig2).poly)
+    spectrum = roots(minimal_polynomial(fig2))
     family = idempotents(fig2, spectrum)
     bf = fig2.to_float().astype(complex)
     power = np.eye(6, dtype=complex)
@@ -144,20 +144,20 @@ def test_transpose_is_polynomial_in_normal_matrix(fig2):
 
 
 def test_perron_check_fig2(fig2):
-    spectrum = roots(minimal_polynomial(fig2).poly)
+    spectrum = roots(minimal_polynomial(fig2))
     report = perron_check(fig2, spectrum)
     assert report.ok
     assert report.max_modulus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_perron_check_fig1(fig1):
-    spectrum = roots(minimal_polynomial(fig1).poly)
+    spectrum = roots(minimal_polynomial(fig1))
     assert perron_check(fig1, spectrum).ok
 
 
 def test_perron_check_scaled_permutation_spectrum_on_circle():
     b = directed_cycle_matrix(4, scale=Fraction(3, 2))
-    spectrum = roots(minimal_polynomial(b).poly)
+    spectrum = roots(minimal_polynomial(b))
     report = perron_check(b, spectrum)
     assert report.ok
     assert all(abs(abs(z) - 1.5) < 1e-9 for z in spectrum.eigenvalues)
@@ -166,12 +166,12 @@ def test_perron_check_scaled_permutation_spectrum_on_circle():
 
 def test_perron_check_requires_line_sums():
     b = RationalMatrix([[1, 0], [1, 1]])
-    spectrum = roots(minimal_polynomial(b).poly)
+    spectrum = roots(minimal_polynomial(b))
     with pytest.raises(ValueError):
         perron_check(b, spectrum)
 
 
 def test_eigencount_equals_minpoly_degree_for_normal(fig2):
     m = minimal_polynomial(fig2)
-    spectrum = roots(m.poly)
+    spectrum = roots(m)
     assert len(set(spectrum.eigenvalues)) == m.degree
