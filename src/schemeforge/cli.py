@@ -14,13 +14,19 @@ broken" and from a crash.
 
 Reports print every rational exactly, however many digits it has: Python's
 int-to-str digit limit is lifted while a report is built and written, and
-only then, so parsing still rejects oversized integer literals.
+only then, so parsing still rejects oversized integer literals. A --json
+report is byte for byte json.dumps(report, indent=2), written by
+`_report_json`, which joins each list of plain ints in one step: the class
+grids and the intersection tensor are almost all of a scheme report, and
+indent turns json's C encoder off. The argument parser is built once per
+process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -71,7 +77,9 @@ def _tolerance_value(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="schemeforge",
         description="Exact analysis of lambda-doubly stochastic rational matrices.",
@@ -130,9 +138,37 @@ def _exact_digits():
         sys.set_int_max_str_digits(previous)
 
 
+def _report_json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2) for a value nested at `indent`, laid out here.
+
+    json.dumps turns its C encoder off whenever indent is set. Dicts with
+    str keys, lists and tuples are laid out as json.dumps lays them out; a
+    list of plain ints (bools excluded) is one str.join, and each leaf is
+    json.dumps(leaf) on the C encoder, the same text with or without
+    indent. Only an empty dict or one with other keys goes to
+    json.dumps(value, indent=2), its later lines shifted by `indent`.
+    """
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {int}:  # plain ints only, no bools
+            items = map(int.__repr__, value)
+        else:
+            items = (_report_json(v, inner) for v in value)
+        brackets = "[]"
+    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = (f"{json.dumps(k)}: {_report_json(v, inner)}" for k, v in value.items())
+        brackets = "{}"
+    elif isinstance(value, dict):
+        return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+    else:
+        return json.dumps(value)
+    separator = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{separator.join(items)}\n{indent}{brackets[1]}"
+
+
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(_report_json(report))
     else:
         for line in lines:
             print(line)

@@ -5,12 +5,20 @@ then n rows of n whitespace-separated tokens. Tokens are integers ("2"),
 fractions ("1/3"), or decimals ("0.25", "1e-3"); decimals convert exactly,
 never through a float. A decimal exponent above MAX_EXPONENT in absolute
 value is an input error: 1e1000000 alone is a 3.3-million-bit integer.
+
+Signed integers and p/q in ASCII digits, the tokens of almost every file,
+are read with int() and go straight into the cleared integers of the
+matrix under one common denominator; every other token (underscores,
+other digits, decimals, exponents, p/0) is read by Fraction as before.
+Both paths accept the same tokens, give the same values and raise the same
+errors.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .matrix import RationalMatrix
 
@@ -44,6 +52,19 @@ def _shown(token: str) -> str:
     return f"{token[:32]!r}... ({len(token)} characters)"
 
 
+# a signed integer or p/q in ASCII digits: int() reads its digits exactly as Fraction does
+_PLAIN = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _plain_entry(match: re.Match) -> tuple[int, int]:
+    """(numerator, denominator) of a _PLAIN token; ZeroDivisionError for p/0, as Fraction raises."""
+    sign, num, den = match.groups()
+    num, den = int(num), int(den or 1)
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    return (-num if sign == "-" else num), den
+
+
 def parse_matrix(text: str) -> RationalMatrix:
     data: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -66,23 +87,31 @@ def parse_matrix(text: str) -> RationalMatrix:
     if len(body) != n:
         where = body[-1][0] if body else header_line
         raise MatrixParseError(f"expected {_shown(header)} data rows, found {len(body)}", where, 1)
-    rows: list[list[Fraction]] = []
+    nums: list[int] = []
+    dens: list[int] = []
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != n:
             raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", lineno, len(tokens))
-        row: list[Fraction] = []
         for col, token in enumerate(tokens, start=1):
-            if _exponent_too_large(token):
+            plain = _PLAIN.fullmatch(token)
+            if plain is None and _exponent_too_large(token):
                 raise MatrixParseError(
                     f"exponent of {_shown(token)} exceeds {MAX_EXPONENT} in absolute value", lineno, col
                 )
             try:
-                row.append(Fraction(token))
+                if plain is not None:
+                    num, den = _plain_entry(plain)
+                else:
+                    value = Fraction(token)
+                    num, den = value.numerator, value.denominator
             except (ValueError, ZeroDivisionError):
                 raise MatrixParseError(f"cannot parse entry {_shown(token)}", lineno, col) from None
-        rows.append(row)
-    return RationalMatrix(rows)
+            nums.append(num)
+            dens.append(den)
+    # one common denominator; _cleared reduces it to the lowest terms RationalMatrix(rows) keeps
+    den = lcm(*dens)
+    return RationalMatrix._cleared(den, [v * (den // d) for v, d in zip(nums, dens)], n)
 
 
 def serialize_matrix(b: RationalMatrix, comment: str | None = None) -> str:

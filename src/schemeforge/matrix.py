@@ -14,7 +14,8 @@ lowest terms. Every operation is an integer operation on that encoding:
 - each matrix owns one power basis (`RationalMatrix.powers`, built on
   first access and kept), so every stage that reads B^k, p(B) or the Gram
   matrix of B shares the same powers; each power B^k is kept once, one
-  product of the previous power with B;
+  product of the previous power with B; the basis refers back to B only
+  weakly, so dropping B frees both without the cycle collector;
 - `evaluate` combines those powers under one common denominator into
   p(B), and `annihilated_by` decides p(B) = 0 on the same integer
   combination;
@@ -30,6 +31,7 @@ Matrices are immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -84,7 +86,7 @@ class RationalMatrix:
     and hashing read only (order, den, ints).
     """
 
-    __slots__ = ("order", "den", "ints", "_powers")
+    __slots__ = ("order", "den", "ints", "_powers", "__weakref__")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         grid = [[v if type(v) in (Fraction, int) else Fraction(v) for v in row] for row in rows]
@@ -212,18 +214,27 @@ class MatrixPowerBasis:
     """
 
     def __init__(self, base: RationalMatrix):
-        self.base = base
+        # B owns its basis, so the basis refers back to B only weakly and
+        # multiplies by a copy of B's value: no reference cycle between them
+        self._base = weakref.ref(base)
+        self._generator = RationalMatrix._cleared(base.den, base.ints, base.order)
         n = base.order
         identity = [0] * (n * n)
         identity[:: n + 1] = [1] * n
         self._powers = [RationalMatrix._cleared(1, identity, n)]
         self._gram: dict[tuple[int, int], int] = {}
 
+    @property
+    def base(self) -> RationalMatrix:
+        """B itself while it lives, else an equal matrix."""
+        base = self._base()
+        return self._generator if base is None else base
+
     def power(self, k: int) -> RationalMatrix:
         """B^k, computed once."""
         powers = self._powers
         while len(powers) <= k:
-            powers.append(powers[-1] @ self.base)
+            powers.append(powers[-1] @ self._generator)
         return powers[k]
 
     def weights(self, p: Polynomial) -> tuple[int, list[tuple[int, int]]]:
@@ -234,7 +245,7 @@ class MatrixPowerBasis:
 
     def _combination(self, weights: list[tuple[int, int]]) -> list[int]:
         """sum_k w_k ints_k, entry by entry."""
-        acc = [0] * (self.base.order**2)
+        acc = [0] * (self._generator.order**2)
         for k, weight in weights:
             acc = [a + weight * v for a, v in zip(acc, self._powers[k].ints)]
         return acc
@@ -242,7 +253,7 @@ class MatrixPowerBasis:
     def evaluate(self, p: Polynomial) -> RationalMatrix:
         """p(B): one integer combination (sum_k w_k ints_k) / L of the powers."""
         den, weights = self.weights(p)
-        return RationalMatrix._cleared(den, self._combination(weights), self.base.order)
+        return RationalMatrix._cleared(den, self._combination(weights), self._generator.order)
 
     def annihilated_by(self, p: Polynomial) -> bool:
         """Whether p(B) = 0, decided on the integers sum_k w_k ints_k."""

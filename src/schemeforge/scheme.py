@@ -9,7 +9,9 @@ den * A_D. The classes are never built as matrices: the BFS distance grid
 is their label grid, with A_i the level set {(x, y) : dist[x][y] = i}, and
 the axiom kernels read it directly. An accepted certificate carries that
 grid, the integer intersection tensor, and the transpose permutation; a
-rejection carries a typed reason.
+rejection carries a typed reason. The intersection numbers are counted in
+bulk: one exact int64 matrix product per class and group of classes, with
+the counts packed as base-(n + 1) digits (see intersection_numbers).
 
 Rejection is a value, never an exception. The AXIOM_FAILURE reason exists
 only as a self-check trap: when the acceptance hypotheses hold it is
@@ -21,6 +23,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .digraph import distance_structure, underlying_digraph
 from .exact import Polynomial
@@ -95,32 +99,54 @@ def intersection_numbers(labels: LabelGrid) -> IntersectionTensor:
 
     p^h_ij at an ordered pair (x, y) with h = labels[x][y] is the number of
     z with labels[x][z] = i and labels[z][y] = j, the (x, y) entry of A_i A_j.
-    It is counted as a popcount of two bitsets and asserted equal at every
-    ordered pair, which is exactly the condition A_i A_j = sum_h p^h_ij A_h.
+    It is asserted equal at every ordered pair, which is exactly the
+    condition A_i A_j = sum_h p^h_ij A_h.
+
+    The counts are packed as base-(n + 1) digits: for a group of g classes
+    j0..j0+g-1, Z = sum_j (n + 1)^(j - j0) A_j, and the (x, y) entry of the
+    int64 product A_i Z is sum_j p_ij(x, y) (n + 1)^(j - j0). Each digit is
+    at most n, so the entry is below (n + 1)^g <= 2^63, and as every term is
+    nonnegative no partial sum overflows. Each entry is compared with the
+    entry at the first row-major pair of its class, whose digits are the
+    p^h_ij. The AS4 witness (i, j, h, x, y) is the first row-major pair whose
+    counts differ from its class representative's, with (i, j) the first
+    differing counts there.
     """
     r = _class_count(labels)
     n = len(labels)
-    # row_bits[x][i] = {z : labels[x][z] = i}, col_bits[y][j] = {z : labels[z][y] = j}
-    row_bits = [[0] * r for _ in range(n)]
-    col_bits = [[0] * r for _ in range(n)]
-    for x, row in enumerate(labels):
-        for z, i in enumerate(row):
-            row_bits[x][i] |= 1 << z
-            col_bits[z][i] |= 1 << x
-    counts: list[Optional[list[int]]] = [None] * r
-    for x, row in enumerate(labels):
-        rows_x = row_bits[x]
-        for y, h in enumerate(row):
-            here = [(a & c).bit_count() for a in rows_x for c in col_bits[y]]
-            if counts[h] is None:
-                counts[h] = here
-            elif here != counts[h]:
-                ij = next(k for k, (u, v) in enumerate(zip(here, counts[h])) if u != v)
-                raise SchemeAxiomError("AS4", (*divmod(ij, r), h, x, y))
-    return tuple(
-        tuple(tuple(counts[h][i * r + j] for h in range(r)) for j in range(r))
-        for i in range(r)
-    )
+    lab = np.array(labels, dtype=np.int64)
+    flat = lab.ravel()
+    # first row-major pair of each class, and of the class of each pair
+    cells = flat.tolist()
+    rep = np.array([cells.index(h) for h in range(r)])
+    rep_of_pair = rep[flat]
+    # the largest g <= r with (n + 1)^g <= 2^63
+    g = 1
+    while g < r and (n + 1) ** (g + 1) <= 2**63:
+        g += 1
+    place = np.array([(n + 1) ** k for k in range(g)], dtype=np.int64)
+    tensor = np.empty((r, r, r), dtype=np.int64)  # [i, j, h]
+    same = np.ones(n * n, dtype=bool)
+    for j0 in range(0, r, g):
+        width = min(g, r - j0)
+        weight = np.zeros(r, dtype=np.int64)
+        weight[j0 : j0 + width] = place[:width]
+        z = weight[lab]
+        for i in range(r):
+            counts = ((lab == i).astype(np.int64) @ z).ravel()
+            same &= counts == counts[rep_of_pair]
+            # digit k of the count at the representative of class h is p^h_ij, j = j0 + k
+            tensor[i, j0 : j0 + width] = counts[rep] // place[:width, None] % (n + 1)
+    if not same.all():
+        # recount every (i, j) at the first differing pair and at its class representative
+        first = int((~same).argmax())
+        h = cells[first]
+        here, there = (
+            np.bincount(lab[a // n] * r + lab[:, a % n], minlength=r * r) for a in (first, cells.index(h))
+        )
+        ij = int((here != there).argmax())
+        raise SchemeAxiomError("AS4", (*divmod(ij, r), h, *divmod(first, n)))
+    return tuple(tuple(map(tuple, plane)) for plane in tensor.tolist())
 
 
 def transpose_map(labels: LabelGrid) -> tuple[int, ...]:

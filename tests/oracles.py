@@ -4,7 +4,10 @@ Everything here is written from first principles on plain lists of
 Fractions: no power caches, no fraction-free solver, no pipeline
 intermediates, and every matrix product goes through naive_mat_mul rather
 than the library's kernel. Slow is fine; disagreement with the library is
-the signal.
+the signal. Two references are the plain per-entry forms of the library's
+bulk paths: popcount_intersection_tensor counts each p_ij(x, y) as a
+popcount of two bitsets, and fraction_parse_matrix reads each token of a
+matrix file as one Fraction.
 
 Two sections are not oracles. Matrix arithmetic on Fraction grids builds
 test inputs: it reads every RationalMatrix through `.rows` and builds its
@@ -21,7 +24,9 @@ import itertools
 from fractions import Fraction
 
 from schemeforge.exact import Polynomial
+from schemeforge.io import MAX_EXPONENT, MatrixParseError, _exponent_too_large, _shown
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, solve_rational_system
+from schemeforge.scheme import SchemeAxiomError
 
 
 def charpoly_leverrier(b: RationalMatrix) -> Polynomial:
@@ -104,6 +109,85 @@ def oracle_intersection_tensor(classes: list[RationalMatrix]) -> list[list[list[
             plane.append(row)
         tensor.append(plane)
     return tensor
+
+
+def popcount_intersection_tensor(labels) -> tuple:
+    """p^h_ij of a label grid as popcounts of bitsets, indexed [i][j][h]; the reference kernel.
+
+    row_bits[x][i] = {z : labels[x][z] = i} and col_bits[y][j] = {z : labels[z][y] = j},
+    so p_ij(x, y) = |row_bits[x][i] & col_bits[y][j]|. The count vector over (i, j) of
+    every ordered pair is compared with that of the first pair of its class; the first
+    row-major pair that differs raises SchemeAxiomError("AS4", (i, j, h, x, y)) with (i, j)
+    the first differing counts. A label grid with an empty class is a ValueError.
+    """
+    used = {i for row in labels for i in row}
+    r = max(used) + 1
+    if used != set(range(r)):
+        raise ValueError("label grid has a class with empty support")
+    n = len(labels)
+    row_bits = [[0] * r for _ in range(n)]
+    col_bits = [[0] * r for _ in range(n)]
+    for x, row in enumerate(labels):
+        for z, i in enumerate(row):
+            row_bits[x][i] |= 1 << z
+            col_bits[z][i] |= 1 << x
+    counts: list[list[int] | None] = [None] * r
+    for x, row in enumerate(labels):
+        rows_x = row_bits[x]
+        for y, h in enumerate(row):
+            here = [(a & c).bit_count() for a in rows_x for c in col_bits[y]]
+            if counts[h] is None:
+                counts[h] = here
+            elif here != counts[h]:
+                ij = next(k for k, (u, v) in enumerate(zip(here, counts[h])) if u != v)
+                raise SchemeAxiomError("AS4", (*divmod(ij, r), h, x, y))
+    return tuple(
+        tuple(tuple(counts[h][i * r + j] for h in range(r)) for j in range(r))
+        for i in range(r)
+    )
+
+
+def fraction_parse_matrix(text: str) -> RationalMatrix:
+    """A matrix file read with one Fraction per token, through the RationalMatrix constructor.
+
+    The reference for parse_matrix: the same layout checks, exponent bound
+    and error positions and messages, but no integer fast path.
+    """
+    data = [
+        (lineno, raw.strip())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip() and not raw.strip().startswith("#")
+    ]
+    if not data:
+        raise MatrixParseError("no matrix data found", 1, 1)
+    header_line, header = data[0]
+    try:
+        n = int(header)
+    except ValueError:
+        raise MatrixParseError(f"expected matrix order, found {_shown(header)}", header_line, 1) from None
+    if n <= 0:
+        raise MatrixParseError(f"matrix order must be positive, found {_shown(header)}", header_line, 1)
+    body = data[1:]
+    if len(body) != n:
+        where = body[-1][0] if body else header_line
+        raise MatrixParseError(f"expected {_shown(header)} data rows, found {len(body)}", where, 1)
+    rows = []
+    for lineno, line in body:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", lineno, len(tokens))
+        row = []
+        for col, token in enumerate(tokens, start=1):
+            if _exponent_too_large(token):
+                raise MatrixParseError(
+                    f"exponent of {_shown(token)} exceeds {MAX_EXPONENT} in absolute value", lineno, col
+                )
+            try:
+                row.append(Fraction(token))
+            except (ValueError, ZeroDivisionError):
+                raise MatrixParseError(f"cannot parse entry {_shown(token)}", lineno, col) from None
+        rows.append(row)
+    return RationalMatrix(rows)
 
 
 def class_matrices(labels) -> list[RationalMatrix]:

@@ -6,16 +6,17 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
 
-from schemeforge.cli import run_command
+from schemeforge.cli import _exact_digits, _report_json, build_parser, run_command
 from schemeforge.hoffman import minimal_polynomial
 from schemeforge.io import MatrixParseError, parse_matrix, serialize_matrix
 from schemeforge.matrix import RationalMatrix
 from schemeforge.stochastic import classify, random_lambda_ds
 
-from oracles import identity
+from oracles import fraction_parse_matrix, identity
 
 
 def test_parse_one_by_one():
@@ -63,6 +64,103 @@ def test_parse_rejects_nonpositive_order():
 def test_parse_rejects_missing_rows():
     with pytest.raises(MatrixParseError):
         parse_matrix("3\n1 0 0\n0 1 0\n")
+
+
+def parse_outcome(parse, text):
+    """(order, den, ints) of a parsed matrix, or the (line, column, message) of its MatrixParseError."""
+    try:
+        b = parse(text)
+    except MatrixParseError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+    return ("matrix", b.order, b.den, b.ints)
+
+
+signs = st.sampled_from(("", "+", "-"))
+ascii_digits = st.builds(
+    lambda zeros, value: "0" * zeros + str(value), st.integers(0, 3), st.integers(0, 10**30)
+)
+entry_tokens = st.one_of(
+    st.builds(str.__add__, signs, ascii_digits),
+    st.builds(lambda sign, p, q: f"{sign}{p}/{q}", signs, ascii_digits, ascii_digits),
+    st.builds(lambda sign, p: f"{sign}{p}/0", signs, ascii_digits),
+    st.builds(lambda sign, a, b: f"{sign}{a}.{b}", signs, st.integers(0, 99), st.integers(0, 999)),
+    st.builds(lambda a, e: f"{a}e{e}", st.integers(-9, 9), st.integers(-30, 30)),
+    st.sampled_from(
+        (
+            "+3", "-0/5", "3/-4", "+-3", "1_000", "1__0", "\u0663", "\u0663/\u0664", "\uff11\uff12",
+            "1/2/3", "/5", "5/", "+", "-", "0x10", "1e10001", "0.5", "-.5", ".", "x",
+            "1" * 4300, "1" * 4301, "-" + "9" * 5000, "1" * 5000, "7/" + "3" * 5000,
+            "0" * 5000 + "1", "1" * 4300 + "/" + "7" * 4300,
+        )
+    ),
+)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(entry_tokens, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_matrix_matches_fraction_reference(grid):
+    text = f"{len(grid)}\n" + "".join(" ".join(row) + "\n" for row in grid)
+    assert parse_outcome(parse_matrix, text) == parse_outcome(fraction_parse_matrix, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2\n1/2 -3\n0004/6 +5\n",  # every token on the integer path
+        "2\n1/2 0.25\n\u0663 1e-3\n",  # mixed with the Fraction path
+        "1\n-0/5\n",
+        "2\n1 3/-4\n1 1\n",
+        "2\n1 2/0\n1 1\n",
+        "1\n" + "1" * 4301 + "\n",
+    ],
+)
+def test_parse_matrix_matches_fraction_reference_on_examples(text):
+    assert parse_outcome(parse_matrix, text) == parse_outcome(fraction_parse_matrix, text)
+
+
+def test_parser_is_built_once_and_prints_the_same_usage(capsys):
+    assert build_parser() is build_parser()
+    assert run_command(["scheme"]) == 2
+    first = capsys.readouterr().err
+    assert first.startswith("usage: schemeforge scheme [-h] [--json] file\n")
+    assert run_command(["scheme", "--tol", "1"]) == 2
+    capsys.readouterr()
+    assert run_command(["scheme"]) == 2  # a failed parse leaves the shared parser as it was
+    assert capsys.readouterr().err == first
+    assert run_command(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: schemeforge [-h]")
+
+
+json_leaves = st.one_of(
+    st.text(),
+    st.integers(),
+    st.builds(lambda k, sign: sign * (10**4400 + k), st.integers(0, 10**9), st.sampled_from((1, -1))),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none(), st.floats()), children, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+@settings(max_examples=400, deadline=None)
+def test_report_writer_matches_json_dumps(value):
+    with _exact_digits():  # ints past 4300 digits print in reports
+        assert _report_json(value) == json.dumps(value, indent=2)
 
 
 def test_huge_order_is_not_echoed(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -285,6 +287,27 @@ def test_matrix_keeps_one_power_basis_outside_its_value():
     fresh = load_fixture("fig2.mat")
     assert b == fresh and hash(b) == hash(fresh)
     assert fresh.powers is not basis
+
+
+def test_power_basis_is_freed_without_the_cycle_collector():
+    # B owns its basis and the basis refers back to B weakly: dropping B frees both by refcount
+    b = load_fixture("fig2.mat")
+    b.powers.power(3)
+    basis = weakref.ref(b.powers)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del b
+        assert basis() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_power_basis_outlives_a_temporary_base(fig2):
+    basis = MatrixPowerBasis(load_fixture("fig2.mat"))
+    assert basis.base == fig2
+    assert basis.power(2) == fig2 @ fig2
 
 
 def test_membership_of_allones_gives_hoffman_coefficients(fig2):

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schemeforge.digraph import distance_structure, underlying_digraph
 from schemeforge.exact import Polynomial
@@ -29,6 +30,7 @@ from oracles import (
     johnson_intersection_array,
     labels_of,
     oracle_intersection_tensor,
+    popcount_intersection_tensor,
     scaled,
     sub,
     vanishing_product_check,
@@ -247,6 +249,95 @@ def test_closed_form_schemes_match_oracle_tensor(b, rows):
     oracle = oracle_intersection_tensor(class_matrices(cert.labels))
     assert [[list(row) for row in plane] for plane in cert.intersection_tensor] == oracle
     assert [list(row) for row in cert.intersection_tensor[1]] == rows
+
+
+def kernel_outcome(kernel, labels):
+    """The tensor a kernel returns, or the axiom and witness of its SchemeAxiomError."""
+    try:
+        return ("tensor", kernel(labels))
+    except SchemeAxiomError as exc:
+        return (exc.axiom, exc.witness)
+
+
+def compact(grid):
+    """The grid with its labels renumbered 0..r-1 in increasing order, so no class is empty."""
+    used = sorted({v for row in grid for v in row})
+    return [[used.index(v) for v in row] for row in grid]
+
+
+@st.composite
+def label_grids(draw):
+    """Label grids of schemes (cyclic, directed cyclic, Hamming) and of non-schemes.
+
+    Non-schemes are random grids and merges of the cyclic classes; every
+    grid is then conjugated by a random point permutation and its classes
+    renamed by a random permutation.
+    """
+    kind = draw(st.sampled_from(("random", "directed", "cycle", "merged", "hamming")))
+    if kind == "hamming":
+        d, q = draw(st.sampled_from(((1, 3), (2, 2), (2, 3), (3, 2))))
+        words = list(itertools.product(range(q), repeat=d))
+        grid = [[sum(a != b for a, b in zip(u, v)) for v in words] for u in words]
+    else:
+        n = draw(st.integers(1, 7))
+        if kind == "random":
+            cell = st.integers(0, draw(st.integers(0, 4)))
+            grid = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+        else:
+            shift = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            label = {
+                "directed": lambda k: k,
+                "cycle": lambda k: min(k, n - k),
+                "merged": lambda k: shift[k],
+            }[kind]
+            grid = [[label((y - x) % n) for y in range(n)] for x in range(n)]
+    grid = compact(grid)
+    n, r = len(grid), max(map(max, grid)) + 1
+    points = draw(st.permutations(range(n)))
+    names = draw(st.permutations(range(r)))
+    return [[names[grid[points[x]][points[y]]] for y in range(n)] for x in range(n)]
+
+
+@given(label_grids())
+@settings(max_examples=200, deadline=None)
+def test_intersection_numbers_match_popcount_reference_and_oracle(labels):
+    outcome = kernel_outcome(intersection_numbers, labels)
+    assert outcome == kernel_outcome(popcount_intersection_tensor, labels)
+    if outcome[0] == "tensor":
+        tensor = outcome[1]
+        assert all(type(v) is int for plane in tensor for row in plane for v in row)
+        oracle = oracle_intersection_tensor(class_matrices(labels))
+        assert [[list(row) for row in plane] for plane in tensor] == oracle
+    else:
+        with pytest.raises(AssertionError, match="leaves the span"):
+            oracle_intersection_tensor(class_matrices(labels))
+
+
+def test_intersection_numbers_digit_groups_reach_two_to_the_63():
+    # n = 7 packs 21 counts per int64 since 8^21 = 2^63 exactly; with each of
+    # the 49 pairs its own class, every digit of every group holds a count
+    n = 7
+    assert (n + 1) ** 21 == 2**63
+    labels = [[x * n + y for y in range(n)] for x in range(n)]
+    tensor = intersection_numbers(labels)
+    assert tensor == popcount_intersection_tensor(labels)
+    # A_(x,z) A_(z,y) = A_(x,y): each class holds one pair, so each product is one class
+    for x, z, y in itertools.product(range(n), repeat=3):
+        assert tensor[x * n + z][z * n + y][x * n + y] == 1
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        pytest.param(RationalMatrix(hamming_adjacency(3, 4)), id="H(3,4)"),
+        pytest.param(RationalMatrix(johnson_adjacency(8, 4)), id="J(8,4)"),
+        pytest.param(circulant(60, (1, 59), 1), id="C60"),
+        pytest.param(directed_cycle_matrix(48), id="directed-C48"),
+    ],
+)
+def test_intersection_numbers_match_popcount_reference_on_large_schemes(b):
+    labels = distance_structure(underlying_digraph(b)).dist
+    assert intersection_numbers(labels) == popcount_intersection_tensor(labels)
 
 
 @pytest.mark.parametrize("kernel", [intersection_numbers, transpose_map])
