@@ -32,6 +32,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import io
 from .hoffman import (
     HoffmanHypothesisError,
@@ -249,7 +251,7 @@ def _cmd_predistance(args) -> int:
         )
         return EXIT_REJECTED
     hoffman = hoffman_polynomial(b, classification=cls, minimal=minimal)
-    hoffman_sum_ok = verify_hoffman_sum(family, b, hoffman=hoffman)
+    hoffman_sum_ok = verify_hoffman_sum(family, hoffman)
     with _exact_digits():
         report = {
             "predistance": {
@@ -280,6 +282,7 @@ def _scheme_report(b: RationalMatrix, cls: MatrixClassification, certificate) ->
             predistance_polys = [
                 io.poly_coefficients(p) for p in predistance_basis(b, classification=cls).polys
             ]
+    labels = np.array(certificate.labels)
     report = {
         "verdict": "accepted" if certificate.accepted else "rejected",
         "reason": certificate.reason.describe() if certificate.reason else None,
@@ -289,10 +292,7 @@ def _scheme_report(b: RationalMatrix, cls: MatrixClassification, certificate) ->
         "hoffman": hoffman_coeffs,
         "predistance": predistance_polys,
         "classes": (
-            [
-                [[int(v == i) for v in row] for row in certificate.labels]
-                for i in range(certificate.d + 1)
-            ]
+            [(labels == i).astype(int).tolist() for i in range(certificate.d + 1)]
             if certificate.labels
             else None
         ),

@@ -14,8 +14,9 @@ lowest terms. Every operation is an integer operation on that encoding:
 - each matrix owns one power basis (`RationalMatrix.powers`, built on
   first access and kept), so every stage that reads B^k, p(B) or the Gram
   matrix of B shares the same powers; each power B^k is kept once, one
-  product of the previous power with B; the basis refers back to B only
-  weakly, so dropping B frees both without the cycle collector;
+  product of the previous power with B; the basis multiplies by its own
+  copy of B and holds no reference to B, so dropping B frees both without
+  the cycle collector;
 - `evaluate` combines those powers under one common denominator into
   p(B), and `annihilated_by` decides p(B) = 0 on the same integer
   combination;
@@ -31,7 +32,6 @@ Matrices are immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -86,7 +86,7 @@ class RationalMatrix:
     and hashing read only (order, den, ints).
     """
 
-    __slots__ = ("order", "den", "ints", "_powers", "__weakref__")
+    __slots__ = ("order", "den", "ints", "_powers")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         grid = [[v if type(v) in (Fraction, int) else Fraction(v) for v in row] for row in rows]
@@ -214,21 +214,14 @@ class MatrixPowerBasis:
     """
 
     def __init__(self, base: RationalMatrix):
-        # B owns its basis, so the basis refers back to B only weakly and
-        # multiplies by a copy of B's value: no reference cycle between them
-        self._base = weakref.ref(base)
+        # B owns its basis, so the basis multiplies by a copy of B's value:
+        # no reference cycle between them
         self._generator = RationalMatrix._cleared(base.den, base.ints, base.order)
         n = base.order
         identity = [0] * (n * n)
         identity[:: n + 1] = [1] * n
         self._powers = [RationalMatrix._cleared(1, identity, n)]
         self._gram: dict[tuple[int, int], int] = {}
-
-    @property
-    def base(self) -> RationalMatrix:
-        """B itself while it lives, else an equal matrix."""
-        base = self._base()
-        return self._generator if base is None else base
 
     def power(self, k: int) -> RationalMatrix:
         """B^k, computed once."""

@@ -2,10 +2,16 @@
 
 The matrix B induces an inner product <p, q> = (1/n) trace(p(B) q(B)^T) on
 polynomials of degree at most d (d + 1 = degree of the minimal polynomial).
-Gram-Schmidt over the monomials, with a doubling fallback that keeps every
-basis polynomial nonvanishing at lambda, followed by the normalization
+Gram-Schmidt over the monomials, followed by the normalization
 p_i = (q_i(lambda) / |q_i|^2) q_i, yields the predistance family: orthogonal,
 deg p_i = i, |p_i|^2 = p_i(lambda) > 0, and sum_i p_i(B) = J.
+
+No q_j vanishes at lambda past the hypothesis gate. Every other eigenvalue
+theta has Re theta < lambda, so a monic orthogonal q_j = (t - lambda) s
+would be shortened by (t - lambda + eps) s: the first-order change is
+-2 eps sum_{theta != lambda} m_theta Re(lambda - theta) |s(theta)|^2 < 0,
+as s (degree j - 1 < d) cannot vanish at all d eigenvalues theta != lambda.
+Were q_j(lambda) = 0 anyway, p_j = 0 would fail the degree invariant.
 
 The form comes from one integer Gram matrix G_ab = ints_a . ints_b of the
 powers B^k = ints_k / delta_k, kept in the power basis that B owns
@@ -33,7 +39,7 @@ from operator import mul
 from typing import Optional
 
 from .exact import Polynomial
-from .hoffman import HoffmanPolynomial, hoffman_polynomial, minimal_polynomial
+from .hoffman import HoffmanPolynomial, minimal_polynomial
 from .matrix import RationalMatrix, trace_inner_product
 from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
 
@@ -46,40 +52,11 @@ class PredistanceHypothesisError(ValueError):
         super().__init__(f"predistance basis undefined: {hypothesis}")
 
 
-class OrthogonalFamily(list):
-    """q_0..q_d as `lambda_avoiding_gram_schmidt` returns them.
-
-    A list of the polynomials, carrying norms_sq[j] = <q_j, q_j> from the
-    Gram-Schmidt pass, so that the normalization reads them instead of
-    taking the inner products again.
-    """
-
-    def __init__(self, polys: list[Polynomial], norms_sq: list[Fraction]):
-        super().__init__(polys)
-        self.norms_sq = tuple(norms_sq)
-
-
-def _vanishes_at(coeffs: list[int], lam: Fraction) -> bool:
-    """Whether sum_k coeffs_k lam^k = 0, decided on den(lam)^deg times that sum."""
-    num, den = lam.numerator, lam.denominator
-    acc, scale = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * num + c * scale
-        scale *= den
-    return acc == 0
-
-
-def lambda_avoiding_gram_schmidt(
-    b: RationalMatrix,
-    lam: Fraction,
-    d: int,
-) -> OrthogonalFamily:
-    """Orthogonalize the monomials 1, t, ..., t^d while avoiding roots at lambda.
+def lambda_avoiding_gram_schmidt(b: RationalMatrix, d: int) -> tuple[list[Polynomial], list[Fraction]]:
+    """(q_0..q_d, <q_j, q_j>): the monomials 1, t, ..., t^d orthogonalized.
 
     Classical (not modified) Gram-Schmidt is enough because the arithmetic
-    is exact. When the plain residual r_j vanishes at lambda, the doubled
-    candidate 2 t^j - sum(projections) is used instead, which evaluates to
-    lambda^j != 0 at lambda.
+    is exact; no q_j vanishes at lambda past the gate (module docstring).
 
     The pass runs in coefficient space on the integer Gram matrix G_ab =
     ints_a . ints_b of the powers (`B.powers.gram`). Each
@@ -91,9 +68,6 @@ def lambda_avoiding_gram_schmidt(
     delta_j M, M the lcm of the reduced denominators of those ratios. Its
     norm is N_j s_j^2 / n; Fractions are built only for the coefficients.
     """
-    lam = Fraction(lam)
-    if lam == 0:
-        raise PredistanceHypothesisError("lambda is zero")
     basis = b.powers
     deltas = [basis.power(k).den for k in range(d + 1)]
     gram = [[basis.gram(a, c) for c in range(d + 1)] for a in range(d + 1)]
@@ -114,12 +88,6 @@ def lambda_avoiding_gram_schmidt(
                 factor = num * (m // den)
                 for k, v in enumerate(w):
                     u[k] -= factor * v
-        # q_j = sum_k u_k delta_k t^k / (delta_j m)
-        coeffs = list(map(mul, u, deltas))
-        if _vanishes_at(coeffs, lam):
-            # doubling fallback: candidate + t^j evaluates to lam^j at lambda
-            u[j] += m
-            coeffs[j] += m * deltas[j]
         g = gcd(*u)
         w = [v // g for v in u]
         image = [sum(map(mul, row, w)) for row in gram]
@@ -128,13 +96,14 @@ def lambda_avoiding_gram_schmidt(
             raise PredistanceHypothesisError(
                 f"inner product degenerate at degree {j}; d exceeds deg(minpoly) - 1"
             )
+        # q_j = sum_k u_k delta_k t^k / (delta_j m)
         den = deltas[j] * m
-        polys.append(Polynomial([Fraction(c, den) for c in coeffs]))
+        polys.append(Polynomial([Fraction(v * delta, den) for v, delta in zip(u, deltas)]))
         norms_sq.append(Fraction(g * g * norm, den * den * b.order))
         weights.append(w)
         images.append(image)
         gram_norms.append(norm)
-    return OrthogonalFamily(polys, norms_sq)
+    return polys, norms_sq
 
 
 @dataclass(frozen=True)
@@ -173,14 +142,14 @@ def predistance_basis(
     if minimal is None:
         minimal = minimal_polynomial(b)
     d = minimal.degree - 1
-    orthogonal = lambda_avoiding_gram_schmidt(b, cls.lam, d)
+    orthogonal, orthogonal_norms = lambda_avoiding_gram_schmidt(b, d)
     # p_j = (q_j(lambda) / |q_j|^2) q_j, so |p_j|^2 = q_j(lambda)^2 / |q_j|^2
-    scales = [q(cls.lam) / norm_sq for q, norm_sq in zip(orthogonal, orthogonal.norms_sq)]
+    scales = [q(cls.lam) / norm_sq for q, norm_sq in zip(orthogonal, orthogonal_norms)]
     polys = tuple(s * q for s, q in zip(scales, orthogonal))
     result = PredistanceBasis(
         polys=polys,
         lam=cls.lam,
-        norms_sq=tuple(s * s * norm_sq for s, norm_sq in zip(scales, orthogonal.norms_sq)),
+        norms_sq=tuple(s * s * norm_sq for s, norm_sq in zip(scales, orthogonal_norms)),
         evaluations=tuple(b.powers.evaluate(p) for p in polys),
     )
     _assert_invariants(result, b)
@@ -218,17 +187,11 @@ def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
         raise ArithmeticError("internal invariant violated: sum of p_i(B) != J")
 
 
-def verify_hoffman_sum(
-    family: PredistanceBasis,
-    b: RationalMatrix,
-    hoffman: Optional[HoffmanPolynomial] = None,
-) -> bool:
+def verify_hoffman_sum(family: PredistanceBasis, hoffman: HoffmanPolynomial) -> bool:
     """Check sum_i p_i = h coefficient-wise.
 
     That settles sum_i p_i(B) = J as well: hoffman_polynomial verifies h(B)
     = J exactly, and predistance_basis asserts sum_i p_i(B) = J before it
-    returns the family. The Hoffman polynomial of B is computed unless
-    passed in.
+    returns the family.
     """
-    info = hoffman if hoffman is not None else hoffman_polynomial(b)
-    return sum(family.polys, Polynomial()) == info.h
+    return sum(family.polys, Polynomial()) == hoffman.h

@@ -237,11 +237,12 @@ def detect_scheme(
         tensor = intersection_numbers(labels)
     except SchemeAxiomError as exc:
         return axiom_failure(exc.axiom, exc.witness)
+    # the first row-major (i, j, h) with p^h_ij != p^h_ji has i < j: compare rows above the diagonal
     for i in range(d + 1):
-        for j in range(d + 1):
-            for h in range(d + 1):
-                if tensor[i][j][h] != tensor[j][i][h]:
-                    return axiom_failure("AS5", (i, j, h))
+        for j in range(i + 1, d + 1):
+            if tensor[i][j] != tensor[j][i]:
+                h = next(h for h in range(d + 1) if tensor[i][j][h] != tensor[j][i][h])
+                return axiom_failure("AS5", (i, j, h))
 
     return SchemeCertificate(
         accepted=True,

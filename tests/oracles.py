@@ -261,13 +261,11 @@ def naive_poly_at(p: Polynomial, grid: list[list[Fraction]]) -> list[list[Fracti
     return out
 
 
-def oracle_gram_schmidt(grid: list[list[Fraction]], lam: Fraction, d: int) -> list[Polynomial]:
-    """Classical Gram-Schmidt over 1, t, ..., t^d with the doubling fallback.
+def oracle_gram_schmidt(grid: list[list[Fraction]], d: int) -> list[Polynomial]:
+    """Classical Gram-Schmidt over 1, t, ..., t^d.
 
-    Every inner product is trace_form_inner of naive_poly_at evaluations.
-    q_j = t^j - sum_l (<q_l, t^j> / <q_l, q_l>) q_l, and when that residual
-    vanishes at lam, 2 t^j - the same projections; later degrees still
-    project onto such a q_j, orthogonal or not.
+    Every inner product is trace_form_inner of naive_poly_at evaluations:
+    q_j = t^j - sum_l (<q_l, t^j> / <q_l, q_l>) q_l.
     """
 
     def inner(p: Polynomial, q: Polynomial) -> Fraction:
@@ -279,8 +277,6 @@ def oracle_gram_schmidt(grid: list[list[Fraction]], lam: Fraction, d: int) -> li
         candidate = monomial
         for q in qs:
             candidate = candidate - (inner(q, monomial) / inner(q, q)) * q
-        if candidate(lam) == 0:
-            candidate = candidate + monomial
         qs.append(candidate)
     return qs
 
@@ -290,7 +286,7 @@ def oracle_predistance(
 ) -> tuple[list[Polynomial], list[Fraction]]:
     """(p_0..p_d, <p_j, p_j>) with p_j = (q_j(lam) / <q_j, q_j>) q_j over oracle_gram_schmidt."""
     polys = []
-    for q in oracle_gram_schmidt(grid, lam, d):
+    for q in oracle_gram_schmidt(grid, d):
         q_at = naive_poly_at(q, grid)
         polys.append((q(lam) / trace_form_inner(q_at, q_at)) * q)
     norms = []

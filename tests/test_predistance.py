@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from schemeforge import predistance
+from schemeforge.cli import run_command
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import hoffman_polynomial, minimal_polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
@@ -16,11 +19,11 @@ from schemeforge.predistance import (
 )
 from schemeforge.stochastic import classify, random_lambda_ds
 
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from oracles import (
+    add,
     identity,
     naive_poly_at,
-    oracle_gram_schmidt,
     oracle_minimal_polynomial,
     oracle_predistance,
     poly_inner,
@@ -65,15 +68,16 @@ def test_inner_product_matches_trace_form_oracle(fig2):
 
 
 def test_gram_schmidt_degree_zero(fig2):
-    assert lambda_avoiding_gram_schmidt(fig2, Fraction(1), 0) == [Polynomial([1])]
+    assert lambda_avoiding_gram_schmidt(fig2, 0) == ([Polynomial([1])], [Fraction(1)])
 
 
 def test_gram_schmidt_fig2_avoids_lambda(fig2):
-    polys = lambda_avoiding_gram_schmidt(fig2, Fraction(1), 3)
+    polys, norms_sq = lambda_avoiding_gram_schmidt(fig2, 3)
     assert len(polys) == 4
     for i, q in enumerate(polys):
         assert q.degree == i
         assert q(1) != 0
+        assert norms_sq[i] == poly_inner(q, q, fig2)
     for i in range(4):
         for j in range(i + 1, 4):
             assert poly_inner(polys[i], polys[j], fig2) == 0
@@ -81,42 +85,11 @@ def test_gram_schmidt_fig2_avoids_lambda(fig2):
 
 def test_gram_schmidt_on_cycle_gives_orthogonal_triple():
     b = directed_cycle_matrix(3)
-    polys = lambda_avoiding_gram_schmidt(b, Fraction(1), 2)
+    polys, _ = lambda_avoiding_gram_schmidt(b, 2)
     for i in range(3):
         for j in range(3):
             inner = poly_inner(polys[i], polys[j], b)
             assert (inner == 0) == (i != j)
-
-
-def test_gram_schmidt_rejects_lambda_zero(fig2):
-    with pytest.raises(PredistanceHypothesisError):
-        lambda_avoiding_gram_schmidt(fig2, Fraction(0), 2)
-
-
-def test_gram_schmidt_doubling_fallback_keeps_lambda_value():
-    # diag(0, 1/2, 1): the degree-1 residual is t - 1/2, which vanishes at
-    # the probe value 1/2, forcing the doubled candidate with value (1/2)^1.
-    b = RationalMatrix([[0, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
-    probe = Fraction(1, 2)
-    polys = lambda_avoiding_gram_schmidt(b, probe, 2)
-    assert polys[1] == Polynomial([Fraction(-1, 2), 2])
-    for i, q in enumerate(polys):
-        assert q.degree == i
-        assert q(probe) != 0
-    assert polys[1](probe) == probe
-
-
-def test_gram_schmidt_after_a_fallback_projects_onto_the_doubled_candidate():
-    # polys[1] = 2t - 1/2 is the doubled candidate, not orthogonal to
-    # polys[0]; classical Gram-Schmidt still projects t^2 onto it
-    b = RationalMatrix([[0, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
-    probe = Fraction(1, 2)
-    grid = [list(row) for row in b.rows]
-    polys = lambda_avoiding_gram_schmidt(b, probe, 2)
-    expected = oracle_gram_schmidt(grid, probe, 2)
-    assert polys == expected
-    for q, norm_sq in zip(expected, polys.norms_sq):
-        assert norm_sq == trace_form_inner(naive_poly_at(q, grid), naive_poly_at(q, grid))
 
 
 @st.composite
@@ -132,6 +105,71 @@ def normal_circulants(draw):
         for x in range(n):
             grid[x][(x + s) % n] += w
     return RationalMatrix(grid)
+
+
+S3 = tuple(itertools.permutations(range(3)))
+
+
+def s3_inverse(g):
+    return tuple(sorted(range(3), key=g.__getitem__))
+
+
+@st.composite
+def s3_cayley_digraphs(draw):
+    """sum_g w_g R_g over S_3 with R_g(x, y) = 1 when y = x g.
+
+    w is constant on conjugacy classes (B central) or has w_g = w_{g^-1}
+    (B symmetric), so B is normal.
+    """
+    weight = st.fractions(min_value=0, max_value=3, max_denominator=3)
+    if draw(st.booleans()):
+        # the conjugacy class of g is its number of fixed points
+        by_class = {k: draw(weight) for k in (0, 1, 3)}
+        w = {g: by_class[sum(g[k] == k for k in range(3))] for g in S3}
+    else:
+        w = {}
+        for g in S3:
+            if g not in w:
+                w[g] = w[s3_inverse(g)] = draw(weight)
+    # entry (x, y) is w at x^-1 y, the permutation k -> x^-1(y(k))
+    return RationalMatrix([[w[tuple(s3_inverse(x)[v] for v in y)] for y in S3] for x in S3])
+
+
+gated_normal_draws = st.one_of(
+    normal_circulants(),
+    normal_circulants().map(lambda b: add(b, b.transpose())),
+    s3_cayley_digraphs(),
+)
+
+
+@given(gated_normal_draws)
+@settings(max_examples=40, deadline=None)
+def test_gram_schmidt_never_vanishes_at_lambda_past_the_gate(b):
+    cls = classify(b)
+    assume(cls.failed_hypothesis() is None)
+    grid = [list(row) for row in b.rows]
+    d = minimal_polynomial(b).degree - 1
+    polys, _ = lambda_avoiding_gram_schmidt(b, d)
+    assert all(q(cls.lam) != 0 for q in polys)
+    expected, norms = oracle_predistance(grid, cls.lam, d)
+    family = predistance_basis(b, classification=cls)
+    assert family.polys == tuple(expected)
+    assert family.norms_sq == tuple(norms)
+
+
+def test_vanishing_q_at_lambda_is_an_invariant_violation(fig2, monkeypatch, capsys):
+    # q_1 = t - 1 vanishes at lambda = 1, so p_1 = 0: the degree check traps it
+    polys, norms_sq = lambda_avoiding_gram_schmidt(fig2, 3)
+    polys[1] = Polynomial([-1, 1])
+    monkeypatch.setattr(predistance, "lambda_avoiding_gram_schmidt", lambda b, d: (polys, norms_sq))
+    with pytest.raises(ArithmeticError, match=r"deg\(p_1\) != 1"):
+        predistance_basis(fig2)
+    path = str(FIXTURES / "fig2.mat")
+    for command in ("scheme", "predistance"):
+        assert run_command([command, path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ArithmeticError: ")
 
 
 @given(normal_circulants())
@@ -226,7 +264,7 @@ def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):
     minimal = minimal_polynomial(fig2)
     info = hoffman_polynomial(fig2, classification=cls, minimal=minimal)
     family = predistance_basis(fig2, classification=cls, minimal=minimal)
-    assert verify_hoffman_sum(family, fig2, hoffman=info)
+    assert verify_hoffman_sum(family, info)
     assert not built
 
 
@@ -240,7 +278,7 @@ def test_fourier_identity(fig2):
 
 def test_hoffman_sum_fig2(fig2):
     family = predistance_basis(fig2)
-    assert verify_hoffman_sum(family, fig2)
+    assert verify_hoffman_sum(family, hoffman_polynomial(fig2))
     total = Polynomial()
     for p in family.polys:
         total = total + p
@@ -251,7 +289,7 @@ def test_hoffman_sum_degenerate_order_one():
     b = RationalMatrix([[Fraction(5, 7)]])
     family = predistance_basis(b)
     assert family.polys == (Polynomial([1]),)
-    assert verify_hoffman_sum(family, b)
+    assert verify_hoffman_sum(family, hoffman_polynomial(b))
 
 
 def test_hoffman_sum_on_random_normal_instance():
@@ -265,7 +303,7 @@ def test_hoffman_sum_on_random_normal_instance():
             continue
         found += 1
         family = predistance_basis(b, classification=cls)
-        assert verify_hoffman_sum(family, b)
+        assert verify_hoffman_sum(family, hoffman_polynomial(b))
 
 
 def test_predistance_rejects_non_normal(fig1):

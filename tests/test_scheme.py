@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schemeforge.digraph import distance_structure, underlying_digraph
+from schemeforge import scheme
 from schemeforge.exact import Polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, solve_rational_system
 from schemeforge.scheme import (
@@ -467,3 +468,37 @@ def test_random_accepted_instances_pass_brute_force():
             found += 1
             assert verify_scheme_axioms(class_matrices(cert.labels)) is None
     assert found == 3
+
+
+def r_cubed_as5_witness(tensor):
+    """The first row-major (i, j, h) with p^h_ij != p^h_ji, entry by entry; None when commutative."""
+    r = len(tensor)
+    for i in range(r):
+        for j in range(r):
+            for h in range(r):
+                if tensor[i][j][h] != tensor[j][i][h]:
+                    return (i, j, h)
+    return None
+
+
+index = st.integers(min_value=0, max_value=3)
+
+
+@given(st.lists(st.tuples(index, index, index), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_as5_row_check_reports_the_first_entrywise_witness(fig2, bumps):
+    # fig2's true tensor with a few entries raised by one: AS5 sees the rows
+    # p_ij, p_ji above the diagonal and must name the r^3 loop's first witness
+    tensor = [[list(row) for row in plane] for plane in detect_scheme(fig2).intersection_tensor]
+    for i, j, h in bumps:
+        tensor[i][j][h] += 1
+    tensor = tuple(tuple(map(tuple, plane)) for plane in tensor)
+    expected = r_cubed_as5_witness(tensor)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheme, "intersection_numbers", lambda labels: tensor)
+        cert = detect_scheme(fig2)
+    if expected is None:
+        assert cert.accepted and cert.intersection_tensor == tensor
+    else:
+        assert not cert.accepted
+        assert (cert.reason.axiom, cert.reason.witness) == ("AS5", expected)
