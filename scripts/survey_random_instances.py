@@ -41,7 +41,7 @@ def main() -> None:
             tally["irreducible"] += 1
         if cls.normal:
             tally["normal"] += 1
-        certificate = detect_scheme(b, classification=cls)
+        certificate = detect_scheme(b)
         if certificate.accepted:
             tally["accepted"] += 1
             accepted.append((seed, n, k, certificate))

@@ -10,7 +10,8 @@ on all n^2 integers; otherwise the next prime is tried. No verdict depends
 on the choice of prime. For a lambda-doubly stochastic irreducible B with
 lambda != 0, the Hoffman polynomial h is the unique minimal-degree
 polynomial with h(B) = J; it is always verified against J, as the matrix
-equality h(B) == J, before being returned.
+equality h(B) == J, before being returned. Both are computed once per
+matrix and kept in its analysis context, `B.powers`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .exact import Polynomial
 from .matrix import RationalMatrix, solve_rational_system
-from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
+from .stochastic import HYPOTHESIS_MESSAGES, classify
 
 
 class HoffmanHypothesisError(ValueError):
@@ -120,57 +121,54 @@ def minimal_polynomial(b: RationalMatrix) -> Polynomial:
 
     A candidate m with m(B) = 0 on all entries is monic of degree k <= deg
     m_B and annihilates B, so m = m_B. Otherwise p divides one of finitely
-    many fixed nonzero minors, and the next prime is tried.
+    many fixed nonzero minors, and the next prime is tried. The certified m
+    is kept in B's analysis context.
     """
+    context = b.powers
+    if context.minimal is not None:
+        return context.minimal
     for p in _word_primes():
         candidate = _candidate(b, p)
-        if b.powers.annihilated_by(candidate):
+        if context.annihilated_by(candidate):
+            context.minimal = candidate
             return candidate
     raise ArithmeticError("no prime below 2^31 gave a certified minimal polynomial")
 
 
-def hoffman_polynomial(
-    b: RationalMatrix,
-    classification: Optional[MatrixClassification] = None,
-    minimal: Optional[Polynomial] = None,
-) -> HoffmanPolynomial:
+def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
     """Hoffman polynomial of a lambda-DS irreducible matrix, verified exactly.
 
     Raises HoffmanHypothesisError naming the first hypothesis the gate finds
-    failed (normality is not required).
-    A precomputed minimal polynomial of B may be passed in; h(B) = J is
-    checked either way.
+    failed (normality is not required). The verified h is kept in B's
+    analysis context.
     """
-    cls = classification if classification is not None else classify(b)
+    context = b.powers
+    if context.hoffman is not None:
+        return context.hoffman
+    cls = classify(b)
     failed = cls.failed_hypothesis(require_normal=False)
     if failed is not None:
         raise HoffmanHypothesisError(HYPOTHESIS_MESSAGES[failed])
-    if minimal is None:
-        minimal = minimal_polynomial(b)
-    q = minimal.divide_linear(cls.lam)
+    q = minimal_polynomial(b).divide_linear(cls.lam)
     q_at_lam = q(cls.lam)
     if q_at_lam == 0:
         # impossible for a valid input: lambda is a simple eigenvalue
         raise ArithmeticError("internal invariant violated: q(lambda) = 0")
     h = Fraction(b.order, 1) / q_at_lam * q
-    if b.powers.evaluate(h) != RationalMatrix.ones(b.order):
+    if context.evaluate(h) != RationalMatrix.ones(b.order):
         raise ArithmeticError("internal invariant violated: h(B) != J")
-    return HoffmanPolynomial(h=h, q=q, lam=cls.lam)
+    context.hoffman = HoffmanPolynomial(h=h, q=q, lam=cls.lam)
+    return context.hoffman
 
 
-def hoffman_product_form_check(
-    b: RationalMatrix,
-    roots: Sequence[complex],
-    hoffman: Optional[HoffmanPolynomial] = None,
-) -> float:
+def hoffman_product_form_check(b: RationalMatrix, roots: Sequence[complex]) -> float:
     """Compare h against its factored form over the numeric roots of q.
 
     Evaluates (n / q(lambda)) q(t) and (n / prod(lambda - r)) prod(t - r) at
     a fixed sample grid and returns the largest absolute discrepancy. Purely
-    diagnostic; nothing exact depends on it. The Hoffman polynomial of B is
-    computed unless passed in.
+    diagnostic; nothing exact depends on it.
     """
-    info = hoffman if hoffman is not None else hoffman_polynomial(b)
+    info = hoffman_polynomial(b)
     lam = float(info.lam)
     n = b.order
     h_coeffs = [float(c) for c in reversed(info.h.coeffs)]  # descending, as np.polyval takes them

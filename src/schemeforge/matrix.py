@@ -11,12 +11,13 @@ lowest terms. Every operation is an integer operation on that encoding:
   the exact product of two integer matrices: one numpy matmul, on int64
   when a bound on the entries proves that no partial sum can overflow and
   on object arrays of Python ints otherwise;
-- each matrix owns one power basis (`RationalMatrix.powers`, built on
-  first access and kept), so every stage that reads B^k, p(B) or the Gram
-  matrix of B shares the same powers; each power B^k is kept once, one
-  product of the previous power with B; the basis multiplies by its own
-  copy of B and holds no reference to B, so dropping B frees both without
-  the cycle collector;
+- each matrix owns one analysis context (`RationalMatrix.powers`, built
+  on first access and kept): its power basis, shared by every stage that
+  reads B^k, p(B) or the Gram matrix of B, and the results of the
+  pipeline stages on B, each stored by the stage that computes it; each
+  power B^k is kept once, one product of the previous power with B; the
+  context multiplies by its own copy of B and holds no reference to B, so
+  dropping B frees both without the cycle collector;
 - `evaluate` combines those powers under one common denominator into
   p(B), and `annihilated_by` decides p(B) = 0 on the same integer
   combination;
@@ -82,8 +83,8 @@ class RationalMatrix:
     Entry (x, y) is ints[x * n + y] / den, with ints a flat row-major tuple
     of ints, den > 0 and gcd(den, *ints) = 1, so each matrix has exactly
     one (order, den, ints). The Fraction rows are built only on request.
-    The power basis (`powers`) is a cache beside that encoding: equality
-    and hashing read only (order, den, ints).
+    The analysis context (`powers`) is a cache beside that encoding:
+    equality and hashing read only (order, den, ints).
     """
 
     __slots__ = ("order", "den", "ints", "_powers")
@@ -123,7 +124,7 @@ class RationalMatrix:
 
     @property
     def powers(self) -> "MatrixPowerBasis":
-        """The power basis I, B, B^2, ... of this matrix, built on first access and kept."""
+        """The analysis context of this matrix, built on first access and kept."""
         if self._powers is None:
             object.__setattr__(self, "_powers", MatrixPowerBasis(self))
         return self._powers
@@ -193,11 +194,14 @@ def trace_inner_product(m: RationalMatrix, n: RationalMatrix) -> Fraction:
 
 
 class MatrixPowerBasis:
-    """Powers I, B, B^2, ... of one matrix, each computed once.
+    """The analysis context of one matrix: its powers I, B, B^2, ..., each
+    computed once, and the result of each pipeline stage on B.
 
-    The pipeline reads the one basis a matrix owns, `B.powers`, so the
+    The pipeline reads the one context a matrix owns, `B.powers`, so the
     minimal polynomial, the Hoffman polynomial and the predistance family
-    of B share its powers and Gram entries.
+    of B share its powers and Gram entries. `classify`, `minimal_polynomial`,
+    `hoffman_polynomial` and `predistance_basis` each store their result
+    here and return it on later calls; a failed gate or check stores nothing.
 
     power(k) is B^k = power(k - 1) @ B, one `integer_product` (on int64
     while the entry bound allows it, on Python ints beyond); every power up
@@ -214,7 +218,7 @@ class MatrixPowerBasis:
     """
 
     def __init__(self, base: RationalMatrix):
-        # B owns its basis, so the basis multiplies by a copy of B's value:
+        # B owns its context, so the context multiplies by a copy of B's value:
         # no reference cycle between them
         self._generator = RationalMatrix._cleared(base.den, base.ints, base.order)
         n = base.order
@@ -222,6 +226,11 @@ class MatrixPowerBasis:
         identity[:: n + 1] = [1] * n
         self._powers = [RationalMatrix._cleared(1, identity, n)]
         self._gram: dict[tuple[int, int], int] = {}
+        # stage results, each set once by the stage that computes it
+        self.classification = None  # stochastic.MatrixClassification
+        self.minimal = None  # hoffman.minimal_polynomial
+        self.hoffman = None  # hoffman.HoffmanPolynomial
+        self.predistance = None  # predistance.PredistanceBasis
 
     def power(self, k: int) -> RationalMatrix:
         """B^k, computed once."""

@@ -17,7 +17,9 @@ The form comes from one integer Gram matrix G_ab = ints_a . ints_b of the
 powers B^k = ints_k / delta_k, kept in the power basis that B owns
 (`B.powers.gram`). The Gram-Schmidt pass runs on it in coefficient
 space, on integer weight vectors, and hands its norms |q_i|^2 on to the
-normalization, so no inner product is taken twice. Each p_i is evaluated
+normalization, so no inner product is taken twice. The checked family is
+built once per matrix and kept in the same analysis context, beside the
+classification and the minimal polynomial it reads. Each p_i is evaluated
 at B once, as a `RationalMatrix` E_i. The invariant check re-verifies the
 family on those evaluations, independently of the Gram entries: the norm of
 p_i as the trace inner product of E_i with itself, and <p_j, p_i> = 0 from
@@ -36,12 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Optional
 
 from .exact import Polynomial
 from .hoffman import HoffmanPolynomial, minimal_polynomial
 from .matrix import RationalMatrix, trace_inner_product
-from .stochastic import HYPOTHESIS_MESSAGES, MatrixClassification, classify
+from .stochastic import HYPOTHESIS_MESSAGES, classify
 
 
 class PredistanceHypothesisError(ValueError):
@@ -124,24 +125,22 @@ class PredistanceBasis:
         return len(self.polys) - 1
 
 
-def predistance_basis(
-    b: RationalMatrix,
-    classification: Optional[MatrixClassification] = None,
-    minimal: Optional[Polynomial] = None,
-) -> PredistanceBasis:
+def predistance_basis(b: RationalMatrix) -> PredistanceBasis:
     """Construct and fully check the predistance family of B.
 
     Requires B normal, lambda-doubly stochastic, irreducible, lambda != 0.
     Every invariant of the family (degrees, orthogonality, norm values,
-    positivity, Hoffman sum) is asserted before returning.
+    positivity, Hoffman sum) is asserted before the family is kept in B's
+    analysis context and returned.
     """
-    cls = classification if classification is not None else classify(b)
+    context = b.powers
+    if context.predistance is not None:
+        return context.predistance
+    cls = classify(b)
     failed = cls.failed_hypothesis()
     if failed is not None:
         raise PredistanceHypothesisError(HYPOTHESIS_MESSAGES[failed])
-    if minimal is None:
-        minimal = minimal_polynomial(b)
-    d = minimal.degree - 1
+    d = minimal_polynomial(b).degree - 1
     orthogonal, orthogonal_norms = lambda_avoiding_gram_schmidt(b, d)
     # p_j = (q_j(lambda) / |q_j|^2) q_j, so |p_j|^2 = q_j(lambda)^2 / |q_j|^2
     scales = [q(cls.lam) / norm_sq for q, norm_sq in zip(orthogonal, orthogonal_norms)]
@@ -150,9 +149,10 @@ def predistance_basis(
         polys=polys,
         lam=cls.lam,
         norms_sq=tuple(s * s * norm_sq for s, norm_sq in zip(scales, orthogonal_norms)),
-        evaluations=tuple(b.powers.evaluate(p) for p in polys),
+        evaluations=tuple(context.evaluate(p) for p in polys),
     )
     _assert_invariants(result, b)
+    context.predistance = result
     return result
 
 

@@ -31,7 +31,7 @@ from .exact import Polynomial
 from .matrix import RationalMatrix
 from .hoffman import minimal_polynomial
 from .predistance import predistance_basis
-from .stochastic import MatrixClassification, RejectionCode, classify
+from .stochastic import RejectionCode, classify
 
 logger = logging.getLogger(__name__)
 
@@ -167,16 +167,15 @@ def transpose_map(labels: LabelGrid) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def detect_scheme(
-    b: RationalMatrix, classification: Optional[MatrixClassification] = None
-) -> SchemeCertificate:
+def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
     """Decide whether the polynomial algebra of B is a Bose-Mesner algebra.
 
     Acceptance requires B normal, lambda-doubly stochastic (lambda != 0),
     irreducible, with eigenvalue count D + 1 matching the diameter D of the
     underlying digraph, and the distance-D matrix equal to p_D(B). Every
-    accepted certificate is built from re-verified axiom checks. B is
-    classified unless its classification is passed in.
+    accepted certificate is built from re-verified axiom checks. The
+    classification, minimal polynomial and predistance family come from B's
+    analysis context, so each is computed at most once per matrix.
     """
 
     def rejected(code: RejectionCode, **details) -> SchemeCertificate:
@@ -187,8 +186,7 @@ def detect_scheme(
             diameter=details.get("diameter"),
         )
 
-    cls = classification if classification is not None else classify(b)
-    failed = cls.failed_hypothesis()
+    failed = classify(b).failed_hypothesis()
     if failed is not None:
         return rejected(failed)
 
@@ -198,7 +196,7 @@ def detect_scheme(
     if d != structure.diameter:
         return rejected(RejectionCode.EIGENCOUNT_NE_DIAMETER, d=d, diameter=structure.diameter)
 
-    family = predistance_basis(b, classification=cls, minimal=minimal)
+    family = predistance_basis(b)
 
     def is_class(i: int) -> bool:
         """A_i = p_i(B), decided as ints == den * A_i on the evaluation p_i(B)."""

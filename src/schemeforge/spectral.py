@@ -19,7 +19,7 @@ import numpy as np
 
 from .exact import Polynomial
 from .matrix import RationalMatrix
-from .stochastic import MatrixClassification, classify
+from .stochastic import classify
 
 RESIDUAL_TOL = 1e-12
 ASSERTION_TOL = 1e-9
@@ -131,28 +131,22 @@ class PerronReport:
     modulus_matches: bool
     perron_simple: bool
     min_gap_to_perron: float
-    allones_eigenvector_exact: bool
 
     @property
     def ok(self) -> bool:
-        return self.modulus_matches and self.perron_simple and self.allones_eigenvector_exact
+        return self.modulus_matches and self.perron_simple
 
 
-def perron_check(
-    b: RationalMatrix,
-    spectrum: Spectrum,
-    tol: float = ASSERTION_TOL,
-    classification: MatrixClassification | None = None,
-) -> PerronReport:
+def perron_check(b: RationalMatrix, spectrum: Spectrum, tol: float = ASSERTION_TOL) -> PerronReport:
     """Check lambda dominates the spectrum and is simple.
 
-    B 1 = lambda 1 holds exactly whenever the classification has lambda:
-    classify sets it only when every line sum of B agrees.
+    B 1 = lambda 1 holds exactly whenever the classification has lambda
+    (classify sets it only when every line sum of B agrees), so it needs
+    no numeric check.
     """
-    cls = classification if classification is not None else classify(b)
-    if cls.lam is None:
+    lam = classify(b).lam
+    if lam is None:
         raise ValueError("perron check needs a lambda-doubly stochastic matrix")
-    lam = cls.lam
     values = spectrum.eigenvalues
     perron = values[0]  # roots lists lambda first
     max_modulus = max(abs(v) for v in values)
@@ -163,5 +157,4 @@ def perron_check(
         modulus_matches=abs(max_modulus - float(lam)) < tol and abs(perron - float(lam)) < tol,
         perron_simple=min_gap > tol,
         min_gap_to_perron=min_gap,
-        allones_eigenvector_exact=cls.doubly_stochastic,
     )

@@ -86,8 +86,12 @@ def classify(b: RationalMatrix) -> MatrixClassification:
     """The four flags; signs and line sums are decided on M = delta B.
 
     delta = b.den, so the line sums are integer sums (lambda = row sum /
-    delta). Normality compares the two products B B^T and B^T B.
+    delta). Normality compares the two products B B^T and B^T B. The result
+    is computed once and kept in B's analysis context.
     """
+    context = b.powers
+    if context.classification is not None:
+        return context.classification
     n, den, ints = b.order, b.den, b.ints
     rows = [ints[i : i + n] for i in range(0, n * n, n)]
     nonnegative = all(v >= 0 for v in ints)
@@ -99,9 +103,10 @@ def classify(b: RationalMatrix) -> MatrixClassification:
     bt = b.transpose()
     normal = (b @ bt) == (bt @ b)
     irreducible = is_strongly_connected([[y for y, v in enumerate(row) if v] for row in rows])
-    return MatrixClassification(
+    context.classification = MatrixClassification(
         order=n, nonnegative=nonnegative, lam=lam, normal=normal, irreducible=irreducible
     )
+    return context.classification
 
 
 @dataclass(frozen=True)

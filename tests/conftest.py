@@ -16,11 +16,13 @@ def fixtures_dir():
     return FIXTURES
 
 
-@pytest.fixture(scope="session")
+# fig1 and fig2 are parsed afresh for each test: a matrix keeps every stage
+# result in its analysis context, and a shared one would carry them across tests
+@pytest.fixture
 def fig1():
     return load_fixture("fig1.mat")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def fig2():
     return load_fixture("fig2.mat")

@@ -138,7 +138,7 @@ def test_criterion_3_property_suite():
             collected += 1
             n = b.order
             basis = MatrixPowerBasis(b)
-            info = hoffman_polynomial(b, classification=cls)
+            info = hoffman_polynomial(b)
             # h(B) = J exactly
             assert basis.evaluate(info.h) == RationalMatrix.ones(n)
             # minimality: no lower-degree polynomial reaches J
@@ -148,7 +148,7 @@ def test_criterion_3_property_suite():
             )
             if cls.normal:
                 normal_seen += 1
-                family = predistance_basis(b, classification=cls)
+                family = predistance_basis(b)
                 for i, p in enumerate(family.polys):
                     assert family.norms_sq[i] == p(family.lam)
                     assert poly_inner(info.h, p, b, basis) == family.norms_sq[i]
@@ -209,14 +209,12 @@ def test_criterion_4_oracle_equivalence():
             stage_inputs.append(b)
             added += 1
         for b in stage_inputs:
-            cls = classify(b)
             structure = distance_structure(underlying_digraph(b))
             basis = b.powers
-            minimal = minimal_polynomial(b)
-            d = minimal.degree - 1
+            d = minimal_polynomial(b).degree - 1
             if d != structure.diameter:
                 continue
-            family = predistance_basis(b, classification=cls, minimal=minimal)
+            family = predistance_basis(b)
             distance_d = class_matrices(structure.dist)[d]
             single_equality = distance_d == family.evaluations[d]
             member = algebra_membership(distance_d, basis, degree=d)

@@ -253,49 +253,76 @@ def test_predistance_fig2_json(capsys, fixtures_dir):
 
 
 @pytest.mark.parametrize(
-    "command, name, classify_calls, minimal_calls",
+    "command, name, classifications, minimal_polynomials",
     [
+        ("analyze", "fig2.mat", 1, 0),
         ("predistance", "fig2.mat", 1, 1),
         ("predistance", "fig1.mat", 1, 0),  # the gate rejects before any power is taken
-        ("scheme", "fig2.mat", 1, 3),
+        ("scheme", "fig2.mat", 1, 1),
         ("hoffman", "fig2.mat", 1, 1),
         ("spectrum", "fig2.mat", 1, 1),
     ],
 )
 def test_pipeline_intermediates_per_command(
-    capsys, fixtures_dir, monkeypatch, command, name, classify_calls, minimal_calls
+    capsys, fixtures_dir, monkeypatch, command, name, classifications, minimal_polynomials
 ):
-    from schemeforge import cli, hoffman, predistance, scheme
+    # each stage's own work is counted, not the calls that return its stored result
+    from schemeforge import hoffman, predistance, stochastic
 
-    calls = {"classify": 0, "minimal_polynomial": 0}
-    for attr in calls:
-        original = getattr(hoffman, attr)
+    calls = dict.fromkeys(
+        ("classification", "candidate", "h(B) = J", "gram_schmidt", "invariants", "products"), 0
+    )
 
-        def counted(*args, _attr=attr, _original=original, **kwargs):
-            calls[_attr] += 1
-            return _original(*args, **kwargs)
+    def count(owner, attr, key):
+        original = getattr(owner, attr)
 
-        for module in (cli, hoffman, predistance, scheme):
-            if getattr(module, attr, None) is original:
-                monkeypatch.setattr(module, attr, counted)
-    matmul = RationalMatrix.__matmul__
-    calls["products"] = 0
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
 
-    def counted_matmul(self, other):
-        calls["products"] += 1
-        return matmul(self, other)
+        monkeypatch.setattr(owner, attr, counted)
 
-    monkeypatch.setattr(RationalMatrix, "__matmul__", counted_matmul)
-    # run_command parses the file afresh, so no power basis is cached beforehand
+    count(stochastic, "is_strongly_connected", "classification")
+    count(hoffman, "_candidate", "candidate")  # one per prime tried; fig2 needs one
+    count(predistance, "lambda_avoiding_gram_schmidt", "gram_schmidt")
+    count(predistance, "_assert_invariants", "invariants")
+    count(RationalMatrix, "__matmul__", "products")
+
+    class CountedOnes(RationalMatrix):
+        """The J that hoffman_polynomial compares h(B) with: one per check."""
+
+        @staticmethod
+        def ones(n):
+            calls["h(B) = J"] += 1
+            return RationalMatrix.ones(n)
+
+    monkeypatch.setattr(hoffman, "RationalMatrix", CountedOnes)
+    # run_command parses the file afresh, so its analysis context starts empty
     run_command([command, fixture_path(fixtures_dir, name), "--json"])
     capsys.readouterr()
+    family = minimal_polynomials if command in ("predistance", "scheme") else 0
     # classify takes B B^T and B^T B; fig2's minimal polynomial has degree 4, and
     # the one power basis of B takes B^1..B^4 however many stages read it
     assert calls == {
-        "classify": classify_calls,
-        "minimal_polynomial": minimal_calls,
-        "products": 2 + (4 if minimal_calls else 0),
+        "classification": classifications,
+        "candidate": minimal_polynomials,
+        "h(B) = J": minimal_polynomials,
+        "gram_schmidt": family,
+        "invariants": family,
+        "products": 2 + 4 * minimal_polynomials,
     }
+
+
+def test_failed_hoffman_sum_is_an_internal_error(capsys, fixtures_dir, monkeypatch):
+    # past both exact checks sum_i p_i = h is a theorem, so a failure is a crash, never a rejection
+    from schemeforge import cli
+
+    monkeypatch.setattr(cli, "verify_hoffman_sum", lambda family, hoffman: False)
+    assert run_command(["predistance", fixture_path(fixtures_dir, "fig2.mat"), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("internal error: ArithmeticError: ")
 
 
 def test_predistance_rejects_fig1(capsys, fixtures_dir):

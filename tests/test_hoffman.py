@@ -278,17 +278,8 @@ def test_deep_krylov_scaled_directed_cycle():
         power = b.powers.power(k)
         assert power.den == 2**k
         assert sorted(power.ints) == [0] * (n * n - n) + [3**k] * n
-    info = hoffman_polynomial(b, minimal=m)
+    info = hoffman_polynomial(b)
     assert info.h == Polynomial([Fraction(2, 3) ** j for j in range(n)])
-
-
-def test_product_form_check_accepts_precomputed_hoffman(fig2):
-    root = 3 ** 0.5 / 4
-    roots_of_q = [0.5, complex(0.25, root), complex(0.25, -root)]
-    info = hoffman_polynomial(fig2)
-    assert hoffman_product_form_check(fig2, roots_of_q, hoffman=info) == (
-        hoffman_product_form_check(fig2, roots_of_q)
-    )
 
 
 def test_unlucky_prime_is_caught_by_the_certificate():
@@ -302,7 +293,7 @@ def test_unlucky_prime_is_caught_by_the_certificate():
     assert _candidate(b, p) == Polynomial([-1, 1])
     m = minimal_polynomial(b)
     assert m == Polynomial([1 - p * p, -2, 1])
-    info = hoffman_polynomial(b, minimal=m)
+    info = hoffman_polynomial(b)
     assert info.lam == 1 + p
     assert info.h == Polynomial([Fraction(p - 1, p), Fraction(1, p)])
 

@@ -278,7 +278,7 @@ def test_power_basis_caches_incrementally(fig2):
 
 
 def test_matrix_keeps_one_power_basis_outside_its_value():
-    b = load_fixture("fig2.mat")  # a fresh parse: the session fixture may hold a filled basis
+    b = load_fixture("fig2.mat")
     basis = b.powers
     assert b.powers is basis
     assert basis.power(1) == b

@@ -152,7 +152,7 @@ def test_gram_schmidt_never_vanishes_at_lambda_past_the_gate(b):
     polys, _ = lambda_avoiding_gram_schmidt(b, d)
     assert all(q(cls.lam) != 0 for q in polys)
     expected, norms = oracle_predistance(grid, cls.lam, d)
-    family = predistance_basis(b, classification=cls)
+    family = predistance_basis(b)
     assert family.polys == tuple(expected)
     assert family.norms_sq == tuple(norms)
 
@@ -180,7 +180,7 @@ def test_predistance_basis_matches_fraction_gram_schmidt(b):
     grid = [list(row) for row in b.rows]
     d = oracle_minimal_polynomial(grid).degree - 1
     polys, norms = oracle_predistance(grid, cls.lam, d)
-    family = predistance_basis(b, classification=cls)
+    family = predistance_basis(b)
     assert family.polys == tuple(polys)
     assert family.norms_sq == tuple(norms)
 
@@ -260,10 +260,10 @@ def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):
         init(self, rows)
 
     monkeypatch.setattr(RationalMatrix, "__init__", counting_init)
-    cls = classify(fig2)
-    minimal = minimal_polynomial(fig2)
-    info = hoffman_polynomial(fig2, classification=cls, minimal=minimal)
-    family = predistance_basis(fig2, classification=cls, minimal=minimal)
+    classify(fig2)
+    minimal_polynomial(fig2)
+    info = hoffman_polynomial(fig2)
+    family = predistance_basis(fig2)
     assert verify_hoffman_sum(family, info)
     assert not built
 
@@ -302,7 +302,7 @@ def test_hoffman_sum_on_random_normal_instance():
         if not (cls.normal and cls.irreducible and cls.lam):
             continue
         found += 1
-        family = predistance_basis(b, classification=cls)
+        family = predistance_basis(b)
         assert verify_hoffman_sum(family, hoffman_polynomial(b))
 
 

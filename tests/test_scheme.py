@@ -486,9 +486,10 @@ index = st.integers(min_value=0, max_value=3)
 
 @given(st.lists(st.tuples(index, index, index), min_size=1, max_size=3))
 @settings(max_examples=60, deadline=None)
-def test_as5_row_check_reports_the_first_entrywise_witness(fig2, bumps):
+def test_as5_row_check_reports_the_first_entrywise_witness(bumps):
     # fig2's true tensor with a few entries raised by one: AS5 sees the rows
     # p_ij, p_ji above the diagonal and must name the r^3 loop's first witness
+    fig2 = load_fixture("fig2.mat")
     tensor = [[list(row) for row in plane] for plane in detect_scheme(fig2).intersection_tensor]
     for i, j, h in bumps:
         tensor[i][j][h] += 1

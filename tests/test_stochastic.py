@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from schemeforge.digraph import is_strongly_connected, underlying_digraph
 from schemeforge.hoffman import HoffmanHypothesisError, hoffman_polynomial
-from schemeforge.matrix import RationalMatrix
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.predistance import PredistanceHypothesisError, predistance_basis
 from schemeforge.scheme import detect_scheme
 from schemeforge.stochastic import (
@@ -17,7 +17,7 @@ from schemeforge.stochastic import (
 )
 
 from conftest import load_fixture
-from oracles import identity, naive_mat_mul, oracle_classification, reconstruct
+from oracles import algebra_membership, identity, naive_mat_mul, oracle_classification, reconstruct
 
 
 def test_classify_fig1(fig1):
@@ -151,6 +151,21 @@ def test_irreducibility_matches_positive_power_of_pattern(grid):
     for _ in range(n - 1):
         power = naive_mat_mul(power, step)
     assert classify(RationalMatrix(grid)).irreducible == all(v > 0 for row in power for v in row)
+
+
+@given(st.one_of(classify_grids(), sparse_grids()).map(lambda grid: [[abs(v) for v in row] for row in grid]))
+@settings(max_examples=60, deadline=None)
+def test_theorem_1_allones_in_the_algebra_exactly_when_hoffman_ready(grid):
+    # Theorem 1 on nonnegative B: J in span{I, B, ..., B^(n-1)} iff B is
+    # lambda-doubly stochastic and irreducible. The 1 x 1 zero matrix is the
+    # one divergence: h(t) = 1 gives h(B) = J, yet the gate rejects it with
+    # LAMBDA_ZERO, as test_stochastic.py:68 (test_every_stage_reports_the_gates_first_failure)
+    # and test_scheme.py:127 (test_rejection_lambda_zero) pin.
+    assume(grid != [[0]])
+    b = RationalMatrix(grid)
+    n = b.order
+    member = algebra_membership(RationalMatrix.ones(n), MatrixPowerBasis(b), degree=n - 1)
+    assert (member is not None) == classify(b).hoffman_ready
 
 
 def test_entry_decomposition_fig2(fig2):
