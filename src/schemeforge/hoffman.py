@@ -25,15 +25,7 @@ import numpy as np
 
 from .exact import Polynomial
 from .matrix import RationalMatrix, solve_rational_system
-from .stochastic import HYPOTHESIS_MESSAGES, classify
-
-
-class HoffmanHypothesisError(ValueError):
-    """The input fails a hypothesis under which the Hoffman polynomial exists."""
-
-    def __init__(self, hypothesis: str):
-        self.hypothesis = hypothesis
-        super().__init__(f"Hoffman polynomial undefined: {hypothesis}")
+from .stochastic import HypothesisError, classify
 
 
 @dataclass(frozen=True)
@@ -138,7 +130,7 @@ def minimal_polynomial(b: RationalMatrix) -> Polynomial:
 def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
     """Hoffman polynomial of a lambda-DS irreducible matrix, verified exactly.
 
-    Raises HoffmanHypothesisError naming the first hypothesis the gate finds
+    Raises HypothesisError with the first hypothesis the gate finds
     failed (normality is not required). The verified h is kept in B's
     analysis context.
     """
@@ -148,7 +140,7 @@ def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
     cls = classify(b)
     failed = cls.failed_hypothesis(require_normal=False)
     if failed is not None:
-        raise HoffmanHypothesisError(HYPOTHESIS_MESSAGES[failed])
+        raise HypothesisError(failed)
     q = minimal_polynomial(b).divide_linear(cls.lam)
     q_at_lam = q(cls.lam)
     if q_at_lam == 0:

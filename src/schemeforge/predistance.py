@@ -19,13 +19,14 @@ powers B^k = ints_k / delta_k, kept in the power basis that B owns
 space, on integer weight vectors, and hands its norms |q_i|^2 on to the
 normalization, so no inner product is taken twice. The checked family is
 built once per matrix and kept in the same analysis context, beside the
-classification and the minimal polynomial it reads. Each p_i is evaluated
-at B once, as a `RationalMatrix` E_i. The invariant check re-verifies the
-family on those evaluations, independently of the Gram entries: the norm of
-p_i as the trace inner product of E_i with itself, and <p_j, p_i> = 0 from
-the dot products of the powers' integers with those of E_i. sum_i p_i(B) =
-J is decided as one evaluation of sum_i p_i, whose coefficients are those
-of the Hoffman polynomial.
+classification, the minimal polynomial and the Hoffman polynomial it reads.
+Each p_i is evaluated at B once, as a `RationalMatrix` E_i. The invariant
+check re-verifies the family on those evaluations, independently of the
+Gram entries: the norm of p_i as the trace inner product of E_i with
+itself, and <p_j, p_i> = 0 from the dot products of the powers' integers
+with those of E_i. sum_i p_i(B) = J is not evaluated again: sum_i p_i = h
+is checked coefficient by coefficient against the stored Hoffman
+polynomial h, whose h(B) = J `hoffman_polynomial` has verified exactly.
 
 The normalization map above is the rational-arithmetic equivalent of scaling
 the unit-norm polynomial r_i by r_i(lambda); it never materializes a square
@@ -40,17 +41,9 @@ from math import gcd, lcm
 from operator import mul
 
 from .exact import Polynomial
-from .hoffman import HoffmanPolynomial, minimal_polynomial
+from .hoffman import HoffmanPolynomial, hoffman_polynomial, minimal_polynomial
 from .matrix import RationalMatrix, trace_inner_product
-from .stochastic import HYPOTHESIS_MESSAGES, classify
-
-
-class PredistanceHypothesisError(ValueError):
-    """The input fails a hypothesis of the predistance construction."""
-
-    def __init__(self, hypothesis: str):
-        self.hypothesis = hypothesis
-        super().__init__(f"predistance basis undefined: {hypothesis}")
+from .stochastic import HypothesisError, classify
 
 
 def lambda_avoiding_gram_schmidt(b: RationalMatrix, d: int) -> tuple[list[Polynomial], list[Fraction]]:
@@ -58,6 +51,7 @@ def lambda_avoiding_gram_schmidt(b: RationalMatrix, d: int) -> tuple[list[Polyno
 
     Classical (not modified) Gram-Schmidt is enough because the arithmetic
     is exact; no q_j vanishes at lambda past the gate (module docstring).
+    Raises ValueError when d >= deg m_B, where the powers are dependent.
 
     The pass runs in coefficient space on the integer Gram matrix G_ab =
     ints_a . ints_b of the powers (`B.powers.gram`). Each
@@ -94,9 +88,7 @@ def lambda_avoiding_gram_schmidt(b: RationalMatrix, d: int) -> tuple[list[Polyno
         image = [sum(map(mul, row, w)) for row in gram]
         norm = sum(map(mul, w, image))
         if norm == 0:
-            raise PredistanceHypothesisError(
-                f"inner product degenerate at degree {j}; d exceeds deg(minpoly) - 1"
-            )
+            raise ValueError(f"inner product degenerate at degree {j}: d = {d} is not below deg m_B")
         # q_j = sum_k u_k delta_k t^k / (delta_j m)
         den = deltas[j] * m
         polys.append(Polynomial([Fraction(v * delta, den) for v, delta in zip(u, deltas)]))
@@ -128,10 +120,11 @@ class PredistanceBasis:
 def predistance_basis(b: RationalMatrix) -> PredistanceBasis:
     """Construct and fully check the predistance family of B.
 
-    Requires B normal, lambda-doubly stochastic, irreducible, lambda != 0.
-    Every invariant of the family (degrees, orthogonality, norm values,
-    positivity, Hoffman sum) is asserted before the family is kept in B's
-    analysis context and returned.
+    Requires B normal, lambda-doubly stochastic, irreducible, lambda != 0,
+    and raises HypothesisError with the first hypothesis the gate finds
+    failed. Every invariant of the family (degrees, orthogonality, norm
+    values, positivity, Hoffman sum) is asserted before the family is kept
+    in B's analysis context and returned.
     """
     context = b.powers
     if context.predistance is not None:
@@ -139,7 +132,7 @@ def predistance_basis(b: RationalMatrix) -> PredistanceBasis:
     cls = classify(b)
     failed = cls.failed_hypothesis()
     if failed is not None:
-        raise PredistanceHypothesisError(HYPOTHESIS_MESSAGES[failed])
+        raise HypothesisError(failed)
     d = minimal_polynomial(b).degree - 1
     orthogonal, orthogonal_norms = lambda_avoiding_gram_schmidt(b, d)
     # p_j = (q_j(lambda) / |q_j|^2) q_j, so |p_j|^2 = q_j(lambda)^2 / |q_j|^2
@@ -162,7 +155,8 @@ def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
     The cached norm of p_i is checked as <E_i, E_i>. For j < i, <p_j, p_i>
     is sum_k w_jk X_ki over a nonzero denominator, with w_j the weights of
     p_j on the powers and X_ki = ints_k . E_i.ints, so each pair costs one
-    short integer sum. sum_i p_i(B) = J is one evaluation of sum_i p_i.
+    short integer sum. sum_i p_i(B) = J follows from sum_i p_i = h, checked
+    on the coefficients of B's stored Hoffman polynomial h.
     """
     basis = b.powers
     polys, lam, evaluations = family.polys, family.lam, family.evaluations
@@ -183,15 +177,14 @@ def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
             if sum(w * products[k] for k, w in weights[j]):
                 raise ArithmeticError(f"internal invariant violated: <p_{j}, p_{i}> != 0")
         weights.append(basis.weights(p)[1])
-    if basis.evaluate(sum(polys, Polynomial())) != RationalMatrix.ones(b.order):
-        raise ArithmeticError("internal invariant violated: sum of p_i(B) != J")
+    if not verify_hoffman_sum(family, hoffman_polynomial(b)):
+        raise ArithmeticError("internal invariant violated: sum of p_i != h")
 
 
 def verify_hoffman_sum(family: PredistanceBasis, hoffman: HoffmanPolynomial) -> bool:
     """Check sum_i p_i = h coefficient-wise.
 
-    That settles sum_i p_i(B) = J as well: hoffman_polynomial verifies h(B)
-    = J exactly, and predistance_basis asserts sum_i p_i(B) = J before it
-    returns the family.
+    That settles sum_i p_i(B) = J as well, with no evaluation at B:
+    hoffman_polynomial verifies h(B) = J exactly before it returns h.
     """
     return sum(family.polys, Polynomial()) == hoffman.h

@@ -221,8 +221,8 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
             witness=witness,
         )
 
-    # guaranteed once A_D = p_D(B), but re-verified class by class
-    for i in range(d + 1):
+    # guaranteed once A_D = p_D(B), but re-verified class by class below D
+    for i in range(d):
         if not is_class(i):
             return axiom_failure("CLASS_POLYNOMIALITY", (i,))
 

@@ -130,7 +130,6 @@ class PerronReport:
     max_modulus: float
     modulus_matches: bool
     perron_simple: bool
-    min_gap_to_perron: float
 
     @property
     def ok(self) -> bool:
@@ -156,5 +155,4 @@ def perron_check(b: RationalMatrix, spectrum: Spectrum, tol: float = ASSERTION_T
         max_modulus=max_modulus,
         modulus_matches=abs(max_modulus - float(lam)) < tol and abs(perron - float(lam)) < tol,
         perron_simple=min_gap > tol,
-        min_gap_to_perron=min_gap,
     )

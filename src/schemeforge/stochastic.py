@@ -7,7 +7,8 @@ and irreducibility. All four are read off the integers of B = M / delta:
 signs and line sums off M, normality as B B^T = B^T B, two integer
 products. It never fails; bad inputs just classify negatively.
 MatrixClassification.failed_hypothesis() is the one gate on those flags, in
-the theorem's order; HYPOTHESIS_MESSAGES words each failure.
+the theorem's order; HYPOTHESIS_MESSAGES words each failure, and a stage
+whose gate fails raises HypothesisError with the failed code.
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ HYPOTHESIS_MESSAGES = {
     RejectionCode.NOT_NORMAL: "matrix is not normal",
     RejectionCode.LAMBDA_ZERO: "common line sum is zero",
 }
+
+
+class HypothesisError(ValueError):
+    """The input fails the gate hypothesis `code` of the stage that raised it."""
+
+    def __init__(self, code: RejectionCode):
+        self.code = code
+        self.hypothesis = HYPOTHESIS_MESSAGES[code]
+        super().__init__(f"hypothesis failed: {self.hypothesis}")
 
 
 @dataclass(frozen=True)

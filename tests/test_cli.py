@@ -13,7 +13,7 @@ from conftest import FIXTURES
 from schemeforge.cli import _exact_digits, _report_json, build_parser, run_command
 from schemeforge.hoffman import minimal_polynomial
 from schemeforge.io import MatrixParseError, parse_matrix, serialize_matrix
-from schemeforge.matrix import RationalMatrix
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.stochastic import classify, random_lambda_ds
 
 from oracles import fraction_parse_matrix, identity
@@ -270,7 +270,8 @@ def test_pipeline_intermediates_per_command(
     from schemeforge import hoffman, predistance, stochastic
 
     calls = dict.fromkeys(
-        ("classification", "candidate", "h(B) = J", "gram_schmidt", "invariants", "products"), 0
+        ("classification", "candidate", "h(B) = J", "gram_schmidt", "invariants", "products", "evaluations"),
+        0,
     )
 
     def count(owner, attr, key):
@@ -287,6 +288,7 @@ def test_pipeline_intermediates_per_command(
     count(predistance, "lambda_avoiding_gram_schmidt", "gram_schmidt")
     count(predistance, "_assert_invariants", "invariants")
     count(RationalMatrix, "__matmul__", "products")
+    count(MatrixPowerBasis, "evaluate", "evaluations")
 
     class CountedOnes(RationalMatrix):
         """The J that hoffman_polynomial compares h(B) with: one per check."""
@@ -302,7 +304,8 @@ def test_pipeline_intermediates_per_command(
     capsys.readouterr()
     family = minimal_polynomials if command in ("predistance", "scheme") else 0
     # classify takes B B^T and B^T B; fig2's minimal polynomial has degree 4, and
-    # the one power basis of B takes B^1..B^4 however many stages read it
+    # the one power basis of B takes B^1..B^4 however many stages read it; h and
+    # p_0..p_3 are each evaluated at B once, and sum_i p_i = h needs no evaluation
     assert calls == {
         "classification": classifications,
         "candidate": minimal_polynomials,
@@ -310,14 +313,15 @@ def test_pipeline_intermediates_per_command(
         "gram_schmidt": family,
         "invariants": family,
         "products": 2 + 4 * minimal_polynomials,
+        "evaluations": minimal_polynomials + 4 * family,
     }
 
 
 def test_failed_hoffman_sum_is_an_internal_error(capsys, fixtures_dir, monkeypatch):
-    # past both exact checks sum_i p_i = h is a theorem, so a failure is a crash, never a rejection
-    from schemeforge import cli
+    # past the gate sum_i p_i = h is a theorem, so a failed check in the stage is a crash, never a rejection
+    from schemeforge import predistance
 
-    monkeypatch.setattr(cli, "verify_hoffman_sum", lambda family, hoffman: False)
+    monkeypatch.setattr(predistance, "verify_hoffman_sum", lambda family, hoffman: False)
     assert run_command(["predistance", fixture_path(fixtures_dir, "fig2.mat"), "--json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -5,14 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import (
-    HoffmanHypothesisError,
     _candidate,
     hoffman_polynomial,
     hoffman_product_form_check,
     minimal_polynomial,
 )
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
-from schemeforge.stochastic import classify, random_lambda_ds
+from schemeforge.stochastic import HypothesisError, classify, random_lambda_ds
 
 from conftest import load_fixture
 from oracles import (
@@ -97,23 +96,23 @@ def test_hoffman_of_scaled_allones():
 
 
 def test_hoffman_requires_common_line_sum():
-    with pytest.raises(HoffmanHypothesisError):
+    with pytest.raises(HypothesisError):
         hoffman_polynomial(RationalMatrix([[1, 0], [1, 1]]))
 
 
 def test_hoffman_requires_irreducibility():
-    with pytest.raises(HoffmanHypothesisError) as excinfo:
+    with pytest.raises(HypothesisError) as excinfo:
         hoffman_polynomial(identity(3))
     assert "irreducible" in str(excinfo.value)
 
 
 def test_hoffman_requires_nonnegativity():
-    with pytest.raises(HoffmanHypothesisError):
+    with pytest.raises(HypothesisError):
         hoffman_polynomial(RationalMatrix([[0, -1], [-1, 0]]))
 
 
 def test_hoffman_rejects_lambda_zero():
-    with pytest.raises(HoffmanHypothesisError) as excinfo:
+    with pytest.raises(HypothesisError) as excinfo:
         hoffman_polynomial(RationalMatrix([[0]]))
     assert "zero" in str(excinfo.value)
 

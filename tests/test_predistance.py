@@ -11,13 +11,12 @@ from schemeforge.exact import Polynomial
 from schemeforge.hoffman import hoffman_polynomial, minimal_polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.predistance import (
-    PredistanceHypothesisError,
     _assert_invariants,
     lambda_avoiding_gram_schmidt,
     predistance_basis,
     verify_hoffman_sum,
 )
-from schemeforge.stochastic import classify, random_lambda_ds
+from schemeforge.stochastic import HypothesisError, classify, random_lambda_ds
 
 from conftest import FIXTURES, load_fixture
 from oracles import (
@@ -81,6 +80,14 @@ def test_gram_schmidt_fig2_avoids_lambda(fig2):
     for i in range(4):
         for j in range(i + 1, 4):
             assert poly_inner(polys[i], polys[j], fig2) == 0
+
+
+def test_gram_schmidt_past_the_minimal_degree_is_a_value_error(fig2):
+    # deg m_B = 4 on fig2, so B^4 lies in the span of I, B, B^2, B^3
+    d = minimal_polynomial(fig2).degree
+    with pytest.raises(ValueError, match=f"degree 4: d = {d} is not below deg m_B") as excinfo:
+        lambda_avoiding_gram_schmidt(fig2, d)
+    assert not isinstance(excinfo.value, HypothesisError)
 
 
 def test_gram_schmidt_on_cycle_gives_orthogonal_triple():
@@ -307,16 +314,16 @@ def test_hoffman_sum_on_random_normal_instance():
 
 
 def test_predistance_rejects_non_normal(fig1):
-    with pytest.raises(PredistanceHypothesisError) as excinfo:
+    with pytest.raises(HypothesisError) as excinfo:
         predistance_basis(fig1)
     assert "normal" in str(excinfo.value)
 
 
 def test_predistance_rejects_reducible():
-    with pytest.raises(PredistanceHypothesisError):
+    with pytest.raises(HypothesisError):
         predistance_basis(identity(3))
 
 
 def test_predistance_rejects_missing_line_sum():
-    with pytest.raises(PredistanceHypothesisError):
+    with pytest.raises(HypothesisError):
         predistance_basis(RationalMatrix([[1, 0], [1, 1]]))

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from schemeforge.digraph import is_strongly_connected, underlying_digraph
-from schemeforge.hoffman import HoffmanHypothesisError, hoffman_polynomial
+from schemeforge.hoffman import hoffman_polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
-from schemeforge.predistance import PredistanceHypothesisError, predistance_basis
+from schemeforge.predistance import predistance_basis
 from schemeforge.scheme import detect_scheme
 from schemeforge.stochastic import (
     HYPOTHESIS_MESSAGES,
+    HypothesisError,
     RejectionCode,
     classify,
     entry_decomposition,
@@ -73,15 +74,17 @@ def test_every_stage_reports_the_gates_first_failure(grid, first):
     b = load_fixture(grid) if isinstance(grid, str) else RationalMatrix(grid)
     assert classify(b).failed_hypothesis() is first
     assert detect_scheme(b).reason.code is first
-    with pytest.raises(PredistanceHypothesisError) as excinfo:
+    with pytest.raises(HypothesisError) as excinfo:
         predistance_basis(b)
+    assert excinfo.value.code is first
     assert excinfo.value.hypothesis == HYPOTHESIS_MESSAGES[first]
     if first is RejectionCode.NOT_NORMAL:
         assert classify(b).failed_hypothesis(require_normal=False) is None
         assert hoffman_polynomial(b).lam == 1
     else:
-        with pytest.raises(HoffmanHypothesisError) as excinfo:
+        with pytest.raises(HypothesisError) as excinfo:
             hoffman_polynomial(b)
+        assert excinfo.value.code is first
         assert excinfo.value.hypothesis == HYPOTHESIS_MESSAGES[first]
 
 
