@@ -1,30 +1,55 @@
-"""Exact minimal polynomials and Hoffman polynomials.
+"""Exact minimal polynomials and Hoffman polynomials, on word-prime residues.
 
-The minimal polynomial is found modulo a word-size prime and certified
-exactly. Each power B^k = ints_k / delta_k of the power basis is reduced
-modulo p on its integers and eliminated incrementally as an int64 vector;
-the first dependent power gives a candidate degree k and k pivot
-coordinates. One exact k x k solve on those coordinates gives the
-coefficients, and the candidate is accepted only after m(B) = 0 is checked
-on all n^2 integers; otherwise the next prime is tried. No verdict depends
-on the choice of prime. For a lambda-doubly stochastic irreducible B with
-lambda != 0, the Hoffman polynomial h is the unique minimal-degree
-polynomial with h(B) = J; it is always verified against J, as the matrix
-equality h(B) == J, before being returned. Both are computed once per
-matrix and kept in its analysis context, `B.powers`.
+Write B = s C, with C = ints / gcd(ints) the primitive integer matrix of B's
+cleared integers and s = gcd(ints) / den. By Gauss's lemma the minimal
+polynomial m_C is in Z[t], and each of its K roots is an eigenvalue of C,
+at most R = ||C||_inf (the largest absolute row sum) in modulus, so its
+coefficients obey |c_j| <= binom(K, j) R^(K - j). They come out exactly from
+a symmetric CRT over primes p with prod p > 2 max_j binom(K, j) R^(K - j),
+with no rational reconstruction, and m_B(t) = s^K m_C(t / s).
+
+Every residue C^k mod p comes from float64 matmuls. They are exact: each
+prime is below 2^b with 2b + ceil(log2 n) <= 53, so n (p - 1)^2 < 2^53 and
+every partial sum of a product of residues is an integer below 2^53, in any
+summation order. Results are reduced with int64 `%`. No power of B is formed.
+
+- One prime's Krylov pass reduces C^0, C^1, ... mod p, flattened, against
+  the powers kept so far; the first dependent power gives the degree K, K
+  pivot coordinates R and its combination y of the lower powers mod p. The
+  K x K minor of C^0..C^(K-1) on R is nonzero mod p, hence over Z, so deg
+  m_C >= K.
+- The K x K pivot system sum_j y_j C^j[R] = C^K[R] is solved modulo every
+  further CRT prime at once; a prime on which the minor vanishes is skipped.
+- An identity sum_j a_j C^j = a_J J with integer a is decided by one Horner
+  pass on residues: m_C(C) = 0, and h(B) = J as sum_j n q_j C^j =
+  q(lambda_C) J, where m_C = (t - lambda_C) q and lambda_C = lambda / s is
+  the line sum of C. Every entry of the difference is at most H = sum_j
+  |a_j| R^j + |a_J| in absolute value, so it is zero once it vanishes modulo
+  primes with prod p > H.
+
+A certified candidate is monic of degree K <= deg m_C and annihilates C, so
+it is m_C; otherwise the Krylov prime divides one of finitely many fixed
+nonzero minors, and the next prime is tried. No verdict depends on the
+choice of primes. For a lambda-doubly stochastic irreducible B with lambda
+!= 0, the Hoffman polynomial h is the unique minimal-degree polynomial with
+h(B) = J; it is always certified against J before being returned. Both are
+computed once per matrix and kept in its analysis context, `B.powers`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import count
+from math import comb, gcd
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .exact import Polynomial
-from .matrix import RationalMatrix, solve_rational_system
+from .matrix import RationalMatrix
 from .stochastic import HypothesisError, classify
 
 
@@ -60,79 +85,265 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _word_primes() -> Iterator[int]:
-    """The odd primes below 2^31 in descending order, from 2^31 - 1."""
-    return (p for p in range(2**31 - 1, 2, -2) if _is_prime(p))
+# bits -> the odd primes below 2^bits in descending order, found on first use
+_PRIME_TABLES: dict[int, list[int]] = {}
 
 
-def _krylov_pivots(b: RationalMatrix, p: int) -> list[int]:
-    """Pivot coordinates of I, B, ..., B^(k-1), where B^k is the first power
-    that depends on the lower ones modulo p.
+def _prime(bits: int, index: int) -> int:
+    """The index-th odd prime below 2^bits, counting down from 2^bits."""
+    table = _PRIME_TABLES.setdefault(bits, [])
+    candidate = table[-1] - 2 if table else 2**bits - 1
+    while len(table) <= index:
+        if candidate < 3:
+            raise ArithmeticError(f"ran out of primes below 2^{bits}")
+        if _is_prime(candidate):
+            table.append(candidate)
+        candidate -= 2
+    return table[index]
 
-    Each ints_k = b.powers.power(k).ints is reduced mod p (on Python ints, so
-    entries of any size work) and then against the rows kept so far, in
-    insertion order. A kept row is normalized to 1 at its pivot and is zero
-    at the pivots of all earlier rows, so a vector in their span reduces to
-    exactly zero. All residues are below p < 2^31, so every product fits in
-    int64.
+
+def _primes(bits: int) -> Iterator[int]:
+    """The odd primes below 2^bits in descending order."""
+    return map(partial(_prime, bits), count())
+
+
+def _prime_run(primes: Iterator[int], bound: int) -> list[int]:
+    """The fewest next primes whose product exceeds bound."""
+    run, modulus = [], 1
+    while modulus <= bound:
+        run.append(next(primes))
+        modulus *= run[-1]
+    return run
+
+
+class IntegerForm:
+    """B = scale * C, with C the primitive integer matrix of B's cleared integers.
+
+    norm is ||C||_inf, the largest absolute row sum, which bounds every
+    eigenvalue of C and every entry of C^j by norm^j. bits sizes the primes:
+    each is below 2^bits with n (p - 1)^2 < 2^53. minimal holds the
+    integer coefficients of m_C once `minimal_polynomial` has certified them.
     """
-    kept: list[tuple[int, np.ndarray]] = []  # (pivot, row)
-    for k in count():
-        vector = np.array([v % p for v in b.powers.power(k).ints], dtype=np.int64)
-        for pivot, row in kept:
-            a = vector[pivot]
-            if a:
-                vector = (vector - a * row) % p
+
+    __slots__ = ("order", "scale", "norm", "bits", "minimal", "_ints")
+
+    def __init__(self, b: RationalMatrix):
+        n = b.order
+        g = gcd(*b.ints) or 1  # the zero matrix is its own primitive form
+        ints = [v // g for v in b.ints] if g > 1 else b.ints
+        self.order = n
+        self.scale = Fraction(g, b.den)
+        self.bits = (53 - (n - 1).bit_length()) // 2
+        self.minimal: list[int] | None = None  # m_C, ascending, once certified
+        if n * max(max(ints), -min(ints)) < 2**63:
+            self._ints = np.array(ints, dtype=np.int64).reshape(n, n)
+            self.norm = int(np.abs(self._ints).sum(axis=1).max())
+        else:
+            self._ints = np.array(ints, dtype=object).reshape(n, n)
+            self.norm = max(sum(map(abs, ints[x * n : x * n + n])) for x in range(n))
+
+    def residues(self, primes: Sequence[int]) -> np.ndarray:
+        """C mod p for each prime, an (r, n, n) float64 stack of integers in [0, p)."""
+        n = self.order
+        if self._ints.dtype == object:
+            stack = np.array([self._ints % p for p in primes], dtype=np.int64).reshape(-1, n, n)
+        else:
+            stack = self._ints % np.array(primes, dtype=np.int64)[:, None, None]
+        return stack.astype(float)
+
+
+def _integer_form(b: RationalMatrix) -> IntegerForm:
+    """The integer form of B, computed once and kept in its analysis context."""
+    context = b.powers
+    if context.integer_form is None:
+        context.integer_form = IntegerForm(b)
+    return context.integer_form
+
+
+def _reduce(stack: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """An exact float64 stack of integers below 2^53, reduced mod its primes."""
+    return stack.astype(np.int64) % primes
+
+
+def _krylov(form: IntegerForm, p: int) -> tuple[list[int], list[int]]:
+    """(pivots, y): pivot coordinates of C^0, ..., C^(K-1), where C^K is the
+    first power that depends on the lower ones modulo p, and the residues
+    y_j with C^K = sum_j y_j C^j mod p.
+
+    Each C^k mod p is flattened and reduced against the rows kept so far.
+    A kept row is 1 at its pivot and 0 at the pivots of the rows before it,
+    so the kept rows read on the pivots form a unit upper triangular matrix
+    M, whose inverse grows by one column per row. A vector v reduces to v -
+    w rows with w = v[pivots] M^-1, which is zero at every pivot and is
+    zero exactly when v is in the span. Each kept row is also kept as its
+    combination of the powers (the lower triangular `combinations`), so the
+    w of C^K gives y. K <= n, so each product sums at most n terms below
+    p^2 and stays exact in float64.
+    """
+    n = form.order
+    base = form.residues([p])[0]
+    rows = np.empty((1, n * n))  # doubled when full, so it holds O(K n^2)
+    inverse = np.eye(n)
+    combinations = np.zeros((n, n))
+    pivots: list[int] = []
+    power = np.eye(n)
+    while True:
+        k = len(pivots)
+        vector = power.ravel()
+        if k:
+            weights = _reduce(vector[pivots] @ inverse[:k, :k], p)
+            vector = vector - weights @ rows[:k]
+        vector = _reduce(vector, p)
         nonzero = np.flatnonzero(vector)
         if not nonzero.size:
-            return [pivot for pivot, _ in kept]
+            return pivots, _reduce(weights @ combinations[:k, :k], p).tolist()
         pivot = int(nonzero[0])
-        kept.append((pivot, vector * pow(int(vector[pivot]), -1, p) % p))
+        scale = pow(int(vector[pivot]), -1, p)
+        if k == len(rows):
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        rows[k] = vector * scale % p
+        # row_k = scale (C^k - sum_i w_i row_i)
+        combinations[k, k] = scale
+        if k:
+            combinations[k, :k] = -_reduce(weights @ combinations[:k, :k], p) * scale % p
+        # [[M, c], [0, 1]]^-1 = [[M^-1, -M^-1 c], [0, 1]]
+        inverse[:k, k] = _reduce(-(inverse[:k, :k] @ rows[:k, pivot]), p)
+        pivots.append(pivot)
+        power = _reduce(power @ base, p).astype(float)
 
 
-def _candidate(b: RationalMatrix, p: int) -> Polynomial:
-    """Monic m of the degree k found modulo p, solved exactly on the pivots R.
+def _solve_pivot_systems(
+    form: IntegerForm, primes: list[int], pivots: list[int]
+) -> list[list[int] | None]:
+    """For each prime, y with sum_j y_j C^j[R] = C^K[R] mod p, or None.
 
-    sum_j y_j ints_j[R] = ints_k[R] gives m(t) = t^k - sum_j y_j (delta_j /
-    delta_k) t^j. The k x k minor of ints_0, ..., ints_(k-1) on R is nonzero
-    mod p, hence nonzero over the integers, so the solve has one solution
-    and I, B, ..., B^(k-1) are independent: deg m_B >= k.
+    The entries C^j[R] come from the columns of C^j that R reads, one
+    batched product per power. The rows follow the order in which the
+    Krylov pass found the pivots, so every leading principal minor of the
+    system is nonzero modulo the Krylov prime, hence over Z. Gauss-Jordan
+    elimination therefore runs on every prime's augmented K x (K + 1)
+    system at once, without row exchanges or division; a prime on which a
+    leading minor vanishes meets a zero pivot and gets None.
     """
-    pivots = _krylov_pivots(b, p)
+    n, k = form.order, len(pivots)
+    xs = [r // n for r in pivots]
+    columns = sorted({r % n for r in pivots})
+    ys = [columns.index(r % n) for r in pivots]
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    base = form.residues(primes)
+    block = np.repeat(np.eye(n)[None, :, columns], len(primes), axis=0)
+    system = np.empty((len(primes), k, k + 1), dtype=np.int64)
+    for j in range(k + 1):
+        system[:, :, j] = block[:, xs, ys]
+        if j < k:
+            block = _reduce(base @ block, p).astype(float)
+    ok = np.ones(len(primes), dtype=bool)
+    for c in range(k):
+        row = system[:, c : c + 1].copy()
+        ok &= row[:, 0, c] != 0
+        system = (row[:, :, c : c + 1] * system - system[:, :, c : c + 1] * row) % p
+        system[:, c : c + 1] = row
+    diagonal = system[:, range(k), range(k)].tolist()
+    return [
+        [v * pow(d, -1, q) % q for v, d in zip(rhs, lead)] if good else None
+        for q, rhs, lead, good in zip(primes, system[:, :, k].tolist(), diagonal, ok)
+    ]
+
+
+def _candidate(b: RationalMatrix, p: int) -> list[int]:
+    """Integer coefficients of the monic m of the degree K found modulo p, for C.
+
+    m(t) = t^K - sum_j y_j t^j, with each y_j the symmetric CRT of its
+    residues over primes whose product exceeds twice the bound on the
+    coefficients of m_C: p's residues come from the Krylov pass, and the
+    pivot systems give those of any further primes. Only the certificate
+    decides whether m = m_C.
+    """
+    form = _integer_form(b)
+    pivots, y = _krylov(form, p)
     k = len(pivots)
-    powers = [b.powers.power(j) for j in range(k + 1)]
-    columns = [[power.ints[r] for r in pivots] for power in powers[:k]]
-    solution = solve_rational_system(columns, [powers[k].ints[r] for r in pivots])
-    return Polynomial(
-        [-y * Fraction(powers[j].den, powers[k].den) for j, y in enumerate(solution)] + [1]
-    )
+    bound = 2 * max(comb(k, j) * form.norm ** (k - j) for j in range(k + 1))
+    modulus, primes, rows = p, [p], [y]
+    others = (q for q in _primes(form.bits) if q != p)
+    while modulus <= bound:
+        run = _prime_run(others, bound // modulus)
+        for q, row in zip(run, _solve_pivot_systems(form, run, pivots)):
+            if row is not None:
+                primes.append(q)
+                rows.append(row)
+                modulus *= q
+    weights = [(modulus // q) * pow(modulus // q, -1, q) for q in primes]
+    coeffs = []
+    for residues in zip(*rows):
+        value = sum(map(mul, residues, weights)) % modulus
+        coeffs.append(modulus - value if 2 * value > modulus else -value)
+    return coeffs + [1]
+
+
+def _vanishes(form: IntegerForm, coeffs: Sequence[int], ones: int) -> bool:
+    """Whether sum_j coeffs_j C^j = ones * J, decided exactly on residues.
+
+    Each entry of the difference is at most H = sum_j |coeffs_j| norm^j +
+    |ones| in absolute value; one Horner pass checks it modulo primes whose
+    product exceeds H, so a zero residue everywhere is a zero difference.
+    """
+    n = form.order
+    bound = sum(abs(c) * form.norm**j for j, c in enumerate(coeffs)) + abs(ones)
+    primes = _prime_run(_primes(form.bits), bound)
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    base = form.residues(primes)
+    terms = np.array([[c % q for q in primes] for c in reversed(coeffs)], dtype=float)
+    acc = np.eye(n) * terms[0][:, None, None]
+    for term in terms[1:]:
+        acc = acc @ base
+        acc.reshape(len(primes), n * n)[:, :: n + 1] += term[:, None]
+        acc = _reduce(acc, p).astype(float)
+    return bool((acc == np.array([ones % q for q in primes])[:, None, None]).all())
+
+
+def _rescaled(
+    form: IntegerForm, coeffs: Sequence[int], top: int, num: int = 1, den: int = 1
+) -> Polynomial:
+    """sum_j (num / den) coeffs_j s^(top - j) t^j, for B = s C: a polynomial
+    in C rewritten as one in B, each coefficient one Fraction of integers."""
+    g, d = form.scale.numerator, form.scale.denominator
+    out = []
+    for e, c in zip(range(top, top - len(coeffs), -1), coeffs):
+        up, down = (g**e, d**e) if e >= 0 else (d**-e, g**-e)
+        out.append(Fraction(num * c * up, den * down))
+    return Polynomial(out)
 
 
 def minimal_polynomial(b: RationalMatrix) -> Polynomial:
     """Smallest monic m with m(B) = 0: a candidate modulo a prime, certified exactly.
 
-    A candidate m with m(B) = 0 on all entries is monic of degree k <= deg
-    m_B and annihilates B, so m = m_B. Otherwise p divides one of finitely
-    many fixed nonzero minors, and the next prime is tried. The certified m
-    is kept in B's analysis context.
+    A candidate m_C with m_C(C) = 0 is monic of degree K <= deg m_C and
+    annihilates C, so it is m_C. Otherwise the Krylov prime divides one of
+    finitely many fixed nonzero minors, and the next prime is tried. The
+    certified m_C is kept in B's integer form, and m_B(t) = s^K m_C(t / s)
+    in B's analysis context.
     """
     context = b.powers
     if context.minimal is not None:
         return context.minimal
-    for p in _word_primes():
-        candidate = _candidate(b, p)
-        if context.annihilated_by(candidate):
-            context.minimal = candidate
-            return candidate
-    raise ArithmeticError("no prime below 2^31 gave a certified minimal polynomial")
+    form = _integer_form(b)
+    for p in _primes(form.bits):
+        coeffs = _candidate(b, p)
+        if _vanishes(form, coeffs, 0):
+            form.minimal = coeffs
+            context.minimal = _rescaled(form, coeffs, len(coeffs) - 1)
+            return context.minimal
 
 
 def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
-    """Hoffman polynomial of a lambda-DS irreducible matrix, verified exactly.
+    """Hoffman polynomial of a lambda-DS irreducible matrix, certified exactly.
 
     Raises HypothesisError with the first hypothesis the gate finds
-    failed (normality is not required). The verified h is kept in B's
-    analysis context.
+    failed (normality is not required). The work is on C: its line sum is
+    the integer lambda_C = lambda / s, m_C = (t - lambda_C) q_C with q_C in
+    Z[t], and h(B) = J reads sum_j n q_C,j C^j = q_C(lambda_C) J, decided on
+    residues. Then q(t) = s^(K-1) q_C(t / s) and h(t) = n q_C(t / s) /
+    q_C(lambda_C). The certified h is kept in B's analysis context.
     """
     context = b.powers
     if context.hoffman is not None:
@@ -141,15 +352,29 @@ def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
     failed = cls.failed_hypothesis(require_normal=False)
     if failed is not None:
         raise HypothesisError(failed)
-    q = minimal_polynomial(b).divide_linear(cls.lam)
-    q_at_lam = q(cls.lam)
+    minimal_polynomial(b)
+    form = _integer_form(b)
+    lam = (cls.lam / form.scale).numerator  # the line sum of C, an integer
+    # synthetic division of m_C by t - lambda_C, and Horner for q_C(lambda_C)
+    q = [1]
+    for c in form.minimal[-2:0:-1]:
+        q.append(c + q[-1] * lam)
+    if form.minimal[0] + q[-1] * lam:
+        raise ArithmeticError("internal invariant violated: lambda is not a root of m")
+    q.reverse()
+    q_at_lam = 0
+    for c in reversed(q):
+        q_at_lam = q_at_lam * lam + c
     if q_at_lam == 0:
         # impossible for a valid input: lambda is a simple eigenvalue
         raise ArithmeticError("internal invariant violated: q(lambda) = 0")
-    h = Fraction(b.order, 1) / q_at_lam * q
-    if context.evaluate(h) != RationalMatrix.ones(b.order):
+    n = b.order
+    g = gcd(n, q_at_lam)
+    if not _vanishes(form, [n // g * c for c in q], q_at_lam // g):
         raise ArithmeticError("internal invariant violated: h(B) != J")
-    context.hoffman = HoffmanPolynomial(h=h, q=q, lam=cls.lam)
+    context.hoffman = HoffmanPolynomial(
+        h=_rescaled(form, q, 0, n, q_at_lam), q=_rescaled(form, q, len(q) - 1), lam=cls.lam
+    )
     return context.hoffman
 
 

@@ -1,8 +1,9 @@
 """Dense square matrices over exact rationals.
 
-Provides the products, transposes, the normalized trace inner product,
-matrix-polynomial evaluation, and exact linear solves (fraction-free
-elimination) that the rest of the pipeline is built on. There is one
+Provides the products, transposes, the normalized trace inner product
+and matrix-polynomial evaluation that the rest of the pipeline is built
+on, and an exact linear solver (fraction-free elimination) for the test
+oracles; the pipeline itself solves on residues (see `hoffman`). There is one
 encoding of a matrix: `RationalMatrix` holds its entries cleared of their
 denominators, ints / den with ints a flat row-major tuple of integers, in
 lowest terms. Every operation is an integer operation on that encoding:
@@ -19,8 +20,9 @@ lowest terms. Every operation is an integer operation on that encoding:
   context multiplies by its own copy of B and holds no reference to B, so
   dropping B frees both without the cycle collector;
 - `evaluate` combines those powers under one common denominator into
-  p(B), and `annihilated_by` decides p(B) = 0 on the same integer
-  combination;
+  p(B); the identities m(B) = 0 and h(B) = J are not decided here but on
+  word-prime residues of B's integers (see `hoffman`), so no power above
+  the predistance degree is formed;
 - the trace inner product is one integer dot product of the flattenings,
   and the polynomial form is an integer combination of the entries of the
   one Gram matrix G_ab = ints_a . ints_b that the power basis of B keeps.
@@ -197,17 +199,19 @@ class MatrixPowerBasis:
     """The analysis context of one matrix: its powers I, B, B^2, ..., each
     computed once, and the result of each pipeline stage on B.
 
-    The pipeline reads the one context a matrix owns, `B.powers`, so the
-    minimal polynomial, the Hoffman polynomial and the predistance family
-    of B share its powers and Gram entries. `classify`, `minimal_polynomial`,
-    `hoffman_polynomial` and `predistance_basis` each store their result
-    here and return it on later calls; a failed gate or check stores nothing.
+    The pipeline reads the one context a matrix owns, `B.powers`, so every
+    stage on B shares its powers, its Gram entries and the integer form
+    that the minimal and Hoffman polynomials reduce modulo primes.
+    `classify`, `minimal_polynomial`, `hoffman_polynomial` and
+    `predistance_basis` each store their result here and return it on later
+    calls; a failed gate or check stores nothing.
 
     power(k) is B^k = power(k - 1) @ B, one `integer_product` (on int64
-    while the entry bound allows it, on Python ints beyond); every power up
-    to the working degree is needed anyway (the minimal polynomial reduces
-    each one modulo a prime), so repeated squaring would not help. `evaluate` and
-    `annihilated_by` combine the powers' integers under one common
+    while the entry bound allows it, on Python ints beyond). Only the
+    predistance stage reads powers, B^0 up to B^d for its Gram matrix and
+    its evaluations, and it needs each of them, so repeated squaring would
+    not help; the minimal and Hoffman polynomials work on residues and
+    form none. `evaluate` combines the powers' integers under one common
     denominator.
 
     The basis also holds the one integer Gram matrix of the trace form,
@@ -228,6 +232,7 @@ class MatrixPowerBasis:
         self._gram: dict[tuple[int, int], int] = {}
         # stage results, each set once by the stage that computes it
         self.classification = None  # stochastic.MatrixClassification
+        self.integer_form = None  # hoffman.IntegerForm
         self.minimal = None  # hoffman.minimal_polynomial
         self.hoffman = None  # hoffman.HoffmanPolynomial
         self.predistance = None  # predistance.PredistanceBasis
@@ -256,10 +261,6 @@ class MatrixPowerBasis:
         """p(B): one integer combination (sum_k w_k ints_k) / L of the powers."""
         den, weights = self.weights(p)
         return RationalMatrix._cleared(den, self._combination(weights), self._generator.order)
-
-    def annihilated_by(self, p: Polynomial) -> bool:
-        """Whether p(B) = 0, decided on the integers sum_k w_k ints_k."""
-        return not any(self._combination(self.weights(p)[1]))
 
     def gram(self, a: int, b: int) -> int:
         """G_ab = ints_a . ints_b, one integer dot product, computed once per basis.

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -11,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIXTURES
 
 from schemeforge.cli import _exact_digits, _report_json, build_parser, run_command
-from schemeforge.hoffman import minimal_polynomial
+from schemeforge.hoffman import IntegerForm, _prime, minimal_polynomial
 from schemeforge.io import MatrixParseError, parse_matrix, serialize_matrix
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.stochastic import classify, random_lambda_ds
@@ -270,7 +273,15 @@ def test_pipeline_intermediates_per_command(
     from schemeforge import hoffman, predistance, stochastic
 
     calls = dict.fromkeys(
-        ("classification", "candidate", "h(B) = J", "gram_schmidt", "invariants", "products", "evaluations"),
+        (
+            "classification",
+            "candidate",
+            "certificates",
+            "gram_schmidt",
+            "invariants",
+            "products",
+            "evaluations",
+        ),
         0,
     )
 
@@ -285,35 +296,27 @@ def test_pipeline_intermediates_per_command(
 
     count(stochastic, "is_strongly_connected", "classification")
     count(hoffman, "_candidate", "candidate")  # one per prime tried; fig2 needs one
+    count(hoffman, "_vanishes", "certificates")  # m(B) = 0 and h(B) = J, on residues
     count(predistance, "lambda_avoiding_gram_schmidt", "gram_schmidt")
     count(predistance, "_assert_invariants", "invariants")
     count(RationalMatrix, "__matmul__", "products")
     count(MatrixPowerBasis, "evaluate", "evaluations")
-
-    class CountedOnes(RationalMatrix):
-        """The J that hoffman_polynomial compares h(B) with: one per check."""
-
-        @staticmethod
-        def ones(n):
-            calls["h(B) = J"] += 1
-            return RationalMatrix.ones(n)
-
-    monkeypatch.setattr(hoffman, "RationalMatrix", CountedOnes)
     # run_command parses the file afresh, so its analysis context starts empty
     run_command([command, fixture_path(fixtures_dir, name), "--json"])
     capsys.readouterr()
     family = minimal_polynomials if command in ("predistance", "scheme") else 0
-    # classify takes B B^T and B^T B; fig2's minimal polynomial has degree 4, and
-    # the one power basis of B takes B^1..B^4 however many stages read it; h and
-    # p_0..p_3 are each evaluated at B once, and sum_i p_i = h needs no evaluation
+    # classify takes B B^T and B^T B; fig2's minimal polynomial has degree 4 and is
+    # found on residues, so only the predistance family reads exact powers: the one
+    # power basis of B takes B^1..B^3 however many stages read it; p_0..p_3 are each
+    # evaluated at B once, and sum_i p_i = h needs no evaluation
     assert calls == {
         "classification": classifications,
         "candidate": minimal_polynomials,
-        "h(B) = J": minimal_polynomials,
+        "certificates": 2 * minimal_polynomials,
         "gram_schmidt": family,
         "invariants": family,
-        "products": 2 + 4 * minimal_polynomials,
-        "evaluations": minimal_polynomials + 4 * family,
+        "products": 2 + 3 * family,
+        "evaluations": 4 * family,
     }
 
 
@@ -399,8 +402,9 @@ def test_every_command_on_every_fixture(capsys, fixtures_dir, name, command):
 
 
 def test_hoffman_json_after_an_unlucky_prime(capsys, tmp_path):
-    # B = identity mod 2^31 - 1, the first prime of the modular elimination
-    p = 2**31 - 1
+    # B = identity mod p, the first residue prime at order 2
+    p = 2**26 - 5
+    assert _prime(IntegerForm(RationalMatrix([[1, 0], [0, 1]])).bits, 0) == p
     path = tmp_path / "unlucky.mat"
     path.write_text(f"2\n1 {p}\n{p} 1\n", encoding="utf-8")
     assert run_command(["hoffman", str(path), "--json"]) == 0
@@ -602,6 +606,21 @@ def test_spectrum_of_random_draws(capsys, tmp_path, order, terms, seed):
     assert sorted((z.real, z.imag) for z in values) == sorted((z.real, -z.imag) for z in values)
     lam = float(classify(b).lam)
     assert values[0].imag == 0 and abs(values[0].real - lam) < 1e-9 * lam
+
+
+@given(st.integers(1, 30), st.integers(1, 5), st.integers(0, 2**64 - 1))
+@settings(max_examples=20, deadline=None)
+def test_spectrum_exits_0_with_one_eigenvalue_per_degree(order, terms, seed):
+    b = random_lambda_ds(order, terms, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "draw.mat")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(serialize_matrix(b))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run_command(["spectrum", path, "--json"]) == 0
+    eigenvalues = json.loads(out.getvalue())["spectrum"]["eigenvalues"]
+    assert len(eigenvalues) == minimal_polynomial(b).degree
 
 
 def test_directory_as_input_is_input_error(capsys, tmp_path):

@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import (
+    IntegerForm,
     _candidate,
+    _prime,
+    _vanishes,
     hoffman_polynomial,
     hoffman_product_form_check,
     minimal_polynomial,
@@ -26,7 +30,11 @@ from oracles import (
     zeros,
 )
 
-WORD_PRIME = 2**31 - 1  # the first prime the modular elimination tries
+
+def first_prime(b):
+    """The first prime the residue pipeline tries on B, the largest its order allows."""
+    return _prime(IntegerForm(b).bits, 0)
+
 
 FIG1_Q = Polynomial(
     [
@@ -269,7 +277,8 @@ def test_deep_krylov_scaled_directed_cycle():
         [[scale if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
     )
     expected = Polynomial([-(scale**n)] + [0] * (n - 1) + [1])
-    assert _candidate(b, WORD_PRIME) == expected
+    # B = (3/2) C with C = P primitive, so the candidate is m_C = t^30 - 1
+    assert _candidate(b, first_prime(b)) == [-1] + [0] * (n - 1) + [1]
     m = minimal_polynomial(b)
     assert m.degree - 1 == 29
     assert m == expected
@@ -282,19 +291,36 @@ def test_deep_krylov_scaled_directed_cycle():
 
 
 def test_unlucky_prime_is_caught_by_the_certificate():
-    """B = [[1, p], [p, 1]] is the identity mod p = 2^31 - 1.
+    """B = [[1, p], [p, 1]] is the identity mod p, the first residue prime.
 
-    The first prime sees B^1 = B^0 and proposes m = t - 1; the exact check
-    m(B) = 0 must reject it, and a later prime gives the true m and h.
+    The first Krylov prime sees C^1 = C^0 and proposes m = t - 1; the
+    certificate m(C) = 0 must reject it, and a later prime gives the true m
+    and h.
     """
-    p = WORD_PRIME
+    p = first_prime(RationalMatrix([[1, 0], [0, 1]]))
     b = RationalMatrix([[1, p], [p, 1]])
-    assert _candidate(b, p) == Polynomial([-1, 1])
+    assert first_prime(b) == p
+    assert _candidate(b, p) == [-1, 1]
     m = minimal_polynomial(b)
     assert m == Polynomial([1 - p * p, -2, 1])
     info = hoffman_polynomial(b)
     assert info.lam == 1 + p
     assert info.h == Polynomial([Fraction(p - 1, p), Fraction(1, p)])
+
+
+def test_certificate_uses_every_prime_its_bound_needs():
+    """C - I for B = [[1, p], [p, 1]] vanishes modulo the first prime p alone.
+
+    Its entries reach p, so the bound H = 1 + ||C||_inf = p + 2 needs a
+    second prime; a certificate one prime short would accept t - 1.
+    """
+    p = first_prime(RationalMatrix([[1, 0], [0, 1]]))
+    b = RationalMatrix([[1, p], [p, 1]])
+    form = IntegerForm(b)
+    assert np.array_equal(form.residues([p])[0], np.eye(2))
+    assert not _vanishes(form, [-1, 1], 0)
+    assert _vanishes(form, [1 - p * p, -2, 1], 0)
+    assert minimal_polynomial(b).degree == 2
 
 
 HUGE_ENTRY_GRIDS = [
@@ -311,3 +337,37 @@ def test_minimal_polynomial_with_entries_past_int64(grid):
     grid = [[Fraction(v) for v in row] for row in grid]
     m = minimal_polynomial(RationalMatrix(grid))
     assert m == oracle_minimal_polynomial(grid)
+    assert naive_poly_at(m, grid) == [[Fraction(0)] * len(grid) for _ in grid]
+
+
+# large contents: B = s C with s far from 1, so m_B = s^K m_C(t / s) and h_j carry s^-j
+contents = st.sampled_from(
+    [1, Fraction(2**64 + 13), Fraction(1, 2**61 - 1), Fraction(3**40, 7), Fraction(-(2**70), 9)]
+)
+
+
+@st.composite
+def certified_cases(draw):
+    """A content times a lambda-DS draw (hoffman-ready when irreducible) or an
+    integer grid with negative entries and entries past int64."""
+    content = draw(contents)
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        b = random_lambda_ds(n, draw(st.integers(2, 3)), draw(st.integers(0, 2**32)))
+        grid = [list(row) for row in b]
+    else:
+        entry = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+        grid = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return [[content * Fraction(v) for v in row] for row in grid]
+
+
+@given(certified_cases())
+@settings(max_examples=60, deadline=None)
+def test_residue_certificates_hold_under_the_fraction_oracle(grid):
+    n = len(grid)
+    b = RationalMatrix(grid)
+    m = minimal_polynomial(b)
+    assert naive_poly_at(m, grid) == [[Fraction(0)] * n for _ in range(n)]
+    if classify(b).hoffman_ready:
+        h = hoffman_polynomial(b).h
+        assert naive_poly_at(h, grid) == [[Fraction(1)] * n for _ in range(n)]
