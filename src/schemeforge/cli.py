@@ -64,6 +64,12 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer kille
 
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "SCHEMEFORGE_SEED"
+# gen builds all n^2 exact entries before it writes any: at n = 512 that is
+# about 40 MB and a 0.5 MB file, already past what the analysis commands take
+MAX_GEN_ORDER = 512
+# each term adds one permutation matrix, n entry updates: 1000 terms at the
+# largest order take a few seconds
+MAX_GEN_TERMS = 1000
 
 
 def _seed_value(text: str) -> int:
@@ -108,8 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-tol", type=_tolerance_value, default=ASSERTION_TOL, help="tolerance for invariant checks"
     )
     gen = sub.add_parser("gen", help="generate a random lambda-doubly stochastic matrix")
-    gen.add_argument("order", type=int, help="matrix order n")
-    gen.add_argument("terms", type=int, help="number of permutation terms k")
+    gen.add_argument(
+        "order",
+        type=int,
+        help=f"matrix order n, at most {MAX_GEN_ORDER}: all n^2 exact entries are built in memory",
+    )
+    gen.add_argument(
+        "terms",
+        type=int,
+        help=f"number of permutation terms k, at most {MAX_GEN_TERMS}: each term costs n entry updates",
+    )
     gen.add_argument("--seed", type=_seed_value, default=None, help="64-bit unsigned seed")
     gen.add_argument("--out", default=None, help="output file (default: stdout)")
     return parser
@@ -402,6 +416,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_gen(args) -> int:
     if args.order < 1 or args.terms < 1:
         print("gen: order and terms must be positive", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.order > MAX_GEN_ORDER or args.terms > MAX_GEN_TERMS:
+        print(f"gen: order must be at most {MAX_GEN_ORDER} and terms at most {MAX_GEN_TERMS}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     seed = args.seed
     if seed is None:

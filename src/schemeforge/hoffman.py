@@ -1,12 +1,15 @@
 """Exact minimal polynomials and Hoffman polynomials, on word-prime residues.
 
-Write B = s C, with C = ints / gcd(ints) the primitive integer matrix of B's
-cleared integers and s = gcd(ints) / den. By Gauss's lemma the minimal
-polynomial m_C is in Z[t], and each of its K roots is an eigenvalue of C,
-at most R = ||C||_inf (the largest absolute row sum) in modulus, so its
-coefficients obey |c_j| <= binom(K, j) R^(K - j). They come out exactly from
-a symmetric CRT over primes p with prod p > 2 max_j binom(K, j) R^(K - j),
-with no rational reconstruction, and m_B(t) = s^K m_C(t / s).
+The stage reads B in its one exact form B = s C, kept in B's analysis
+context (see `matrix`): C = ints / gcd(ints) is the primitive integer
+matrix of B's cleared integers and s = gcd(ints) / den. All the work is on
+C, and the context's `rescaled` applies s to the certified results. By
+Gauss's lemma the minimal polynomial m_C is in Z[t], and each of its K
+roots is an eigenvalue of C, at most R = ||C||_inf (the largest absolute
+row sum) in modulus, so its coefficients obey |c_j| <= binom(K, j) R^(K -
+j). They come out exactly from a symmetric CRT over primes p with prod p >
+2 max_j binom(K, j) R^(K - j), with no rational reconstruction, and m_B(t)
+= s^K m_C(t / s).
 
 Every residue C^k mod p comes from float64 matmuls. They are exact: each
 prime is below 2^b with 2b + ceil(log2 n) <= 53, so n (p - 1)^2 < 2^53 and
@@ -49,7 +52,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .exact import Polynomial
-from .matrix import RationalMatrix
+from .matrix import MatrixPowerBasis, RationalMatrix
 from .stochastic import HypothesisError, classify
 
 
@@ -116,48 +119,9 @@ def _prime_run(primes: Iterator[int], bound: int) -> list[int]:
     return run
 
 
-class IntegerForm:
-    """B = scale * C, with C the primitive integer matrix of B's cleared integers.
-
-    norm is ||C||_inf, the largest absolute row sum, which bounds every
-    eigenvalue of C and every entry of C^j by norm^j. bits sizes the primes:
-    each is below 2^bits with n (p - 1)^2 < 2^53. minimal holds the
-    integer coefficients of m_C once `minimal_polynomial` has certified them.
-    """
-
-    __slots__ = ("order", "scale", "norm", "bits", "minimal", "_ints")
-
-    def __init__(self, b: RationalMatrix):
-        n = b.order
-        g = gcd(*b.ints) or 1  # the zero matrix is its own primitive form
-        ints = [v // g for v in b.ints] if g > 1 else b.ints
-        self.order = n
-        self.scale = Fraction(g, b.den)
-        self.bits = (53 - (n - 1).bit_length()) // 2
-        self.minimal: list[int] | None = None  # m_C, ascending, once certified
-        if n * max(max(ints), -min(ints)) < 2**63:
-            self._ints = np.array(ints, dtype=np.int64).reshape(n, n)
-            self.norm = int(np.abs(self._ints).sum(axis=1).max())
-        else:
-            self._ints = np.array(ints, dtype=object).reshape(n, n)
-            self.norm = max(sum(map(abs, ints[x * n : x * n + n])) for x in range(n))
-
-    def residues(self, primes: Sequence[int]) -> np.ndarray:
-        """C mod p for each prime, an (r, n, n) float64 stack of integers in [0, p)."""
-        n = self.order
-        if self._ints.dtype == object:
-            stack = np.array([self._ints % p for p in primes], dtype=np.int64).reshape(-1, n, n)
-        else:
-            stack = self._ints % np.array(primes, dtype=np.int64)[:, None, None]
-        return stack.astype(float)
-
-
-def _integer_form(b: RationalMatrix) -> IntegerForm:
-    """The integer form of B, computed once and kept in its analysis context."""
-    context = b.powers
-    if context.integer_form is None:
-        context.integer_form = IntegerForm(b)
-    return context.integer_form
+def _bits(n: int) -> int:
+    """The size of the residue primes at order n: each is below 2^bits, with n (p - 1)^2 < 2^53."""
+    return (53 - (n - 1).bit_length()) // 2
 
 
 def _reduce(stack: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -165,7 +129,7 @@ def _reduce(stack: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return stack.astype(np.int64) % primes
 
 
-def _krylov(form: IntegerForm, p: int) -> tuple[list[int], list[int]]:
+def _krylov(context: MatrixPowerBasis, p: int) -> tuple[list[int], list[int]]:
     """(pivots, y): pivot coordinates of C^0, ..., C^(K-1), where C^K is the
     first power that depends on the lower ones modulo p, and the residues
     y_j with C^K = sum_j y_j C^j mod p.
@@ -180,8 +144,8 @@ def _krylov(form: IntegerForm, p: int) -> tuple[list[int], list[int]]:
     w of C^K gives y. K <= n, so each product sums at most n terms below
     p^2 and stays exact in float64.
     """
-    n = form.order
-    base = form.residues([p])[0]
+    n = context.order
+    base = context.residues([p])[0]
     rows = np.empty((1, n * n))  # doubled when full, so it holds O(K n^2)
     inverse = np.eye(n)
     combinations = np.zeros((n, n))
@@ -213,7 +177,7 @@ def _krylov(form: IntegerForm, p: int) -> tuple[list[int], list[int]]:
 
 
 def _solve_pivot_systems(
-    form: IntegerForm, primes: list[int], pivots: list[int]
+    context: MatrixPowerBasis, primes: list[int], pivots: list[int]
 ) -> list[list[int] | None]:
     """For each prime, y with sum_j y_j C^j[R] = C^K[R] mod p, or None.
 
@@ -225,12 +189,12 @@ def _solve_pivot_systems(
     system at once, without row exchanges or division; a prime on which a
     leading minor vanishes meets a zero pivot and gets None.
     """
-    n, k = form.order, len(pivots)
+    n, k = context.order, len(pivots)
     xs = [r // n for r in pivots]
     columns = sorted({r % n for r in pivots})
     ys = [columns.index(r % n) for r in pivots]
     p = np.array(primes, dtype=np.int64)[:, None, None]
-    base = form.residues(primes)
+    base = context.residues(primes)
     block = np.repeat(np.eye(n)[None, :, columns], len(primes), axis=0)
     system = np.empty((len(primes), k, k + 1), dtype=np.int64)
     for j in range(k + 1):
@@ -259,15 +223,15 @@ def _candidate(b: RationalMatrix, p: int) -> list[int]:
     pivot systems give those of any further primes. Only the certificate
     decides whether m = m_C.
     """
-    form = _integer_form(b)
-    pivots, y = _krylov(form, p)
+    context = b.powers
+    pivots, y = _krylov(context, p)
     k = len(pivots)
-    bound = 2 * max(comb(k, j) * form.norm ** (k - j) for j in range(k + 1))
+    bound = 2 * max(comb(k, j) * context.norm ** (k - j) for j in range(k + 1))
     modulus, primes, rows = p, [p], [y]
-    others = (q for q in _primes(form.bits) if q != p)
+    others = (q for q in _primes(_bits(b.order)) if q != p)
     while modulus <= bound:
         run = _prime_run(others, bound // modulus)
-        for q, row in zip(run, _solve_pivot_systems(form, run, pivots)):
+        for q, row in zip(run, _solve_pivot_systems(context, run, pivots)):
             if row is not None:
                 primes.append(q)
                 rows.append(row)
@@ -280,18 +244,18 @@ def _candidate(b: RationalMatrix, p: int) -> list[int]:
     return coeffs + [1]
 
 
-def _vanishes(form: IntegerForm, coeffs: Sequence[int], ones: int) -> bool:
+def _vanishes(context: MatrixPowerBasis, coeffs: Sequence[int], ones: int) -> bool:
     """Whether sum_j coeffs_j C^j = ones * J, decided exactly on residues.
 
     Each entry of the difference is at most H = sum_j |coeffs_j| norm^j +
     |ones| in absolute value; one Horner pass checks it modulo primes whose
     product exceeds H, so a zero residue everywhere is a zero difference.
     """
-    n = form.order
-    bound = sum(abs(c) * form.norm**j for j, c in enumerate(coeffs)) + abs(ones)
-    primes = _prime_run(_primes(form.bits), bound)
+    n = context.order
+    bound = sum(abs(c) * context.norm**j for j, c in enumerate(coeffs)) + abs(ones)
+    primes = _prime_run(_primes(_bits(n)), bound)
     p = np.array(primes, dtype=np.int64)[:, None, None]
-    base = form.residues(primes)
+    base = context.residues(primes)
     terms = np.array([[c % q for q in primes] for c in reversed(coeffs)], dtype=float)
     acc = np.eye(n) * terms[0][:, None, None]
     for term in terms[1:]:
@@ -301,37 +265,23 @@ def _vanishes(form: IntegerForm, coeffs: Sequence[int], ones: int) -> bool:
     return bool((acc == np.array([ones % q for q in primes])[:, None, None]).all())
 
 
-def _rescaled(
-    form: IntegerForm, coeffs: Sequence[int], top: int, num: int = 1, den: int = 1
-) -> Polynomial:
-    """sum_j (num / den) coeffs_j s^(top - j) t^j, for B = s C: a polynomial
-    in C rewritten as one in B, each coefficient one Fraction of integers."""
-    g, d = form.scale.numerator, form.scale.denominator
-    out = []
-    for e, c in zip(range(top, top - len(coeffs), -1), coeffs):
-        up, down = (g**e, d**e) if e >= 0 else (d**-e, g**-e)
-        out.append(Fraction(num * c * up, den * down))
-    return Polynomial(out)
-
-
 def minimal_polynomial(b: RationalMatrix) -> Polynomial:
     """Smallest monic m with m(B) = 0: a candidate modulo a prime, certified exactly.
 
     A candidate m_C with m_C(C) = 0 is monic of degree K <= deg m_C and
     annihilates C, so it is m_C. Otherwise the Krylov prime divides one of
     finitely many fixed nonzero minors, and the next prime is tried. The
-    certified m_C is kept in B's integer form, and m_B(t) = s^K m_C(t / s)
-    in B's analysis context.
+    certified m_C and m_B(t) = s^K m_C(t / s) are both kept in B's analysis
+    context.
     """
     context = b.powers
     if context.minimal is not None:
         return context.minimal
-    form = _integer_form(b)
-    for p in _primes(form.bits):
+    for p in _primes(_bits(b.order)):
         coeffs = _candidate(b, p)
-        if _vanishes(form, coeffs, 0):
-            form.minimal = coeffs
-            context.minimal = _rescaled(form, coeffs, len(coeffs) - 1)
+        if _vanishes(context, coeffs, 0):
+            context.primitive_minimal = coeffs
+            context.minimal = context.rescaled(coeffs, len(coeffs) - 1)
             return context.minimal
 
 
@@ -353,27 +303,20 @@ def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
     if failed is not None:
         raise HypothesisError(failed)
     minimal_polynomial(b)
-    form = _integer_form(b)
-    lam = (cls.lam / form.scale).numerator  # the line sum of C, an integer
-    # synthetic division of m_C by t - lambda_C, and Horner for q_C(lambda_C)
-    q = [1]
-    for c in form.minimal[-2:0:-1]:
-        q.append(c + q[-1] * lam)
-    if form.minimal[0] + q[-1] * lam:
-        raise ArithmeticError("internal invariant violated: lambda is not a root of m")
-    q.reverse()
-    q_at_lam = 0
-    for c in reversed(q):
-        q_at_lam = q_at_lam * lam + c
+    lam = cls.lam / context.scale  # the line sum of C, an integer
+    # a nonzero remainder raises ValueError: lambda would not be a root of m
+    q_c = Polynomial(context.primitive_minimal).divide_linear(lam)
+    q_at_lam = q_c(lam).numerator
     if q_at_lam == 0:
         # impossible for a valid input: lambda is a simple eigenvalue
         raise ArithmeticError("internal invariant violated: q(lambda) = 0")
+    q = [c.numerator for c in q_c.coeffs]
     n = b.order
     g = gcd(n, q_at_lam)
-    if not _vanishes(form, [n // g * c for c in q], q_at_lam // g):
+    if not _vanishes(context, [n // g * c for c in q], q_at_lam // g):
         raise ArithmeticError("internal invariant violated: h(B) != J")
     context.hoffman = HoffmanPolynomial(
-        h=_rescaled(form, q, 0, n, q_at_lam), q=_rescaled(form, q, len(q) - 1), lam=cls.lam
+        h=context.rescaled(q, 0, n, q_at_lam), q=context.rescaled(q, len(q) - 1), lam=cls.lam
     )
     return context.hoffman
 

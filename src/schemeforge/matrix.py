@@ -13,19 +13,21 @@ lowest terms. Every operation is an integer operation on that encoding:
   when a bound on the entries proves that no partial sum can overflow and
   on object arrays of Python ints otherwise;
 - each matrix owns one analysis context (`RationalMatrix.powers`, built
-  on first access and kept): its power basis, shared by every stage that
-  reads B^k, p(B) or the Gram matrix of B, and the results of the
-  pipeline stages on B, each stored by the stage that computes it; each
-  power B^k is kept once, one product of the previous power with B; the
-  context multiplies by its own copy of B and holds no reference to B, so
-  dropping B frees both without the cycle collector;
-- `evaluate` combines those powers under one common denominator into
-  p(B); the identities m(B) = 0 and h(B) = J are not decided here but on
-  word-prime residues of B's integers (see `hoffman`), so no power above
-  the predistance degree is formed;
+  on first access and kept). It holds B = s C, the one exact form of B
+  past the parser: the scale s = gcd(ints) / den and the primitive integer
+  matrix C = ints / gcd(ints). B and C generate the same algebra, so every
+  stage works on C, and s is applied in the context alone: `rescaled`
+  writes a polynomial in C as one in B, and `weights` writes p(B) as a
+  combination of C's powers. The context also keeps C's powers, each one
+  product of the previous power with C, and the results of the pipeline
+  stages on B, each stored by the stage that computes it;
+- `evaluate` combines C's powers under one common denominator into p(B);
+  the identities m(B) = 0 and h(B) = J are not decided here but on
+  word-prime residues of C (see `hoffman`), so no power above the
+  predistance degree is formed;
 - the trace inner product is one integer dot product of the flattenings,
   and the polynomial form is an integer combination of the entries of the
-  one Gram matrix G_ab = ints_a . ints_b that the power basis of B keeps.
+  one Gram matrix G_ab = C^a . C^b that the context keeps.
 
 Fractions are built when a file is parsed and when a boundary asks for
 `rows` (reports, the entry decomposition, the float sidecar); the
@@ -196,82 +198,110 @@ def trace_inner_product(m: RationalMatrix, n: RationalMatrix) -> Fraction:
 
 
 class MatrixPowerBasis:
-    """The analysis context of one matrix: its powers I, B, B^2, ..., each
-    computed once, and the result of each pipeline stage on B.
+    """The analysis context of one matrix B = s C: the scale s, the primitive
+    integer matrix C and its powers, each computed once, and the result of
+    each pipeline stage on B.
 
-    The pipeline reads the one context a matrix owns, `B.powers`, so every
-    stage on B shares its powers, its Gram entries and the integer form
-    that the minimal and Hoffman polynomials reduce modulo primes.
-    `classify`, `minimal_polynomial`, `hoffman_polynomial` and
+    For B = ints / den, s = gcd(ints) / den and C = ints / gcd(ints); the
+    zero matrix is its own C, with s = 1. This is the one exact form of B
+    past the parser. B and C generate the same algebra, so every stage reads
+    C: the minimal and Hoffman polynomials reduce C modulo primes
+    (`residues`, bounded through R = `norm`), and the predistance stage
+    reads C's integer powers and their Gram entries. s is applied in
+    `rescaled`, which writes a polynomial in C as one in B, and in
+    `weights`, which writes a polynomial in B as a combination of C's
+    powers. `classify`, `minimal_polynomial`, `hoffman_polynomial` and
     `predistance_basis` each store their result here and return it on later
     calls; a failed gate or check stores nothing.
 
-    power(k) is B^k = power(k - 1) @ B, one `integer_product` (on int64
-    while the entry bound allows it, on Python ints beyond). Only the
-    predistance stage reads powers, B^0 up to B^d for its Gram matrix and
-    its evaluations, and it needs each of them, so repeated squaring would
-    not help; the minimal and Hoffman polynomials work on residues and
-    form none. `evaluate` combines the powers' integers under one common
-    denominator.
-
-    The basis also holds the one integer Gram matrix of the trace form,
-    G_ab = ints_a . ints_b over the cleared powers, filled entry by entry
-    on first use (`gram`). The predistance Gram-Schmidt reads it, working
-    on the weights of its polynomials and the images G w rather than on
-    polynomials of Fractions.
+    C^k is kept as a flat integer list, one `integer_product` of C^(k - 1)
+    with C (on int64 while the entry bound allows it, on Python ints
+    beyond). Only the predistance stage reads powers, C^0 up to C^d for its
+    Gram matrix and its evaluations, and it needs each of them, so repeated
+    squaring would not help. The basis also holds the one integer Gram
+    matrix G_ab = C^a . C^b of the trace form, filled entry by entry on
+    first use (`gram`). The context holds C's integers, not B, so dropping
+    B frees both without the cycle collector.
     """
 
     def __init__(self, base: RationalMatrix):
-        # B owns its context, so the context multiplies by a copy of B's value:
-        # no reference cycle between them
-        self._generator = RationalMatrix._cleared(base.den, base.ints, base.order)
         n = base.order
+        g = gcd(*base.ints) or 1
+        ints = [v // g for v in base.ints]
         identity = [0] * (n * n)
         identity[:: n + 1] = [1] * n
-        self._powers = [RationalMatrix._cleared(1, identity, n)]
+        self.order = n
+        self.scale = Fraction(g, base.den)
+        # ||C||_inf, the largest absolute row sum: it bounds every eigenvalue
+        # of C and every entry of C^j by norm^j
+        self.norm = max(sum(map(abs, ints[x * n : x * n + n])) for x in range(n))
+        self._powers = [identity, ints]
+        self._entries = None  # C as a numpy array, built by the first `residues` call
         self._gram: dict[tuple[int, int], int] = {}
         # stage results, each set once by the stage that computes it
         self.classification = None  # stochastic.MatrixClassification
-        self.integer_form = None  # hoffman.IntegerForm
+        self.primitive_minimal = None  # m_C's integer coefficients, ascending
         self.minimal = None  # hoffman.minimal_polynomial
         self.hoffman = None  # hoffman.HoffmanPolynomial
         self.predistance = None  # predistance.PredistanceBasis
 
-    def power(self, k: int) -> RationalMatrix:
-        """B^k, computed once."""
+    def integer_power(self, k: int) -> list[int]:
+        """C^k, flattened row-major, computed once."""
         powers = self._powers
         while len(powers) <= k:
-            powers.append(powers[-1] @ self._generator)
+            powers.append(integer_product(powers[-1], powers[1], self.order))
         return powers[k]
 
+    def residues(self, primes: Sequence[int]) -> np.ndarray:
+        """C mod p for each prime, an (r, n, n) float64 stack of integers in [0, p)."""
+        if self._entries is None:
+            # int64 while every entry fits, Python ints beyond
+            self._entries = np.array(self._powers[1], dtype=np.int64 if self.norm < 2**63 else object)
+        n = self.order
+        return (self._entries % np.array(primes)[:, None]).astype(float).reshape(-1, n, n)
+
+    def rescaled(self, coeffs: Sequence[int], top: int, num: int = 1, den: int = 1) -> Polynomial:
+        """sum_j (num / den) coeffs_j s^(top - j) t^j, each coefficient one Fraction of integers.
+
+        For p_C(t) = sum_j coeffs_j t^j this is s^top p_C(t / s), so p(B) =
+        s^top p_C(C) (num / den): a polynomial in C rewritten as one in B.
+        """
+        g, d = self.scale.numerator, self.scale.denominator
+        out = []
+        for e, c in zip(range(top, top - len(coeffs), -1), coeffs):
+            up, down = (g**e, d**e) if e >= 0 else (d**-e, g**-e)
+            out.append(Fraction(num * c * up, den * down))
+        return Polynomial(out)
+
     def weights(self, p: Polynomial) -> tuple[int, list[tuple[int, int]]]:
-        """(L, [(k, w_k)]) with p(B) = (sum_k w_k ints_k) / L, L = lcm(den(p_k) den_k)."""
-        terms = [(k, c, c.denominator * self.power(k).den) for k, c in enumerate(p.coeffs) if c]
-        den = lcm(*(d for _, _, d in terms))
-        return den, [(k, c.numerator * (den // d)) for k, c, d in terms]
+        """(L, [(k, w_k)]) with p(B) = (sum_k w_k C^k) / L: p_k s^k cleared under one lcm L."""
+        scale = self.scale
+        terms = [(k, c * scale**k) for k, c in enumerate(p.coeffs) if c]
+        den = lcm(*(c.denominator for _, c in terms))
+        return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms]
 
     def _combination(self, weights: list[tuple[int, int]]) -> list[int]:
-        """sum_k w_k ints_k, entry by entry."""
-        acc = [0] * (self._generator.order**2)
+        """sum_k w_k C^k, entry by entry."""
+        acc = [0] * (self.order**2)
         for k, weight in weights:
-            acc = [a + weight * v for a, v in zip(acc, self._powers[k].ints)]
+            acc = [a + weight * v for a, v in zip(acc, self.integer_power(k))]
         return acc
 
     def evaluate(self, p: Polynomial) -> RationalMatrix:
-        """p(B): one integer combination (sum_k w_k ints_k) / L of the powers."""
+        """p(B): one integer combination (sum_k w_k C^k) / L of C's powers."""
         den, weights = self.weights(p)
-        return RationalMatrix._cleared(den, self._combination(weights), self._generator.order)
+        return RationalMatrix._cleared(den, self._combination(weights), self.order)
 
     def gram(self, a: int, b: int) -> int:
-        """G_ab = ints_a . ints_b, one integer dot product, computed once per basis.
+        """G_ab = C^a . C^b, one integer dot product, computed once per basis.
 
-        <B^a, B^b> = G_ab / (den_a den_b n); the predistance Gram-Schmidt
-        reads its form from these entries.
+        <C^a, C^b> = G_ab / n; the predistance Gram-Schmidt reads its form
+        from these entries.
         """
         key = (a, b) if a <= b else (b, a)
         entry = self._gram.get(key)
         if entry is None:
-            entry = self._gram[key] = sum(map(mul, self.power(a).ints, self.power(b).ints))
+            entry = self._gram[key] = sum(map(mul, self.integer_power(a), self.integer_power(b)))
         return entry
 
 

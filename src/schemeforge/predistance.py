@@ -13,18 +13,21 @@ would be shortened by (t - lambda + eps) s: the first-order change is
 as s (degree j - 1 < d) cannot vanish at all d eigenvalues theta != lambda.
 Were q_j(lambda) = 0 anyway, p_j = 0 would fail the degree invariant.
 
-The form comes from one integer Gram matrix G_ab = ints_a . ints_b of the
-powers B^k = ints_k / delta_k, kept in the power basis that B owns
-(`B.powers.gram`). The Gram-Schmidt pass runs on it in coefficient
-space, on integer weight vectors, and hands its norms |q_i|^2 on to the
-normalization, so no inner product is taken twice. The checked family is
-built once per matrix and kept in the same analysis context, beside the
-classification, the minimal polynomial and the Hoffman polynomial it reads.
+The stage reads B in its one exact form B = s C, kept in the analysis
+context that B owns (see `matrix`): B and C generate the same algebra, so
+the form comes from one integer Gram matrix G_ab = C^a . C^b of C's integer
+powers (`B.powers.gram`), and no power of B is formed. The Gram-Schmidt
+pass runs on it in coefficient space, on integer weight vectors, brings
+each q_i and |q_i|^2 back to B through the context's `rescaled`, the one
+place s is applied, and hands the norms on to the normalization, so no
+inner product is taken twice. The checked family is built once per matrix
+and kept in the same analysis context, beside the classification, the
+minimal polynomial and the Hoffman polynomial it reads.
 Each p_i is evaluated at B once, as a `RationalMatrix` E_i. The invariant
 check re-verifies the family on those evaluations, independently of the
 Gram entries: the norm of p_i as the trace inner product of E_i with
-itself, and <p_j, p_i> = 0 from the dot products of the powers' integers
-with those of E_i. sum_i p_i(B) = J is not evaluated again: sum_i p_i = h
+itself, and <p_j, p_i> = 0 from the dot products of C's powers with the
+integers of E_i. sum_i p_i(B) = J is not evaluated again: sum_i p_i = h
 is checked coefficient by coefficient against the stored Hoffman
 polynomial h, whose h(B) = J `hoffman_polynomial` has verified exactly.
 
@@ -53,18 +56,19 @@ def lambda_avoiding_gram_schmidt(b: RationalMatrix, d: int) -> tuple[list[Polyno
     is exact; no q_j vanishes at lambda past the gate (module docstring).
     Raises ValueError when d >= deg m_B, where the powers are dependent.
 
-    The pass runs in coefficient space on the integer Gram matrix G_ab =
-    ints_a . ints_b of the powers (`B.powers.gram`). Each
-    q_l is kept as q_l(B) = s_l sum_k w_lk ints_k, with w_l a primitive
-    integer vector, and its image G w_l is taken once. With N_l = w_l . G
-    w_l the projection coefficient <q_l, t^j> / |q_l|^2 times q_l(B) is
-    ((G w_l)_j / N_l) (sum_k w_lk ints_k) / delta_j, so the candidate is
-    the integer combination u = M e_j - sum_l M (G w_l)_j / N_l w_l over
-    delta_j M, M the lcm of the reduced denominators of those ratios. Its
-    norm is N_j s_j^2 / n; Fractions are built only for the coefficients.
+    The pass runs on C, for B = s C, in coefficient space on the integer
+    Gram matrix G_ab = C^a . C^b (`B.powers.gram`). Each q_l,C, the l-th
+    monic orthogonal polynomial of C, is kept as q_l,C(C) = c_l sum_k w_lk
+    C^k, with w_l a primitive integer vector, and its image G w_l is taken
+    once. With N_l = w_l . G w_l the projection coefficient <q_l,C, t^j> /
+    |q_l,C|^2 times q_l,C(C) is ((G w_l)_j / N_l) sum_k w_lk C^k, so the
+    candidate is the integer combination u = M e_j - sum_l M (G w_l)_j / N_l
+    w_l over M, M the lcm of the reduced denominators of those ratios, and
+    its norm is N_j c_j^2 / n. The monic q_j(t) = s^j q_j,C(t / s) has
+    q_j(B) = s^j q_j,C(C), so the context's `rescaled` brings q_j and its
+    norm back to B.
     """
     basis = b.powers
-    deltas = [basis.power(k).den for k in range(d + 1)]
     gram = [[basis.gram(a, c) for c in range(d + 1)] for a in range(d + 1)]
     weights: list[list[int]] = []
     images: list[list[int]] = []
@@ -89,10 +93,9 @@ def lambda_avoiding_gram_schmidt(b: RationalMatrix, d: int) -> tuple[list[Polyno
         norm = sum(map(mul, w, image))
         if norm == 0:
             raise ValueError(f"inner product degenerate at degree {j}: d = {d} is not below deg m_B")
-        # q_j = sum_k u_k delta_k t^k / (delta_j m)
-        den = deltas[j] * m
-        polys.append(Polynomial([Fraction(v * delta, den) for v, delta in zip(u, deltas)]))
-        norms_sq.append(Fraction(g * g * norm, den * den * b.order))
+        # q_j,C = sum_k u_k t^k / m, with |q_j,C|^2 = g^2 N_j / (m^2 n) and |q_j|^2 = s^(2j) |q_j,C|^2
+        polys.append(basis.rescaled(u, j, 1, m))
+        norms_sq.append(basis.rescaled([g * g * norm], 2 * j, 1, m * m * b.order).coeffs[0])
         weights.append(w)
         images.append(image)
         gram_norms.append(norm)
@@ -154,7 +157,7 @@ def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
 
     The cached norm of p_i is checked as <E_i, E_i>. For j < i, <p_j, p_i>
     is sum_k w_jk X_ki over a nonzero denominator, with w_j the weights of
-    p_j on the powers and X_ki = ints_k . E_i.ints, so each pair costs one
+    p_j on C's powers and X_ki = C^k . E_i.ints, so each pair costs one
     short integer sum. sum_i p_i(B) = J follows from sum_i p_i = h, checked
     on the coefficients of B's stored Hoffman polynomial h.
     """
@@ -172,7 +175,7 @@ def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
         if trace_inner_product(evaluations[i], evaluations[i]) != norm_sq:
             raise ArithmeticError(f"internal invariant violated: cached norm of p_{i}")
         e_ints = evaluations[i].ints
-        products = [sum(map(mul, basis.power(k).ints, e_ints)) for k in range(i)]
+        products = [sum(map(mul, basis.integer_power(k), e_ints)) for k in range(i)]
         for j in range(i):
             if sum(w * products[k] for k, w in weights[j]):
                 raise ArithmeticError(f"internal invariant violated: <p_{j}, p_{i}> != 0")

@@ -13,9 +13,9 @@ Two sections are not oracles. Matrix arithmetic on Fraction grids builds
 test inputs: it reads every RationalMatrix through `.rows` and builds its
 results with the RationalMatrix constructor, never from the library's
 integer encoding or its product. The last section holds test conveniences
-that read a MatrixPowerBasis (its powers, weights and Gram entries) as
-Fractions, plus the exact solver for membership in the span of the powers.
-The library itself never needs them.
+on naive_poly_at and naive_mat_mul: the trace form of two polynomials at B,
+and membership in the span of B's powers through the exact solver. The
+library itself never needs them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from schemeforge.exact import Polynomial
 from schemeforge.io import MAX_EXPONENT, MatrixParseError, _exponent_too_large, _shown
-from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, solve_rational_system
+from schemeforge.matrix import RationalMatrix, solve_rational_system
 from schemeforge.scheme import SchemeAxiomError
 
 
@@ -494,7 +494,7 @@ def adjacency_matrix(successors: list[list[int]]) -> RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Test conveniences on the library's power basis (not oracles).
+# Test conveniences on naive powers of B (not oracles).
 # ---------------------------------------------------------------------------
 
 
@@ -503,27 +503,23 @@ def monic(p: Polynomial) -> Polynomial:
     return Polynomial([c / p.coeffs[-1] for c in p.coeffs])
 
 
-def poly_inner(
-    p: Polynomial, q: Polynomial, b: RationalMatrix, basis: MatrixPowerBasis | None = None
-) -> Fraction:
-    """<p, q> = (1/n) trace(p(B) q(B)^T) = sum_ab u_a v_b G_ab / (L_p L_q n).
-
-    u, v and L_p, L_q are the weights of p and q on the powers, and
-    G_ab are the basis's cached Gram entries.
-    """
-    if basis is None:
-        basis = MatrixPowerBasis(b)
-    p_den, p_weights = basis.weights(p)
-    q_den, q_weights = basis.weights(q)
-    total = sum(u * v * basis.gram(a, c) for a, u in p_weights for c, v in q_weights)
-    return Fraction(total, p_den * q_den * b.order)
+def poly_inner(p: Polynomial, q: Polynomial, b: RationalMatrix) -> Fraction:
+    """<p, q> = (1/n) trace(p(B) q(B)^T), on naive_poly_at evaluations."""
+    grid = [list(row) for row in b.rows]
+    return trace_form_inner(naive_poly_at(p, grid), naive_poly_at(q, grid))
 
 
-def algebra_membership(m: RationalMatrix, basis: MatrixPowerBasis, degree: int) -> Polynomial | None:
+def algebra_membership(m: RationalMatrix, b: RationalMatrix, degree: int) -> Polynomial | None:
     """The polynomial p of degree <= `degree` with p(B) = M, or None when M is outside the span.
 
-    One exact solve over the vectorized powers vec(B^0), ..., vec(B^degree).
+    One exact solve over the vectorized powers vec(B^0), ..., vec(B^degree),
+    each a naive_mat_mul of the previous power with B.
     """
-    columns = [flat(basis.power(k)) for k in range(degree + 1)]
+    grid = [list(row) for row in b.rows]
+    power = [[Fraction(int(i == j)) for j in range(b.order)] for i in range(b.order)]
+    columns = []
+    for _ in range(degree + 1):
+        columns.append([v for row in power for v in row])
+        power = naive_mat_mul(power, grid)
     solution = solve_rational_system(columns, flat(m))
     return None if solution is None else Polynomial(solution)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIXTURES
 
 from schemeforge.cli import _exact_digits, _report_json, build_parser, run_command
-from schemeforge.hoffman import IntegerForm, _prime, minimal_polynomial
+from schemeforge.hoffman import _bits, _prime, minimal_polynomial
 from schemeforge.io import MatrixParseError, parse_matrix, serialize_matrix
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.stochastic import classify, random_lambda_ds
@@ -270,7 +270,7 @@ def test_pipeline_intermediates_per_command(
     capsys, fixtures_dir, monkeypatch, command, name, classifications, minimal_polynomials
 ):
     # each stage's own work is counted, not the calls that return its stored result
-    from schemeforge import hoffman, predistance, stochastic
+    from schemeforge import hoffman, matrix, predistance, stochastic
 
     calls = dict.fromkeys(
         (
@@ -299,23 +299,24 @@ def test_pipeline_intermediates_per_command(
     count(hoffman, "_vanishes", "certificates")  # m(B) = 0 and h(B) = J, on residues
     count(predistance, "lambda_avoiding_gram_schmidt", "gram_schmidt")
     count(predistance, "_assert_invariants", "invariants")
-    count(RationalMatrix, "__matmul__", "products")
+    count(matrix, "integer_product", "products")  # normality's two products, and C's powers
     count(MatrixPowerBasis, "evaluate", "evaluations")
     # run_command parses the file afresh, so its analysis context starts empty
     run_command([command, fixture_path(fixtures_dir, name), "--json"])
     capsys.readouterr()
     family = minimal_polynomials if command in ("predistance", "scheme") else 0
     # classify takes B B^T and B^T B; fig2's minimal polynomial has degree 4 and is
-    # found on residues, so only the predistance family reads exact powers: the one
-    # power basis of B takes B^1..B^3 however many stages read it; p_0..p_3 are each
-    # evaluated at B once, and sum_i p_i = h needs no evaluation
+    # found on residues, so only the predistance family reads exact powers: for
+    # B = C / 4 the one context of B keeps C^1 and takes C^2 and C^3 however many
+    # stages read them; p_0..p_3 are each evaluated at B once, and sum_i p_i = h
+    # needs no evaluation
     assert calls == {
         "classification": classifications,
         "candidate": minimal_polynomials,
         "certificates": 2 * minimal_polynomials,
         "gram_schmidt": family,
         "invariants": family,
-        "products": 2 + 3 * family,
+        "products": 2 + 2 * family,
         "evaluations": 4 * family,
     }
 
@@ -404,7 +405,7 @@ def test_every_command_on_every_fixture(capsys, fixtures_dir, name, command):
 def test_hoffman_json_after_an_unlucky_prime(capsys, tmp_path):
     # B = identity mod p, the first residue prime at order 2
     p = 2**26 - 5
-    assert _prime(IntegerForm(RationalMatrix([[1, 0], [0, 1]])).bits, 0) == p
+    assert _prime(_bits(2), 0) == p
     path = tmp_path / "unlucky.mat"
     path.write_text(f"2\n1 {p}\n{p} 1\n", encoding="utf-8")
     assert run_command(["hoffman", str(path), "--json"]) == 0
@@ -467,6 +468,31 @@ def test_gen_seed_env_override(capsys, monkeypatch):
 
 def test_gen_rejects_out_of_range_seed(capsys):
     assert run_command(["gen", "4", "2", "--seed", str(2**64)]) == 2
+
+
+@pytest.mark.parametrize(
+    "order, terms", [("100000", "3"), ("513", "3"), ("4", "1001"), ("4", str(10**18))]
+)
+def test_gen_bounds_order_and_terms_before_building_anything(capsys, monkeypatch, order, terms):
+    # the huge cases would build a 10^10-entry grid or loop for hours: never run them
+    from schemeforge import cli
+
+    def unreachable(*args):
+        raise AssertionError("random_lambda_ds called past the bounds")
+
+    monkeypatch.setattr(cli, "random_lambda_ds", unreachable)
+    assert run_command(["gen", order, terms]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gen: order must be at most {cli.MAX_GEN_ORDER} and terms at most {cli.MAX_GEN_TERMS}\n"
+
+
+def test_gen_accepts_the_bounds_themselves(capsys):
+    from schemeforge import cli
+
+    for order, terms in ((2, cli.MAX_GEN_TERMS), (cli.MAX_GEN_ORDER, 1)):
+        assert run_command(["gen", str(order), str(terms)]) == 0
+        assert parse_matrix(capsys.readouterr().out).order == order
 
 
 def test_module_entry_point_runs(fixtures_dir):

@@ -10,6 +10,7 @@ from schemeforge.digraph import (
     is_strongly_connected,
     underlying_digraph,
 )
+from schemeforge.exact import Polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 
 from oracles import add, adjacency_matrix, class_matrices, count_walks_dfs, identity, scaled, zeros
@@ -103,8 +104,8 @@ def test_distance_classes_partition_and_triangle_inequality(fig1, fig2):
 
 
 def walk_count(adjacency, length):
-    """Walks of the given length counted as a power of the adjacency matrix."""
-    return MatrixPowerBasis(adjacency).power(length)
+    """Walks of the given length counted as a power of the adjacency matrix, p(A) for p = t^length."""
+    return MatrixPowerBasis(adjacency).evaluate(Polynomial.monomial(length))
 
 
 def test_walk_count_length_one_is_adjacency():

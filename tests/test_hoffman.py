@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import (
-    IntegerForm,
+    _bits,
     _candidate,
     _prime,
     _vanishes,
@@ -22,8 +22,8 @@ from oracles import (
     algebra_membership,
     charpoly_leverrier,
     divides,
-    flat,
     identity,
+    naive_mat_mul,
     naive_poly_at,
     oracle_minimal_polynomial,
     scaled,
@@ -33,7 +33,7 @@ from oracles import (
 
 def first_prime(b):
     """The first prime the residue pipeline tries on B, the largest its order allows."""
-    return _prime(IntegerForm(b).bits, 0)
+    return _prime(_bits(b.order), 0)
 
 
 FIG1_Q = Polynomial(
@@ -72,13 +72,12 @@ def test_minimal_polynomial_fig1(fig1):
 
 def test_minimal_polynomial_is_minimal(fig2):
     m = minimal_polynomial(fig2)
-    basis = MatrixPowerBasis(fig2)
-    # powers below deg(m) are linearly independent: B^{d} outside lower span
+    # powers below deg(m) are linearly independent: B^k outside the span of the lower ones
+    grid = [list(r) for r in fig2]
+    power = grid
     for k in range(1, m.degree):
-        from schemeforge.matrix import solve_rational_system
-
-        columns = [flat(basis.power(j)) for j in range(k)]
-        assert solve_rational_system(columns, flat(basis.power(k))) is None
+        assert algebra_membership(RationalMatrix(power), fig2, degree=k - 1) is None
+        power = naive_mat_mul(power, grid)
 
 
 def test_hoffman_fig1_matches_reference_values(fig1):
@@ -128,11 +127,7 @@ def test_hoffman_rejects_lambda_zero():
 def test_no_lower_degree_polynomial_reaches_allones(fig1, fig2):
     for b in (fig1, fig2):
         h = hoffman_polynomial(b).h
-        basis = MatrixPowerBasis(b)
-        assert (
-            algebra_membership(RationalMatrix.ones(b.order), basis, degree=h.degree - 1)
-            is None
-        )
+        assert algebra_membership(RationalMatrix.ones(b.order), b, degree=h.degree - 1) is None
 
 
 @pytest.mark.parametrize(
@@ -268,8 +263,9 @@ def test_minimal_polynomial_matches_gauss_jordan_oracle(grid):
 def test_deep_krylov_scaled_directed_cycle():
     """(3/2) P for the directed 30-cycle P: m = t^30 - (3/2)^30, so d = 29.
 
-    Power k is 3^k P^k / 2^k, so its integers must carry den = 2^k
-    exactly; the Hoffman polynomial is sum_j (2/3)^j t^j.
+    B = (3/2) P with P primitive, so the basis keeps the powers P^k, whose
+    integers carry no power of 3/2; the Hoffman polynomial is sum_j (2/3)^j
+    t^j.
     """
     n = 30
     scale = Fraction(3, 2)
@@ -282,10 +278,9 @@ def test_deep_krylov_scaled_directed_cycle():
     m = minimal_polynomial(b)
     assert m.degree - 1 == 29
     assert m == expected
+    assert b.powers.scale == scale
     for k in range(n + 1):
-        power = b.powers.power(k)
-        assert power.den == 2**k
-        assert sorted(power.ints) == [0] * (n * n - n) + [3**k] * n
+        assert sorted(b.powers.integer_power(k)) == [0] * (n * n - n) + [1] * n
     info = hoffman_polynomial(b)
     assert info.h == Polynomial([Fraction(2, 3) ** j for j in range(n)])
 
@@ -316,10 +311,10 @@ def test_certificate_uses_every_prime_its_bound_needs():
     """
     p = first_prime(RationalMatrix([[1, 0], [0, 1]]))
     b = RationalMatrix([[1, p], [p, 1]])
-    form = IntegerForm(b)
-    assert np.array_equal(form.residues([p])[0], np.eye(2))
-    assert not _vanishes(form, [-1, 1], 0)
-    assert _vanishes(form, [1 - p * p, -2, 1], 0)
+    context = MatrixPowerBasis(b)
+    assert np.array_equal(context.residues([p])[0], np.eye(2))
+    assert not _vanishes(context, [-1, 1], 0)
+    assert _vanishes(context, [1 - p * p, -2, 1], 0)
     assert minimal_polynomial(b).degree == 2
 
 
@@ -371,3 +366,29 @@ def test_residue_certificates_hold_under_the_fraction_oracle(grid):
     if classify(b).hoffman_ready:
         h = hoffman_polynomial(b).h
         assert naive_poly_at(h, grid) == [[Fraction(1)] * n for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "primitive_minimal, message",
+    [
+        # fig2 = C / 4 has lambda_C = 4; t - 5 leaves a nonzero remainder at 4
+        ([-5, 1], "ValueError: 4 is not a root"),
+        # (t - 4)^2 gives q_C = t - 4, which vanishes at lambda_C
+        ([16, -8, 1], "ArithmeticError: internal invariant violated: q(lambda) = 0"),
+    ],
+)
+def test_broken_minimal_polynomial_is_an_internal_error(
+    monkeypatch, capsys, fixtures_dir, primitive_minimal, message
+):
+    from schemeforge import hoffman
+    from schemeforge.cli import run_command
+
+    def broken(b):
+        b.powers.primitive_minimal = primitive_minimal
+        return b.powers.rescaled(primitive_minimal, len(primitive_minimal) - 1)
+
+    monkeypatch.setattr(hoffman, "minimal_polynomial", broken)
+    assert run_command(["hoffman", str(fixtures_dir / "fig2.mat"), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"internal error: {message}")

@@ -25,11 +25,11 @@ from conftest import load_fixture
 from oracles import (
     add,
     algebra_membership,
+    flat,
     identity,
     is_zero,
     naive_mat_mul,
     naive_poly_at,
-    poly_inner,
     scaled,
     trace_form_inner,
     zeros,
@@ -113,7 +113,8 @@ def product_paths(monkeypatch) -> dict:
             calls[path_of[dtype]] += 1
         return np.array(values, dtype=dtype)
 
-    monkeypatch.setattr(matrix, "np", SimpleNamespace(array=array, int64=np.int64))
+    # every other numpy name that matrix uses passes through unchanged
+    monkeypatch.setattr(matrix, "np", SimpleNamespace(**{**vars(np), "array": array}))
     return calls
 
 
@@ -167,12 +168,15 @@ def test_integer_product_of_a_zero_operand_with_entries_past_int64(monkeypatch):
 
 
 def test_entry_sizes_alone_choose_the_product_path(monkeypatch, tmp_path):
+    # the directed 6-cycle P_6 and 10^30 I + P_6, whose entries pass int64, are
+    # both accepted with d = D = 5; 10^30 P_6 would not do, since the powers are
+    # taken of the primitive integer matrix C = P_6 and the scale never reaches them
     n = 6
-    cycle = [[1 if y == (x + 1) % n else 0 for y in range(n)] for x in range(n)]
     calls = product_paths(monkeypatch)
-    for scale, path in ((1, "int64"), (10**30, "python")):
+    for diagonal, path in ((0, "int64"), (10**30, "python")):
+        grid = [[diagonal * (x == y) + (y == (x + 1) % n) for y in range(n)] for x in range(n)]
         file = tmp_path / f"cycle-{path}.mat"
-        file.write_text(serialize_matrix(RationalMatrix([[scale * v for v in row] for row in cycle])))
+        file.write_text(serialize_matrix(RationalMatrix(grid)))
         calls.update(int64=0, python=0)
         assert run_command(["scheme", str(file), "--json"]) == 0
         assert calls[path] > 0 and sum(calls.values()) == calls[path]
@@ -270,10 +274,13 @@ def test_trace_form_equals_hadamard_form(grid):
 
 
 def test_power_basis_caches_incrementally(fig2):
+    # fig2 = C / 4 with C primitive, so the basis keeps C^k = 4^k fig2^k
     basis = MatrixPowerBasis(fig2)
-    assert basis.power(0) == identity(6)
-    assert basis.power(2) == fig2 @ fig2
-    assert basis.power(1) == fig2
+    assert basis.scale == Fraction(1, 4)
+    grid = [list(row) for row in fig2.rows]
+    assert basis.integer_power(2) == [16 * v for row in naive_mat_mul(grid, grid) for v in row]
+    assert basis.integer_power(0) == list(flat(identity(6)))
+    assert basis.integer_power(1) == [4 * v for v in flat(fig2)]
     assert basis.evaluate(Polynomial([-2, 8, -16, 16])) == RationalMatrix.ones(6)
 
 
@@ -281,8 +288,8 @@ def test_matrix_keeps_one_power_basis_outside_its_value():
     b = load_fixture("fig2.mat")
     basis = b.powers
     assert b.powers is basis
-    assert basis.power(1) == b
-    basis.power(4)
+    assert basis.evaluate(Polynomial([0, 1])) == b
+    basis.integer_power(4)
     basis.gram(2, 3)
     fresh = load_fixture("fig2.mat")
     assert b == fresh and hash(b) == hash(fresh)
@@ -292,7 +299,7 @@ def test_matrix_keeps_one_power_basis_outside_its_value():
 def test_power_basis_is_freed_without_the_cycle_collector():
     # B owns its basis and the basis holds no reference to B: dropping B frees both by refcount
     b = load_fixture("fig2.mat")
-    b.powers.power(3)
+    b.powers.integer_power(3)
     basis = weakref.ref(b.powers)
     enabled = gc.isenabled()
     gc.disable()
@@ -306,19 +313,17 @@ def test_power_basis_is_freed_without_the_cycle_collector():
 
 def test_power_basis_outlives_a_temporary_base(fig2):
     basis = MatrixPowerBasis(load_fixture("fig2.mat"))
-    assert basis.power(1) == fig2
-    assert basis.power(2) == fig2 @ fig2
+    assert basis.evaluate(Polynomial([0, 1])) == fig2
+    assert basis.evaluate(Polynomial([0, 0, 1])) == fig2 @ fig2
 
 
 def test_membership_of_allones_gives_hoffman_coefficients(fig2):
-    basis = MatrixPowerBasis(fig2)
-    p = algebra_membership(RationalMatrix.ones(6), basis, degree=3)
+    p = algebra_membership(RationalMatrix.ones(6), fig2, degree=3)
     assert p == Polynomial([-2, 8, -16, 16])
 
 
 def test_membership_of_matrix_itself(fig2):
-    basis = MatrixPowerBasis(fig2)
-    assert algebra_membership(fig2, basis, degree=3) == Polynomial([0, 1])
+    assert algebra_membership(fig2, fig2, degree=3) == Polynomial([0, 1])
 
 
 def test_membership_rejects_perturbed_distance_class(fig2):
@@ -327,8 +332,7 @@ def test_membership_rejects_perturbed_distance_class(fig2):
     dist = distance_structure(underlying_digraph(fig2)).dist
     perturbed = [[int(v == 3) for v in row] for row in dist]
     perturbed[0][0] += 1
-    basis = MatrixPowerBasis(fig2)
-    assert algebra_membership(RationalMatrix(perturbed), basis, degree=3) is None
+    assert algebra_membership(RationalMatrix(perturbed), fig2, degree=3) is None
 
 
 # --- exact solver -----------------------------------------------------------
@@ -439,12 +443,13 @@ def test_power_basis_evaluate_matches_naive_oracle(grid, cs, ds):
         value = basis.evaluate(p)
         assert gcd(value.den, *value.ints) == 1  # lowest terms
         assert [list(row) for row in value.rows] == expected
+    # B = s C with C primitive (or zero), and s^k C^k = B^k
+    assert gcd(*basis.integer_power(1)) in (0, 1)
     n = len(grid)
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(4):
-        value = basis.power(k)
-        assert gcd(value.den, *value.ints) == 1  # lowest terms
-        assert [list(row) for row in value.rows] == power
+        value = basis.integer_power(k)
+        assert [basis.scale**k * v for v in value] == [v for row in power for v in row]
         power = naive_mat_mul(power, grid)
 
 
@@ -470,10 +475,18 @@ inner_coefficients = st.lists(st.one_of(st.just(Fraction(0)), mixed_entries), ma
 )
 @settings(max_examples=100, deadline=None)
 def test_power_basis_inner_matches_trace_form_oracle(grid, cs, ds):
-    b = RationalMatrix(grid)
-    basis = MatrixPowerBasis(b)
+    # <p, q> = sum_ab u_a v_b G_ab / (L_p L_q n), with (L, u) the weights of a
+    # polynomial on C's powers and G_ab = C^a . C^b the basis's Gram entries
+    basis = MatrixPowerBasis(RationalMatrix(grid))
+
+    def inner(p, q):
+        p_den, p_weights = basis.weights(p)
+        q_den, q_weights = basis.weights(q)
+        total = sum(u * v * basis.gram(a, c) for a, u in p_weights for c, v in q_weights)
+        return Fraction(total, p_den * q_den * len(grid))
+
     p, q = Polynomial(cs), Polynomial(ds)
     expected = trace_form_inner(naive_poly_at(p, grid), naive_poly_at(q, grid))
-    assert poly_inner(p, q, b, basis) == expected
-    assert poly_inner(q, p, b, basis) == expected  # symmetric, and served from the cached Gram entries
-    assert poly_inner(p, Polynomial(), b, basis) == 0
+    assert inner(p, q) == expected
+    assert inner(q, p) == expected  # symmetric, and served from the cached Gram entries
+    assert inner(p, Polynomial()) == 0

@@ -9,13 +9,14 @@ from schemeforge import predistance
 from schemeforge.cli import run_command
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import hoffman_polynomial, minimal_polynomial
-from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
+from schemeforge.matrix import RationalMatrix
 from schemeforge.predistance import (
     _assert_invariants,
     lambda_avoiding_gram_schmidt,
     predistance_basis,
     verify_hoffman_sum,
 )
+from schemeforge.scheme import detect_scheme
 from schemeforge.stochastic import HypothesisError, classify, random_lambda_ds
 
 from conftest import FIXTURES, load_fixture
@@ -164,6 +165,29 @@ def test_gram_schmidt_never_vanishes_at_lambda_past_the_gate(b):
     assert family.norms_sq == tuple(norms)
 
 
+def at_scaled_argument(p: Polynomial, c: Fraction) -> Polynomial:
+    """p(t / c)."""
+    return Polynomial([a / c**k for k, a in enumerate(p.coeffs)])
+
+
+@given(
+    gated_normal_draws,
+    st.sampled_from([Fraction(2), Fraction(2**64 + 13), Fraction(1, 2**61 - 1), Fraction(3**40, 7)]),
+)
+@settings(max_examples=50, deadline=None)
+def test_every_stage_is_invariant_under_scaling(b, c):
+    # B and cB generate one algebra: p_i^(cB)(t) = p_i^B(t / c) with equal norms
+    # and evaluations, h^(cB)(t) = h^B(t / c), and the scheme verdict is the same
+    assume(classify(b).failed_hypothesis() is None)
+    cb = scaled(c, b)
+    family, scaled_family = predistance_basis(b), predistance_basis(cb)
+    assert scaled_family.polys == tuple(at_scaled_argument(p, c) for p in family.polys)
+    assert scaled_family.norms_sq == family.norms_sq
+    assert scaled_family.evaluations == family.evaluations
+    assert hoffman_polynomial(cb).h == at_scaled_argument(hoffman_polynomial(b).h, c)
+    assert detect_scheme(cb).accepted == detect_scheme(b).accepted
+
+
 def test_vanishing_q_at_lambda_is_an_invariant_violation(fig2, monkeypatch, capsys):
     # q_1 = t - 1 vanishes at lambda = 1, so p_1 = 0: the degree check traps it
     polys, norms_sq = lambda_avoiding_gram_schmidt(fig2, 3)
@@ -278,9 +302,8 @@ def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):
 def test_fourier_identity(fig2):
     family = predistance_basis(fig2)
     h = hoffman_polynomial(fig2).h
-    basis = MatrixPowerBasis(fig2)
     for j, p in enumerate(family.polys):
-        assert poly_inner(h, p, fig2, basis) == family.norms_sq[j]
+        assert poly_inner(h, p, fig2) == family.norms_sq[j]
 
 
 def test_hoffman_sum_fig2(fig2):

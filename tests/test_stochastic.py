@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from schemeforge.digraph import is_strongly_connected, underlying_digraph
 from schemeforge.hoffman import hoffman_polynomial
-from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
+from schemeforge.matrix import RationalMatrix
 from schemeforge.predistance import predistance_basis
 from schemeforge.scheme import detect_scheme
 from schemeforge.stochastic import (
@@ -167,7 +167,7 @@ def test_theorem_1_allones_in_the_algebra_exactly_when_hoffman_ready(grid):
     assume(grid != [[0]])
     b = RationalMatrix(grid)
     n = b.order
-    member = algebra_membership(RationalMatrix.ones(n), MatrixPowerBasis(b), degree=n - 1)
+    member = algebra_membership(RationalMatrix.ones(n), b, degree=n - 1)
     assert (member is not None) == classify(b).hoffman_ready
 
 
