@@ -11,10 +11,12 @@ j). They come out exactly from a symmetric CRT over primes p with prod p >
 2 max_j binom(K, j) R^(K - j), with no rational reconstruction, and m_B(t)
 = s^K m_C(t / s).
 
-Every residue C^k mod p comes from float64 matmuls. They are exact: each
-prime is below 2^b with 2b + ceil(log2 n) <= 53, so n (p - 1)^2 < 2^53 and
-every partial sum of a product of residues is an integer below 2^53, in any
-summation order. Results are reduced with int64 `%`. No power of B is formed.
+Every residue C^k mod p comes from float64 matmuls on the residue kernel
+that `matrix` holds (its prime table, prime runs and symmetric CRT, shared
+with the predistance stage). They are exact: each prime is below 2^b with
+n (p - 1)^2 < 2^53 (`_bits` of n terms, as a product of residues sums n of
+them), so every partial sum is an integer below 2^53, in any summation
+order. Results are reduced with int64 `%`. No power of B is formed.
 
 - One prime's Krylov pass reduces C^0, C^1, ... mod p, flattened, against
   the powers kept so far; the first dependent power gives the degree K, K
@@ -43,16 +45,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import count
 from math import comb, gcd
-from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .exact import Polynomial
-from .matrix import MatrixPowerBasis, RationalMatrix
+from .matrix import (
+    MatrixPowerBasis,
+    RationalMatrix,
+    _bits,
+    _prime_run,
+    _primes,
+    _reduce,
+    _symmetric_crt,
+)
 from .stochastic import HypothesisError, classify
 
 
@@ -63,70 +70,6 @@ class HoffmanPolynomial:
     h: Polynomial
     q: Polynomial
     lam: Fraction
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7, which is exact below 3.2e9."""
-    bases = (2, 3, 5, 7)
-    if n in bases:
-        return True
-    if n < 2 or any(n % a == 0 for a in bases):
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# bits -> the odd primes below 2^bits in descending order, found on first use
-_PRIME_TABLES: dict[int, list[int]] = {}
-
-
-def _prime(bits: int, index: int) -> int:
-    """The index-th odd prime below 2^bits, counting down from 2^bits."""
-    table = _PRIME_TABLES.setdefault(bits, [])
-    candidate = table[-1] - 2 if table else 2**bits - 1
-    while len(table) <= index:
-        if candidate < 3:
-            raise ArithmeticError(f"ran out of primes below 2^{bits}")
-        if _is_prime(candidate):
-            table.append(candidate)
-        candidate -= 2
-    return table[index]
-
-
-def _primes(bits: int) -> Iterator[int]:
-    """The odd primes below 2^bits in descending order."""
-    return map(partial(_prime, bits), count())
-
-
-def _prime_run(primes: Iterator[int], bound: int) -> list[int]:
-    """The fewest next primes whose product exceeds bound."""
-    run, modulus = [], 1
-    while modulus <= bound:
-        run.append(next(primes))
-        modulus *= run[-1]
-    return run
-
-
-def _bits(n: int) -> int:
-    """The size of the residue primes at order n: each is below 2^bits, with n (p - 1)^2 < 2^53."""
-    return (53 - (n - 1).bit_length()) // 2
-
-
-def _reduce(stack: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """An exact float64 stack of integers below 2^53, reduced mod its primes."""
-    return stack.astype(np.int64) % primes
 
 
 def _krylov(context: MatrixPowerBasis, p: int) -> tuple[list[int], list[int]]:
@@ -236,12 +179,7 @@ def _candidate(b: RationalMatrix, p: int) -> list[int]:
                 primes.append(q)
                 rows.append(row)
                 modulus *= q
-    weights = [(modulus // q) * pow(modulus // q, -1, q) for q in primes]
-    coeffs = []
-    for residues in zip(*rows):
-        value = sum(map(mul, residues, weights)) % modulus
-        coeffs.append(modulus - value if 2 * value > modulus else -value)
-    return coeffs + [1]
+    return [-y for y in _symmetric_crt(np.array(rows, dtype=np.int64), primes)] + [1]
 
 
 def _vanishes(context: MatrixPowerBasis, coeffs: Sequence[int], ones: int) -> bool:

@@ -1,4 +1,4 @@
-"""Dense square matrices over exact rationals.
+"""Dense square matrices over exact rationals, and the word-prime residue kernel.
 
 Provides the products, transposes, the normalized trace inner product
 and matrix-polynomial evaluation that the rest of the pipeline is built
@@ -6,28 +6,38 @@ on, and an exact linear solver (fraction-free elimination) for the test
 oracles; the pipeline itself solves on residues (see `hoffman`). There is one
 encoding of a matrix: `RationalMatrix` holds its entries cleared of their
 denominators, ints / den with ints a flat row-major tuple of integers, in
-lowest terms. Every operation is an integer operation on that encoding:
+lowest terms. Its exact operations are integer operations on that encoding:
 
 - every matrix product is one call of `integer_product` over den * den',
   the exact product of two integer matrices: one numpy matmul, on int64
   when a bound on the entries proves that no partial sum can overflow and
-  on object arrays of Python ints otherwise;
+  on object arrays of Python ints otherwise. The pipeline's only products
+  are normality's B B^T and B^T B;
 - each matrix owns one analysis context (`RationalMatrix.powers`, built
   on first access and kept). It holds B = s C, the one exact form of B
   past the parser: the scale s = gcd(ints) / den and the primitive integer
   matrix C = ints / gcd(ints). B and C generate the same algebra, so every
   stage works on C, and s is applied in the context alone: `rescaled`
   writes a polynomial in C as one in B, and `weights` writes p(B) as a
-  combination of C's powers. The context also keeps C's powers, each one
-  product of the previous power with C, and the results of the pipeline
-  stages on B, each stored by the stage that computes it;
-- `evaluate` combines C's powers under one common denominator into p(B);
-  the identities m(B) = 0 and h(B) = J are not decided here but on
-  word-prime residues of C (see `hoffman`), so no power above the
-  predistance degree is formed;
-- the trace inner product is one integer dot product of the flattenings,
-  and the polynomial form is an integer combination of the entries of the
-  one Gram matrix G_ab = C^a . C^b that the context keeps.
+  combination (sum_k w_k C^k) / L of C's powers. The context also keeps
+  the results of the pipeline stages on B, each stored by the stage that
+  computes it;
+- no integer power of C is formed. C's powers are read modulo word primes
+  from one residue stack (`power_residues`): C^0..C^d mod p by float64
+  matmuls, with every prime below 2^b, n^2 (p - 1)^2 < 2^53 (`_bits` of
+  n^2 terms), so every partial sum of a product of residues, n terms for a
+  power and n^2 for a Gram entry, is an integer below 2^53. Each result
+  is decided under a proven bound, with R = ||C||_inf bounding every
+  absolute row sum of C^k by R^k:
+  - the Gram matrix G_ab = C^a . C^b of the trace form (`gram`) is one
+    batched product P P^T of the stack per chunk of primes (each chunk's
+    stack within STACK_BYTES) and a symmetric CRT under |G_ab| <= n R^(a + b);
+  - p(B) = A for a 0/1 matrix A (`evaluates_to`, the scheme stage's class
+    certificate) holds when sum_k w_k C^k = L A modulo primes with prod p >
+    sum_k |w_k| R^k + L, which bounds every entry of the difference;
+  - `evaluate`, the one exact p(B), is the symmetric CRT of sum_k w_k C^k
+    under the bound sum_k |w_k| R^k;
+- the trace inner product is one integer dot product of the flattenings.
 
 Fractions are built when a file is parsed and when a boundary asks for
 `rows` (reports, the entry decomposition, the float sidecar); the
@@ -38,15 +48,22 @@ Matrices are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import partial
+from itertools import count
+from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .exact import Polynomial, Scalar
 
 Row = tuple[Fraction, ...]
+
+# the most memory one chunk of C's power residues takes (`power_residues`):
+# huge entries need so many primes that one stack of them all would take
+# several times the memory of C's integer powers
+STACK_BYTES = 2**23
 
 
 def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:
@@ -199,45 +216,42 @@ def trace_inner_product(m: RationalMatrix, n: RationalMatrix) -> Fraction:
 
 class MatrixPowerBasis:
     """The analysis context of one matrix B = s C: the scale s, the primitive
-    integer matrix C and its powers, each computed once, and the result of
-    each pipeline stage on B.
+    integer matrix C, the residues of its powers modulo word primes, and the
+    result of each pipeline stage on B.
 
     For B = ints / den, s = gcd(ints) / den and C = ints / gcd(ints); the
     zero matrix is its own C, with s = 1. This is the one exact form of B
     past the parser. B and C generate the same algebra, so every stage reads
-    C: the minimal and Hoffman polynomials reduce C modulo primes
-    (`residues`, bounded through R = `norm`), and the predistance stage
-    reads C's integer powers and their Gram entries. s is applied in
-    `rescaled`, which writes a polynomial in C as one in B, and in
-    `weights`, which writes a polynomial in B as a combination of C's
-    powers. `classify`, `minimal_polynomial`, `hoffman_polynomial` and
-    `predistance_basis` each store their result here and return it on later
-    calls; a failed gate or check stores nothing.
+    C, through its residues modulo primes (`residues`, `power_residues`)
+    bounded through R = `norm`. s is applied in `rescaled`, which writes a
+    polynomial in C as one in B, and in `weights`, which writes a polynomial
+    in B as a combination of C's powers. `classify`, `minimal_polynomial`,
+    `hoffman_polynomial` and `predistance_basis` each store their result
+    here and return it on later calls; a failed gate or check stores
+    nothing.
 
-    C^k is kept as a flat integer list, one `integer_product` of C^(k - 1)
-    with C (on int64 while the entry bound allows it, on Python ints
-    beyond). Only the predistance stage reads powers, C^0 up to C^d for its
-    Gram matrix and its evaluations, and it needs each of them, so repeated
-    squaring would not help. The basis also holds the one integer Gram
-    matrix G_ab = C^a . C^b of the trace form, filled entry by entry on
-    first use (`gram`). The context holds C's integers, not B, so dropping
-    B frees both without the cycle collector.
+    No integer power of C is formed. The predistance stage reads C^0 up to
+    C^d modulo the primes of one shared residue stack: the integer Gram
+    matrix G_ab = C^a . C^b of the trace form (`gram`, computed once by
+    CRT), and the certificates p(B) = A for 0/1 matrices A
+    (`evaluates_to`). `evaluate` is the one exact p(B), by CRT on the same
+    stack. The context holds C's integers, not B, so dropping B frees both
+    without the cycle collector.
     """
 
     def __init__(self, base: RationalMatrix):
         n = base.order
         g = gcd(*base.ints) or 1
-        ints = [v // g for v in base.ints]
-        identity = [0] * (n * n)
-        identity[:: n + 1] = [1] * n
         self.order = n
         self.scale = Fraction(g, base.den)
+        self.ints = [v // g for v in base.ints]  # C, flattened row-major
         # ||C||_inf, the largest absolute row sum: it bounds every eigenvalue
-        # of C and every entry of C^j by norm^j
-        self.norm = max(sum(map(abs, ints[x * n : x * n + n])) for x in range(n))
-        self._powers = [identity, ints]
+        # of C, every absolute row sum of C^j by norm^j, and so every entry
+        self.norm = max(sum(map(abs, self.ints[x * n : x * n + n])) for x in range(n))
         self._entries = None  # C as a numpy array, built by the first `residues` call
-        self._gram: dict[tuple[int, int], int] = {}
+        # (primes, C^0..C^k mod each prime), extended by `power_residues`
+        self._stack: tuple[list[int], np.ndarray] = ([], np.empty((0, 1, n * n)))
+        self._gram: Optional[list[list[int]]] = None
         # stage results, each set once by the stage that computes it
         self.classification = None  # stochastic.MatrixClassification
         self.primitive_minimal = None  # m_C's integer coefficients, ascending
@@ -245,20 +259,55 @@ class MatrixPowerBasis:
         self.hoffman = None  # hoffman.HoffmanPolynomial
         self.predistance = None  # predistance.PredistanceBasis
 
-    def integer_power(self, k: int) -> list[int]:
-        """C^k, flattened row-major, computed once."""
-        powers = self._powers
-        while len(powers) <= k:
-            powers.append(integer_product(powers[-1], powers[1], self.order))
-        return powers[k]
-
     def residues(self, primes: Sequence[int]) -> np.ndarray:
         """C mod p for each prime, an (r, n, n) float64 stack of integers in [0, p)."""
         if self._entries is None:
             # int64 while every entry fits, Python ints beyond
-            self._entries = np.array(self._powers[1], dtype=np.int64 if self.norm < 2**63 else object)
+            self._entries = np.array(self.ints, dtype=np.int64 if self.norm < 2**63 else object)
         n = self.order
         return (self._entries % np.array(primes)[:, None]).astype(float).reshape(-1, n, n)
+
+    def power_residues(self, bound: int, degree: int) -> Iterator[tuple[list[int], np.ndarray]]:
+        """The residues of C^0..C^degree modulo the fewest primes whose product
+        exceeds bound, in chunks (primes, stack) with stack[r, k] = C^k mod
+        primes[r], flattened, as float64 integers in [0, p).
+
+        The primes are the descending odd primes below 2^_bits(n^2). For them
+        n^2 (p - 1)^2 < 2^53, so every float64 product of residues that sums
+        at most n^2 terms, a power's n or a Gram entry's n^2, is exact in any
+        summation order. Each chunk's stack takes at most STACK_BYTES (or
+        one prime), so huge entries, which need many primes, cost time but
+        not memory. Every request reads a prefix of the same prime sequence,
+        so the context keeps the first chunk of the longest run and highest
+        degree asked for and computes only the primes it lacks.
+        """
+        n = self.order
+        primes = _prime_run(_primes(_bits(n * n)), bound)
+        kept_primes, kept = self._stack
+        if kept.shape[1] <= degree:
+            kept_primes, kept = [], np.empty((0, degree + 1, n * n))
+        size = max(1, STACK_BYTES // (8 * kept.shape[1] * n * n))
+        missing = primes[len(kept_primes) : size]
+        if missing:
+            kept_primes = kept_primes + missing
+            kept = np.concatenate([kept, self._powers_mod(missing, kept.shape[1] - 1)])
+            self._stack = kept_primes, kept
+        yield primes[:size], kept[: min(size, len(primes)), : degree + 1]
+        for lo in range(size, len(primes), size):
+            yield primes[lo : lo + size], self._powers_mod(primes[lo : lo + size], degree)
+
+    def _powers_mod(self, primes: list[int], degree: int) -> np.ndarray:
+        """C^0..C^degree mod each prime: an (r, degree + 1, n^2) float64 stack."""
+        n, r = self.order, len(primes)
+        p = np.array(primes, dtype=np.int64)[:, None, None]
+        base = self.residues(primes)
+        stack = np.empty((r, degree + 1, n * n))
+        power = np.broadcast_to(np.eye(n), base.shape)
+        for k in range(degree + 1):
+            stack[:, k] = power.reshape(r, n * n)
+            if k < degree:
+                power = _reduce(power @ base, p).astype(float)
+        return stack
 
     def rescaled(self, coeffs: Sequence[int], top: int, num: int = 1, den: int = 1) -> Polynomial:
         """sum_j (num / den) coeffs_j s^(top - j) t^j, each coefficient one Fraction of integers.
@@ -280,29 +329,165 @@ class MatrixPowerBasis:
         den = lcm(*(c.denominator for _, c in terms))
         return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms]
 
-    def _combination(self, weights: list[tuple[int, int]]) -> list[int]:
-        """sum_k w_k C^k, entry by entry."""
-        acc = [0] * (self.order**2)
-        for k, weight in weights:
-            acc = [a + weight * v for a, v in zip(acc, self.integer_power(k))]
-        return acc
+    def _weighted_residues(
+        self, weights: list[tuple[int, int]], bound: int
+    ) -> Iterator[tuple[list[int], np.ndarray]]:
+        """(primes, sum_k w_k C^k mod each prime, an (r, n^2) int64 array), chunk
+        by chunk of `power_residues`, for primes whose product exceeds bound.
+
+        The weights are reduced mod p and combined with the powers in slices
+        of at most n^2 terms, one batched product per slice, so every partial
+        sum stays below 2^53.
+        """
+        n2 = self.order**2
+        degree = max((k for k, _ in weights), default=0)
+        for primes, stack in self.power_residues(bound, degree):
+            w = np.zeros((len(primes), 1, degree + 1))
+            for k, c in weights:
+                w[:, 0, k] = [c % q for q in primes]
+            p = np.array(primes, dtype=np.int64)[:, None]
+            acc = np.zeros((len(primes), n2), dtype=np.int64)
+            for lo in range(0, degree + 1, n2):
+                acc = (acc + _reduce((w[:, :, lo : lo + n2] @ stack[:, lo : lo + n2])[:, 0], p)) % p
+            yield primes, acc
 
     def evaluate(self, p: Polynomial) -> RationalMatrix:
-        """p(B): one integer combination (sum_k w_k C^k) / L of C's powers."""
-        den, weights = self.weights(p)
-        return RationalMatrix._cleared(den, self._combination(weights), self.order)
+        """p(B) = (sum_k w_k C^k) / L, the combination recovered by CRT.
 
-    def gram(self, a: int, b: int) -> int:
-        """G_ab = C^a . C^b, one integer dot product, computed once per basis.
-
-        <C^a, C^b> = G_ab / n; the predistance Gram-Schmidt reads its form
-        from these entries.
+        Every entry of sum_k w_k C^k is at most sum_k |w_k| R^k in absolute
+        value, so its residues modulo primes whose product exceeds twice
+        that bound give it exactly by the symmetric CRT.
         """
-        key = (a, b) if a <= b else (b, a)
-        entry = self._gram.get(key)
-        if entry is None:
-            entry = self._gram[key] = sum(map(mul, self.integer_power(a), self.integer_power(b)))
-        return entry
+        den, weights = self.weights(p)
+        bound = sum(abs(w) * self.norm**k for k, w in weights)
+        primes, values = _joined(self._weighted_residues(weights, 2 * bound))
+        return RationalMatrix._cleared(den, _symmetric_crt(values, primes), self.order)
+
+    def evaluates_to(self, p: Polynomial, mask: np.ndarray) -> bool:
+        """Whether p(B) is the 0/1 matrix mask (n x n, or flattened), decided on residues.
+
+        With p(B) = (sum_k w_k C^k) / L this asks sum_k w_k C^k = L mask.
+        Every entry of the difference is at most H = sum_k |w_k| R^k + L in
+        absolute value, so it is zero exactly when it vanishes modulo primes
+        whose product exceeds H.
+        """
+        den, weights = self.weights(p)
+        bound = sum(abs(w) * self.norm**k for k, w in weights) + den
+        mask = np.asarray(mask, dtype=np.int64).ravel()
+        return all(
+            (values == np.array([den % q for q in primes])[:, None] * mask).all()
+            for primes, values in self._weighted_residues(weights, bound)
+        )
+
+    def gram(self, d: int) -> list[list[int]]:
+        """The integer Gram matrix G_ab = C^a . C^b for a, b <= d, computed once.
+
+        <C^a, C^b> = G_ab / n; the predistance stage reads its form from G.
+        Row x of C^a has absolute sum at most R^a and every entry of C^b is
+        at most R^b, so |G_ab| <= n R^(a + b) <= n R^(2d) (R taken as at
+        least 1). One batched product P P^T per chunk of the residue stack P
+        of C^0..C^d gives G modulo each prime, every entry a sum of n^2
+        products, and the symmetric CRT over primes whose product exceeds
+        2 n R^(2d) recovers G exactly. A smaller d reads the leading block.
+        """
+        if self._gram is None or len(self._gram) <= d:
+            rows, cols = np.triu_indices(d + 1)
+            bound = 2 * self.order * max(1, self.norm) ** (2 * d)
+            primes, residues = _joined(
+                (run, _reduce(stack @ stack.transpose(0, 2, 1), np.array(run)[:, None, None])[:, rows, cols])
+                for run, stack in self.power_residues(bound, d)
+            )
+            gram = [[0] * (d + 1) for _ in range(d + 1)]
+            for a, b, v in zip(rows.tolist(), cols.tolist(), _symmetric_crt(residues, primes)):
+                gram[a][b] = gram[b][a] = v
+            self._gram = gram
+        return [row[: d + 1] for row in self._gram[: d + 1]]
+
+
+# ---------------------------------------------------------------------------
+# Word-prime residues: the primes, their runs and the CRT.
+# ---------------------------------------------------------------------------
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7, which is exact below 3.2e9."""
+    bases = (2, 3, 5, 7)
+    if n in bases:
+        return True
+    if n < 2 or any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# bits -> the odd primes below 2^bits in descending order, found on first use
+_PRIME_TABLES: dict[int, list[int]] = {}
+
+
+def _prime(bits: int, index: int) -> int:
+    """The index-th odd prime below 2^bits, counting down from 2^bits."""
+    table = _PRIME_TABLES.setdefault(bits, [])
+    candidate = table[-1] - 2 if table else 2**bits - 1
+    while len(table) <= index:
+        if candidate < 3:
+            raise ArithmeticError(f"ran out of primes below 2^{bits}")
+        if _is_prime(candidate):
+            table.append(candidate)
+        candidate -= 2
+    return table[index]
+
+
+def _primes(bits: int) -> Iterator[int]:
+    """The odd primes below 2^bits in descending order."""
+    return map(partial(_prime, bits), count())
+
+
+def _prime_run(primes: Iterator[int], bound: int) -> list[int]:
+    """The fewest next primes, at least one, whose product exceeds bound."""
+    run = [next(primes)]
+    modulus = run[0]
+    while modulus <= bound:
+        run.append(next(primes))
+        modulus *= run[-1]
+    return run
+
+
+def _bits(terms: int) -> int:
+    """The size of the residue primes for sums of `terms` products of residues:
+    each prime p is below 2^bits, with terms (p - 1)^2 < 2^53."""
+    return (53 - (terms - 1).bit_length()) // 2
+
+
+def _reduce(stack: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """An exact float64 stack of integers below 2^53, reduced mod its primes."""
+    return stack.astype(np.int64) % primes
+
+
+def _joined(chunks: Iterable[tuple[list[int], np.ndarray]]) -> tuple[list[int], np.ndarray]:
+    """The primes and the residue rows of a run of chunks, each joined in order."""
+    primes, rows = zip(*chunks)
+    return [q for chunk in primes for q in chunk], np.concatenate(rows)
+
+
+def _symmetric_crt(residues: np.ndarray, primes: Sequence[int]) -> list[int]:
+    """For each column of residues (one row per prime), the integer v with
+    v = residues[r] mod primes[r] and |v| < prod(primes) / 2."""
+    modulus = prod(primes)
+    weights = np.array([(modulus // q) * pow(modulus // q, -1, q) for q in primes], dtype=object)
+    values = (weights @ np.asarray(residues).astype(object)) % modulus
+    return [v - modulus if 2 * v > modulus else v for v in values.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -15,21 +15,22 @@ Were q_j(lambda) = 0 anyway, p_j = 0 would fail the degree invariant.
 
 The stage reads B in its one exact form B = s C, kept in the analysis
 context that B owns (see `matrix`): B and C generate the same algebra, so
-the form comes from one integer Gram matrix G_ab = C^a . C^b of C's integer
-powers (`B.powers.gram`), and no power of B is formed. The Gram-Schmidt
-pass runs on it in coefficient space, on integer weight vectors, brings
-each q_i and |q_i|^2 back to B through the context's `rescaled`, the one
-place s is applied, and hands the norms on to the normalization, so no
-inner product is taken twice. The checked family is built once per matrix
-and kept in the same analysis context, beside the classification, the
-minimal polynomial and the Hoffman polynomial it reads.
-Each p_i is evaluated at B once, as a `RationalMatrix` E_i. The invariant
-check re-verifies the family on those evaluations, independently of the
-Gram entries: the norm of p_i as the trace inner product of E_i with
-itself, and <p_j, p_i> = 0 from the dot products of C's powers with the
-integers of E_i. sum_i p_i(B) = J is not evaluated again: sum_i p_i = h
-is checked coefficient by coefficient against the stored Hoffman
-polynomial h, whose h(B) = J `hoffman_polynomial` has verified exactly.
+the form comes from one integer Gram matrix G_ab = C^a . C^b of C's powers
+(`B.powers.gram`), found by a symmetric CRT on residues of C^0..C^d under
+|G_ab| <= n R^(a + b), R = ||C||_inf. No power of B and no integer power of
+C is formed. The Gram-Schmidt pass runs on G in coefficient space, on
+integer weight vectors, brings each q_i and |q_i|^2 back to B through the
+context's `rescaled`, the one place s is applied, and hands the norms on to
+the normalization, so no inner product is taken twice. The checked family
+is built once per matrix and kept in the same analysis context, beside the
+classification, the minimal polynomial and the Hoffman polynomial it reads.
+The invariant check re-verifies the family on the exact G through the
+images G w_i of each p_i's weights on C's powers, with no evaluation at B:
+<p_j, p_i> = 0 for all j < i as (G w_i)_k = 0 for all k < i, since deg p_j
+= j, and the cached norm as w_ii (G w_i)_i = L_i^2 n |p_i|^2, for (d + 1)^3
+integer products per family. sum_i p_i(B) = J is not evaluated: sum_i p_i
+= h is checked coefficient by coefficient against the stored Hoffman
+polynomial h, whose h(B) = J `hoffman_polynomial` has certified.
 
 The normalization map above is the rational-arithmetic equivalent of scaling
 the unit-norm polynomial r_i by r_i(lambda); it never materializes a square
@@ -45,7 +46,7 @@ from operator import mul
 
 from .exact import Polynomial
 from .hoffman import HoffmanPolynomial, hoffman_polynomial, minimal_polynomial
-from .matrix import RationalMatrix, trace_inner_product
+from .matrix import RationalMatrix
 from .stochastic import HypothesisError, classify
 
 
@@ -57,10 +58,10 @@ def lambda_avoiding_gram_schmidt(b: RationalMatrix, d: int) -> tuple[list[Polyno
     Raises ValueError when d >= deg m_B, where the powers are dependent.
 
     The pass runs on C, for B = s C, in coefficient space on the integer
-    Gram matrix G_ab = C^a . C^b (`B.powers.gram`). Each q_l,C, the l-th
-    monic orthogonal polynomial of C, is kept as q_l,C(C) = c_l sum_k w_lk
-    C^k, with w_l a primitive integer vector, and its image G w_l is taken
-    once. With N_l = w_l . G w_l the projection coefficient <q_l,C, t^j> /
+    Gram matrix G_ab = C^a . C^b (`B.powers.gram`, found by CRT). Each
+    q_l,C, the l-th monic orthogonal polynomial of C, is kept as q_l,C(C) =
+    c_l sum_k w_lk C^k, with w_l a primitive integer vector, and its image
+    G w_l is taken once. With N_l = w_l . G w_l the projection coefficient <q_l,C, t^j> /
     |q_l,C|^2 times q_l,C(C) is ((G w_l)_j / N_l) sum_k w_lk C^k, so the
     candidate is the integer combination u = M e_j - sum_l M (G w_l)_j / N_l
     w_l over M, M the lcm of the reduced denominators of those ratios, and
@@ -69,7 +70,7 @@ def lambda_avoiding_gram_schmidt(b: RationalMatrix, d: int) -> tuple[list[Polyno
     norm back to B.
     """
     basis = b.powers
-    gram = [[basis.gram(a, c) for c in range(d + 1)] for a in range(d + 1)]
+    gram = basis.gram(d)
     weights: list[list[int]] = []
     images: list[list[int]] = []
     gram_norms: list[int] = []
@@ -104,16 +105,11 @@ def lambda_avoiding_gram_schmidt(b: RationalMatrix, d: int) -> tuple[list[Polyno
 
 @dataclass(frozen=True)
 class PredistanceBasis:
-    """The family p_0..p_d with cached norms and evaluations at B.
-
-    evaluations[i] is the matrix p_i(B), as MatrixPowerBasis.evaluate
-    returns it.
-    """
+    """The family p_0..p_d with its cached norms |p_i|^2."""
 
     polys: tuple[Polynomial, ...]
     lam: Fraction
     norms_sq: tuple[Fraction, ...]
-    evaluations: tuple[RationalMatrix, ...]
 
     @property
     def d(self) -> int:
@@ -140,12 +136,10 @@ def predistance_basis(b: RationalMatrix) -> PredistanceBasis:
     orthogonal, orthogonal_norms = lambda_avoiding_gram_schmidt(b, d)
     # p_j = (q_j(lambda) / |q_j|^2) q_j, so |p_j|^2 = q_j(lambda)^2 / |q_j|^2
     scales = [q(cls.lam) / norm_sq for q, norm_sq in zip(orthogonal, orthogonal_norms)]
-    polys = tuple(s * q for s, q in zip(scales, orthogonal))
     result = PredistanceBasis(
-        polys=polys,
+        polys=tuple(s * q for s, q in zip(scales, orthogonal)),
         lam=cls.lam,
         norms_sq=tuple(s * s * norm_sq for s, norm_sq in zip(scales, orthogonal_norms)),
-        evaluations=tuple(context.evaluate(p) for p in polys),
     )
     _assert_invariants(result, b)
     context.predistance = result
@@ -153,33 +147,35 @@ def predistance_basis(b: RationalMatrix) -> PredistanceBasis:
 
 
 def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
-    """Re-verify the family on its evaluations E_i = p_i(B), not on the Gram entries.
+    """Re-verify the family through the images G w_i of its weight vectors.
 
-    The cached norm of p_i is checked as <E_i, E_i>. For j < i, <p_j, p_i>
-    is sum_k w_jk X_ki over a nonzero denominator, with w_j the weights of
-    p_j on C's powers and X_ki = C^k . E_i.ints, so each pair costs one
-    short integer sum. sum_i p_i(B) = J follows from sum_i p_i = h, checked
-    on the coefficients of B's stored Hoffman polynomial h.
+    p_i(B) = (sum_k w_ik C^k) / L_i on C's powers (`weights`), so with G the
+    exact Gram matrix of C^0..C^d, (G w_i)_k = n L_i <C^k, p_i(B)>. As deg p_j
+    = j with w_jj != 0, <p_j, p_i> = 0 for every j < i exactly when (G w_i)_k
+    = 0 for every k < i, and the first k where it is not is the first j with
+    <p_j, p_i> != 0. The cached norm is then checked as w_ii (G w_i)_i =
+    L_i^2 n |p_i|^2. Each family costs (d + 1)^3 integer products and
+    evaluates no p_i at B. sum_i p_i(B) = J follows from sum_i p_i = h,
+    checked on the coefficients of B's stored Hoffman polynomial h.
     """
     basis = b.powers
-    polys, lam, evaluations = family.polys, family.lam, family.evaluations
+    polys, lam = family.polys, family.lam
+    gram = basis.gram(family.d)
     if polys[0] != Polynomial([1]):
         raise ArithmeticError("internal invariant violated: p_0 != 1")
-    weights: list[list[tuple[int, int]]] = []
     for i, (p, norm_sq) in enumerate(zip(polys, family.norms_sq)):
         if p.degree != i:
             raise ArithmeticError(f"internal invariant violated: deg(p_{i}) != {i}")
         value = p(lam)
         if value <= 0 or value != norm_sq:
             raise ArithmeticError(f"internal invariant violated: |p_{i}|^2 != p_{i}(lambda) > 0")
-        if trace_inner_product(evaluations[i], evaluations[i]) != norm_sq:
-            raise ArithmeticError(f"internal invariant violated: cached norm of p_{i}")
-        e_ints = evaluations[i].ints
-        products = [sum(map(mul, basis.integer_power(k), e_ints)) for k in range(i)]
+        den, weights = basis.weights(p)
+        image = [sum(w * row[k] for k, w in weights) for row in gram[: i + 1]]
         for j in range(i):
-            if sum(w * products[k] for k, w in weights[j]):
+            if image[j]:
                 raise ArithmeticError(f"internal invariant violated: <p_{j}, p_{i}> != 0")
-        weights.append(basis.weights(p)[1])
+        if weights[-1][1] * image[i] != den * den * b.order * norm_sq:
+            raise ArithmeticError(f"internal invariant violated: cached norm of p_{i}")
     if not verify_hoffman_sum(family, hoffman_polynomial(b)):
         raise ArithmeticError("internal invariant violated: sum of p_i != h")
 

@@ -4,14 +4,17 @@ detect_scheme runs the full decision pipeline: classification gates, the
 distance structure of the underlying digraph, the eigenvalue-count vs
 diameter comparison, the predistance basis, and the single matrix equality
 A_D = p_D(B) that settles whether the distance-D matrix is a polynomial in
-B, decided on the integers of the evaluation p_D(B) = ints / den as ints =
-den * A_D. The classes are never built as matrices: the BFS distance grid
-is their label grid, with A_i the level set {(x, y) : dist[x][y] = i}, and
-the axiom kernels read it directly. An accepted certificate carries that
-grid, the integer intersection tensor, and the transpose permutation; a
-rejection carries a typed reason. The intersection numbers are counted in
-bulk: one exact int64 matrix product per class and group of classes, with
-the counts packed as base-(n + 1) digits (see intersection_numbers).
+B. With p_D(B) = (sum_k w_k C^k) / L on C's powers, for B = s C, it is
+certified as sum_k w_k C^k = L A_D modulo word primes whose product exceeds
+sum_k |w_k| R^k + L, R = ||C||_inf, which bounds every entry of the
+difference (`is_class`); p_D(B) itself is never evaluated. The classes are
+never built as matrices: the BFS distance grid is their label grid, with
+A_i the level set {(x, y) : dist[x][y] = i}, and the axiom kernels read it
+directly. An accepted certificate carries that grid, the integer
+intersection tensor, and the transpose permutation; a rejection carries a
+typed reason. The intersection numbers are counted in bulk: one exact
+int64 matrix product per class and group of classes, with the counts
+packed as base-(n + 1) digits (see intersection_numbers).
 
 Rejection is a value, never an exception. The AXIOM_FAILURE reason exists
 only as a self-check trap: when the acceptance hypotheses hold it is
@@ -167,6 +170,17 @@ def transpose_map(labels: LabelGrid) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def is_class(b: RationalMatrix, labels: LabelGrid, i: int, p: Polynomial) -> bool:
+    """Whether p(B) is the class A_i = [labels = i], decided on residues.
+
+    p(B) = (sum_k w_k C^k) / L on C's powers, so A_i = p(B) reads sum_k w_k
+    C^k = L A_i. Every entry of the difference is at most sum_k |w_k| R^k + L
+    in absolute value, and it is certified modulo primes whose product
+    exceeds that bound (`MatrixPowerBasis.evaluates_to`).
+    """
+    return b.powers.evaluates_to(p, np.asarray(labels) == i)
+
+
 def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
     """Decide whether the polynomial algebra of B is a Bose-Mesner algebra.
 
@@ -197,13 +211,8 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
         return rejected(RejectionCode.EIGENCOUNT_NE_DIAMETER, d=d, diameter=structure.diameter)
 
     family = predistance_basis(b)
-
-    def is_class(i: int) -> bool:
-        """A_i = p_i(B), decided as ints == den * A_i on the evaluation p_i(B)."""
-        e = family.evaluations[i]
-        return e.ints == tuple(e.den if v == i else 0 for row in structure.dist for v in row)
-
-    if not is_class(d):
+    grid = np.array(structure.dist)
+    if not is_class(b, grid, d, family.polys[d]):
         return rejected(RejectionCode.AD_NOT_POLYNOMIAL, d=d, diameter=structure.diameter)
 
     def axiom_failure(axiom: str, witness: tuple) -> SchemeCertificate:
@@ -223,7 +232,7 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
 
     # guaranteed once A_D = p_D(B), but re-verified class by class below D
     for i in range(d):
-        if not is_class(i):
+        if not is_class(b, grid, i, family.polys[i]):
             return axiom_failure("CLASS_POLYNOMIALITY", (i,))
 
     # AS2 (a 0/1 partition of J) holds by construction: each pair has one label

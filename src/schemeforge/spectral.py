@@ -57,13 +57,16 @@ def roots(m: Polynomial, tol: float = RESIDUAL_TOL) -> Spectrum:
     if m.degree < 1:
         raise ValueError("need a polynomial of degree at least 1")
     coeffs = np.array([float(c) for c in reversed(m.coeffs)])  # descending, as numpy takes them
-    z = np.roots(coeffs).astype(complex)
-    slope = np.polyval(np.polyder(coeffs), z)
-    step = slope != 0
-    z[step] -= np.polyval(coeffs, z[step]) / slope[step]
-    z = z[np.lexsort((z.imag, -z.real))]
-    residuals = np.abs(np.polyval(coeffs, z))
-    scale = np.polyval(np.abs(coeffs), np.abs(z))
+    # coefficients or roots near the float64 range overflow to inf and NaN;
+    # the residual check below rejects them, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = np.roots(coeffs).astype(complex)
+        slope = np.polyval(np.polyder(coeffs), z)
+        step = slope != 0
+        z[step] -= np.polyval(coeffs, z[step]) / slope[step]
+        z = z[np.lexsort((z.imag, -z.real))]
+        residuals = np.abs(np.polyval(coeffs, z))
+        scale = np.polyval(np.abs(coeffs), np.abs(z))
     if not np.all(residuals <= tol * scale):  # a NaN residual fails too
         raise RootConvergenceError(residuals.tolist())
     return Spectrum(eigenvalues=tuple(z.tolist()), residuals=tuple(residuals.tolist()))

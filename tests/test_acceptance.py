@@ -21,7 +21,7 @@ from schemeforge.hoffman import (
 )
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.predistance import predistance_basis
-from schemeforge.scheme import RejectionCode, detect_scheme
+from schemeforge.scheme import RejectionCode, detect_scheme, is_class
 from schemeforge.spectral import idempotents, roots
 from schemeforge.stochastic import classify, random_lambda_ds
 
@@ -107,7 +107,8 @@ def test_criterion_2_fig2_pipeline(capsys):
         assert hoffman_polynomial(fig2).h == Polynomial([-2, 8, -16, 16])
         grid = [list(row) for row in fig2.rows]
         total = zeros(6)
-        for p, value in zip(family.polys, family.evaluations):
+        for p in family.polys:
+            value = fig2.powers.evaluate(p)
             assert [list(row) for row in value.rows] == naive_poly_at(p, grid)
             total = add(total, value)
         assert total == RationalMatrix.ones(6)
@@ -156,8 +157,9 @@ def test_criterion_3_property_suite():
                     for j in range(i):
                         assert trace_form_inner(at[j], at[i]) == 0
                 total = zeros(n)
-                for p, value in zip(family.polys, family.evaluations):
-                    assert value == basis.evaluate(p)
+                for p, expected in zip(family.polys, at):
+                    value = basis.evaluate(p)
+                    assert [list(row) for row in value.rows] == expected
                     total = add(total, value)
                 assert total == RationalMatrix.ones(n)
         assert normal_seen > 0
@@ -216,7 +218,8 @@ def test_criterion_4_oracle_equivalence():
                 continue
             family = predistance_basis(b)
             distance_d = class_matrices(structure.dist)[d]
-            single_equality = distance_d == family.evaluations[d]
+            single_equality = is_class(b, structure.dist, d, family.polys[d])
+            assert single_equality == (distance_d == b.powers.evaluate(family.polys[d]))
             member = algebra_membership(distance_d, b, degree=d)
             assert single_equality == (member is not None)
             if member is not None:

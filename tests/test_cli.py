@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import FIXTURES
 
 from schemeforge.cli import _exact_digits, _report_json, build_parser, run_command
-from schemeforge.hoffman import _bits, _prime, minimal_polynomial
+from schemeforge.hoffman import minimal_polynomial
 from schemeforge.io import MatrixParseError, parse_matrix, serialize_matrix
-from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, _bits, _prime
 from schemeforge.stochastic import classify, random_lambda_ds
 
 from oracles import fraction_parse_matrix, identity
@@ -281,6 +281,8 @@ def test_pipeline_intermediates_per_command(
             "invariants",
             "products",
             "evaluations",
+            "gram",
+            "class_certificates",
         ),
         0,
     )
@@ -299,25 +301,28 @@ def test_pipeline_intermediates_per_command(
     count(hoffman, "_vanishes", "certificates")  # m(B) = 0 and h(B) = J, on residues
     count(predistance, "lambda_avoiding_gram_schmidt", "gram_schmidt")
     count(predistance, "_assert_invariants", "invariants")
-    count(matrix, "integer_product", "products")  # normality's two products, and C's powers
+    count(matrix, "integer_product", "products")  # normality's two products
     count(MatrixPowerBasis, "evaluate", "evaluations")
+    count(matrix, "_symmetric_crt", "gram")  # the Gram matrix's one CRT (hoffman binds its own name)
+    count(MatrixPowerBasis, "evaluates_to", "class_certificates")  # A_i = p_i(B), on residues
     # run_command parses the file afresh, so its analysis context starts empty
     run_command([command, fixture_path(fixtures_dir, name), "--json"])
     capsys.readouterr()
     family = minimal_polynomials if command in ("predistance", "scheme") else 0
     # classify takes B B^T and B^T B; fig2's minimal polynomial has degree 4 and is
-    # found on residues, so only the predistance family reads exact powers: for
-    # B = C / 4 the one context of B keeps C^1 and takes C^2 and C^3 however many
-    # stages read them; p_0..p_3 are each evaluated at B once, and sum_i p_i = h
-    # needs no evaluation
+    # found on residues, and the predistance family reads C's powers only modulo
+    # primes, so no other exact product is made and no p_i is evaluated at B;
+    # scheme certifies A_3 = p_3(B) and then A_0, A_1, A_2 on residues
     assert calls == {
         "classification": classifications,
         "candidate": minimal_polynomials,
         "certificates": 2 * minimal_polynomials,
         "gram_schmidt": family,
         "invariants": family,
-        "products": 2 + 2 * family,
-        "evaluations": 4 * family,
+        "products": 2,
+        "evaluations": 0,
+        "gram": family,
+        "class_certificates": 4 if command == "scheme" else 0,
     }
 
 
@@ -615,6 +620,24 @@ def test_spectrum_without_convergence_is_not_a_rejection(capsys, tmp_path):
     assert section["error"] == "residual above tol"
     assert len(section["residuals"]) == 28
     assert captured.err.splitlines() == ["error: spectrum root residual above --tol"]
+
+
+def test_spectrum_overflow_writes_only_its_error_line(tmp_path):
+    # (3^40 / 7) (10^30 I + P_9) with the last four diagonal entries zeroed: the
+    # float coefficients of m overflow in the Newton step and the residuals;
+    # numpy's warnings would go to stderr ahead of the one error line
+    n, content = 9, Fraction(3**40, 7)
+    rows = [[content * (10**30 * (x == y < 5) + (y == (x + 1) % n)) for y in range(n)] for x in range(n)]
+    path = tmp_path / "overflow.mat"
+    path.write_text(serialize_matrix(RationalMatrix(rows)), encoding="utf-8")
+    for extra in ([], ["--json"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "schemeforge", "spectrum", str(path), *extra],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3
+        assert result.stderr == "error: spectrum root residual above --tol\n"
 
 
 @pytest.mark.parametrize(

@@ -16,10 +16,13 @@ from schemeforge.matrix import (
     MatrixOrderError,
     MatrixPowerBasis,
     RationalMatrix,
+    _bits,
+    _prime,
     integer_product,
     solve_rational_system,
     trace_inner_product,
 )
+from schemeforge.stochastic import random_lambda_ds
 
 from conftest import load_fixture
 from oracles import (
@@ -169,17 +172,29 @@ def test_integer_product_of_a_zero_operand_with_entries_past_int64(monkeypatch):
 
 def test_entry_sizes_alone_choose_the_product_path(monkeypatch, tmp_path):
     # the directed 6-cycle P_6 and 10^30 I + P_6, whose entries pass int64, are
-    # both accepted with d = D = 5; 10^30 P_6 would not do, since the powers are
-    # taken of the primitive integer matrix C = P_6 and the scale never reaches them
+    # both accepted with d = D = 5; their only exact products are normality's
+    # B B^T and B^T B, and each runs on the path its operands' entries choose
+    # (the residue stages build their own arrays, which are not products)
     n = 6
     calls = product_paths(monkeypatch)
+    products = []
+    product = matrix.integer_product
+
+    def recorded(a, b, order):
+        before = dict(calls)
+        result = product(a, b, order)
+        products.append({path: calls[path] - before[path] for path in calls})
+        return result
+
+    monkeypatch.setattr(matrix, "integer_product", recorded)
     for diagonal, path in ((0, "int64"), (10**30, "python")):
         grid = [[diagonal * (x == y) + (y == (x + 1) % n) for y in range(n)] for x in range(n)]
         file = tmp_path / f"cycle-{path}.mat"
         file.write_text(serialize_matrix(RationalMatrix(grid)))
-        calls.update(int64=0, python=0)
+        products.clear()
         assert run_command(["scheme", str(file), "--json"]) == 0
-        assert calls[path] > 0 and sum(calls.values()) == calls[path]
+        other = "python" if path == "int64" else "int64"
+        assert products == [{path: 2, other: 0}] * 2
 
 
 def test_identity_is_neutral(fig2):
@@ -274,13 +289,24 @@ def test_trace_form_equals_hadamard_form(grid):
 
 
 def test_power_basis_caches_incrementally(fig2):
-    # fig2 = C / 4 with C primitive, so the basis keeps C^k = 4^k fig2^k
+    # fig2 = C / 4 with C primitive, so the basis reduces C^k = 4^k fig2^k
     basis = MatrixPowerBasis(fig2)
     assert basis.scale == Fraction(1, 4)
+    assert basis.ints == [4 * v for v in flat(fig2)]
     grid = [list(row) for row in fig2.rows]
-    assert basis.integer_power(2) == [16 * v for row in naive_mat_mul(grid, grid) for v in row]
-    assert basis.integer_power(0) == list(flat(identity(6)))
-    assert basis.integer_power(1) == [4 * v for v in flat(fig2)]
+    square = [16 * v for row in naive_mat_mul(grid, grid) for v in row]
+    primes, stack = next(basis.power_residues(1, 2))
+    assert len(primes) == 1 and stack.shape == (1, 3, 36)
+    assert stack[0, 0].tolist() == list(flat(identity(6)))
+    assert stack[0, 2].tolist() == [int(v) % primes[0] for v in square]
+    # a longer run extends the kept stack by the primes it lacks; a shorter or
+    # lower request reads a prefix of it
+    more, longer = next(basis.power_residues(primes[0] ** 2, 2))
+    assert more[:1] == primes and len(more) == 3
+    assert np.array_equal(longer[:1], stack)
+    again, prefix = next(basis.power_residues(1, 1))
+    assert again == primes and np.shares_memory(prefix, next(basis.power_residues(primes[0] ** 2, 2))[1])
+    assert basis.gram(2)[2][2] == sum(v * v for v in square)
     assert basis.evaluate(Polynomial([-2, 8, -16, 16])) == RationalMatrix.ones(6)
 
 
@@ -289,8 +315,8 @@ def test_matrix_keeps_one_power_basis_outside_its_value():
     basis = b.powers
     assert b.powers is basis
     assert basis.evaluate(Polynomial([0, 1])) == b
-    basis.integer_power(4)
-    basis.gram(2, 3)
+    list(basis.power_residues(2**80, 4))
+    basis.gram(3)
     fresh = load_fixture("fig2.mat")
     assert b == fresh and hash(b) == hash(fresh)
     assert fresh.powers is not basis
@@ -299,7 +325,7 @@ def test_matrix_keeps_one_power_basis_outside_its_value():
 def test_power_basis_is_freed_without_the_cycle_collector():
     # B owns its basis and the basis holds no reference to B: dropping B frees both by refcount
     b = load_fixture("fig2.mat")
-    b.powers.integer_power(3)
+    b.powers.gram(3)
     basis = weakref.ref(b.powers)
     enabled = gc.isenabled()
     gc.disable()
@@ -443,13 +469,16 @@ def test_power_basis_evaluate_matches_naive_oracle(grid, cs, ds):
         value = basis.evaluate(p)
         assert gcd(value.den, *value.ints) == 1  # lowest terms
         assert [list(row) for row in value.rows] == expected
-    # B = s C with C primitive (or zero), and s^k C^k = B^k
-    assert gcd(*basis.integer_power(1)) in (0, 1)
+    # B = s C with C primitive (or zero), and the stack holds C^k = B^k / s^k mod p
+    assert gcd(*basis.ints) in (0, 1)
     n = len(grid)
+    primes, stack = next(basis.power_residues(2**80, 3))
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(4):
-        value = basis.integer_power(k)
-        assert [basis.scale**k * v for v in value] == [v for row in power for v in row]
+        c_power = [v / basis.scale**k for row in power for v in row]
+        assert all(v.denominator == 1 for v in c_power)
+        for p, residues in zip(primes, stack[:, k].tolist()):
+            assert residues == [int(v) % p for v in c_power]
         power = naive_mat_mul(power, grid)
 
 
@@ -482,7 +511,8 @@ def test_power_basis_inner_matches_trace_form_oracle(grid, cs, ds):
     def inner(p, q):
         p_den, p_weights = basis.weights(p)
         q_den, q_weights = basis.weights(q)
-        total = sum(u * v * basis.gram(a, c) for a, u in p_weights for c, v in q_weights)
+        gram = basis.gram(4)
+        total = sum(u * v * gram[a][c] for a, u in p_weights for c, v in q_weights)
         return Fraction(total, p_den * q_den * len(grid))
 
     p, q = Polynomial(cs), Polynomial(ds)
@@ -490,3 +520,84 @@ def test_power_basis_inner_matches_trace_form_oracle(grid, cs, ds):
     assert inner(p, q) == expected
     assert inner(q, p) == expected  # symmetric, and served from the cached Gram entries
     assert inner(p, Polynomial()) == 0
+
+
+@st.composite
+def gram_cases(draw):
+    """(grid, d): 10^30 I + P_n, a lambda-DS draw or an integer grid with
+    entries up to 2^40, times a content, and a degree d <= n. The Gram
+    entries fall on both sides of the int64 bound."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("cycle", "lambda_ds", "grid")))
+    if kind == "cycle":
+        grid = [[10**30 * (x == y) + (y == (x + 1) % n) for y in range(n)] for x in range(n)]
+    elif kind == "lambda_ds":
+        b = random_lambda_ds(n, draw(st.integers(2, 3)), draw(st.integers(0, 2**32)))
+        grid = [list(row) for row in b]
+    else:
+        entry = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))
+        grid = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    content = draw(st.sampled_from((1, Fraction(2**64 + 13), Fraction(1, 2**61 - 1), Fraction(3**40, 7))))
+    return [[content * Fraction(v) for v in row] for row in grid], draw(st.integers(0, n))
+
+
+@given(gram_cases())
+@settings(max_examples=60, deadline=None)
+def test_gram_matches_the_trace_form_on_naive_powers(case):
+    # G_ab = C^a . C^b = n <C^a, C^b> for B = s C, against Fraction powers of C
+    grid, d = case
+    n = len(grid)
+    basis = RationalMatrix(grid).powers
+    c = [[v / basis.scale for v in row] for row in grid]
+    powers = [naive_poly_at(Polynomial([1]), c)]
+    for _ in range(d):
+        powers.append(naive_mat_mul(powers[-1], c))
+    assert basis.gram(d) == [[n * trace_form_inner(a, b) for b in powers] for a in powers]
+
+
+def test_gram_uses_every_prime_its_bound_needs():
+    """G_11 = 2 + 2 p^2 for C = [[1, p], [p, 1]], p the first prime at n^2 = 4 terms.
+
+    The bound 2 n R^2 = 4 (p + 1)^2 needs three primes; two give a modulus
+    below 4 G_11, so a CRT one prime short would return a wrong G_11.
+    """
+    p = _prime(_bits(4), 0)
+    basis = RationalMatrix([[1, p], [p, 1]]).powers
+    assert basis.gram(1) == [[2, 2], [2, 2 + 2 * p * p]]
+    primes, _ = next(basis.power_residues(4 * (p + 1) ** 2, 1))
+    assert len(primes) == 3 and primes[0] * primes[1] < 4 * (2 + 2 * p * p)
+
+
+def test_residue_evaluations_use_every_prime_their_bounds_need():
+    """C = [[1, p], [p, 1]] is I modulo p, the first prime at n^2 = 4 terms.
+
+    The bounds 2 (p + 1) for evaluate(t) and (p + 1) + 1 for C = I each need
+    a second prime: one prime short, C would evaluate to I and pass for it.
+    """
+    p = _prime(_bits(4), 0)
+    b = RationalMatrix([[1, p], [p, 1]])
+    basis = b.powers
+    assert basis.evaluate(Polynomial([0, 1])) == b
+    assert not basis.evaluates_to(Polynomial([0, 1]), np.eye(2, dtype=bool))
+    assert basis.evaluates_to(Polynomial([Fraction(-1, p), Fraction(1, p)]), [[0, 1], [1, 0]])
+
+
+def test_residue_chunks_bound_the_memory_of_many_primes(monkeypatch):
+    # with room for one prime's stack per chunk, 10^30 I + P_6 needs dozens of
+    # chunks: the Gram matrix, the certificates and p(B) are unchanged, and the
+    # context keeps the first chunk only
+    n = 6
+    grid = [[10**30 * (x == y) + (y == (x + 1) % n) for y in range(n)] for x in range(n)]
+    b = RationalMatrix(grid)
+    expected = b.powers.gram(5)
+    p = Polynomial([-(10**30), 1])  # p(B) = P_6, the distance-1 class
+    assert b.powers.evaluates_to(p, [[int(y == (x + 1) % n) for y in range(n)] for x in range(n)])
+    value = b.powers.evaluate(p)
+    monkeypatch.setattr(matrix, "STACK_BYTES", 1)
+    chunked = RationalMatrix(grid).powers
+    assert len(list(chunked.power_residues(2 * n * (10**30 + 1) ** 10, 5))) > 10
+    assert chunked.gram(5) == expected
+    assert chunked.evaluates_to(p, [[int(y == (x + 1) % n) for y in range(n)] for x in range(n)])
+    assert not chunked.evaluates_to(p, np.eye(n, dtype=bool))
+    assert chunked.evaluate(p) == value
+    assert len(chunked._stack[0]) == 1

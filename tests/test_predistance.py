@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -177,13 +178,16 @@ def at_scaled_argument(p: Polynomial, c: Fraction) -> Polynomial:
 @settings(max_examples=50, deadline=None)
 def test_every_stage_is_invariant_under_scaling(b, c):
     # B and cB generate one algebra: p_i^(cB)(t) = p_i^B(t / c) with equal norms
-    # and evaluations, h^(cB)(t) = h^B(t / c), and the scheme verdict is the same
+    # and evaluations, h^(cB)(t) = h^B(t / c), and the scheme verdict is the same;
+    # both share the primitive integer matrix C, so their Gram matrices agree
     assume(classify(b).failed_hypothesis() is None)
     cb = scaled(c, b)
     family, scaled_family = predistance_basis(b), predistance_basis(cb)
     assert scaled_family.polys == tuple(at_scaled_argument(p, c) for p in family.polys)
     assert scaled_family.norms_sq == family.norms_sq
-    assert scaled_family.evaluations == family.evaluations
+    assert cb.powers.gram(family.d) == b.powers.gram(family.d)
+    for p, q in zip(family.polys, scaled_family.polys):
+        assert cb.powers.evaluate(q) == b.powers.evaluate(p)
     assert hoffman_polynomial(cb).h == at_scaled_argument(hoffman_polynomial(b).h, c)
     assert detect_scheme(cb).accepted == detect_scheme(b).accepted
 
@@ -251,33 +255,44 @@ def test_predistance_invariants_on_cycles():
                 assert poly_inner(family.polys[j], p, b) == 0
 
 
+def with_poly(family, i, p):
+    """The family with p_i replaced by p and its norm cached as p(lambda), so the
+    degree and |p_i|^2 = p_i(lambda) checks still pass."""
+    polys, norms = list(family.polys), list(family.norms_sq)
+    polys[i], norms[i] = p, p(family.lam)
+    return dataclasses.replace(family, polys=tuple(polys), norms_sq=tuple(norms))
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (lambda e: scaled(2, e), "cached norm of p_1"),
-        # the six rows of p_1(B) reversed: the same entries, so the same
-        # norm, but no longer orthogonal to p_0(B) = I
-        (lambda e: RationalMatrix(e.rows[::-1]), "<p_0, p_1> != 0"),
-        # same integers over another denominator: p_1(B) / 2
-        (lambda e: scaled(Fraction(1, 2), e), "violated: cached norm of p_1"),
+        # 2 p_1, cached as 2 p_1(lambda) = 4, has norm 8
+        (lambda f: with_poly(f, 1, 2 * f.polys[1]), "cached norm of p_1"),
+        # a bumped constant coefficient: p_1 + 1 is no longer orthogonal to p_0 = 1
+        (lambda f: with_poly(f, 1, f.polys[1] + Polynomial([1])), "<p_0, p_1> != 0"),
+        # p_1 / 2, cached as 1, has norm 1/2
+        (lambda f: with_poly(f, 1, Fraction(1, 2) * f.polys[1]), "violated: cached norm of p_1"),
+        # a wrong cached norm that agrees with p_1 at a wrong lambda: p_1(2) = 6, not 2
+        (lambda f: with_poly(dataclasses.replace(f, lam=Fraction(2)), 1, f.polys[1]), "cached norm of p_1"),
+        # a wrong cached norm alone
+        (
+            lambda f: dataclasses.replace(f, norms_sq=(1, 3, *f.norms_sq[2:])),
+            "|p_1|^2 != p_1(lambda) > 0",
+        ),
     ],
 )
 def test_invariants_are_checked_on_the_evaluated_matrices(fig2, tamper, message):
-    family = predistance_basis(fig2)
-    evaluations = list(family.evaluations)
-    evaluations[1] = tamper(evaluations[1])
-    with pytest.raises(ArithmeticError, match=message):
-        _assert_invariants(dataclasses.replace(family, evaluations=tuple(evaluations)), fig2)
+    # the family is re-verified on p_i(B) through the Gram images G w_i of its
+    # weights, so a tampered polynomial or norm is caught with no evaluation
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        _assert_invariants(tamper(predistance_basis(fig2)), fig2)
 
 
 def test_orthogonality_is_checked_for_every_lower_degree(fig2):
-    # p_2(B) transposed keeps its norm and its trace, so <p_0, p_2> still
-    # vanishes; <p_1, p_2> does not
+    # p_2 + p_1 is still orthogonal to p_0, but not to p_1
     family = predistance_basis(fig2)
-    evaluations = list(family.evaluations)
-    evaluations[2] = evaluations[2].transpose()
     with pytest.raises(ArithmeticError, match="<p_1, p_2> != 0"):
-        _assert_invariants(dataclasses.replace(family, evaluations=tuple(evaluations)), fig2)
+        _assert_invariants(with_poly(family, 2, family.polys[2] + family.polys[1]), fig2)
 
 
 def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):

@@ -13,8 +13,10 @@ from schemeforge.scheme import (
     SchemeAxiomError,
     detect_scheme,
     intersection_numbers,
+    is_class,
     transpose_map,
 )
+from schemeforge.predistance import predistance_basis
 from schemeforge.stochastic import random_lambda_ds, classify
 
 from conftest import load_fixture
@@ -31,6 +33,7 @@ from oracles import (
     johnson_intersection_array,
     labels_of,
     naive_mat_mul,
+    naive_poly_at,
     oracle_intersection_tensor,
     popcount_intersection_tensor,
     scaled,
@@ -150,6 +153,48 @@ def test_rejection_ad_not_polynomial():
     # the general membership solver agrees with the single-equality test
     structure = distance_structure(underlying_digraph(b))
     assert algebra_membership(class_matrices(structure.dist)[3], b, degree=3) is None
+
+
+# weighted circulants on Z_n with d = D whose distance-D class is not in the
+# algebra: weights by shift
+AD_REJECTED = ((6, {1: 2, 3: 1}), (8, {1: 1, 4: 1, 5: 1}), (10, {3: 2, 5: 1, 7: 2}))
+
+
+@st.composite
+def circulants_with_d_equal_to_diameter(draw):
+    """sum_s w_s P^s + w_0 I on Z_n with d = D: a weighted directed or symmetric
+    cycle (accepted) or an AD_NOT_POLYNOMIAL base, with a drawn diagonal (up to
+    10^30, which leaves the algebra unchanged) and content."""
+    kind = draw(st.sampled_from(("directed", "symmetric", "ad_rejected")))
+    weight = st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3)
+    if kind == "ad_rejected":
+        n, base = draw(st.sampled_from(AD_REJECTED))
+        w = draw(weight)
+        weights = {s: w * v for s, v in base.items()}
+    else:
+        n = draw(st.integers(3, 8))
+        w = draw(weight)
+        weights = {1: w, n - 1: w} if kind == "symmetric" else {1: w}
+    weights[0] = draw(st.sampled_from((0, 1, Fraction(7, 2), 10**30)))
+    content = draw(st.sampled_from((1, Fraction(2**64 + 13), Fraction(1, 2**61 - 1))))
+    return [[content * Fraction(weights.get((y - x) % n, 0)) for y in range(n)] for x in range(n)]
+
+
+@given(circulants_with_d_equal_to_diameter())
+@settings(max_examples=40, deadline=None)
+def test_residue_class_certificate_agrees_with_exact_evaluation(grid):
+    # A_i = p_i(B) on residues, against p_i(B) evaluated over Fractions, for
+    # every class of accepted and AD_NOT_POLYNOMIAL draws alike
+    b = RationalMatrix(grid)
+    dist = distance_structure(underlying_digraph(b)).dist
+    family = predistance_basis(b)
+    assert family.d == max(map(max, dist))
+    verdicts = []
+    for i, p in enumerate(family.polys):
+        exact = naive_poly_at(p, grid) == [[Fraction(int(v == i)) for v in row] for row in dist]
+        verdicts.append(is_class(b, dist, i, p))
+        assert verdicts[-1] == exact
+    assert detect_scheme(b).accepted == all(verdicts)
 
 
 def test_rejection_monotonicity_under_entry_perturbation(fig2):
