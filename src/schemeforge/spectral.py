@@ -2,12 +2,14 @@
 
 Numeric roots of the (exact) minimal polynomial as the eigenvalues of its
 companion matrix (`numpy.roots`, one LAPACK call), each refined by one
-Newton step; Lagrange-interpolation primitive idempotents; and a Perron
-sanity report. LAPACK returns the eigenvalues of a real matrix as exact
-conjugate pairs, and companion eigenvalues are backward stable (Edelman and
-Murakami, Math. Comp. 64, 1995), so no iteration, pairing pass or iteration
-cap is needed. Everything here is advisory: the exact pipeline never
-consumes these values for an accept/reject decision.
+Newton step; Lagrange-interpolation primitive idempotents, built from
+prefix and suffix products of the factors (B - lambda_j I) in one stack and
+checked by chunked batched products; and a Perron sanity report. LAPACK
+returns the eigenvalues of a real matrix as exact conjugate pairs, and
+companion eigenvalues are backward stable (Edelman and Murakami, Math.
+Comp. 64, 1995), so no iteration, pairing pass or iteration cap is needed.
+Everything here is advisory: the exact pipeline never consumes these values
+for an accept/reject decision.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .stochastic import classify
 
 RESIDUAL_TOL = 1e-12
 ASSERTION_TOL = 1e-9
+CHUNK = 4  # E_j per batched product in the mutual check
 
 
 class RootConvergenceError(RuntimeError):
@@ -84,45 +87,85 @@ class IdempotentFamily:
     residuals: dict[str, float]
 
 
+def _projector_stack(bf: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """E_i = prod_{j != i} (B - lambda_j I) / (lambda_i - lambda_j) for every i, as one (k, n, n) stack.
+
+    Every factor and every difference is divided by rho = max(1, max
+    |lambda_j|), so that the products stay bounded. The prefixes
+    P_i = prod_{j < i} are written in place into the stack; one running
+    suffix S_i = prod_{j > i}, swept downwards, turns each P_i into
+    P_i S_i / prod_{j != i} (lambda_i - lambda_j) = E_i. That is about 3k
+    dense products for k eigenvalues, and no scratch beyond a few n x n
+    matrices.
+    """
+    k, n = len(lam), bf.shape[0]
+    eye = np.eye(n, dtype=complex)
+    rho = float(np.abs(lam).max(initial=1.0))
+
+    def factor(j: int) -> np.ndarray:
+        """(B - lambda_j I) / rho."""
+        return (bf - lam[j] * eye) / rho
+
+    gaps = (lam[:, None] - lam) / rho
+    np.fill_diagonal(gaps, 1)
+    denominators = gaps.prod(axis=1)
+    stack = np.empty((k, n, n), dtype=complex)
+    stack[0] = eye
+    for i in range(1, k):
+        np.matmul(stack[i - 1], factor(i - 1), out=stack[i])
+    suffix = eye
+    for i in range(k - 1, -1, -1):
+        stack[i] = stack[i] @ suffix
+        stack[i] /= denominators[i]
+        if i:
+            suffix = factor(i) @ suffix
+    return stack
+
+
 def idempotents(
     b: RationalMatrix, spectrum: Spectrum, tol: float = ASSERTION_TOL
 ) -> IdempotentFamily:
-    """E_i = prod_{j != i} (B - lambda_j I) / (lambda_i - lambda_j)."""
+    """E_i = prod_{j != i} (B - lambda_j I) / (lambda_i - lambda_j), from prefix and suffix products.
+
+    Raises SpectrumDegeneracyError naming the first pair i < j, in row-major
+    order, whose eigenvalues are closer than tol. The E_i are polynomials in
+    B, so they commute and the pairs i <= j cover every E_i E_j: the
+    "mutual" check multiplies E_i by CHUNK of the E_j at a time into one
+    reused buffer, and "sum", "reconstruction" and "hermitian" accumulate
+    per i, so the scratch beyond the k projectors stays O(CHUNK n^2).
+    """
     values = spectrum.eigenvalues
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) < tol:
-                raise SpectrumDegeneracyError(
-                    f"eigenvalues {values[i]} and {values[j]} closer than {tol}"
-                )
+    lam = np.array(values, dtype=complex)
+    close = np.argwhere(np.triu(np.abs(lam[:, None] - lam) < tol, 1))
+    if close.size:
+        i, j = close[0]
+        raise SpectrumDegeneracyError(
+            f"eigenvalues {values[i]} and {values[j]} closer than {tol}"
+        )
     bf = b.to_float().astype(complex)
-    n = b.order
-    eye = np.eye(n, dtype=complex)
-    projectors = []
-    for i, li in enumerate(values):
-        e = eye.copy()
-        for j, lj in enumerate(values):
-            if j != i:
-                e = e @ (bf - lj * eye) / (li - lj)
-        projectors.append(e)
-    # the E_i are polynomials in B, so they commute: the pairs i <= j cover every E_i E_j
-    mutual = 0.0
-    for i, ei in enumerate(projectors):
-        for j in range(i, len(projectors)):
-            target = ei if i == j else np.zeros_like(ei)
-            mutual = max(mutual, np.max(np.abs(ei @ projectors[j] - target)))
-    total = sum(projectors)
+    stack = _projector_stack(bf, lam)
+    k, n = len(values), b.order
+    mutual = hermitian = 0.0
+    total = np.zeros((n, n), dtype=complex)
+    combination = np.zeros((n, n), dtype=complex)
+    scratch = np.empty((min(CHUNK, k), n, n), dtype=complex)
+    for i, e in enumerate(stack):
+        for j in range(i, k, CHUNK):
+            block = stack[j : j + CHUNK]
+            products = np.matmul(e, block, out=scratch[: len(block)])
+            if j == i:
+                products[0] -= e
+            mutual = max(mutual, np.abs(products).max())
+        total += e
+        combination += lam[i] * e
+        hermitian = max(hermitian, np.abs(e - e.conj().T).max())
     residuals = {
         "mutual": float(mutual),
-        "sum": float(np.max(np.abs(total - eye))),
-        "reconstruction": float(
-            np.max(np.abs(bf - sum(l * e for l, e in zip(values, projectors))))
-        ),
-        "hermitian": float(
-            max(np.max(np.abs(e - e.conj().T)) for e in projectors)
-        ),
+        "sum": float(np.abs(total - np.eye(n)).max()),
+        "reconstruction": float(np.abs(bf - combination).max()),
+        "hermitian": float(hermitian),
     }
-    return IdempotentFamily(projectors=tuple(projectors), residuals=residuals)
+    return IdempotentFamily(projectors=tuple(stack), residuals=residuals)
 
 
 @dataclass(frozen=True)

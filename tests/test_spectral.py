@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from schemeforge.spectral import (
 )
 from schemeforge.stochastic import random_lambda_ds
 
+from conftest import FIXTURES, load_fixture
 from oracles import algebra_membership, scaled
 
 
@@ -24,6 +26,20 @@ def directed_cycle_matrix(n, scale=1):
     return RationalMatrix(
         [[scale if y == (x + 1) % n else 0 for y in range(n)] for x in range(n)]
     )
+
+
+def lagrange_projectors(b, values):
+    """Reference E_i: one dense product and one division per factor of each Lagrange product."""
+    bf = b.to_float().astype(complex)
+    eye = np.eye(b.order, dtype=complex)
+    projectors = []
+    for i, li in enumerate(values):
+        e = eye.copy()
+        for j, lj in enumerate(values):
+            if j != i:
+                e = e @ (bf - lj * eye) / (li - lj)
+        projectors.append(e)
+    return projectors
 
 
 def assert_multiset_close(actual, expected, tol=1e-9):
@@ -120,6 +136,49 @@ def test_idempotents_reject_degenerate_spectrum(fig2):
     fake = Spectrum(eigenvalues=(1.0, 1.0 + 1e-12), residuals=(0.0, 0.0))
     with pytest.raises(SpectrumDegeneracyError):
         idempotents(fig2, fake)
+
+
+def test_degeneracy_names_the_first_close_pair_not_the_closest(fig2):
+    # (1, 2) comes first in row-major order; (3, 4) is the closer pair
+    values = (3 + 0j, 1 + 0j, complex(1 + 5e-10, 0), 0j, complex(1e-11, 0))
+    fake = Spectrum(eigenvalues=values, residuals=(0.0,) * len(values))
+    with pytest.raises(SpectrumDegeneracyError) as excinfo:
+        idempotents(fig2, fake)
+    assert str(excinfo.value) == "eigenvalues (1+0j) and (1.0000000005+0j) closer than 1e-09"
+
+
+REFERENCE_CASES = (
+    [load_fixture(path.name) for path in sorted(FIXTURES.glob("*.mat"))]
+    + [directed_cycle_matrix(n) for n in range(2, 9)]
+    + [directed_cycle_matrix(4, scale=Fraction(3, 2))]
+    + [random_lambda_ds(n, 3, seed) for n in range(1, 13) for seed in range(3)]
+)
+
+
+@pytest.mark.parametrize("b", REFERENCE_CASES)
+def test_idempotents_match_the_lagrange_loop(b):
+    spectrum = roots(minimal_polynomial(b))
+    family = idempotents(b, spectrum)
+    expected = lagrange_projectors(b, spectrum.eigenvalues)
+    assert len(family.projectors) == len(expected)
+    for projector, reference in zip(family.projectors, expected):
+        assert np.max(np.abs(projector - reference)) < 1e-9
+    assert list(family.residuals) == ["mutual", "sum", "reconstruction", "hermitian"]
+
+
+def test_idempotents_scratch_stays_below_three_stacks():
+    # the stack of the k projectors is k n^2 complex entries; one (kn x kn)
+    # product of every pair at once would take k^2 n^2
+    b = random_lambda_ds(24, 3, seed=0)
+    spectrum = roots(minimal_polynomial(b))
+    k, n = len(spectrum.eigenvalues), b.order
+    tracemalloc.start()
+    try:
+        idempotents(b, spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * k * n * n * 16
 
 
 def test_power_identity(fig2):
