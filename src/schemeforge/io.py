@@ -11,12 +11,18 @@ are read with int() and go straight into the cleared integers of the
 matrix under one common denominator; every other token (underscores,
 other digits, decimals, exponents, p/0) is read by Fraction as before.
 Both paths accept the same tokens, give the same values and raise the same
-errors.
+errors. Each part of such a token may have up to MAX_DIGITS digits, as
+many as 10^MAX_EXPONENT, which a decimal token may already reach: a part
+past Python's int-to-str digit limit (4300 by default) is read with that
+limit lifted for its own int() call, and a longer part is an input error.
+The length is measured only once int() has refused a part, so an
+interpreter run with a higher limit, or none, reads what it allows.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -33,6 +39,8 @@ class MatrixParseError(ValueError):
 
 
 MAX_EXPONENT = 10_000
+# the most digits in one part of a signed integer or p/q token: 10^MAX_EXPONENT has MAX_EXPONENT + 1
+MAX_DIGITS = MAX_EXPONENT + 1
 # the exponent of a decimal token, written as Fraction reads it: sign, digits, underscores
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
 
@@ -56,10 +64,30 @@ def _shown(token: str) -> str:
 _PLAIN = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
 
 
+class _TooManyDigits(ValueError):
+    """A part of a _PLAIN token has more than MAX_DIGITS digits."""
+
+
+def _long_parts(*parts: str) -> list[int]:
+    """The parts of a _PLAIN token that int() refused at the int-to-str digit
+    limit, read with the limit lifted when each has at most MAX_DIGITS digits."""
+    if max(map(len, parts)) > MAX_DIGITS:
+        raise _TooManyDigits
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [int(part) for part in parts]
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _plain_entry(match: re.Match) -> tuple[int, int]:
     """(numerator, denominator) of a _PLAIN token; ZeroDivisionError for p/0, as Fraction raises."""
     sign, num, den = match.groups()
-    num, den = int(num), int(den or 1)
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # ASCII digits: only the int-to-str digit limit refuses them
+        num, den = _long_parts(num, den or "1")
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     return (-num if sign == "-" else num), den
@@ -105,6 +133,10 @@ def parse_matrix(text: str) -> RationalMatrix:
                 else:
                     value = Fraction(token)
                     num, den = value.numerator, value.denominator
+            except _TooManyDigits:
+                raise MatrixParseError(
+                    f"{_shown(token)} has more than {MAX_DIGITS} digits in one part", lineno, col
+                ) from None
             except (ValueError, ZeroDivisionError):
                 raise MatrixParseError(f"cannot parse entry {_shown(token)}", lineno, col) from None
             nums.append(num)

@@ -17,10 +17,11 @@ lowest terms. Its exact operations are integer operations on that encoding:
   on first access and kept). It holds B = s C, the one exact form of B
   past the parser: the scale s = gcd(ints) / den and the primitive integer
   matrix C = ints / gcd(ints). B and C generate the same algebra, so every
-  stage works on C, and s is applied in the context alone: `rescaled`
-  writes a polynomial in C as one in B, and `weights` writes p(B) as a
-  combination (sum_k w_k C^k) / L of C's powers. The context also keeps
-  the results of the pipeline stages on B, each stored by the stage that
+  stage works on C. `rescaled` writes a polynomial in C as one in B for
+  the Hoffman stage, the predistance family applies s in its closed form
+  (see `predistance`), and `weights` writes p(B) as a combination (sum_k
+  w_k C^k) / L of C's powers on integers. The context also keeps the
+  results of the pipeline stages on B, each stored by the stage that
   computes it;
 - no integer power of C is formed. C's powers are read modulo word primes
   from one residue stack (`power_residues`): C^0..C^d mod p by float64
@@ -223,9 +224,11 @@ class MatrixPowerBasis:
     zero matrix is its own C, with s = 1. This is the one exact form of B
     past the parser. B and C generate the same algebra, so every stage reads
     C, through its residues modulo primes (`residues`, `power_residues`)
-    bounded through R = `norm`. s is applied in `rescaled`, which writes a
-    polynomial in C as one in B, and in `weights`, which writes a polynomial
-    in B as a combination of C's powers. `classify`, `minimal_polynomial`,
+    bounded through R = `norm`. `rescaled` writes a polynomial in C as one
+    in B (the Hoffman stage's m_B, q and h); the predistance family applies
+    s itself, through num(s)^k and den(s)^k in its closed form, with no
+    rescaled polynomial. `weights` writes a polynomial in B as a combination
+    of C's powers, on integers. `classify`, `minimal_polynomial`,
     `hoffman_polynomial` and `predistance_basis` each store their result
     here and return it on later calls; a failed gate or check stores
     nothing.
@@ -323,11 +326,21 @@ class MatrixPowerBasis:
         return Polynomial(out)
 
     def weights(self, p: Polynomial) -> tuple[int, list[tuple[int, int]]]:
-        """(L, [(k, w_k)]) with p(B) = (sum_k w_k C^k) / L: p_k s^k cleared under one lcm L."""
-        scale = self.scale
-        terms = [(k, c * scale**k) for k, c in enumerate(p.coeffs) if c]
-        den = lcm(*(c.denominator for _, c in terms))
-        return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms]
+        """(L, [(k, w_k)]) with p(B) = (sum_k w_k C^k) / L in lowest terms.
+
+        Each term p_k s^k is the integer fraction num(p_k) num(s)^k over
+        den(p_k) den(s)^k; the terms are cleared under one lcm and the result
+        reduced by one gcd, with no Fraction built.
+        """
+        up, down = self.scale.numerator, self.scale.denominator
+        terms = []
+        for k, c in enumerate(p.coeffs):
+            if c:
+                terms.append((k, c.numerator * up**k, c.denominator * down**k))
+        den = lcm(*(q for _, _, q in terms))
+        cleared = [(k, v * (den // q)) for k, v, q in terms]
+        g = gcd(den, *(v for _, v in cleared))
+        return den // g, [(k, v // g) for k, v in cleared]
 
     def _weighted_residues(
         self, weights: list[tuple[int, int]], bound: int

@@ -21,10 +21,12 @@ library itself never needs them.
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from fractions import Fraction
 
 from schemeforge.exact import Polynomial
-from schemeforge.io import MAX_EXPONENT, MatrixParseError, _exponent_too_large, _shown
+from schemeforge.io import MAX_DIGITS, MAX_EXPONENT, MatrixParseError, _exponent_too_large, _shown
 from schemeforge.matrix import RationalMatrix, solve_rational_system
 from schemeforge.scheme import SchemeAxiomError
 
@@ -150,8 +152,11 @@ def popcount_intersection_tensor(labels) -> tuple:
 def fraction_parse_matrix(text: str) -> RationalMatrix:
     """A matrix file read with one Fraction per token, through the RationalMatrix constructor.
 
-    The reference for parse_matrix: the same layout checks, exponent bound
-    and error positions and messages, but no integer fast path.
+    The reference for parse_matrix: the same layout checks, exponent and
+    digit bounds and error positions and messages, but no integer fast
+    path. A signed integer or p/q in ASCII digits that Fraction refuses at
+    the int-to-str digit limit is read again with the limit lifted when no
+    part has more than MAX_DIGITS digits.
     """
     data = [
         (lineno, raw.strip())
@@ -184,10 +189,31 @@ def fraction_parse_matrix(text: str) -> RationalMatrix:
                 )
             try:
                 row.append(Fraction(token))
-            except (ValueError, ZeroDivisionError):
+            except ZeroDivisionError:
                 raise MatrixParseError(f"cannot parse entry {_shown(token)}", lineno, col) from None
+            except ValueError:
+                row.append(_refused_fraction(token, lineno, col))
         rows.append(row)
     return RationalMatrix(rows)
+
+
+def _refused_fraction(token: str, lineno: int, col: int) -> Fraction:
+    """A token Fraction refused, read again when it is a signed integer or p/q
+    in ASCII digits with no part past MAX_DIGITS digits, under a lifted
+    int-to-str digit limit; otherwise the MatrixParseError that refuses it."""
+    plain = re.fullmatch(r"[-+]?([0-9]+)(?:/([0-9]+))?", token)
+    if plain is not None:
+        if max(len(part or "") for part in plain.groups()) > MAX_DIGITS:
+            raise MatrixParseError(f"{_shown(token)} has more than {MAX_DIGITS} digits in one part", lineno, col)
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            pass
+        finally:
+            sys.set_int_max_str_digits(previous)
+    raise MatrixParseError(f"cannot parse entry {_shown(token)}", lineno, col)
 
 
 def class_matrices(labels) -> list[RationalMatrix]:

@@ -15,7 +15,7 @@ from conftest import FIXTURES
 
 from schemeforge.cli import _exact_digits, _report_json, build_parser, run_command
 from schemeforge.hoffman import minimal_polynomial
-from schemeforge.io import MatrixParseError, parse_matrix, serialize_matrix
+from schemeforge.io import MAX_DIGITS, MatrixParseError, parse_matrix, serialize_matrix
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, _bits, _prime
 from schemeforge.stochastic import classify, random_lambda_ds
 
@@ -94,6 +94,7 @@ entry_tokens = st.one_of(
             "1/2/3", "/5", "5/", "+", "-", "0x10", "1e10001", "0.5", "-.5", ".", "x",
             "1" * 4300, "1" * 4301, "-" + "9" * 5000, "1" * 5000, "7/" + "3" * 5000,
             "0" * 5000 + "1", "1" * 4300 + "/" + "7" * 4300,
+            "1" * 10001, "-" + "1" * 10002, "3/" + "7" * 10002, "9" * 10002 + "/0",
         )
     ),
 )
@@ -119,6 +120,7 @@ def test_parse_matrix_matches_fraction_reference(grid):
         "2\n1 3/-4\n1 1\n",
         "2\n1 2/0\n1 1\n",
         "1\n" + "1" * 4301 + "\n",
+        "1\n" + "1" * 10002 + "\n",
     ],
 )
 def test_parse_matrix_matches_fraction_reference_on_examples(text):
@@ -561,17 +563,35 @@ def test_huge_entries_get_exact_reports(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_oversized_integer_literal_is_input_error(capsys, tmp_path):
+def test_integer_literal_past_the_digit_limit_parses(capsys, tmp_path):
+    # 5000 digits is past Python's int-to-str limit, but 10^4999 is a decimal token's value too
+    token = "1" + "0" * 4999
+    limit = sys.get_int_max_str_digits()
+    assert parse_matrix(f"1\n{token}\n") == parse_matrix("1\n1e4999\n") == RationalMatrix([[10**4999]])
+    assert parse_matrix(f"1\n-1/{token}\n") == RationalMatrix([[Fraction(-1, 10**4999)]])
+    assert sys.get_int_max_str_digits() == limit
     path = tmp_path / "long.mat"
-    path.write_text(f"2\n{HUGE} 1\n1 {HUGE}\n", encoding="utf-8")
+    path.write_text(f"2\n{token} 1\n1 {token}\n", encoding="utf-8")
+    assert run_command(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["classification"]["lambda"] == "1" + "0" * 4998 + "1"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_oversized_integer_literal_is_input_error(capsys, tmp_path):
+    long = "1" * (MAX_DIGITS + 1)
+    path = tmp_path / "long.mat"
+    path.write_text(f"2\n1 1\n3/{long} 1\n", encoding="utf-8")
     limit = sys.get_int_max_str_digits()
     assert run_command(["analyze", str(path), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "line 2, entry 1: cannot parse entry" in captured.err
-    assert "(5001 characters)" in captured.err
+    token = "3/" + long
+    shown = f"{token[:32]!r}... ({len(token)} characters)"
+    assert captured.err == f"error: line 3, entry 1: {shown} has more than {MAX_DIGITS} digits in one part\n"
     assert len(captured.err) < 200
     assert sys.get_int_max_str_digits() == limit
+    # a part of MAX_DIGITS digits is still read
+    assert parse_matrix(f"1\n3/{long[1:]}\n") == RationalMatrix([[Fraction(27, 10**MAX_DIGITS - 1)]])
 
 
 @pytest.mark.parametrize("token", ["1e1000000000", "1e-1000000000"])

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from schemeforge import predistance
 from schemeforge.cli import run_command
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import hoffman_polynomial, minimal_polynomial
-from schemeforge.matrix import RationalMatrix
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.predistance import (
     _assert_invariants,
     lambda_avoiding_gram_schmidt,
@@ -46,6 +47,26 @@ def directed_cycle_matrix(n, scale=1):
     )
 
 
+def weighted_circulant(n, weights, scale=1):
+    """scale * sum_k weights[k] P_n^k, with weights keyed by the shift y - x mod n."""
+    return RationalMatrix([[Fraction(scale) * weights.get((y - x) % n, 0) for y in range(n)] for x in range(n)])
+
+
+def scaled_cycle():
+    """(3/7) (10^30 I + P_6): a primitive integer matrix past int64 under s = 3/7."""
+    return weighted_circulant(6, {0: 10**30, 1: 1}, Fraction(3, 7))
+
+
+def heavy_circulant():
+    """(2/5) (9000 I + 7 P_7 + 7 P_7^-1), the weighted circulant of scripts/make_weighted_circulant.py."""
+    return weighted_circulant(7, {0: 9000, 1: 7, 6: 7}, Fraction(2, 5))
+
+
+def monic_on_c(w):
+    """q_j,C = sum_k w_k t^k / w_j, the monic orthogonal polynomial of C that the weights w stand for."""
+    return Polynomial([Fraction(v, w[-1]) for v in w])
+
+
 def test_inner_product_of_constants(fig1, fig2):
     one = Polynomial([1])
     for b in (fig1, fig2, RationalMatrix.ones(3)):
@@ -69,19 +90,27 @@ def test_inner_product_matches_trace_form_oracle(fig2):
 
 
 def test_gram_schmidt_degree_zero(fig2):
-    assert lambda_avoiding_gram_schmidt(fig2, 0) == ([Polynomial([1])], [Fraction(1)])
+    # fig2 = C / 4: w_0 = (1), so q_0,C = 1, and N_0 = C^0 . C^0 = n |q_0,C|^2 = 6
+    one = Polynomial([1])
+    assert lambda_avoiding_gram_schmidt(fig2, 0) == ([[1]], [6])
+    assert monic_on_c([1]) == one
+    assert fig2.order * poly_inner(one, one, scaled(4, fig2)) == 6
 
 
 def test_gram_schmidt_fig2_avoids_lambda(fig2):
-    polys, norms_sq = lambda_avoiding_gram_schmidt(fig2, 3)
-    assert len(polys) == 4
-    for i, q in enumerate(polys):
+    # fig2 = C / 4 with C primitive, so lambda_C = 4 lambda = 4
+    c = scaled(4, fig2)
+    weights, gram_norms = lambda_avoiding_gram_schmidt(fig2, 3)
+    assert len(weights) == len(gram_norms) == 4
+    qs = [monic_on_c(w) for w in weights]
+    for i, (w, q) in enumerate(zip(weights, qs)):
+        assert math.gcd(*w) == 1
         assert q.degree == i
-        assert q(1) != 0
-        assert norms_sq[i] == poly_inner(q, q, fig2)
+        assert q(4) != 0
+        assert gram_norms[i] == fig2.order * poly_inner(Polynomial(w), Polynomial(w), c)
     for i in range(4):
         for j in range(i + 1, 4):
-            assert poly_inner(polys[i], polys[j], fig2) == 0
+            assert poly_inner(qs[i], qs[j], c) == 0
 
 
 def test_gram_schmidt_past_the_minimal_degree_is_a_value_error(fig2):
@@ -93,11 +122,13 @@ def test_gram_schmidt_past_the_minimal_degree_is_a_value_error(fig2):
 
 
 def test_gram_schmidt_on_cycle_gives_orthogonal_triple():
+    # the directed 3-cycle is its own primitive integer matrix: C = B
     b = directed_cycle_matrix(3)
-    polys, _ = lambda_avoiding_gram_schmidt(b, 2)
+    weights, _ = lambda_avoiding_gram_schmidt(b, 2)
+    qs = [monic_on_c(w) for w in weights]
     for i in range(3):
         for j in range(3):
-            inner = poly_inner(polys[i], polys[j], b)
+            inner = poly_inner(qs[i], qs[j], b)
             assert (inner == 0) == (i != j)
 
 
@@ -158,8 +189,10 @@ def test_gram_schmidt_never_vanishes_at_lambda_past_the_gate(b):
     assume(cls.failed_hypothesis() is None)
     grid = [list(row) for row in b.rows]
     d = minimal_polynomial(b).degree - 1
-    polys, _ = lambda_avoiding_gram_schmidt(b, d)
-    assert all(q(cls.lam) != 0 for q in polys)
+    weights, _ = lambda_avoiding_gram_schmidt(b, d)
+    # q_j(lambda) = s^j q_j,C(lambda_C), lambda_C = lambda / s, for B = s C
+    lam_c = cls.lam / b.powers.scale
+    assert all(monic_on_c(w)(lam_c) != 0 for w in weights)
     expected, norms = oracle_predistance(grid, cls.lam, d)
     family = predistance_basis(b)
     assert family.polys == tuple(expected)
@@ -193,10 +226,12 @@ def test_every_stage_is_invariant_under_scaling(b, c):
 
 
 def test_vanishing_q_at_lambda_is_an_invariant_violation(fig2, monkeypatch, capsys):
-    # q_1 = t - 1 vanishes at lambda = 1, so p_1 = 0: the degree check traps it
-    polys, norms_sq = lambda_avoiding_gram_schmidt(fig2, 3)
-    polys[1] = Polynomial([-1, 1])
-    monkeypatch.setattr(predistance, "lambda_avoiding_gram_schmidt", lambda b, d: (polys, norms_sq))
+    # fig2 = C / 4: q_1,C = t - 4 vanishes at lambda_C = 4, so p_1 = 0: the degree check traps it
+    weights, gram_norms = lambda_avoiding_gram_schmidt(fig2, 3)
+    weights[1] = [-4, 1]
+    q = Polynomial(weights[1])
+    gram_norms[1] = int(fig2.order * poly_inner(q, q, scaled(4, fig2)))
+    monkeypatch.setattr(predistance, "lambda_avoiding_gram_schmidt", lambda b, d: (weights, gram_norms))
     with pytest.raises(ArithmeticError, match=r"deg\(p_1\) != 1"):
         predistance_basis(fig2)
     path = str(FIXTURES / "fig2.mat")
@@ -295,6 +330,38 @@ def test_orthogonality_is_checked_for_every_lower_degree(fig2):
         _assert_invariants(with_poly(family, 2, family.polys[2] + family.polys[1]), fig2)
 
 
+@pytest.mark.parametrize("build", [lambda: load_fixture("fig2.mat"), heavy_circulant], ids=["fig2", "circulant"])
+def test_every_coefficient_of_every_p_i_is_checked(build):
+    # the check reads the emitted polynomials, not the integer form they came
+    # from: bumping any one coefficient of any p_i, with its norm re-cached as
+    # p_i(lambda), breaks p_0 = 1, the degree, orthogonality or the cached norm
+    b = build()
+    family = predistance_basis(b)
+    assert b.powers.scale != 1
+    for i, p in enumerate(family.polys):
+        for k in range(len(p.coeffs)):
+            bumped = Polynomial([c + (j == k) for j, c in enumerate(p.coeffs)])
+            with pytest.raises(ArithmeticError, match="internal invariant violated"):
+                _assert_invariants(with_poly(family, i, bumped), b)
+
+
+def test_the_family_takes_no_polynomial_arithmetic(monkeypatch):
+    # the family is built and checked on integers: no Polynomial sum, product
+    # or evaluation, and no rescaled polynomial, once the stages it reads are kept
+    cases = [load_fixture("fig2.mat"), scaled_cycle(), heavy_circulant()]
+    for b in cases:
+        hoffman_polynomial(b)
+
+    def forbidden(*args):
+        raise AssertionError("polynomial arithmetic in the predistance stage")
+
+    for name in ("__call__", "__mul__", "__rmul__", "__add__"):
+        monkeypatch.setattr(Polynomial, name, forbidden)
+    monkeypatch.setattr(MatrixPowerBasis, "rescaled", forbidden)
+    for b in cases:
+        assert predistance_basis(b).d == minimal_polynomial(b).degree - 1
+
+
 def test_exact_identities_build_no_fraction_matrix(fig2, monkeypatch):
     # the classification, h(B) = J, the family's invariants and the Hoffman
     # sum all run on the matrices' integers: no matrix is built from rows
@@ -328,6 +395,21 @@ def test_hoffman_sum_fig2(fig2):
     for p in family.polys:
         total = total + p
     assert total == Polynomial([-2, 8, -16, 16])
+
+
+def test_hoffman_sum_fails_on_any_changed_coefficient(fig2):
+    family, h = predistance_basis(fig2), hoffman_polynomial(fig2)
+    for i, p in enumerate(family.polys):
+        for k in range(len(p.coeffs)):
+            bumped = Polynomial([c + Fraction(1, 3) * (j == k) for j, c in enumerate(p.coeffs)])
+            assert not verify_hoffman_sum(with_poly(family, i, bumped), h)
+    # a sum of lower degree than h, and one of higher degree
+    assert not verify_hoffman_sum(dataclasses.replace(family, polys=family.polys[:-1]), h)
+    longer = (*family.polys, Polynomial.monomial(family.d + 1))
+    assert not verify_hoffman_sum(dataclasses.replace(family, polys=longer), h)
+    # a zero coefficient sum matches h's zero coefficient
+    zero_sum = dataclasses.replace(family, polys=(Polynomial([1]), Polynomial([-1, 1])))
+    assert verify_hoffman_sum(zero_sum, dataclasses.replace(h, h=Polynomial([0, 1])))
 
 
 def test_hoffman_sum_degenerate_order_one():
