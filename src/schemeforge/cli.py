@@ -16,8 +16,9 @@ Reports print every rational exactly, however many digits it has: Python's
 int-to-str digit limit is lifted while a report is built and written, and
 only then, so parsing still rejects oversized integer literals. A --json
 report is byte for byte json.dumps(report, indent=2), written by
-`_report_json`, which joins each list of plain ints in one step: the class
-grids and the intersection tensor are almost all of a scheme report, and
+`_report_json`, which joins each list of plain ints in one step and lays
+out each integer array in one join: the class grids and the intersection
+tensor, handed over as arrays, are almost all of a scheme report, and
 indent turns json's C encoder off. The argument parser is built once per
 process.
 """
@@ -155,6 +156,38 @@ def _exact_digits():
         sys.set_int_max_str_digits(previous)
 
 
+def _grid_json(grid: np.ndarray, indent: str) -> str:
+    """json.dumps(grid.tolist(), indent=2) at `indent`, for an integer array
+    with at least one axis and no empty one, laid out by one join.
+
+    The text between two leaves depends only on how many axes end at the
+    first of them: a comma and a new line if none does, and for e >= 1
+    the e lists to close, a comma, and e lists to open. Each distinct value
+    is written once, with each of those separators after it, and every
+    leaf's piece is read from that table.
+    """
+    k = grid.ndim
+    levels = [indent + "  " * t for t in range(k + 1)]
+    separators = []
+    for e in range(k + 1):
+        close = "".join(f"\n{levels[t - 1]}]" for t in range(k, k - e, -1))
+        opened = "".join(f"[\n{levels[t]}" for t in range(k - e + 1, k + 1))
+        separators.append(close if e == k else f"{close},\n{levels[k - e]}{opened}")
+    low, high = int(grid.min()), int(grid.max())
+    if low >= 0 and high < grid.size:  # counts and 0/1 grids: each value indexes the table
+        values, index = range(high + 1), grid.astype(np.intp)
+    else:
+        values, index = np.unique(grid, return_inverse=True)
+        values, index = values.tolist(), index.reshape(grid.shape)
+    texts = list(map(int.__repr__, values))
+    # a leaf that ends e axes takes the piece with separator e: add e len(texts) to its index
+    for e in range(1, k + 1):
+        index[(Ellipsis,) + (-1,) * e] += len(texts)
+    table = np.array([text + separator for separator in separators for text in texts], dtype=object)
+    opened = "".join(f"[\n{levels[t]}" for t in range(1, k + 1))
+    return opened + "".join(table[index.ravel()].tolist())
+
+
 def _report_json(value, indent: str = "") -> str:
     """json.dumps(value, indent=2) for a value nested at `indent`, laid out here.
 
@@ -162,10 +195,16 @@ def _report_json(value, indent: str = "") -> str:
     str keys, lists and tuples are laid out as json.dumps lays them out; a
     list of plain ints (bools excluded) is one str.join, and each leaf is
     json.dumps(leaf) on the C encoder, the same text with or without
-    indent. Only an empty dict or one with other keys goes to
-    json.dumps(value, indent=2), its later lines shifted by `indent`.
+    indent. A numpy integer array stands for its tolist(): a nonempty one
+    is laid out by `_grid_json`, in one join. Only an empty dict or one
+    with other keys goes to json.dumps(value, indent=2), its later lines
+    shifted by `indent`.
     """
     inner = indent + "  "
+    if isinstance(value, np.ndarray):
+        if value.ndim and value.size and value.dtype.kind in "iu":
+            return _grid_json(value, indent)
+        return _report_json(value.tolist(), indent)
     if isinstance(value, (list, tuple)) and value:
         if set(map(type, value)) == {int}:  # plain ints only, no bools
             items = map(int.__repr__, value)
@@ -289,7 +328,6 @@ def _scheme_report(b: RationalMatrix, cls: MatrixClassification, certificate) ->
         hoffman_coeffs = io.poly_coefficients(hoffman_polynomial(b).h)
         if cls.normal:
             predistance_polys = [io.poly_coefficients(p) for p in predistance_basis(b).polys]
-    labels = np.array(certificate.labels)
     report = {
         "verdict": "accepted" if certificate.accepted else "rejected",
         "reason": certificate.reason.describe() if certificate.reason else None,
@@ -298,15 +336,14 @@ def _scheme_report(b: RationalMatrix, cls: MatrixClassification, certificate) ->
         "D": certificate.diameter,
         "hoffman": hoffman_coeffs,
         "predistance": predistance_polys,
+        # the class grids and the tensor as arrays: the writer lays out each in one join
         "classes": (
-            [(labels == i).astype(int).tolist() for i in range(certificate.d + 1)]
+            (np.array(certificate.labels) == np.arange(certificate.d + 1)[:, None, None]).astype(np.int8)
             if certificate.labels
             else None
         ),
         "intersection_numbers": (
-            [[list(row) for row in plane] for plane in certificate.intersection_tensor]
-            if certificate.intersection_tensor
-            else None
+            np.array(certificate.intersection_tensor) if certificate.intersection_tensor else None
         ),
         "transpose_map": (
             list(certificate.transpose_perm) if certificate.transpose_perm else None

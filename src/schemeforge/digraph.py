@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .matrix import RationalMatrix
 
 
@@ -30,16 +32,24 @@ class UnreachablePairError(ValueError):
     """Distance structure requested for a digraph that is not strongly connected."""
 
 
+def successor_lists(entries: np.ndarray) -> list[list[int]]:
+    """Successor lists of the digraph with an arc (x, y) exactly where entries[x, y] != 0."""
+    xs, ys = np.nonzero(entries)
+    ends = np.searchsorted(xs, np.arange(len(entries) + 1)).tolist()
+    ys = ys.tolist()
+    return [ys[lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
 def underlying_digraph(b: RationalMatrix) -> list[list[int]]:
     """Successor lists of the digraph with an arc (x, y) exactly where the entry (x, y) > 0.
 
-    The signs are read off b.ints, since b.den > 0.
+    The signs are read off C in B's analysis context, since B = s C with s > 0.
     """
-    n, ints = b.order, b.ints
-    for k, v in enumerate(ints):
-        if v < 0:
-            raise NegativeEntryError(divmod(k, n))
-    return [[y for y, v in enumerate(ints[i : i + n]) if v] for i in range(0, n * n, n)]
+    entries = b.powers.entries
+    negative = (entries < 0).ravel()
+    if negative.any():
+        raise NegativeEntryError(divmod(int(negative.argmax()), b.order))
+    return successor_lists(entries)
 
 
 def is_strongly_connected(successors: list[list[int]]) -> bool:

@@ -6,17 +6,20 @@ fractions ("1/3"), or decimals ("0.25", "1e-3"); decimals convert exactly,
 never through a float. A decimal exponent above MAX_EXPONENT in absolute
 value is an input error: 1e1000000 alone is a 3.3-million-bit integer.
 
-Signed integers and p/q in ASCII digits, the tokens of almost every file,
-are read with int() and go straight into the cleared integers of the
-matrix under one common denominator; every other token (underscores,
-other digits, decimals, exponents, p/0) is read by Fraction as before.
-Both paths accept the same tokens, give the same values and raise the same
-errors. Each part of such a token may have up to MAX_DIGITS digits, as
-many as 10^MAX_EXPONENT, which a decimal token may already reach: a part
-past Python's int-to-str digit limit (4300 by default) is read with that
-limit lifted for its own int() call, and a longer part is an input error.
-The length is measured only once int() has refused a part, so an
-interpreter run with a higher limit, or none, reads what it allows.
+Each distinct token of a file is read once, in order of first occurrence,
+and the entries are filled in by lookup, so a file of a few distinct values
+costs one split and one lookup per entry. When the distinct tokens are all
+signed integers in ASCII digits, one regex pass over them shows it and
+int() reads them; otherwise signed integers and p/q in ASCII digits are
+read with int(), and every other token (underscores, other digits,
+decimals, exponents, p/0) by Fraction. Both paths accept the same tokens,
+give the same values and raise the same errors, at the first bad token in
+row-major order. Each part of a signed integer or p/q token may have up to
+MAX_DIGITS digits, as many as 10^MAX_EXPONENT, which a decimal token may
+already reach. The length of each part is checked before int() reads it,
+so the bound holds whatever the interpreter's int-to-str digit limit is; a
+part past that limit (4300 digits by default) is read with the limit
+lifted for its own int() call.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .matrix import RationalMatrix
 
@@ -62,38 +65,79 @@ def _shown(token: str) -> str:
 
 # a signed integer or p/q in ASCII digits: int() reads its digits exactly as Fraction does
 _PLAIN = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
+# distinct tokens joined by newlines, each a signed integer of at most MAX_DIGITS ASCII digits
+_INTEGERS = re.compile(rf"[-+]?[0-9]{{1,{MAX_DIGITS}}}(?:\n[-+]?[0-9]{{1,{MAX_DIGITS}}})*")
 
 
-class _TooManyDigits(ValueError):
-    """A part of a _PLAIN token has more than MAX_DIGITS digits."""
+class _BadToken(ValueError):
+    """A token that is not a matrix entry; the message names it, without its position."""
+
+    def __init__(self, token: str, message: str):
+        self.token = token
+        super().__init__(message)
 
 
-def _long_parts(*parts: str) -> list[int]:
-    """The parts of a _PLAIN token that int() refused at the int-to-str digit
-    limit, read with the limit lifted when each has at most MAX_DIGITS digits."""
-    if max(map(len, parts)) > MAX_DIGITS:
-        raise _TooManyDigits
+def _long_int(part: str) -> int:
+    """int(part) for a part of at most MAX_DIGITS ASCII digits, with the
+    int-to-str digit limit lifted for this call only."""
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return [int(part) for part in parts]
+        return int(part)
     finally:
         sys.set_int_max_str_digits(previous)
 
 
-def _plain_entry(match: re.Match) -> tuple[int, int]:
-    """(numerator, denominator) of a _PLAIN token; ZeroDivisionError for p/0, as Fraction raises."""
-    sign, num, den = match.groups()
+def _entry(token: str) -> tuple[int, int]:
+    """(numerator, denominator) of one token, with the denominator positive; _BadToken otherwise."""
+    plain = _PLAIN.fullmatch(token)
+    if plain is None:
+        if _exponent_too_large(token):
+            raise _BadToken(token, f"exponent of {_shown(token)} exceeds {MAX_EXPONENT} in absolute value")
+        try:
+            value = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            raise _BadToken(token, f"cannot parse entry {_shown(token)}") from None
+        return value.numerator, value.denominator
+    sign, *parts = plain.groups()
+    parts = [part or "1" for part in parts]
+    if max(map(len, parts)) > MAX_DIGITS:
+        raise _BadToken(token, f"{_shown(token)} has more than {MAX_DIGITS} digits in one part")
     try:
-        num, den = int(num), int(den or 1)
+        num, den = map(int, parts)
     except ValueError:  # ASCII digits: only the int-to-str digit limit refuses them
-        num, den = _long_parts(num, den or "1")
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
+        num, den = map(_long_int, parts)
+    if den == 0:  # p/0, which Fraction refuses too
+        raise _BadToken(token, f"cannot parse entry {_shown(token)}")
     return (-num if sign == "-" else num), den
 
 
+def _cleared_values(tokens: list[str]) -> tuple[int, list[int]]:
+    """(den, [den * value of each token]) for distinct tokens, in lowest terms.
+
+    When every token is a signed integer of at most MAX_DIGITS digits, one
+    regex pass shows it and int() reads them all. Otherwise each token is
+    read on its own, in the given order, so the first bad one raises.
+    """
+    if _INTEGERS.fullmatch("\n".join(tokens)):
+        try:
+            return 1, list(map(int, tokens))
+        except ValueError:  # a token past the int-to-str digit limit
+            pass
+    entries = [_entry(token) for token in tokens]
+    den = lcm(*(d for _, d in entries))
+    cleared = [v * (den // d) for v, d in entries]
+    g = gcd(den, *cleared)
+    return den // g, [v // g for v in cleared]
+
+
 def parse_matrix(text: str) -> RationalMatrix:
+    """The matrix of a file's text; MatrixParseError at the first fault's line and entry.
+
+    Each distinct token is read once, in order of first occurrence, so the
+    first bad token in row-major order is the one reported; the entries are
+    then filled in by lookup.
+    """
     data: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -115,35 +159,26 @@ def parse_matrix(text: str) -> RationalMatrix:
     if len(body) != n:
         where = body[-1][0] if body else header_line
         raise MatrixParseError(f"expected {_shown(header)} data rows, found {len(body)}", where, 1)
-    nums: list[int] = []
-    dens: list[int] = []
+    tokens: list[str] = []
+    ragged = None  # (line, entries) of the first row of the wrong length
     for lineno, line in body:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", lineno, len(tokens))
-        for col, token in enumerate(tokens, start=1):
-            plain = _PLAIN.fullmatch(token)
-            if plain is None and _exponent_too_large(token):
-                raise MatrixParseError(
-                    f"exponent of {_shown(token)} exceeds {MAX_EXPONENT} in absolute value", lineno, col
-                )
-            try:
-                if plain is not None:
-                    num, den = _plain_entry(plain)
-                else:
-                    value = Fraction(token)
-                    num, den = value.numerator, value.denominator
-            except _TooManyDigits:
-                raise MatrixParseError(
-                    f"{_shown(token)} has more than {MAX_DIGITS} digits in one part", lineno, col
-                ) from None
-            except (ValueError, ZeroDivisionError):
-                raise MatrixParseError(f"cannot parse entry {_shown(token)}", lineno, col) from None
-            nums.append(num)
-            dens.append(den)
-    # one common denominator; _cleared reduces it to the lowest terms RationalMatrix(rows) keeps
-    den = lcm(*dens)
-    return RationalMatrix._cleared(den, [v * (den // d) for v, d in zip(nums, dens)], n)
+        row = line.split()
+        if len(row) != n:
+            ragged = lineno, len(row)
+            break
+        tokens += row
+    distinct = list(dict.fromkeys(tokens))
+    try:
+        den, values = _cleared_values(distinct)
+    except _BadToken as exc:
+        k = tokens.index(exc.token)
+        raise MatrixParseError(str(exc), body[k // n][0], k % n + 1) from None
+    if ragged is not None:
+        lineno, found = ragged
+        raise MatrixParseError(f"expected {n} entries, found {found}", lineno, found)
+    if len(distinct) < len(tokens):  # otherwise the values are in row-major order already
+        values = list(map(dict(zip(distinct, values)).__getitem__, tokens))
+    return RationalMatrix._cleared(den, values, n)
 
 
 def serialize_matrix(b: RationalMatrix, comment: str | None = None) -> str:

@@ -16,8 +16,10 @@ lowest terms. Its exact operations are integer operations on that encoding:
 - each matrix owns one analysis context (`RationalMatrix.powers`, built
   on first access and kept). It holds B = s C, the one exact form of B
   past the parser: the scale s = gcd(ints) / den and the primitive integer
-  matrix C = ints / gcd(ints). B and C generate the same algebra, so every
-  stage works on C. `rescaled` writes a polynomial in C as one in B for
+  matrix C = ints / gcd(ints), held as one n x n integer array (`entries`,
+  int64 while every line sum fits). B and C generate the same algebra, so
+  every stage works on C: the classification and the underlying digraph
+  read their signs, line sums and arcs off that array. `rescaled` writes a polynomial in C as one in B for
   the Hoffman stage, the predistance family applies s in its closed form
   (see `predistance`), and `weights` writes p(B) as a combination (sum_k
   w_k C^k) / L of C's powers on integers. The context also keeps the
@@ -93,6 +95,18 @@ def integer_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     left = np.array(a, dtype=dtype).reshape(n, n)
     right = np.array(b, dtype=dtype).reshape(n, n)
     return (left @ right).ravel().tolist()
+
+
+def _integer_grid(ints: Iterable[int], n: int) -> np.ndarray:
+    """n^2 integers, row-major, as an n x n array: int64 when n * max|v| < 2^63,
+    so that every line sum of absolute values fits, and Python ints otherwise."""
+    try:
+        grid = np.array(ints, dtype=np.int64)
+        if n * max(int(grid.max()), -int(grid.min())) < 2**63:
+            return grid.reshape(n, n)
+    except OverflowError:
+        pass
+    return np.array(ints, dtype=object).reshape(n, n)
 
 
 class MatrixOrderError(ValueError):
@@ -222,16 +236,17 @@ class MatrixPowerBasis:
 
     For B = ints / den, s = gcd(ints) / den and C = ints / gcd(ints); the
     zero matrix is its own C, with s = 1. This is the one exact form of B
-    past the parser. B and C generate the same algebra, so every stage reads
-    C, through its residues modulo primes (`residues`, `power_residues`)
-    bounded through R = `norm`. `rescaled` writes a polynomial in C as one
-    in B (the Hoffman stage's m_B, q and h); the predistance family applies
-    s itself, through num(s)^k and den(s)^k in its closed form, with no
-    rescaled polynomial. `weights` writes a polynomial in B as a combination
-    of C's powers, on integers. `classify`, `minimal_polynomial`,
-    `hoffman_polynomial` and `predistance_basis` each store their result
-    here and return it on later calls; a failed gate or check stores
-    nothing.
+    past the parser, with C as one n x n array (`entries`). B and C
+    generate the same algebra, so every stage reads C: its signs, line sums
+    and support directly, and its powers through their residues modulo
+    primes (`residues`, `power_residues`) bounded through R = `norm`.
+    `rescaled` writes a polynomial in C as one in B (the Hoffman stage's
+    m_B, q and h); the predistance family applies s itself, through
+    num(s)^k and den(s)^k in its closed form, with no rescaled polynomial.
+    `weights` writes a polynomial in B as a combination of C's powers, on
+    integers. `classify`, `minimal_polynomial`, `hoffman_polynomial` and
+    `predistance_basis` each store their result here and return it on
+    later calls; a failed gate or check stores nothing.
 
     No integer power of C is formed. The predistance stage reads C^0 up to
     C^d modulo the primes of one shared residue stack: the integer Gram
@@ -247,11 +262,12 @@ class MatrixPowerBasis:
         g = gcd(*base.ints) or 1
         self.order = n
         self.scale = Fraction(g, base.den)
-        self.ints = [v // g for v in base.ints]  # C, flattened row-major
+        # C as an n x n array: int64 while every line sum of |C| fits, Python ints beyond
+        entries = _integer_grid(base.ints, n)
+        self.entries = _integer_grid((entries // g).ravel(), n) if g > 1 else entries
         # ||C||_inf, the largest absolute row sum: it bounds every eigenvalue
         # of C, every absolute row sum of C^j by norm^j, and so every entry
-        self.norm = max(sum(map(abs, self.ints[x * n : x * n + n])) for x in range(n))
-        self._entries = None  # C as a numpy array, built by the first `residues` call
+        self.norm = int(abs(self.entries).sum(axis=1).max())
         # (primes, C^0..C^k mod each prime), extended by `power_residues`
         self._stack: tuple[list[int], np.ndarray] = ([], np.empty((0, 1, n * n)))
         self._gram: Optional[list[list[int]]] = None
@@ -264,11 +280,8 @@ class MatrixPowerBasis:
 
     def residues(self, primes: Sequence[int]) -> np.ndarray:
         """C mod p for each prime, an (r, n, n) float64 stack of integers in [0, p)."""
-        if self._entries is None:
-            # int64 while every entry fits, Python ints beyond
-            self._entries = np.array(self.ints, dtype=np.int64 if self.norm < 2**63 else object)
         n = self.order
-        return (self._entries % np.array(primes)[:, None]).astype(float).reshape(-1, n, n)
+        return (self.entries.reshape(1, n * n) % np.array(primes)[:, None]).astype(float).reshape(-1, n, n)
 
     def power_residues(self, bound: int, degree: int) -> Iterator[tuple[list[int], np.ndarray]]:
         """The residues of C^0..C^degree modulo the fewest primes whose product

@@ -88,13 +88,12 @@ class SchemeCertificate:
     generator_polynomials: Optional[tuple[Polynomial, ...]] = None
 
 
-def _class_count(labels: LabelGrid) -> int:
+def _class_count(lab: np.ndarray) -> int:
     """r = max label + 1; ValueError unless every label 0..r-1 labels some pair."""
-    used = {i for row in labels for i in row}
-    r = max(used) + 1
-    if used != set(range(r)):
+    sizes = np.bincount(lab.ravel())
+    if not sizes.all():
         raise ValueError("label grid has a class with empty support")
-    return r
+    return len(sizes)
 
 
 def intersection_numbers(labels: LabelGrid) -> IntersectionTensor:
@@ -115,9 +114,9 @@ def intersection_numbers(labels: LabelGrid) -> IntersectionTensor:
     counts differ from its class representative's, with (i, j) the first
     differing counts there.
     """
-    r = _class_count(labels)
-    n = len(labels)
-    lab = np.array(labels, dtype=np.int64)
+    lab = np.asarray(labels, dtype=np.int64)
+    r = _class_count(lab)
+    n = len(lab)
     flat = lab.ravel()
     # first row-major pair of each class, and of the class of each pair
     cells = flat.tolist()
@@ -157,17 +156,19 @@ def transpose_map(labels: LabelGrid) -> tuple[int, ...]:
 
     The transposed support of A_i must carry a single label i', and the map
     i -> i' must be a bijection: the first i where either fails is the AS3
-    witness.
+    witness. The distinct pairs (i, i') = (labels[x][y], labels[y][x]) are
+    read off the sorted codes r i + i', so they come sorted by i, then i'.
     """
-    targets: list[set[int]] = [set() for _ in range(_class_count(labels))]
-    for x, row in enumerate(labels):
-        for y, i in enumerate(row):
-            targets[i].add(labels[y][x])
-    perm = [min(t) for t in targets]
-    for i, t in enumerate(targets):
-        if len(t) != 1 or perm.count(perm[i]) != 1:
-            raise SchemeAxiomError("AS3", (i,))
-    return tuple(perm)
+    lab = np.asarray(labels, dtype=np.int64)
+    r = _class_count(lab)
+    codes = np.sort((lab * r + lab.T).ravel())
+    source, target = np.divmod(codes[np.append(True, codes[1:] != codes[:-1])], r)
+    # every class is nonempty, so each i starts a run of its sorted targets
+    perm = target[np.searchsorted(source, np.arange(r))]
+    shared = (np.bincount(source, minlength=r) != 1) | (np.bincount(perm, minlength=r)[perm] != 1)
+    if shared.any():
+        raise SchemeAxiomError("AS3", (int(shared.argmax()),))
+    return tuple(perm.tolist())
 
 
 def is_class(b: RationalMatrix, labels: LabelGrid, i: int, p: Polynomial) -> bool:
@@ -236,12 +237,11 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
             return axiom_failure("CLASS_POLYNOMIALITY", (i,))
 
     # AS2 (a 0/1 partition of J) holds by construction: each pair has one label
-    labels = structure.dist
-    if any((v == 0) != (x == y) for x, row in enumerate(labels) for y, v in enumerate(row)):
+    if not np.array_equal(grid == 0, np.eye(len(grid), dtype=bool)):
         return axiom_failure("AS1", ())
     try:
-        perm = transpose_map(labels)
-        tensor = intersection_numbers(labels)
+        perm = transpose_map(grid)
+        tensor = intersection_numbers(grid)
     except SchemeAxiomError as exc:
         return axiom_failure(exc.axiom, exc.witness)
     # the first row-major (i, j, h) with p^h_ij != p^h_ji has i < j: compare rows above the diagonal
@@ -256,7 +256,7 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
         reason=None,
         d=d,
         diameter=structure.diameter,
-        labels=labels,
+        labels=structure.dist,
         intersection_tensor=tensor,
         transpose_perm=perm,
         generator_polynomials=family.polys,

@@ -3,9 +3,9 @@ distinct-entry decomposition.
 
 classify() reports the four exact flags the rest of the pipeline gates on:
 nonnegativity, a common line sum (lambda-double stochasticity), normality,
-and irreducibility. All four are read off the integers of B = M / delta:
-signs and line sums off M, normality as B B^T = B^T B, two integer
-products. It never fails; bad inputs just classify negatively.
+and irreducibility. All four are read off the integers of B = s C: signs,
+line sums and the arcs for irreducibility in one array pass each over C,
+normality as B B^T = B^T B, two integer products. It never fails; bad inputs just classify negatively.
 MatrixClassification.failed_hypothesis() is the one gate on those flags, in
 the theorem's order; HYPOTHESIS_MESSAGES words each failure, and a stage
 whose gate fails raises HypothesisError with the failed code.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .digraph import is_strongly_connected
+from .digraph import is_strongly_connected, successor_lists
 from .matrix import RationalMatrix
 
 
@@ -93,28 +93,27 @@ class MatrixClassification:
 
 
 def classify(b: RationalMatrix) -> MatrixClassification:
-    """The four flags; signs and line sums are decided on M = delta B.
+    """The four flags; signs, line sums and support are read off C, for B = s C.
 
-    delta = b.den, so the line sums are integer sums (lambda = row sum /
-    delta). Normality compares the two products B B^T and B^T B. The result
-    is computed once and kept in B's analysis context.
+    C is the integer array in B's analysis context and s > 0, so B's signs
+    and support are C's, and its line sums are s times C's (lambda = s
+    times C's row sum). Normality compares the two products B B^T and B^T
+    B. The result is computed once and kept in B's analysis context.
     """
     context = b.powers
     if context.classification is not None:
         return context.classification
-    n, den, ints = b.order, b.den, b.ints
-    rows = [ints[i : i + n] for i in range(0, n * n, n)]
-    nonnegative = all(v >= 0 for v in ints)
-    row_sums = [sum(row) for row in rows]
-    col_sums = [sum(ints[j::n]) for j in range(n)]
+    entries = context.entries
+    nonnegative = not (entries < 0).any()
+    row_sums, col_sums = entries.sum(axis=1), entries.sum(axis=0)
     lam: Optional[Fraction] = None
-    if nonnegative and all(s == row_sums[0] for s in row_sums + col_sums):
-        lam = Fraction(row_sums[0], den)
+    if nonnegative and (row_sums == row_sums[0]).all() and (col_sums == row_sums[0]).all():
+        lam = int(row_sums[0]) * context.scale
     bt = b.transpose()
     normal = (b @ bt) == (bt @ b)
-    irreducible = is_strongly_connected([[y for y, v in enumerate(row) if v] for row in rows])
+    irreducible = is_strongly_connected(successor_lists(entries))
     context.classification = MatrixClassification(
-        order=n, nonnegative=nonnegative, lam=lam, normal=normal, irreducible=irreducible
+        order=b.order, nonnegative=nonnegative, lam=lam, normal=normal, irreducible=irreducible
     )
     return context.classification
 

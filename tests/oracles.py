@@ -4,10 +4,11 @@ Everything here is written from first principles on plain lists of
 Fractions: no power caches, no fraction-free solver, no pipeline
 intermediates, and every matrix product goes through naive_mat_mul rather
 than the library's kernel. Slow is fine; disagreement with the library is
-the signal. Two references are the plain per-entry forms of the library's
-bulk paths: popcount_intersection_tensor counts each p_ij(x, y) as a
-popcount of two bitsets, and fraction_parse_matrix reads each token of a
-matrix file as one Fraction.
+the signal. Three references are the plain per-entry forms of the
+library's bulk paths: popcount_intersection_tensor counts each p_ij(x, y)
+as a popcount of two bitsets, set_transpose_map collects the transposed
+labels of each class in a set, and fraction_parse_matrix reads each token
+of a matrix file as one Fraction, where it stands.
 
 Two sections are not oracles. Matrix arithmetic on Fraction grids builds
 test inputs: it reads every RationalMatrix through `.rows` and builds its
@@ -149,14 +150,39 @@ def popcount_intersection_tensor(labels) -> tuple:
     )
 
 
+def set_transpose_map(labels) -> tuple[int, ...]:
+    """The transpose map of a label grid from one set of transposed labels per class; the reference.
+
+    targets[i] = {labels[y][x] : labels[x][y] = i}; i -> min(targets[i]) is
+    the map, and the first i whose set is not a single label, or whose image
+    another class shares, raises SchemeAxiomError("AS3", (i,)). A label grid
+    with an empty class is a ValueError.
+    """
+    used = {i for row in labels for i in row}
+    r = max(used) + 1
+    if used != set(range(r)):
+        raise ValueError("label grid has a class with empty support")
+    targets: list[set[int]] = [set() for _ in range(r)]
+    for x, row in enumerate(labels):
+        for y, i in enumerate(row):
+            targets[i].add(labels[y][x])
+    perm = [min(t) for t in targets]
+    for i, t in enumerate(targets):
+        if len(t) != 1 or perm.count(perm[i]) != 1:
+            raise SchemeAxiomError("AS3", (i,))
+    return tuple(perm)
+
+
 def fraction_parse_matrix(text: str) -> RationalMatrix:
     """A matrix file read with one Fraction per token, through the RationalMatrix constructor.
 
     The reference for parse_matrix: the same layout checks, exponent and
     digit bounds and error positions and messages, but no integer fast
-    path. A signed integer or p/q in ASCII digits that Fraction refuses at
-    the int-to-str digit limit is read again with the limit lifted when no
-    part has more than MAX_DIGITS digits.
+    path and no table of distinct tokens: every token is read where it
+    stands, row by row. A signed integer or p/q in ASCII digits with a part
+    past MAX_DIGITS digits is refused before Fraction sees it, whatever the
+    int-to-str digit limit; one that Fraction refuses at that limit is read
+    again with the limit lifted.
     """
     data = [
         (lineno, raw.strip())
@@ -187,24 +213,25 @@ def fraction_parse_matrix(text: str) -> RationalMatrix:
                 raise MatrixParseError(
                     f"exponent of {_shown(token)} exceeds {MAX_EXPONENT} in absolute value", lineno, col
                 )
+            plain = re.fullmatch(r"[-+]?([0-9]+)(?:/([0-9]+))?", token)
+            if plain is not None and max(len(part or "") for part in plain.groups()) > MAX_DIGITS:
+                raise MatrixParseError(f"{_shown(token)} has more than {MAX_DIGITS} digits in one part", lineno, col)
             try:
                 row.append(Fraction(token))
             except ZeroDivisionError:
                 raise MatrixParseError(f"cannot parse entry {_shown(token)}", lineno, col) from None
             except ValueError:
-                row.append(_refused_fraction(token, lineno, col))
+                row.append(_refused_fraction(token, plain is not None, lineno, col))
         rows.append(row)
     return RationalMatrix(rows)
 
 
-def _refused_fraction(token: str, lineno: int, col: int) -> Fraction:
-    """A token Fraction refused, read again when it is a signed integer or p/q
-    in ASCII digits with no part past MAX_DIGITS digits, under a lifted
-    int-to-str digit limit; otherwise the MatrixParseError that refuses it."""
-    plain = re.fullmatch(r"[-+]?([0-9]+)(?:/([0-9]+))?", token)
-    if plain is not None:
-        if max(len(part or "") for part in plain.groups()) > MAX_DIGITS:
-            raise MatrixParseError(f"{_shown(token)} has more than {MAX_DIGITS} digits in one part", lineno, col)
+def _refused_fraction(token: str, plain: bool, lineno: int, col: int) -> Fraction:
+    """A token Fraction refused, read again under a lifted int-to-str digit
+    limit when it is a signed integer or p/q in ASCII digits (`plain`, its
+    parts already bounded by MAX_DIGITS); otherwise the MatrixParseError
+    that refuses it."""
+    if plain:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:

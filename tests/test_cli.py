@@ -8,8 +8,10 @@ import tempfile
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import FIXTURES
 
@@ -100,9 +102,20 @@ entry_tokens = st.one_of(
 )
 
 
+@st.composite
+def pooled_grids(draw):
+    """An n x n grid, n <= 5, drawn from a pool of at most three tokens: a bad token recurs."""
+    pool = draw(st.lists(entry_tokens, min_size=1, max_size=3))
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(st.sampled_from(pool), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
 @given(
-    st.integers(1, 3).flatmap(
-        lambda n: st.lists(st.lists(entry_tokens, min_size=n, max_size=n), min_size=n, max_size=n)
+    st.one_of(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.lists(entry_tokens, min_size=n, max_size=n), min_size=n, max_size=n)
+        ),
+        pooled_grids(),
     )
 )
 @settings(max_examples=300, deadline=None)
@@ -121,6 +134,7 @@ def test_parse_matrix_matches_fraction_reference(grid):
         "2\n1 2/0\n1 1\n",
         "1\n" + "1" * 4301 + "\n",
         "1\n" + "1" * 10002 + "\n",
+        "3\n1 -2 +3\n04 5 -06\n7 80 999999999\n",  # all distinct, read by one regex pass
     ],
 )
 def test_parse_matrix_matches_fraction_reference_on_examples(text):
@@ -140,17 +154,34 @@ def test_parser_is_built_once_and_prints_the_same_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: schemeforge [-h]")
 
 
+huge_ints = st.builds(lambda k, sign: sign * (10**4400 + k), st.integers(0, 10**9), st.sampled_from((1, -1)))
 json_leaves = st.one_of(
     st.text(),
     st.integers(),
-    st.builds(lambda k, sign: sign * (10**4400 + k), st.integers(0, 10**9), st.sampled_from((1, -1))),
+    huge_ints,
     st.booleans(),
     st.none(),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+
+
+@st.composite
+def int_grids(draw, dims):
+    """Rectangular nested lists of ints, each side 0..4 (so rows may be empty); some mix in bools."""
+    shape = draw(st.lists(st.integers(0, 4), min_size=dims, max_size=dims))
+    leaf = st.one_of(st.integers(), huge_ints, *([st.booleans()] if draw(st.booleans()) else []))
+
+    def fill(sides):
+        return [fill(sides[1:]) for _ in range(sides[0])] if sides else draw(leaf)
+
+    return fill(shape)
+
+
 json_values = st.recursive(
     json_leaves,
     lambda children: st.one_of(
+        int_grids(2),
+        int_grids(3),
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
@@ -166,6 +197,20 @@ json_values = st.recursive(
 def test_report_writer_matches_json_dumps(value):
     with _exact_digits():  # ints past 4300 digits print in reports
         assert _report_json(value) == json.dumps(value, indent=2)
+
+
+@given(
+    hnp.arrays(
+        st.sampled_from((np.int8, np.uint8, np.int32, np.int64, np.uint64, np.bool_)),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_report_writer_lays_out_arrays_as_their_lists(array):
+    # the class grids and the tensor of a scheme report are arrays; other
+    # dtypes, 0-d and empty arrays are written as their tolist()
+    assert _report_json(array) == json.dumps(array.tolist(), indent=2)
+    assert _report_json({"a": [array]}) == json.dumps({"a": [array.tolist()]}, indent=2)
 
 
 def test_huge_order_is_not_echoed(capsys, tmp_path):
@@ -592,6 +637,22 @@ def test_oversized_integer_literal_is_input_error(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == limit
     # a part of MAX_DIGITS digits is still read
     assert parse_matrix(f"1\n3/{long[1:]}\n") == RationalMatrix([[Fraction(27, 10**MAX_DIGITS - 1)]])
+
+
+def test_max_digits_bound_holds_without_an_int_limit(tmp_path):
+    # with the interpreter's int-to-str limit lifted, int() would read any length
+    path = tmp_path / "long.mat"
+    path.write_text("1\n" + "7" * 20000 + "\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "schemeforge", "analyze", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "0"},
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: line 2, entry 1: ")
+    assert result.stderr.endswith(f"(20000 characters) has more than {MAX_DIGITS} digits in one part\n")
 
 
 @pytest.mark.parametrize("token", ["1e1000000000", "1e-1000000000"])

@@ -292,7 +292,7 @@ def test_power_basis_caches_incrementally(fig2):
     # fig2 = C / 4 with C primitive, so the basis reduces C^k = 4^k fig2^k
     basis = MatrixPowerBasis(fig2)
     assert basis.scale == Fraction(1, 4)
-    assert basis.ints == [4 * v for v in flat(fig2)]
+    assert basis.entries.ravel().tolist() == [4 * v for v in flat(fig2)]
     grid = [list(row) for row in fig2.rows]
     square = [16 * v for row in naive_mat_mul(grid, grid) for v in row]
     primes, stack = next(basis.power_residues(1, 2))
@@ -470,7 +470,7 @@ def test_power_basis_evaluate_matches_naive_oracle(grid, cs, ds):
         assert gcd(value.den, *value.ints) == 1  # lowest terms
         assert [list(row) for row in value.rows] == expected
     # B = s C with C primitive (or zero), and the stack holds C^k = B^k / s^k mod p
-    assert gcd(*basis.ints) in (0, 1)
+    assert gcd(*basis.entries.ravel().tolist()) in (0, 1)
     n = len(grid)
     primes, stack = next(basis.power_residues(2**80, 3))
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

@@ -37,6 +37,7 @@ from oracles import (
     oracle_intersection_tensor,
     popcount_intersection_tensor,
     scaled,
+    set_transpose_map,
     sub,
     vanishing_product_check,
     verify_scheme_axioms,
@@ -357,6 +358,16 @@ def test_intersection_numbers_match_popcount_reference_and_oracle(labels):
     else:
         with pytest.raises(AssertionError, match="leaves the span"):
             oracle_intersection_tensor(class_matrices(labels))
+
+
+@given(label_grids())
+@settings(max_examples=200, deadline=None)
+def test_transpose_map_matches_set_reference(labels):
+    # scheme grids have a transpose map; the random and merged grids mostly fail AS3
+    outcome = kernel_outcome(transpose_map, labels)
+    assert outcome == kernel_outcome(set_transpose_map, labels)
+    if outcome[0] == "tensor":
+        assert all(type(i) is int for i in outcome[1])
 
 
 def test_intersection_numbers_digit_groups_reach_two_to_the_63():
