@@ -11,7 +11,7 @@ the canonical form we need (reduced, positive denominator, 0 == 0/1).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -93,25 +93,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def divide_linear(self, root: Scalar) -> "Polynomial":
-        """Exact synthetic division by (t - root).
-
-        Requires root to actually be a root; a nonzero remainder raises
-        ValueError since it means the caller's factorization premise failed.
-        """
-        root = Fraction(root)
-        if self.is_zero():
-            return Polynomial()
-        quotient = [Fraction(0)] * self.degree
-        carry = Fraction(0)
-        for k in range(self.degree, 0, -1):
-            carry = self.coeffs[k] + carry * root
-            quotient[k - 1] = carry
-        remainder = self.coeffs[0] + carry * root
-        if remainder != 0:
-            raise ValueError(f"{root} is not a root (remainder {remainder})")
-        return Polynomial(quotient)
-
     def coefficient_line(self) -> str:
         """Ascending coefficient report form: "c0 c1 c2 ..."."""
         if not self.coeffs:
@@ -142,3 +123,22 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
+
+
+def divide_linear(coeffs: Sequence[Scalar], root: Scalar) -> list[Scalar]:
+    """The quotient of sum_k coeffs_k t^k by (t - root), by synthetic division.
+
+    Coefficients ascending; integer coefficients and an integer root give
+    integer quotients, with no Fraction built. Requires root to actually be
+    a root; a nonzero remainder raises ValueError since it means the
+    caller's factorization premise failed.
+    """
+    quotient: list[Scalar] = []
+    carry: Scalar = 0
+    for c in reversed(coeffs[1:]):
+        carry = c + carry * root
+        quotient.append(carry)
+    remainder = coeffs[0] + carry * root if coeffs else 0
+    if remainder != 0:
+        raise ValueError(f"{root} is not a root (remainder {remainder})")
+    return quotient[::-1]

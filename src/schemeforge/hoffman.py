@@ -11,50 +11,66 @@ j). They come out exactly from a symmetric CRT over primes p with prod p >
 2 max_j binom(K, j) R^(K - j), with no rational reconstruction, and m_B(t)
 = s^K m_C(t / s).
 
-Every residue C^k mod p comes from float64 matmuls on the residue kernel
-that `matrix` holds (its prime table, prime runs and symmetric CRT, shared
-with the predistance stage). They are exact: each prime is below 2^b with
-n (p - 1)^2 < 2^53 (`_bits` of n terms, as a product of residues sums n of
-them), so every partial sum is an integer below 2^53, in any summation
-order. Results are reduced with int64 `%`. No power of B is formed.
+Every residue comes from float64 matmuls on the residue kernel that
+`matrix` holds (its prime table, prime runs and symmetric CRT, shared with
+the predistance stage). They are exact: each prime is below 2^b with n (p -
+1)^2 < 2^53 (`_bits` of n terms, as a product of residues sums n of them),
+so every partial sum is an integer below 2^53, in any summation order.
+Results are reduced with int64 `%`. No power of B is formed, and the
+products of C's residues take about log2(K + 1) rounds for the Krylov
+sequence and about 2 sqrt(K) for each certificate, not one per power of C:
 
-- One prime's Krylov pass reduces C^0, C^1, ... mod p, flattened, against
-  the powers kept so far; the first dependent power gives the degree K, K
-  pivot coordinates R and its combination y of the lower powers mod p. The
-  K x K minor of C^0..C^(K-1) on R is nonzero mod p, hence over Z, so deg
-  m_C >= K.
-- The K x K pivot system sum_j y_j C^j[R] = C^K[R] is solved modulo every
-  further CRT prime at once; a prime on which the minor vanishes is skipped.
-- An identity sum_j a_j C^j = a_J J with integer a is decided by one Horner
-  pass on residues: m_C(C) = 0, and h(B) = J as sum_j n q_j C^j =
-  q(lambda_C) J, where m_C = (t - lambda_C) q and lambda_C = lambda / s is
-  the line sum of C. Every entry of the difference is at most H = sum_j
-  |a_j| R^j + |a_J| in absolute value, so it is zero once it vanishes modulo
-  primes with prod p > H.
+- The Krylov sequence v, Cv, ..., C^K v of an integer start vector v is
+  built by doubling (Keller-Gehrig 1985): X <- [X, X (C^m)^T], then C^m <-
+  (C^m)^2, so K + 1 vectors take about log2(K + 1) rounds. On one prime each
+  round's block is reduced against the kept rows, held in reduced echelon
+  form together with their combinations of the sequence, and the first
+  round that holds a dependent vector gives the degree K, K pivot
+  coordinates R and the combination y with C^K v = sum_j y_j C^j v mod p.
+  The K x K minor of [v, ..., C^(K-1) v] on R is nonzero mod p, hence over
+  Z, so the minimal polynomial of v under C, which divides m_C, has degree
+  at least K, and so has m_C.
+- The K x K pivot system sum_j y_j (C^j v)[R] = (C^K v)[R] is read off the
+  same doubling modulo every further CRT prime at once; a prime on which
+  the minor vanishes is skipped.
+- An identity sum_j a_j C^j = a_J J with integer a is decided by Paterson
+  and Stockmeyer's baby and giant steps (1973) on residues: C^0..C^w with
+  w = isqrt(K + 1), every block of w coefficients against them in one
+  batched product, then a Horner pass in C^w (plain Horner below 9
+  coefficients), in chunks of primes of at most STACK_BYTES. That is
+  m_C(C) = 0, and h(B) = J as sum_j n q_j C^j = q(lambda_C) J, where m_C =
+  (t - lambda_C) q and lambda_C = lambda / s is the line sum of C. Every
+  entry of the difference is at most H = sum_j |a_j| R^j + |a_J| in
+  absolute value, so it is zero once it vanishes modulo primes with prod p
+  > H.
 
 A certified candidate is monic of degree K <= deg m_C and annihilates C, so
-it is m_C; otherwise the Krylov prime divides one of finitely many fixed
-nonzero minors, and the next prime is tried. No verdict depends on the
-choice of primes. For a lambda-doubly stochastic irreducible B with lambda
-!= 0, the Hoffman polynomial h is the unique minimal-degree polynomial with
-h(B) = J; it is always certified against J before being returned. Both are
-computed once per matrix and kept in its analysis context, `B.powers`.
+it is m_C. A candidate fails when v misses part of m_C over Q, which holds
+only for v in finitely many proper subspaces, or when the Krylov prime
+divides a nonzero minor. v is a fixed hash of the coordinates and of the
+prime, so it changes with p, the certificate catches every miss, and the
+next prime is tried. No verdict depends on the choice of primes or of v.
+For a lambda-doubly stochastic irreducible B with lambda != 0, the Hoffman
+polynomial h is the unique minimal-degree polynomial with h(B) = J; it is
+always certified against J before being returned. Both are computed once
+per matrix and kept in its analysis context, `B.powers`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
-from typing import Sequence
+from math import comb, gcd, isqrt
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .exact import Polynomial
+from .exact import Polynomial, divide_linear
 from .matrix import (
     MatrixPowerBasis,
     RationalMatrix,
     _bits,
+    _prime_chunks,
     _prime_run,
     _primes,
     _reduce,
@@ -72,89 +88,114 @@ class HoffmanPolynomial:
     lam: Fraction
 
 
-def _krylov(context: MatrixPowerBasis, p: int) -> tuple[list[int], list[int]]:
-    """(pivots, y): pivot coordinates of C^0, ..., C^(K-1), where C^K is the
-    first power that depends on the lower ones modulo p, and the residues
-    y_j with C^K = sum_j y_j C^j mod p.
+def _start(n: int, p: int) -> np.ndarray:
+    """The Krylov start vector for the prime p: n int64 entries in [1, p).
 
-    Each C^k mod p is flattened and reduced against the rows kept so far.
-    A kept row is 1 at its pivot and 0 at the pivots of the rows before it,
-    so the kept rows read on the pivots form a unit upper triangular matrix
-    M, whose inverse grows by one column per row. A vector v reduces to v -
-    w rows with w = v[pivots] M^-1, which is zero at every pivot and is
-    zero exactly when v is in the span. Each kept row is also kept as its
-    combination of the powers (the lower triangular `combinations`), so the
-    w of C^K gives y. K <= n, so each product sums at most n terms below
-    p^2 and stays exact in float64.
+    Entry i is a splitmix64 hash of (i, p), so v changes with p: a v whose
+    sequence misses part of m_C over Q is not drawn again on every later
+    prime.
+    """
+    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) ^ np.uint64(p)
+    x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return ((x ^ x >> np.uint64(31)) % np.uint64(p - 1)).astype(np.int64) + 1
+
+
+def _doubling(base: np.ndarray, start: np.ndarray, p: np.ndarray, length: int) -> Iterator[np.ndarray]:
+    """C^0 v, ..., C^(length - 1) v modulo each prime, in blocks of rows.
+
+    base is C mod each prime (r, n, n), start is v mod each prime (r, n)
+    and p the primes as an (r, 1, 1) array. The first block is v alone;
+    while the m vectors X so far are too few, the next block is X (C^m)^T,
+    the vectors C^m v..C^(2m-1) v cut at length, with C^m the square of
+    the previous round's power (C itself in the first round). Each block
+    is an (r, rows, n) float64 stack of integers in [0, p), and a caller
+    that stops early forms no further power.
+    """
+    sequence, power = start[:, None], base
+    yield sequence
+    while sequence.shape[1] < length:
+        m = sequence.shape[1]
+        if m > 1:
+            power = _reduce(power @ power, p).astype(float)
+        block = _reduce(sequence[:, : length - m] @ power.transpose(0, 2, 1), p).astype(float)
+        sequence = np.concatenate([sequence, block], axis=1)
+        yield block
+
+
+def _krylov(context: MatrixPowerBasis, p: int, start: np.ndarray) -> tuple[list[int], list[int]]:
+    """(pivots, y): pivot coordinates of v, Cv, ..., C^(K-1) v, where C^K v is
+    the first vector that depends on the lower ones modulo p, and the
+    residues y_j with C^K v = sum_j y_j C^j v mod p.
+
+    The kept rows are held in reduced echelon form, each 1 at its pivot
+    and 0 at the others, and each carries its combination of the sequence
+    in n + 1 further columns. A round's block is reduced against them in
+    one product, then its rows are taken in order: a zero row is the first
+    dependent vector, and its combination columns read -y; otherwise its
+    first nonzero coordinate becomes a pivot and is cleared from the
+    block's other rows. One more product clears the block's pivots from
+    the kept rows, and the block joins them. So the pivots follow the
+    sequence, and the vector C^k v reduced against the lower ones is zero
+    on their pivots and nonzero on its own.
     """
     n = context.order
-    base = context.residues([p])[0]
-    rows = np.empty((1, n * n))  # doubled when full, so it holds O(K n^2)
-    inverse = np.eye(n)
-    combinations = np.zeros((n, n))
+    table = np.empty((0, 2 * n + 1), dtype=np.int64)
     pivots: list[int] = []
-    power = np.eye(n)
-    while True:
-        k = len(pivots)
-        vector = power.ravel()
+    primes = np.array([p], dtype=np.int64)[:, None, None]
+    for block in _doubling(context.residues([p]), (start % p)[None].astype(float), primes, n + 1):
+        k, m = len(pivots), block.shape[1]
+        rows = np.zeros((m, 2 * n + 1), dtype=np.int64)
+        rows[:, :n] = block[0]
+        rows[range(m), range(n + k, n + k + m)] = 1
         if k:
-            weights = _reduce(vector[pivots] @ inverse[:k, :k], p)
-            vector = vector - weights @ rows[:k]
-        vector = _reduce(vector, p)
-        nonzero = np.flatnonzero(vector)
-        if not nonzero.size:
-            return pivots, _reduce(weights @ combinations[:k, :k], p).tolist()
-        pivot = int(nonzero[0])
-        scale = pow(int(vector[pivot]), -1, p)
-        if k == len(rows):
-            rows = np.concatenate([rows, np.empty_like(rows)])
-        rows[k] = vector * scale % p
-        # row_k = scale (C^k - sum_i w_i row_i)
-        combinations[k, k] = scale
-        if k:
-            combinations[k, :k] = -_reduce(weights @ combinations[:k, :k], p) * scale % p
-        # [[M, c], [0, 1]]^-1 = [[M^-1, -M^-1 c], [0, 1]]
-        inverse[:k, k] = _reduce(-(inverse[:k, :k] @ rows[:k, pivot]), p)
-        pivots.append(pivot)
-        power = _reduce(power @ base, p).astype(float)
+            rows = (rows - rows[:, pivots] @ table) % p
+        for i in range(m):
+            nonzero = np.flatnonzero(rows[i, :n])
+            if not nonzero.size:
+                return pivots, (-rows[i, n : n + k + i] % p).tolist()
+            pivot = int(nonzero[0])
+            row = rows[i] * pow(int(rows[i, pivot]), -1, p) % p
+            rows = (rows - rows[:, pivot : pivot + 1] * row) % p
+            rows[i] = row
+            pivots.append(pivot)
+        table = np.concatenate([(table - table[:, pivots[k:]] @ rows) % p, rows])
+    raise AssertionError("unreachable: n + 1 vectors of length n are dependent")
 
 
 def _solve_pivot_systems(
-    context: MatrixPowerBasis, primes: list[int], pivots: list[int]
+    context: MatrixPowerBasis, primes: list[int], pivots: list[int], start: np.ndarray
 ) -> list[list[int] | None]:
-    """For each prime, y with sum_j y_j C^j[R] = C^K[R] mod p, or None.
+    """For each prime, y with sum_j y_j (C^j v)[R] = (C^K v)[R] mod p, or None.
 
-    The entries C^j[R] come from the columns of C^j that R reads, one
-    batched product per power. The rows follow the order in which the
-    Krylov pass found the pivots, so every leading principal minor of the
-    system is nonzero modulo the Krylov prime, hence over Z. Gauss-Jordan
+    The vectors C^0 v..C^K v come from one doubling batched over the primes,
+    read on the K pivot coordinates R. The rows follow the order in which
+    the Krylov pass found the pivots, so every leading principal minor of
+    the system is nonzero modulo the Krylov prime, hence over Z. Gaussian
     elimination therefore runs on every prime's augmented K x (K + 1)
-    system at once, without row exchanges or division; a prime on which a
+    system at once, without row exchanges: each pivot row is scaled by its
+    inverse mod p and cleared from the rows below it, and back-substitution
+    reads y off the unit upper triangular system. A prime on which a
     leading minor vanishes meets a zero pivot and gets None.
     """
-    n, k = context.order, len(pivots)
-    xs = [r // n for r in pivots]
-    columns = sorted({r % n for r in pivots})
-    ys = [columns.index(r % n) for r in pivots]
+    k = len(pivots)
     p = np.array(primes, dtype=np.int64)[:, None, None]
-    base = context.residues(primes)
-    block = np.repeat(np.eye(n)[None, :, columns], len(primes), axis=0)
-    system = np.empty((len(primes), k, k + 1), dtype=np.int64)
-    for j in range(k + 1):
-        system[:, :, j] = block[:, xs, ys]
-        if j < k:
-            block = _reduce(base @ block, p).astype(float)
+    blocks = _doubling(context.residues(primes), (start % p[:, 0]).astype(float), p, k + 1)
+    system = np.concatenate(list(blocks), axis=1)[:, :, pivots].transpose(0, 2, 1).astype(np.int64)
     ok = np.ones(len(primes), dtype=bool)
     for c in range(k):
-        row = system[:, c : c + 1].copy()
-        ok &= row[:, 0, c] != 0
-        system = (row[:, :, c : c + 1] * system - system[:, :, c : c + 1] * row) % p
-        system[:, c : c + 1] = row
-    diagonal = system[:, range(k), range(k)].tolist()
-    return [
-        [v * pow(d, -1, q) % q for v, d in zip(rhs, lead)] if good else None
-        for q, rhs, lead, good in zip(primes, system[:, :, k].tolist(), diagonal, ok)
-    ]
+        lead = system[:, c, c]
+        ok &= lead != 0
+        inverse = [pow(d, -1, q) if d else 0 for d, q in zip(lead.tolist(), primes)]
+        row = system[:, c, c + 1 :] * np.array(inverse)[:, None] % p[:, 0]
+        system[:, c, c + 1 :] = row
+        below = system[:, c + 1 :]
+        below[:, :, c + 1 :] = (below[:, :, c + 1 :] - below[:, :, c : c + 1] * row[:, None]) % p
+    # back-substitution on the unit upper triangular system, column by column
+    y = system[:, :, k]
+    for c in range(k - 1, 0, -1):
+        y[:, :c] = (y[:, :c] - system[:, :c, c] * y[:, c : c + 1]) % p[:, 0]
+    return [row if good else None for row, good in zip(y.tolist(), ok)]
 
 
 def _candidate(b: RationalMatrix, p: int) -> list[int]:
@@ -162,23 +203,27 @@ def _candidate(b: RationalMatrix, p: int) -> list[int]:
 
     m(t) = t^K - sum_j y_j t^j, with each y_j the symmetric CRT of its
     residues over primes whose product exceeds twice the bound on the
-    coefficients of m_C: p's residues come from the Krylov pass, and the
-    pivot systems give those of any further primes. Only the certificate
-    decides whether m = m_C.
+    coefficients of m_C: p's residues come from the Krylov pass on the
+    start vector drawn for p, and the pivot systems on the same vector give
+    those of any further primes, in chunks of at most STACK_BYTES. Only the
+    certificate decides whether m = m_C.
     """
     context = b.powers
-    pivots, y = _krylov(context, p)
+    n = b.order
+    start = _start(n, p)
+    pivots, y = _krylov(context, p, start)
     k = len(pivots)
     bound = 2 * max(comb(k, j) * context.norm ** (k - j) for j in range(k + 1))
     modulus, primes, rows = p, [p], [y]
-    others = (q for q in _primes(_bits(b.order)) if q != p)
+    others = (q for q in _primes(_bits(n)) if q != p)
     while modulus <= bound:
-        run = _prime_run(others, bound // modulus)
-        for q, row in zip(run, _solve_pivot_systems(context, run, pivots)):
-            if row is not None:
-                primes.append(q)
-                rows.append(row)
-                modulus *= q
+        # per prime: C^m, its square's reductions, the sequence and the system, under 10 n^2 values
+        for run in _prime_chunks(_prime_run(others, bound // modulus), 80 * n * n):
+            for q, row in zip(run, _solve_pivot_systems(context, run, pivots, start)):
+                if row is not None:
+                    primes.append(q)
+                    rows.append(row)
+                    modulus *= q
     return [-y for y in _symmetric_crt(np.array(rows, dtype=np.int64), primes)] + [1]
 
 
@@ -186,31 +231,61 @@ def _vanishes(context: MatrixPowerBasis, coeffs: Sequence[int], ones: int) -> bo
     """Whether sum_j coeffs_j C^j = ones * J, decided exactly on residues.
 
     Each entry of the difference is at most H = sum_j |coeffs_j| norm^j +
-    |ones| in absolute value; one Horner pass checks it modulo primes whose
-    product exceeds H, so a zero residue everywhere is a zero difference.
+    |ones| in absolute value, so a zero residue modulo primes whose product
+    exceeds H is a zero difference. Modulo each chunk of those primes, of at
+    most STACK_BYTES, the sum is taken by baby and giant steps: with w =
+    isqrt(len(coeffs)), the baby steps C^0..C^(w-1), one batched product of
+    every block of w coefficients against them, and a Horner pass over the
+    blocks in the giant step C^w. A block's entries are sums of w products
+    of residues, so the primes are those for max(n, w) terms. Reducing an
+    n x n residue matrix costs about as much as a product at these sizes,
+    and below 9 coefficients (w < 3) the steps would reduce more of them
+    than the Horner pass they replace, so there the pass is plain Horner in
+    C, each coefficient added on the diagonal.
     """
-    n = context.order
+    n, count = context.order, len(coeffs)
+    w = isqrt(count) if count >= 9 else 1
+    blocks = -(-count // w)
     bound = sum(abs(c) * context.norm**j for j, c in enumerate(coeffs)) + abs(ones)
-    primes = _prime_run(_primes(_bits(n)), bound)
-    p = np.array(primes, dtype=np.int64)[:, None, None]
-    base = context.residues(primes)
-    terms = np.array([[c % q for q in primes] for c in reversed(coeffs)], dtype=float)
-    acc = np.eye(n) * terms[0][:, None, None]
-    for term in terms[1:]:
-        acc = acc @ base
-        acc.reshape(len(primes), n * n)[:, :: n + 1] += term[:, None]
-        acc = _reduce(acc, p).astype(float)
-    return bool((acc == np.array([ones % q for q in primes])[:, None, None]).all())
+    primes = _prime_run(_primes(_bits(max(n, w))), bound)
+    # per prime: the w + 1 steps, the blocks' sums with two reductions of them, and the Horner pass
+    for chunk in _prime_chunks(primes, 8 * (w + 3 * blocks + 5 if w > 1 else 5) * n * n):
+        r = len(chunk)
+        p = np.array(chunk, dtype=np.int64)[:, None, None]
+        base = context.residues(chunk)
+        terms = np.array([[c % q for q in chunk] for c in coeffs], dtype=float)
+        if w == 1:
+            acc = np.eye(n) * terms[-1][:, None, None]
+            for term in terms[-2::-1]:
+                acc = acc @ base
+                acc.reshape(r, n * n)[:, :: n + 1] += term[:, None]
+                acc = _reduce(acc, p).astype(float)
+        else:
+            steps = np.empty((r, w + 1, n, n))
+            steps[:, 0] = np.eye(n)
+            steps[:, 1] = base
+            for j in range(2, w + 1):
+                steps[:, j] = _reduce(steps[:, j - 1] @ base, p)
+            terms = np.concatenate([terms, np.zeros((blocks * w - count, r))])
+            terms = terms.reshape(blocks, w, r).transpose(2, 0, 1)
+            parts = _reduce(terms @ steps[:, :w].reshape(r, w, n * n), p).astype(float)
+            parts = parts.reshape(r, blocks, n, n)
+            acc = parts[:, -1]
+            for i in range(blocks - 2, -1, -1):
+                acc = _reduce(acc @ steps[:, w] + parts[:, i], p)
+        if not (acc == np.array([ones % q for q in chunk])[:, None, None]).all():
+            return False
+    return True
 
 
 def minimal_polynomial(b: RationalMatrix) -> Polynomial:
     """Smallest monic m with m(B) = 0: a candidate modulo a prime, certified exactly.
 
     A candidate m_C with m_C(C) = 0 is monic of degree K <= deg m_C and
-    annihilates C, so it is m_C. Otherwise the Krylov prime divides one of
-    finitely many fixed nonzero minors, and the next prime is tried. The
-    certified m_C and m_B(t) = s^K m_C(t / s) are both kept in B's analysis
-    context.
+    annihilates C, so it is m_C. Otherwise the start vector missed part of
+    m_C or the Krylov prime divides a nonzero minor, and the next prime,
+    with its own start vector, is tried. The certified m_C and m_B(t) = s^K
+    m_C(t / s) are both kept in B's analysis context.
     """
     context = b.powers
     if context.minimal is not None:
@@ -230,7 +305,8 @@ def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
     failed (normality is not required). The work is on C: its line sum is
     the integer lambda_C = lambda / s, m_C = (t - lambda_C) q_C with q_C in
     Z[t], and h(B) = J reads sum_j n q_C,j C^j = q_C(lambda_C) J, decided on
-    residues. Then q(t) = s^(K-1) q_C(t / s) and h(t) = n q_C(t / s) /
+    residues. q_C and q_C(lambda_C) come from synthetic division and a Horner
+    pass on ints. Then q(t) = s^(K-1) q_C(t / s) and h(t) = n q_C(t / s) /
     q_C(lambda_C). The certified h is kept in B's analysis context.
     """
     context = b.powers
@@ -241,14 +317,15 @@ def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
     if failed is not None:
         raise HypothesisError(failed)
     minimal_polynomial(b)
-    lam = cls.lam / context.scale  # the line sum of C, an integer
+    lam = (cls.lam / context.scale).numerator  # the line sum of C, an integer
     # a nonzero remainder raises ValueError: lambda would not be a root of m
-    q_c = Polynomial(context.primitive_minimal).divide_linear(lam)
-    q_at_lam = q_c(lam).numerator
+    q = divide_linear(context.primitive_minimal, lam)
+    q_at_lam = 0
+    for c in reversed(q):
+        q_at_lam = q_at_lam * lam + c
     if q_at_lam == 0:
         # impossible for a valid input: lambda is a simple eigenvalue
         raise ArithmeticError("internal invariant violated: q(lambda) = 0")
-    q = [c.numerator for c in q_c.coeffs]
     n = b.order
     g = gcd(n, q_at_lam)
     if not _vanishes(context, [n // g * c for c in q], q_at_lam // g):

@@ -9,12 +9,12 @@ value is an input error: 1e1000000 alone is a 3.3-million-bit integer.
 Each distinct token of a file is read once, in order of first occurrence,
 and the entries are filled in by lookup, so a file of a few distinct values
 costs one split and one lookup per entry. When the distinct tokens are all
-signed integers in ASCII digits, one regex pass over them shows it and
-int() reads them; otherwise signed integers and p/q in ASCII digits are
-read with int(), and every other token (underscores, other digits,
-decimals, exponents, p/0) by Fraction. Both paths accept the same tokens,
-give the same values and raise the same errors, at the first bad token in
-row-major order. Each part of a signed integer or p/q token may have up to
+signed integers in ASCII digits, one regex search for the first token that
+is not finds none and int() reads them; otherwise signed integers and p/q
+in ASCII digits are read with int(), and every other token (underscores,
+other digits, decimals, exponents, p/0) by Fraction. Both paths accept the
+same tokens, give the same values and raise the same errors, at the first
+bad token in row-major order. Each part of a signed integer or p/q token may have up to
 MAX_DIGITS digits, as many as 10^MAX_EXPONENT, which a decimal token may
 already reach. The length of each part is checked before int() reads it,
 so the bound holds whatever the interpreter's int-to-str digit limit is; a
@@ -65,8 +65,9 @@ def _shown(token: str) -> str:
 
 # a signed integer or p/q in ASCII digits: int() reads its digits exactly as Fraction does
 _PLAIN = re.compile(r"([-+]?)([0-9]+)(?:/([0-9]+))?")
-# distinct tokens joined by newlines, each a signed integer of at most MAX_DIGITS ASCII digits
-_INTEGERS = re.compile(rf"[-+]?[0-9]{{1,{MAX_DIGITS}}}(?:\n[-+]?[0-9]{{1,{MAX_DIGITS}}})*")
+# in "\n" + the newline join of the distinct tokens, the newline before the first token that is
+# not a signed integer of at most MAX_DIGITS ASCII digits
+_NOT_INTEGER = re.compile(rf"\n(?![-+]?[0-9]{{1,{MAX_DIGITS}}}(?:\n|\Z))")
 
 
 class _BadToken(ValueError):
@@ -116,10 +117,12 @@ def _cleared_values(tokens: list[str]) -> tuple[int, list[int]]:
     """(den, [den * value of each token]) for distinct tokens, in lowest terms.
 
     When every token is a signed integer of at most MAX_DIGITS digits, one
-    regex pass shows it and int() reads them all. Otherwise each token is
-    read on its own, in the given order, so the first bad one raises.
+    regex search for the first token that is not finds none, and int()
+    reads them all; the search stops at the first such token. Otherwise
+    each token is read on its own, in the given order, so the first bad
+    one raises.
     """
-    if _INTEGERS.fullmatch("\n".join(tokens)):
+    if _NOT_INTEGER.search("\n" + "\n".join(tokens)) is None:
         try:
             return 1, list(map(int, tokens))
         except ValueError:  # a token past the int-to-str digit limit

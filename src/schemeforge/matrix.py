@@ -490,6 +490,13 @@ def _prime_run(primes: Iterator[int], bound: int) -> list[int]:
     return run
 
 
+def _prime_chunks(primes: list[int], size: int) -> Iterator[list[int]]:
+    """The primes in order, in chunks whose residue work of size bytes per
+    prime takes at most STACK_BYTES (or one prime)."""
+    step = max(1, STACK_BYTES // size)
+    return (primes[lo : lo + step] for lo in range(0, len(primes), step))
+
+
 def _bits(terms: int) -> int:
     """The size of the residue primes for sums of `terms` products of residues:
     each prime p is below 2^bits, with terms (p - 1)^2 < 2^53."""

@@ -134,10 +134,19 @@ def test_parse_matrix_matches_fraction_reference(grid):
         "2\n1 2/0\n1 1\n",
         "1\n" + "1" * 4301 + "\n",
         "1\n" + "1" * 10002 + "\n",
-        "3\n1 -2 +3\n04 5 -06\n7 80 999999999\n",  # all distinct, read by one regex pass
+        "3\n1 -2 +3\n04 5 -06\n7 80 999999999\n",  # all distinct, read by one regex search
     ],
 )
 def test_parse_matrix_matches_fraction_reference_on_examples(text):
+    assert parse_outcome(parse_matrix, text) == parse_outcome(fraction_parse_matrix, text)
+
+
+@pytest.mark.parametrize("last", ["1/2", "x"])
+def test_parse_matrix_matches_fraction_reference_on_a_late_non_integer(last):
+    """Distinct signed integers up to the last token: the integer search misses only at the end."""
+    n = 16
+    tokens = [str((-1) ** k * (10**8 + 7919 * k)) for k in range(n * n - 1)] + [last]
+    text = f"{n}\n" + "".join(" ".join(tokens[x * n : x * n + n]) + "\n" for x in range(n))
     assert parse_outcome(parse_matrix, text) == parse_outcome(fraction_parse_matrix, text)
 
 

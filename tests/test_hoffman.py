@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import (
     _candidate,
+    _doubling,
     _vanishes,
     hoffman_polynomial,
     hoffman_product_form_check,
@@ -258,6 +260,77 @@ def test_minimal_polynomial_matches_gauss_jordan_oracle(grid):
     assert naive_poly_at(m, grid) == [[Fraction(0)] * n for _ in range(n)]
 
 
+@given(krylov_cases(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_doubling_matches_repeated_matrix_vector_products(grid, data):
+    """C^0 v..C^(L-1) v by doubling, batched over two primes, for L = 1..n + 1,
+    equals repeated matrix-vector products mod p, in blocks of 1, 1, 2, 4, ..."""
+    context = RationalMatrix(grid).powers
+    n = context.order
+    c = context.entries.tolist()
+    primes = [_prime(_bits(n), 0), _prime(_bits(n), 1)]
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    start = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)), dtype=np.int64)
+    for length in range(1, n + 2):
+        blocks = list(_doubling(context.residues(primes), (start % p[:, 0]).astype(float), p, length))
+        sizes, m = [1], 1
+        while m < length:
+            sizes.append(min(m, length - m))
+            m += sizes[-1]
+        assert [block.shape[1] for block in blocks] == sizes
+        sequence = np.concatenate(blocks, axis=1)
+        for r, q in enumerate(primes):
+            vector = [int(v) % q for v in start]
+            for j in range(length):
+                assert sequence[r, j].tolist() == vector
+                vector = [sum(c[x][y] * vector[y] for y in range(n)) % q for x in range(n)]
+
+
+def assert_certificate_matches_naive(grid, coefficients):
+    """_vanishes agrees with naive_poly_at on C for coefficient lists of every
+    length from 1 to max(n + 2, 16), so that the plain Horner pass and the baby
+    and giant steps with w = 3 and 4 both run.
+
+    Each list a = coefficients(length) is checked against ones = the first
+    entry of sum_j a_j C^j, which holds exactly when that matrix is
+    constant; each multiple of m_C of that length must vanish.
+    """
+    context = RationalMatrix(grid).powers
+    c = [[Fraction(v) for v in row] for row in context.entries.tolist()]
+    n = len(c)
+    m = oracle_minimal_polynomial(c)
+    for length in range(1, max(n + 2, 16) + 1):
+        coeffs = coefficients(length)
+        value = naive_poly_at(Polynomial(coeffs), c)
+        ones = int(value[0][0])
+        assert _vanishes(context, coeffs, ones) == (value == [[ones] * n for _ in range(n)])
+        if length > m.degree:
+            multiple = m * Polynomial(coeffs[: length - m.degree - 1] + [1])
+            assert _vanishes(context, [int(v) for v in multiple.coeffs], 0)
+
+
+@given(krylov_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_baby_and_giant_step_certificate_matches_naive_evaluation(grid, data):
+    coefficient = st.integers(-(2**40), 2**40)
+    assert_certificate_matches_naive(
+        grid, lambda length: data.draw(st.lists(coefficient, min_size=length, max_size=length))
+    )
+
+
+def test_certificate_matches_naive_evaluation_one_prime_per_chunk(monkeypatch, fig1):
+    from schemeforge import matrix
+
+    monkeypatch.setattr(matrix, "STACK_BYTES", 1)
+    rng = random.Random(0)
+    assert_certificate_matches_naive(
+        [list(row) for row in fig1], lambda length: [rng.randint(-(2**40), 2**40) for _ in range(length)]
+    )
+    # C - I vanishes modulo the first prime alone: the second chunk must reject it
+    p = first_prime(RationalMatrix([[1, 0], [0, 1]]))
+    assert not _vanishes(MatrixPowerBasis(RationalMatrix([[1, p], [p, 1]])), [-1, 1], 0)
+
+
 def test_deep_krylov_scaled_directed_cycle():
     """(3/2) P for the directed 30-cycle P: m = t^30 - (3/2)^30, so d = 29.
 
@@ -284,22 +357,29 @@ def test_deep_krylov_scaled_directed_cycle():
     assert info.h == Polynomial([Fraction(2, 3) ** j for j in range(n)])
 
 
-def test_unlucky_prime_is_caught_by_the_certificate():
-    """B = [[1, p], [p, 1]] is the identity mod p, the first residue prime.
+def test_unlucky_prime_is_caught_by_the_certificate(monkeypatch, fig2):
+    """A start vector that misses part of m_C: the certificate rejects the
+    candidate, and the next prime, with its own start vector, gives m and h.
 
-    The first Krylov prime sees C^1 = C^0 and proposes m = t - 1; the
-    certificate m(C) = 0 must reject it, and a later prime gives the true m
-    and h.
+    fig2 is lambda-DS, so C 1 = lambda_C 1: drawn as the all-ones vector on
+    the first prime, v stops the Krylov sequence at once and the first
+    candidate is t - lambda_C.
     """
-    p = first_prime(RationalMatrix([[1, 0], [0, 1]]))
-    b = RationalMatrix([[1, p], [p, 1]])
-    assert first_prime(b) == p
-    assert _candidate(b, p) == [-1, 1]
-    m = minimal_polynomial(b)
-    assert m == Polynomial([1 - p * p, -2, 1])
-    info = hoffman_polynomial(b)
-    assert info.lam == 1 + p
-    assert info.h == Polynomial([Fraction(p - 1, p), Fraction(1, p)])
+    from schemeforge import hoffman
+
+    grid = [list(r) for r in fig2]
+    b = RationalMatrix(grid)
+    p = first_prime(b)
+    draw = hoffman._start
+    monkeypatch.setattr(
+        hoffman, "_start", lambda n, q: np.ones(n, dtype=np.int64) if q == p else draw(n, q)
+    )
+    lam_c = int(classify(b).lam / b.powers.scale)
+    assert _candidate(b, p) == [-lam_c, 1]
+    assert not _vanishes(b.powers, [-lam_c, 1], 0)
+    assert minimal_polynomial(b) == oracle_minimal_polynomial(grid)
+    h = hoffman_polynomial(b).h
+    assert naive_poly_at(h, grid) == [[Fraction(1)] * len(grid) for _ in grid]
 
 
 def test_certificate_uses_every_prime_its_bound_needs():
