@@ -16,11 +16,11 @@ Reports print every rational exactly, however many digits it has: Python's
 int-to-str digit limit is lifted while a report is built and written, and
 only then, so parsing still rejects oversized integer literals. A --json
 report is byte for byte json.dumps(report, indent=2), written by
-`_report_json`, which joins each list of plain ints in one step and lays
-out each integer array in one join: the class grids and the intersection
-tensor, handed over as arrays, are almost all of a scheme report, and
-indent turns json's C encoder off. The argument parser is built once per
-process.
+`_report_json`, which joins each list of plain ints in one step, lays out
+each integer array in one join and hands every subtree with neither to
+one json.dumps: the class grids and the intersection tensor, handed over
+as arrays, are almost all of a scheme report, and indent turns json's C
+encoder off. The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -191,33 +191,56 @@ def _grid_json(grid: np.ndarray, indent: str) -> str:
 def _report_json(value, indent: str = "") -> str:
     """json.dumps(value, indent=2) for a value nested at `indent`, laid out here.
 
-    json.dumps turns its C encoder off whenever indent is set. Dicts with
-    str keys, lists and tuples are laid out as json.dumps lays them out; a
-    list of plain ints (bools excluded) is one str.join, and each leaf is
-    json.dumps(leaf) on the C encoder, the same text with or without
-    indent. A numpy integer array stands for its tolist(): a nonempty one
-    is laid out by `_grid_json`, in one join. Only an empty dict or one
-    with other keys goes to json.dumps(value, indent=2), its later lines
-    shifted by `indent`.
+    json.dumps turns its C encoder off whenever indent is set, and its
+    Python encoder writes each int of a list on a line of its own. So the
+    writer lays out itself only the paths down to a list of plain ints
+    (bools excluded), which is one str.join, or to a numpy array. Every
+    other subtree, a leaf included, is one json.dumps(v, indent=2), its
+    later lines shifted by `indent`.
+    """
+    text = _layout(value, indent)
+    return _dumps(value, indent) if text is None else text
+
+
+def _dumps(value, indent: str) -> str:
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+_LEAF_TYPES = {str, int, float, bool, type(None)}
+
+
+def _layout(value, indent: str):
+    """The text of `value` at `indent` when it holds a list of plain ints or a
+    numpy array, and None when json.dumps lays it out alone.
+
+    A numpy integer array stands for its tolist(): a nonempty one is laid
+    out by `_grid_json`, in one join. Dicts with str keys, lists and tuples
+    are laid out as json.dumps lays them out; an empty dict or one with
+    other keys is left to json.dumps.
     """
     inner = indent + "  "
     if isinstance(value, np.ndarray):
         if value.ndim and value.size and value.dtype.kind in "iu":
             return _grid_json(value, indent)
         return _report_json(value.tolist(), indent)
-    if isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) == {int}:  # plain ints only, no bools
-            items = map(int.__repr__, value)
-        else:
-            items = (_report_json(v, inner) for v in value)
-        brackets = "[]"
-    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        items = (f"{json.dumps(k)}: {_report_json(v, inner)}" for k, v in value.items())
-        brackets = "{}"
+    if isinstance(value, (list, tuple)):
+        if value and set(map(type, value)) == {int}:  # plain ints only, no bools
+            return f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, value)) + f"\n{indent}]"
+        children, brackets = value, "[]"
     elif isinstance(value, dict):
-        return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+        children, brackets = value.values(), "{}"
     else:
-        return json.dumps(value)
+        return None
+    if set(map(type, children)) <= _LEAF_TYPES:
+        return None
+    if brackets == "{}" and not all(isinstance(k, str) for k in value):
+        return None
+    texts = [_layout(v, inner) for v in children]
+    if all(text is None for text in texts):
+        return None
+    items = [_dumps(v, inner) if text is None else text for v, text in zip(children, texts)]
+    if brackets == "{}":
+        items = [f"{json.dumps(k)}: {item}" for k, item in zip(value, items)]
     separator = ",\n" + inner
     return f"{brackets[0]}\n{inner}{separator.join(items)}\n{indent}{brackets[1]}"
 

@@ -345,17 +345,8 @@ def hoffman_product_form_check(b: RationalMatrix, roots: Sequence[complex]) -> f
     """
     info = hoffman_polynomial(b)
     lam = float(info.lam)
-    n = b.order
     h_coeffs = [float(c) for c in reversed(info.h.coeffs)]  # descending, as np.polyval takes them
-    pi0 = 1.0 + 0.0j
-    for r in roots:
-        pi0 *= lam - r
-    worst = 0.0
-    for s in (0.0, 0.25 * lam, 0.5 * lam, 0.75 * lam, lam, 1.25 * lam, -0.5 * lam):
-        exact_side = np.polyval(h_coeffs, s)
-        product = 1.0 + 0.0j
-        for r in roots:
-            product *= s - r
-        factored_side = n / pi0 * product
-        worst = max(worst, abs(exact_side - factored_side))
-    return worst
+    samples = lam * np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, -0.5])
+    r = np.array(roots, dtype=complex)
+    factored = b.order / np.prod(lam - r) * np.prod(samples[:, None] - r, axis=1)
+    return float(np.abs(np.polyval(h_coeffs, samples) - factored).max())

@@ -84,16 +84,24 @@ def integer_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """The exact product of two n x n integer matrices, flattened row-major.
 
     Every partial sum of an entry is at most n * max|a| * max|b| in absolute
-    value. When that bound, with each maximum taken as at least 1 so that
-    both operands fit as well, is below 2^63, the matmul runs on int64;
-    otherwise the same matmul runs on object arrays of Python ints. The
-    bound comes first because numpy integer matmul wraps on overflow without
-    a warning.
+    value. Each operand is read once into an int64 array, and its largest
+    and smallest entries, taken as Python ints so that -2^63 does not wrap,
+    give its maximum; an operand with an entry past int64 counts as 2^63.
+    When the bound, with each maximum taken as at least 1 so that both
+    operands fit as well, is below 2^63, the matmul runs on int64; otherwise
+    the same matmul runs on object arrays of Python ints. The bound comes
+    first because numpy integer matmul wraps on overflow without a warning.
     """
-    bound = n * max(1, max(a), -min(a)) * max(1, max(b), -min(b))
+    operands, bound = [], n
+    for values in (a, b):
+        try:
+            values = np.fromiter(values, dtype=np.int64, count=n * n)
+            bound *= max(1, int(values.max()), -int(values.min()))
+        except OverflowError:
+            bound *= 2**63
+        operands.append(values)
     dtype = np.int64 if bound < 2**63 else object
-    left = np.array(a, dtype=dtype).reshape(n, n)
-    right = np.array(b, dtype=dtype).reshape(n, n)
+    left, right = (np.array(values, dtype=dtype).reshape(n, n) for values in operands)
     return (left @ right).ravel().tolist()
 
 

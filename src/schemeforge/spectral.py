@@ -2,12 +2,15 @@
 
 Numeric roots of the (exact) minimal polynomial as the eigenvalues of its
 companion matrix (`numpy.roots`, one LAPACK call), each refined by one
-Newton step; Lagrange-interpolation primitive idempotents, built from
-prefix and suffix products of the factors (B - lambda_j I) in one stack and
-checked by chunked batched products; and a Perron sanity report. LAPACK
-returns the eigenvalues of a real matrix as exact conjugate pairs, and
-companion eigenvalues are backward stable (Edelman and Murakami, Math.
-Comp. 64, 1995), so no iteration, pairing pass or iteration cap is needed.
+Newton step; the primitive idempotents E_i = V_i W_i from one
+eigendecomposition B = V diag(lambda) V^-1, with B's eigenvalues grouped by
+the nearest root and W = V^-1; and a Perron sanity report. LAPACK returns
+the eigenvalues of a real matrix as exact conjugate pairs, and companion
+eigenvalues are backward stable (Edelman and Murakami, Math. Comp. 64,
+1995), so no iteration, pairing pass or iteration cap is needed. The
+idempotents take O(n^3) work whatever deg m is, where the Lagrange form
+prod_{j != i} (B - lambda_j I) / (lambda_i - lambda_j) divides by products
+of root gaps that at deg m = 64 leave its residuals meaningless.
 Everything here is advisory: the exact pipeline never consumes these values
 for an accept/reject decision.
 """
@@ -25,7 +28,6 @@ from .stochastic import classify
 
 RESIDUAL_TOL = 1e-12
 ASSERTION_TOL = 1e-9
-CHUNK = 4  # E_j per batched product in the mutual check
 
 
 class RootConvergenceError(RuntimeError):
@@ -77,9 +79,11 @@ def roots(m: Polynomial, tol: float = RESIDUAL_TOL) -> Spectrum:
 
 @dataclass(frozen=True)
 class IdempotentFamily:
-    """Lagrange-built spectral projectors E_i plus measured invariant residuals.
+    """Spectral projectors E_i = V_i W_i from one eigendecomposition, plus measured invariant residuals.
 
-    residuals keys: "mutual" (E_i E_j vs delta_ij E_i), "sum" (sum E_i vs I),
+    V_i holds the eigenvectors of B grouped to the i-th root and W_i the
+    matching rows of W = V^-1. residuals keys: "mutual" (E_i E_j vs
+    delta_ij E_i, over all ordered pairs), "sum" (sum E_i vs I),
     "reconstruction" (B vs sum lambda_i E_i), "hermitian" (E_i vs E_i*).
     """
 
@@ -87,52 +91,23 @@ class IdempotentFamily:
     residuals: dict[str, float]
 
 
-def _projector_stack(bf: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """E_i = prod_{j != i} (B - lambda_j I) / (lambda_i - lambda_j) for every i, as one (k, n, n) stack.
-
-    Every factor and every difference is divided by rho = max(1, max
-    |lambda_j|), so that the products stay bounded. The prefixes
-    P_i = prod_{j < i} are written in place into the stack; one running
-    suffix S_i = prod_{j > i}, swept downwards, turns each P_i into
-    P_i S_i / prod_{j != i} (lambda_i - lambda_j) = E_i. That is about 3k
-    dense products for k eigenvalues, and no scratch beyond a few n x n
-    matrices.
-    """
-    k, n = len(lam), bf.shape[0]
-    eye = np.eye(n, dtype=complex)
-    rho = float(np.abs(lam).max(initial=1.0))
-
-    def factor(j: int) -> np.ndarray:
-        """(B - lambda_j I) / rho."""
-        return (bf - lam[j] * eye) / rho
-
-    gaps = (lam[:, None] - lam) / rho
-    np.fill_diagonal(gaps, 1)
-    denominators = gaps.prod(axis=1)
-    stack = np.empty((k, n, n), dtype=complex)
-    stack[0] = eye
-    for i in range(1, k):
-        np.matmul(stack[i - 1], factor(i - 1), out=stack[i])
-    suffix = eye
-    for i in range(k - 1, -1, -1):
-        stack[i] = stack[i] @ suffix
-        stack[i] /= denominators[i]
-        if i:
-            suffix = factor(i) @ suffix
-    return stack
-
-
 def idempotents(
     b: RationalMatrix, spectrum: Spectrum, tol: float = ASSERTION_TOL
 ) -> IdempotentFamily:
-    """E_i = prod_{j != i} (B - lambda_j I) / (lambda_i - lambda_j), from prefix and suffix products.
+    """E_i = V_i W_i, with the eigenvectors of B grouped by the nearest root and W = V^-1.
 
     Raises SpectrumDegeneracyError naming the first pair i < j, in row-major
-    order, whose eigenvalues are closer than tol. The E_i are polynomials in
-    B, so they commute and the pairs i <= j cover every E_i E_j: the
-    "mutual" check multiplies E_i by CHUNK of the E_j at a time into one
-    reused buffer, and "sum", "reconstruction" and "hermitian" accumulate
-    per i, so the scratch beyond the k projectors stays O(CHUNK n^2).
+    order, whose roots are closer than tol; naming a root that no
+    eigenvalue of B is nearest to; or when LAPACK fails on B or V. A
+    root's eigenvectors are eig's column when it has one eigenvalue, and
+    otherwise an orthonormal basis of null(B - lambda_i I), the right
+    singular vectors of its m_i smallest singular values: eig returns
+    dependent vectors for a repeated eigenvalue. With M = W V - I,
+    E_i E_j - delta_ij E_i = V_i M_ij W_j, so "mutual" needs an explicit
+    product only for a pair of repeated roots: for a simple root the term
+    is an outer product, whose largest entry is the product of its
+    factors' largest entries. No (k, n, n) array is built besides the
+    returned stack.
     """
     values = spectrum.eigenvalues
     lam = np.array(values, dtype=complex)
@@ -142,27 +117,50 @@ def idempotents(
         raise SpectrumDegeneracyError(
             f"eigenvalues {values[i]} and {values[j]} closer than {tol}"
         )
-    bf = b.to_float().astype(complex)
-    stack = _projector_stack(bf, lam)
+    bf = b.to_float()
     k, n = len(values), b.order
-    mutual = hermitian = 0.0
-    total = np.zeros((n, n), dtype=complex)
-    combination = np.zeros((n, n), dtype=complex)
-    scratch = np.empty((min(CHUNK, k), n, n), dtype=complex)
-    for i, e in enumerate(stack):
-        for j in range(i, k, CHUNK):
-            block = stack[j : j + CHUNK]
-            products = np.matmul(e, block, out=scratch[: len(block)])
-            if j == i:
-                products[0] -= e
-            mutual = max(mutual, np.abs(products).max())
-        total += e
-        combination += lam[i] * e
+    eye = np.eye(n)
+    try:
+        found, vectors = np.linalg.eig(bf)
+        owner = np.abs(found[:, None] - lam).argmin(axis=1)
+        counts = np.bincount(owner, minlength=k)
+        if not counts.all():
+            raise SpectrumDegeneracyError(f"no eigenvalue of B near {values[int(counts.argmin())]}")
+        v = vectors[:, np.argsort(owner, kind="stable")].astype(complex)
+        ends = np.cumsum(counts)
+        blocks = [slice(end - count, end) for end, count in zip(ends.tolist(), counts.tolist())]
+        for i in np.flatnonzero(counts > 1):
+            v[:, blocks[i]] = np.linalg.svd(bf - lam[i] * eye)[2][-counts[i] :].conj().T
+        w = np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumDegeneracyError(f"eigenvectors of B not separable: {exc}") from None
+    stack = np.empty((k, n, n), dtype=complex)
+    hermitian = 0.0
+    for i, block in enumerate(blocks):
+        e = np.matmul(v[:, block], w[block], out=stack[i])
         hermitian = max(hermitian, np.abs(e - e.conj().T).max())
+    m = w @ v - eye
+    # with simple roots i and j the term's largest entry is |M_ij| max|v_i| max|w_j|
+    simple = counts == 1
+    columns = ends[simple] - 1  # each simple root's one column of V and row of W
+    v_top = np.abs(v[:, columns]).max(axis=0)
+    w_top = np.abs(w[columns]).max(axis=1)
+    mutual = (np.abs(m[np.ix_(columns, columns)]) * v_top[:, None] * w_top).max(initial=0.0)
+    for j in np.flatnonzero(~simple):
+        right = m[:, blocks[j]] @ w[blocks[j]]  # row block i holds M_ij W_j
+        left = v[:, blocks[j]] @ m[blocks[j]]  # column block i holds V_j M_ji
+        mutual = max(
+            mutual,
+            (np.abs(right[columns]).max(axis=1) * v_top).max(initial=0.0),
+            (np.abs(left[:, columns]).max(axis=0) * w_top).max(initial=0.0),
+        )
+        for i in np.flatnonzero(~simple):
+            mutual = max(mutual, np.abs(v[:, blocks[i]] @ right[blocks[i]]).max())
+    scaled_v = v * np.repeat(lam, counts)
     residuals = {
         "mutual": float(mutual),
-        "sum": float(np.abs(total - np.eye(n)).max()),
-        "reconstruction": float(np.abs(bf - combination).max()),
+        "sum": float(np.abs(v @ w - eye).max()),
+        "reconstruction": float(np.abs(bf - scaled_v @ w).max()),
         "hermitian": float(hermitian),
     }
     return IdempotentFamily(projectors=tuple(stack), residuals=residuals)

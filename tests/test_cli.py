@@ -443,6 +443,31 @@ def test_spectrum_fig2_json(capsys, fixtures_dir):
     assert section["hoffman_product_residual"] < 1e-9
 
 
+def test_spectrum_idempotent_residuals_at_degree_64(capsys, tmp_path):
+    # the Lagrange form divides by products of 63 root gaps: its residuals read up to 1e11 here
+    path = tmp_path / "gen_64_3_seed5.mat"
+    assert run_command(["gen", "64", "3", "--seed", "5", "--out", str(path)]) == 0
+    assert run_command(["spectrum", str(path), "--json"]) == 0
+    section = json.loads(capsys.readouterr().out)["spectrum"]
+    assert len(section["eigenvalues"]) == 64
+    residuals = section["idempotent_residuals"]
+    assert all(residuals[key] < 1e-9 for key in ("mutual", "sum", "reconstruction"))
+
+
+def test_spectrum_lapack_failure_skips_the_idempotents(capsys, fixtures_dir, monkeypatch):
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    code = run_command(["spectrum", fixture_path(fixtures_dir, "fig2.mat"), "--json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    section = json.loads(captured.out)["spectrum"]
+    assert section["idempotent_residuals"] is None
+    assert "Singular matrix" in section["idempotent_note"]
+    assert len(section["eigenvalues"]) == 4
+
+
 def test_spectrum_when_lambda_is_not_sorted_first(capsys, fixtures_dir):
     # every eigenvalue of the scaled directed 5-cycle has modulus lambda
     code = run_command(["spectrum", fixture_path(fixtures_dir, "cyclic_5.mat"), "--json"])

@@ -19,13 +19,19 @@ from schemeforge.spectral import (
 from schemeforge.stochastic import random_lambda_ds
 
 from conftest import FIXTURES, load_fixture
-from oracles import algebra_membership, scaled
+from oracles import algebra_membership, hamming_adjacency, johnson_adjacency, scaled
 
 
 def directed_cycle_matrix(n, scale=1):
     return RationalMatrix(
         [[scale if y == (x + 1) % n else 0 for y in range(n)] for x in range(n)]
     )
+
+
+def paley_tournament(p):
+    """The Paley tournament on Z_p, p = 3 mod 4: x -> y when y - x is a nonzero square."""
+    squares = {x * x % p for x in range(1, p)}
+    return RationalMatrix([[int((y - x) % p in squares) for y in range(p)] for x in range(p)])
 
 
 def lagrange_projectors(b, values):
@@ -152,6 +158,10 @@ REFERENCE_CASES = (
     + [directed_cycle_matrix(n) for n in range(2, 9)]
     + [directed_cycle_matrix(4, scale=Fraction(3, 2))]
     + [random_lambda_ds(n, 3, seed) for n in range(1, 13) for seed in range(3)]
+    # repeated roots: eig's own vectors for them are dependent
+    + [scaled(Fraction(1, n), RationalMatrix.ones(n)) for n in (4, 16)]
+    + [RationalMatrix(hamming_adjacency(3, 3)), RationalMatrix(johnson_adjacency(7, 3))]
+    + [paley_tournament(7)]  # normal, not symmetric, with repeated complex roots
 )
 
 
@@ -164,6 +174,14 @@ def test_idempotents_match_the_lagrange_loop(b):
     for projector, reference in zip(family.projectors, expected):
         assert np.max(np.abs(projector - reference)) < 1e-9
     assert list(family.residuals) == ["mutual", "sum", "reconstruction", "hermitian"]
+
+
+def test_idempotents_need_an_eigenvalue_near_every_root(fig2):
+    # 0.75 + 2i is no eigenvalue of fig2, and each eigenvalue of fig2 is nearer its own root
+    spectrum = roots(minimal_polynomial(fig2))
+    fake = Spectrum(eigenvalues=spectrum.eigenvalues + (0.75 + 2j,), residuals=(0.0,) * 5)
+    with pytest.raises(SpectrumDegeneracyError, match="no eigenvalue of B near"):
+        idempotents(fig2, fake)
 
 
 def test_idempotents_scratch_stays_below_three_stacks():
