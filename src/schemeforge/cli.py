@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from . import io
-from .hoffman import hoffman_polynomial, hoffman_product_form_check, minimal_polynomial
+from .hoffman import hoffman_polynomial, minimal_polynomial
 from .matrix import RationalMatrix
 from .predistance import predistance_basis
 from .scheme import detect_scheme
@@ -454,10 +454,6 @@ def _cmd_spectrum(args) -> int:
         lines.append(
             f"perron: modulus_matches={report_perron.modulus_matches} simple={report_perron.perron_simple}"
         )
-        # lambda comes first, and the roots of q are all the other eigenvalues
-        product_residual = hoffman_product_form_check(b, spectrum.eigenvalues[1:])
-        section["hoffman_product_residual"] = product_residual
-        lines.append(f"hoffman product-form residual: {product_residual:.3e}")
     try:
         family = idempotents(b, spectrum, tol=args.check_tol)
         section["idempotent_residuals"] = family.residuals

@@ -16,23 +16,22 @@ Every residue comes from float64 matmuls on the residue kernel that
 the predistance stage). They are exact: each prime is below 2^b with n (p -
 1)^2 < 2^53 (`_bits` of n terms, as a product of residues sums n of them),
 so every partial sum is an integer below 2^53, in any summation order.
-Results are reduced with int64 `%`. No power of B is formed, and the
-products of C's residues take about log2(K + 1) rounds for the Krylov
-sequence and about 2 sqrt(K) for each certificate, not one per power of C:
+Results are reduced with int64 `%`. No power of B is formed: the Krylov
+sequence takes one matrix-vector product per vector, and each certificate
+about 2 sqrt(K) products of C's residues, not one per power of C:
 
-- The Krylov sequence v, Cv, ..., C^K v of an integer start vector v is
-  built by doubling (Keller-Gehrig 1985): X <- [X, X (C^m)^T], then C^m <-
-  (C^m)^2, so K + 1 vectors take about log2(K + 1) rounds. On one prime each
-  round's block is reduced against the kept rows, held in reduced echelon
-  form together with their combinations of the sequence, and the first
-  round that holds a dependent vector gives the degree K, K pivot
-  coordinates R and the combination y with C^K v = sum_j y_j C^j v mod p.
-  The K x K minor of [v, ..., C^(K-1) v] on R is nonzero mod p, hence over
-  Z, so the minimal polynomial of v under C, which divides m_C, has degree
-  at least K, and so has m_C.
-- The K x K pivot system sum_j y_j (C^j v)[R] = (C^K v)[R] is read off the
-  same doubling modulo every further CRT prime at once; a prime on which
-  the minor vanishes is skipped.
+- The Krylov sequence v, Cv, ..., C^K v of an integer start vector v takes
+  K matrix-vector products on one prime. Each new vector is reduced
+  against the kept rows as it arrives, held in reduced echelon form
+  together with their combinations of the sequence, and the first
+  dependent vector gives the degree K, K pivot coordinates R and the
+  combination y with C^K v = sum_j y_j C^j v mod p. The K x K minor of
+  [v, ..., C^(K-1) v] on R is nonzero mod p, hence over Z, so the minimal
+  polynomial of v under C, which divides m_C, has degree at least K, and
+  so has m_C.
+- The K x K pivot system sum_j y_j (C^j v)[R] = (C^K v)[R] is read off K
+  matrix-vector products batched over each chunk of further CRT primes; a
+  prime on which the minor vanishes is skipped.
 - An identity sum_j a_j C^j = a_J J with integer a is decided by Paterson
   and Stockmeyer's baby and giant steps (1973) on residues: C^0..C^w with
   w = isqrt(K + 1), every block of w coefficients against them in one
@@ -61,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,65 +100,40 @@ def _start(n: int, p: int) -> np.ndarray:
     return ((x ^ x >> np.uint64(31)) % np.uint64(p - 1)).astype(np.int64) + 1
 
 
-def _doubling(base: np.ndarray, start: np.ndarray, p: np.ndarray, length: int) -> Iterator[np.ndarray]:
-    """C^0 v, ..., C^(length - 1) v modulo each prime, in blocks of rows.
-
-    base is C mod each prime (r, n, n), start is v mod each prime (r, n)
-    and p the primes as an (r, 1, 1) array. The first block is v alone;
-    while the m vectors X so far are too few, the next block is X (C^m)^T,
-    the vectors C^m v..C^(2m-1) v cut at length, with C^m the square of
-    the previous round's power (C itself in the first round). Each block
-    is an (r, rows, n) float64 stack of integers in [0, p), and a caller
-    that stops early forms no further power.
-    """
-    sequence, power = start[:, None], base
-    yield sequence
-    while sequence.shape[1] < length:
-        m = sequence.shape[1]
-        if m > 1:
-            power = _reduce(power @ power, p).astype(float)
-        block = _reduce(sequence[:, : length - m] @ power.transpose(0, 2, 1), p).astype(float)
-        sequence = np.concatenate([sequence, block], axis=1)
-        yield block
-
-
 def _krylov(context: MatrixPowerBasis, p: int, start: np.ndarray) -> tuple[list[int], list[int]]:
     """(pivots, y): pivot coordinates of v, Cv, ..., C^(K-1) v, where C^K v is
     the first vector that depends on the lower ones modulo p, and the
     residues y_j with C^K v = sum_j y_j C^j v mod p.
 
-    The kept rows are held in reduced echelon form, each 1 at its pivot
-    and 0 at the others, and each carries its combination of the sequence
-    in n + 1 further columns. A round's block is reduced against them in
-    one product, then its rows are taken in order: a zero row is the first
-    dependent vector, and its combination columns read -y; otherwise its
-    first nonzero coordinate becomes a pivot and is cleared from the
-    block's other rows. One more product clears the block's pivots from
-    the kept rows, and the block joins them. So the pivots follow the
-    sequence, and the vector C^k v reduced against the lower ones is zero
-    on their pivots and nonzero on its own.
+    Each vector is one matrix-vector product of the one before. The kept
+    rows are held in reduced echelon form, each 1 at its pivot and 0 at the
+    others, and each carries its combination of the sequence in n + 1
+    further columns, all in one (n + 1) x (2n + 1) table. A new vector is
+    reduced against them in one product: a zero vector is the first
+    dependent one, and its combination columns read -y; otherwise its first
+    nonzero coordinate becomes a pivot, and it is scaled to 1 there and
+    cleared from the kept rows. So the pivots follow the sequence, and the
+    vector C^k v reduced against the lower ones is zero on their pivots and
+    nonzero on its own.
     """
     n = context.order
-    table = np.empty((0, 2 * n + 1), dtype=np.int64)
+    base = context.residues([p])[0]
+    table = np.zeros((n + 1, 2 * n + 1), dtype=np.int64)
     pivots: list[int] = []
-    primes = np.array([p], dtype=np.int64)[:, None, None]
-    for block in _doubling(context.residues([p]), (start % p)[None].astype(float), primes, n + 1):
-        k, m = len(pivots), block.shape[1]
-        rows = np.zeros((m, 2 * n + 1), dtype=np.int64)
-        rows[:, :n] = block[0]
-        rows[range(m), range(n + k, n + k + m)] = 1
-        if k:
-            rows = (rows - rows[:, pivots] @ table) % p
-        for i in range(m):
-            nonzero = np.flatnonzero(rows[i, :n])
-            if not nonzero.size:
-                return pivots, (-rows[i, n : n + k + i] % p).tolist()
-            pivot = int(nonzero[0])
-            row = rows[i] * pow(int(rows[i, pivot]), -1, p) % p
-            rows = (rows - rows[:, pivot : pivot + 1] * row) % p
-            rows[i] = row
-            pivots.append(pivot)
-        table = np.concatenate([(table - table[:, pivots[k:]] @ rows) % p, rows])
+    vector = start % p
+    for k in range(n + 1):
+        row = table[k]
+        row[:n] = vector
+        row[n + k] = 1
+        row[:] = (row - row[pivots] @ table[:k]) % p
+        nonzero = np.flatnonzero(row[:n])
+        if not nonzero.size:
+            return pivots, (-row[n : n + k] % p).tolist()
+        pivot = int(nonzero[0])
+        row[:] = row * pow(int(row[pivot]), -1, p) % p
+        table[:k] = (table[:k] - table[:k, pivot : pivot + 1] * row) % p
+        pivots.append(pivot)
+        vector = _reduce(base @ vector, p)
     raise AssertionError("unreachable: n + 1 vectors of length n are dependent")
 
 
@@ -168,20 +142,26 @@ def _solve_pivot_systems(
 ) -> list[list[int] | None]:
     """For each prime, y with sum_j y_j (C^j v)[R] = (C^K v)[R] mod p, or None.
 
-    The vectors C^0 v..C^K v come from one doubling batched over the primes,
-    read on the K pivot coordinates R. The rows follow the order in which
-    the Krylov pass found the pivots, so every leading principal minor of
-    the system is nonzero modulo the Krylov prime, hence over Z. Gaussian
-    elimination therefore runs on every prime's augmented K x (K + 1)
-    system at once, without row exchanges: each pivot row is scaled by its
-    inverse mod p and cleared from the rows below it, and back-substitution
-    reads y off the unit upper triangular system. A prime on which a
-    leading minor vanishes meets a zero pivot and gets None.
+    The vectors C^0 v..C^K v come from K matrix-vector products batched
+    over the primes, and column j of each system is C^j v read on the K
+    pivot coordinates R. The rows follow the order in which the Krylov pass
+    found the pivots, so every leading principal minor of the system is
+    nonzero modulo the Krylov prime, hence over Z. Gaussian elimination
+    therefore runs on every prime's augmented K x (K + 1) system at once,
+    without row exchanges: each pivot row is scaled by its inverse mod p and
+    cleared from the rows below it, and back-substitution reads y off the
+    unit upper triangular system. A prime on which a leading minor vanishes
+    meets a zero pivot and gets None.
     """
     k = len(pivots)
     p = np.array(primes, dtype=np.int64)[:, None, None]
-    blocks = _doubling(context.residues(primes), (start % p[:, 0]).astype(float), p, k + 1)
-    system = np.concatenate(list(blocks), axis=1)[:, :, pivots].transpose(0, 2, 1).astype(np.int64)
+    base = context.residues(primes)
+    system = np.empty((len(primes), k, k + 1), dtype=np.int64)
+    vector = start % p[:, 0]
+    for j in range(k + 1):
+        system[:, :, j] = vector[:, pivots]
+        if j < k:
+            vector = _reduce(base @ vector[:, :, None], p)[:, :, 0]
     ok = np.ones(len(primes), dtype=bool)
     for c in range(k):
         lead = system[:, c, c]
@@ -217,7 +197,7 @@ def _candidate(b: RationalMatrix, p: int) -> list[int]:
     modulus, primes, rows = p, [p], [y]
     others = (q for q in _primes(_bits(n)) if q != p)
     while modulus <= bound:
-        # per prime: C^m, its square's reductions, the sequence and the system, under 10 n^2 values
+        # per prime: C, the vectors, the system and its elimination's temporaries, under 10 n^2 values
         for run in _prime_chunks(_prime_run(others, bound // modulus), 80 * n * n):
             for q, row in zip(run, _solve_pivot_systems(context, run, pivots, start)):
                 if row is not None:
@@ -335,18 +315,3 @@ def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
     )
     return context.hoffman
 
-
-def hoffman_product_form_check(b: RationalMatrix, roots: Sequence[complex]) -> float:
-    """Compare h against its factored form over the numeric roots of q.
-
-    Evaluates (n / q(lambda)) q(t) and (n / prod(lambda - r)) prod(t - r) at
-    a fixed sample grid and returns the largest absolute discrepancy. Purely
-    diagnostic; nothing exact depends on it.
-    """
-    info = hoffman_polynomial(b)
-    lam = float(info.lam)
-    h_coeffs = [float(c) for c in reversed(info.h.coeffs)]  # descending, as np.polyval takes them
-    samples = lam * np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, -0.5])
-    r = np.array(roots, dtype=complex)
-    factored = b.order / np.prod(lam - r) * np.prod(samples[:, None] - r, axis=1)
-    return float(np.abs(np.polyval(h_coeffs, samples) - factored).max())

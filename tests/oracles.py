@@ -15,13 +15,15 @@ test inputs: it reads every RationalMatrix through `.rows` and builds its
 results with the RationalMatrix constructor, never from the library's
 integer encoding or its product. The last section holds test conveniences
 on naive_poly_at and naive_mat_mul: the trace form of two polynomials at B,
-and membership in the span of B's powers through the exact solver. The
+membership in the span of B's powers through the exact solver, and the gap
+between a Hoffman polynomial and its product form over numeric roots. The
 library itself never needs them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import sys
 from fractions import Fraction
@@ -576,3 +578,21 @@ def algebra_membership(m: RationalMatrix, b: RationalMatrix, degree: int) -> Pol
         power = naive_mat_mul(power, grid)
     solution = solve_rational_system(columns, flat(m))
     return None if solution is None else Polynomial(solution)
+
+
+def product_form_discrepancy(h: Polynomial, lam: Fraction, n: int, roots_of_q) -> float:
+    """The largest relative gap between h and its product form n prod(t - r) / prod(lam - r).
+
+    r runs over roots_of_q, numeric roots of q = m / (t - lam). At each
+    sample s = lam (0, 1/4, 1/2, 3/4, 1, 5/4, -1/2), h(s) is exact and the
+    gap |h(s) - product(s)| is taken relative to max(1, |h(s)|), so the size
+    of h at high degree does not set it.
+    """
+    scale = n / math.prod(float(lam) - r for r in roots_of_q)
+    worst = 0.0
+    for f in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, Fraction(5, 4), Fraction(-1, 2)):
+        s = lam * f
+        exact = float(sum(c * s**j for j, c in enumerate(h.coeffs)))
+        product = scale * math.prod(float(s) - r for r in roots_of_q)
+        worst = max(worst, abs(exact - product) / max(1.0, abs(exact)))
+    return worst

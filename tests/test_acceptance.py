@@ -14,11 +14,7 @@ from fractions import Fraction
 from schemeforge.cli import run_command
 from schemeforge.digraph import distance_structure, underlying_digraph
 from schemeforge.exact import Polynomial
-from schemeforge.hoffman import (
-    hoffman_polynomial,
-    hoffman_product_form_check,
-    minimal_polynomial,
-)
+from schemeforge.hoffman import hoffman_polynomial, minimal_polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.predistance import predistance_basis
 from schemeforge.scheme import RejectionCode, detect_scheme, is_class
@@ -34,6 +30,7 @@ from oracles import (
     count_walks_dfs,
     divides,
     naive_poly_at,
+    product_form_discrepancy,
     trace_form_inner,
     vanishing_product_check,
     zeros,
@@ -242,6 +239,13 @@ def test_criterion_5_cyclic_family_and_fig1_rejection():
         assert cert.reason.code is RejectionCode.NOT_NORMAL
 
 
+def product_form_sidecar(b):
+    """The certified h against n prod(t - r) / prod(lambda - r) over the numeric
+    eigenvalues r after lambda, which `roots` puts first."""
+    info = hoffman_polynomial(b)
+    return product_form_discrepancy(info.h, info.lam, b.order, roots(minimal_polynomial(b)).eigenvalues[1:])
+
+
 def test_criterion_6_numeric_sidecar():
     with criterion(6, "numeric sidecar"):
         fig2 = load_fixture("fig2.mat")
@@ -260,16 +264,14 @@ def test_criterion_6_numeric_sidecar():
         # product form on fig1, fig2, and 20 random normal instances
         for name in ("fig1.mat", "fig2.mat"):
             b = load_fixture(name)
-            numeric = roots(minimal_polynomial(b))
-            assert hoffman_product_form_check(b, list(numeric.eigenvalues[1:])) < 1e-9
+            assert product_form_sidecar(b) < 1e-9
         instances = iter_random_instances()
         checked = 0
         while checked < 20:
             _, b, cls = next(instances)
             if not (cls.normal and cls.irreducible and cls.lam):
                 continue
-            numeric = roots(minimal_polynomial(b))
-            assert hoffman_product_form_check(b, list(numeric.eigenvalues[1:])) < 1e-9
+            assert product_form_sidecar(b) < 1e-9
             checked += 1
 
 

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from schemeforge.exact import Polynomial
 from schemeforge.hoffman import (
     _candidate,
-    _doubling,
+    _solve_pivot_systems,
     _vanishes,
     hoffman_polynomial,
-    hoffman_product_form_check,
     minimal_polynomial,
 )
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, _bits, _prime
@@ -26,9 +25,11 @@ from oracles import (
     naive_mat_mul,
     naive_poly_at,
     oracle_minimal_polynomial,
+    product_form_discrepancy,
     scaled,
     zeros,
 )
+from test_predistance import heavy_circulant, scaled_cycle
 
 
 def first_prime(b):
@@ -159,16 +160,21 @@ def test_eigenvalue_count_matches_degree_for_normal(fig2):
     assert len(set(spectrum.eigenvalues)) == m.degree
 
 
+def product_form_residual(b, roots_of_q):
+    info = hoffman_polynomial(b)
+    return product_form_discrepancy(info.h, info.lam, b.order, roots_of_q)
+
+
 def test_product_form_residual_fig2(fig2):
     # roots of q: 1/2 and (1 +/- i sqrt(3))/4, from h = 2(2t - 1)(4t^2 - 2t + 1)
     root = 3 ** 0.5 / 4
     roots_of_q = [0.5, complex(0.25, root), complex(0.25, -root)]
-    assert hoffman_product_form_check(fig2, roots_of_q) < 1e-9
+    assert product_form_residual(fig2, roots_of_q) < 1e-9
 
 
 def test_product_form_residual_scaled_allones():
     jn = scaled(Fraction(1, 6), RationalMatrix.ones(6))
-    assert hoffman_product_form_check(jn, [0.0]) < 1e-12
+    assert product_form_residual(jn, [0.0]) < 1e-12
 
 
 def test_product_form_residual_random_normal_instance():
@@ -183,7 +189,7 @@ def test_product_form_residual_random_normal_instance():
             b = candidate
         seed += 1
     spectrum = roots(minimal_polynomial(b))
-    assert hoffman_product_form_check(b, list(spectrum.eigenvalues[1:])) < 1e-9
+    assert product_form_residual(b, spectrum.eigenvalues[1:]) < 1e-9
 
 
 # --- minimal polynomial against the Gauss-Jordan oracle ----------------------
@@ -260,30 +266,63 @@ def test_minimal_polynomial_matches_gauss_jordan_oracle(grid):
     assert naive_poly_at(m, grid) == [[Fraction(0)] * n for _ in range(n)]
 
 
+def determinant(rows):
+    """det of a square integer matrix, by Fraction elimination with row exchanges."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        r = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det *= a[c][c]
+        for below in a[c + 1 :]:
+            factor = below[c] / a[c][c]
+            below[c:] = [v - factor * w for v, w in zip(below[c:], a[c][c:])]
+    return int(det)
+
+
 @given(krylov_cases(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_doubling_matches_repeated_matrix_vector_products(grid, data):
-    """C^0 v..C^(L-1) v by doubling, batched over two primes, for L = 1..n + 1,
-    equals repeated matrix-vector products mod p, in blocks of 1, 1, 2, 4, ..."""
+def test_pivot_systems_match_plain_matrix_vector_products(grid, data):
+    """For any distinct pivot coordinates R and two primes, the system
+    sum_j y_j (C^j v)[R] = (C^K v)[R] built from plain-int matrix-vector
+    products has a vanishing leading principal minor mod q exactly when
+    _solve_pivot_systems returns None for q, and otherwise is solved by its y."""
     context = RationalMatrix(grid).powers
     n = context.order
     c = context.entries.tolist()
     primes = [_prime(_bits(n), 0), _prime(_bits(n), 1)]
-    p = np.array(primes, dtype=np.int64)[:, None, None]
     start = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)), dtype=np.int64)
-    for length in range(1, n + 2):
-        blocks = list(_doubling(context.residues(primes), (start % p[:, 0]).astype(float), p, length))
-        sizes, m = [1], 1
-        while m < length:
-            sizes.append(min(m, length - m))
-            m += sizes[-1]
-        assert [block.shape[1] for block in blocks] == sizes
-        sequence = np.concatenate(blocks, axis=1)
-        for r, q in enumerate(primes):
-            vector = [int(v) % q for v in start]
-            for j in range(length):
-                assert sequence[r, j].tolist() == vector
-                vector = [sum(c[x][y] * vector[y] for y in range(n)) % q for x in range(n)]
+    pivots = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    k = len(pivots)
+    for q, y in zip(primes, _solve_pivot_systems(context, primes, pivots, start)):
+        vector, columns = [int(v) for v in start], []
+        for _ in range(k + 1):
+            columns.append([vector[i] % q for i in pivots])
+            vector = [sum(c[x][z] * vector[z] for z in range(n)) for x in range(n)]
+        system = [[columns[j][i] for j in range(k)] for i in range(k)]
+        singular = any(determinant([row[:m] for row in system[:m]]) % q == 0 for m in range(1, k + 1))
+        assert (y is None) == singular
+        if y is not None:
+            assert all(sum(a * b for a, b in zip(system[i], y)) % q == columns[k][i] for i in range(k))
+
+
+@pytest.mark.parametrize("build", [scaled_cycle, heavy_circulant], ids=["scaled_cycle", "heavy_circulant"])
+def test_candidate_pivot_systems_one_prime_per_chunk(monkeypatch, build):
+    """With one CRT prime per chunk, the pivot systems of scaled_cycle (R near
+    10^30) and heavy_circulant run in several chunks and give m exactly."""
+    from schemeforge import hoffman, matrix
+
+    monkeypatch.setattr(matrix, "STACK_BYTES", 1)
+    chunks = []
+    solve = hoffman._solve_pivot_systems
+    monkeypatch.setattr(hoffman, "_solve_pivot_systems", lambda *args: chunks.append(args[1]) or solve(*args))
+    b = build()
+    assert minimal_polynomial(b) == oracle_minimal_polynomial([list(row) for row in b.rows])
+    assert len(chunks) > 1 and all(len(run) == 1 for run in chunks)
 
 
 def assert_certificate_matches_naive(grid, coefficients):
