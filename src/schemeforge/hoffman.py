@@ -12,8 +12,9 @@ j). They come out exactly from a symmetric CRT over primes p with prod p >
 = s^K m_C(t / s).
 
 Every residue comes from float64 matmuls on the residue kernel that
-`matrix` holds (its prime table, prime runs and symmetric CRT, shared with
-the predistance stage). They are exact: each prime is below 2^b with n (p -
+`matrix` holds (its prime table, prime runs, symmetric CRT and the
+certificate of sum_k w_k C^k, shared with the predistance and scheme
+stages). They are exact: each prime is below 2^b with n (p -
 1)^2 < 2^53 (`_bits` of n terms, as a product of residues sums n of them),
 so every partial sum is an integer below 2^53, in any summation order.
 Results are reduced with int64 `%`. No power of B is formed: the Krylov
@@ -32,16 +33,16 @@ about 2 sqrt(K) products of C's residues, not one per power of C:
 - The K x K pivot system sum_j y_j (C^j v)[R] = (C^K v)[R] is read off K
   matrix-vector products batched over each chunk of further CRT primes; a
   prime on which the minor vanishes is skipped.
-- An identity sum_j a_j C^j = a_J J with integer a is decided by Paterson
-  and Stockmeyer's baby and giant steps (1973) on residues: C^0..C^w with
-  w = isqrt(K + 1), every block of w coefficients against them in one
-  batched product, then a Horner pass in C^w (plain Horner below 9
-  coefficients), in chunks of primes of at most STACK_BYTES. That is
-  m_C(C) = 0, and h(B) = J as sum_j n q_j C^j = q(lambda_C) J, where m_C =
-  (t - lambda_C) q and lambda_C = lambda / s is the line sum of C. Every
-  entry of the difference is at most H = sum_j |a_j| R^j + |a_J| in
-  absolute value, so it is zero once it vanishes modulo primes with prod p
-  > H.
+- An identity sum_j a_j C^j = a_J J with integer a is decided by the
+  context's one residue kernel (`MatrixPowerBasis.certifies`): Paterson and
+  Stockmeyer's baby and giant steps (1973) on one row, C^0..C^w with w =
+  isqrt(K + 1), every block of w coefficients against them in one batched
+  product, then a Horner pass in C^w, in chunks of primes of at most
+  STACK_BYTES. That is m_C(C) = 0, and h(B) = J as sum_j n q_j C^j =
+  q(lambda_C) J, where m_C = (t - lambda_C) q and lambda_C = lambda / s is
+  the line sum of C. Every entry of the difference is at most H = sum_j
+  |a_j| R^j + |a_J| in absolute value, so it is zero once it vanishes
+  modulo primes with prod p > H.
 
 A certified candidate is monic of degree K <= deg m_C and annihilates C, so
 it is m_C. A candidate fails when v misses part of m_C over Q, which holds
@@ -59,8 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
-from typing import Sequence
+from math import comb, gcd
 
 import numpy as np
 
@@ -207,57 +207,6 @@ def _candidate(b: RationalMatrix, p: int) -> list[int]:
     return [-y for y in _symmetric_crt(np.array(rows, dtype=np.int64), primes)] + [1]
 
 
-def _vanishes(context: MatrixPowerBasis, coeffs: Sequence[int], ones: int) -> bool:
-    """Whether sum_j coeffs_j C^j = ones * J, decided exactly on residues.
-
-    Each entry of the difference is at most H = sum_j |coeffs_j| norm^j +
-    |ones| in absolute value, so a zero residue modulo primes whose product
-    exceeds H is a zero difference. Modulo each chunk of those primes, of at
-    most STACK_BYTES, the sum is taken by baby and giant steps: with w =
-    isqrt(len(coeffs)), the baby steps C^0..C^(w-1), one batched product of
-    every block of w coefficients against them, and a Horner pass over the
-    blocks in the giant step C^w. A block's entries are sums of w products
-    of residues, so the primes are those for max(n, w) terms. Reducing an
-    n x n residue matrix costs about as much as a product at these sizes,
-    and below 9 coefficients (w < 3) the steps would reduce more of them
-    than the Horner pass they replace, so there the pass is plain Horner in
-    C, each coefficient added on the diagonal.
-    """
-    n, count = context.order, len(coeffs)
-    w = isqrt(count) if count >= 9 else 1
-    blocks = -(-count // w)
-    bound = sum(abs(c) * context.norm**j for j, c in enumerate(coeffs)) + abs(ones)
-    primes = _prime_run(_primes(_bits(max(n, w))), bound)
-    # per prime: the w + 1 steps, the blocks' sums with two reductions of them, and the Horner pass
-    for chunk in _prime_chunks(primes, 8 * (w + 3 * blocks + 5 if w > 1 else 5) * n * n):
-        r = len(chunk)
-        p = np.array(chunk, dtype=np.int64)[:, None, None]
-        base = context.residues(chunk)
-        terms = np.array([[c % q for q in chunk] for c in coeffs], dtype=float)
-        if w == 1:
-            acc = np.eye(n) * terms[-1][:, None, None]
-            for term in terms[-2::-1]:
-                acc = acc @ base
-                acc.reshape(r, n * n)[:, :: n + 1] += term[:, None]
-                acc = _reduce(acc, p).astype(float)
-        else:
-            steps = np.empty((r, w + 1, n, n))
-            steps[:, 0] = np.eye(n)
-            steps[:, 1] = base
-            for j in range(2, w + 1):
-                steps[:, j] = _reduce(steps[:, j - 1] @ base, p)
-            terms = np.concatenate([terms, np.zeros((blocks * w - count, r))])
-            terms = terms.reshape(blocks, w, r).transpose(2, 0, 1)
-            parts = _reduce(terms @ steps[:, :w].reshape(r, w, n * n), p).astype(float)
-            parts = parts.reshape(r, blocks, n, n)
-            acc = parts[:, -1]
-            for i in range(blocks - 2, -1, -1):
-                acc = _reduce(acc @ steps[:, w] + parts[:, i], p)
-        if not (acc == np.array([ones % q for q in chunk])[:, None, None]).all():
-            return False
-    return True
-
-
 def minimal_polynomial(b: RationalMatrix) -> Polynomial:
     """Smallest monic m with m(B) = 0: a candidate modulo a prime, certified exactly.
 
@@ -272,7 +221,7 @@ def minimal_polynomial(b: RationalMatrix) -> Polynomial:
         return context.minimal
     for p in _primes(_bits(b.order)):
         coeffs = _candidate(b, p)
-        if _vanishes(context, coeffs, 0):
+        if context.certifies([coeffs], [0], [1])[0]:
             context.primitive_minimal = coeffs
             context.minimal = context.rescaled(coeffs, len(coeffs) - 1)
             return context.minimal
@@ -308,7 +257,7 @@ def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
         raise ArithmeticError("internal invariant violated: q(lambda) = 0")
     n = b.order
     g = gcd(n, q_at_lam)
-    if not _vanishes(context, [n // g * c for c in q], q_at_lam // g):
+    if not context.certifies([[n // g * c for c in q]], [q_at_lam // g], [1])[0]:
         raise ArithmeticError("internal invariant violated: h(B) != J")
     context.hoffman = HoffmanPolynomial(
         h=context.rescaled(q, 0, n, q_at_lam), q=context.rescaled(q, len(q) - 1), lam=cls.lam

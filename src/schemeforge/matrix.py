@@ -26,20 +26,24 @@ lowest terms. Its exact operations are integer operations on that encoding:
   results of the pipeline stages on B, each stored by the stage that
   computes it;
 - no integer power of C is formed. C's powers are read modulo word primes
-  from one residue stack (`power_residues`): C^0..C^d mod p by float64
-  matmuls, with every prime below 2^b, n^2 (p - 1)^2 < 2^53 (`_bits` of
-  n^2 terms), so every partial sum of a product of residues, n terms for a
-  power and n^2 for a Gram entry, is an integer below 2^53. Each result
-  is decided under a proven bound, with R = ||C||_inf bounding every
-  absolute row sum of C^k by R^k:
+  by float64 matmuls (`_powers_mod`), every prime below 2^b with t (p -
+  1)^2 < 2^53 (`_bits` of t terms) for the longest sum of t products of
+  residues in the result, so every partial sum is an integer below 2^53,
+  and in chunks of primes whose work takes at most STACK_BYTES. Each
+  result is decided under a proven bound, with R = ||C||_inf bounding
+  every absolute row sum of C^k by R^k:
   - the Gram matrix G_ab = C^a . C^b of the trace form (`gram`) is one
-    batched product P P^T of the stack per chunk of primes (each chunk's
-    stack within STACK_BYTES) and a symmetric CRT under |G_ab| <= n R^(a + b);
-  - p(B) = A for a 0/1 matrix A (`evaluates_to`, the scheme stage's class
-    certificate) holds when sum_k w_k C^k = L A modulo primes with prod p >
-    sum_k |w_k| R^k + L, which bounds every entry of the difference;
-  - `evaluate`, the one exact p(B), is the symmetric CRT of sum_k w_k C^k
-    under the bound sum_k |w_k| R^k;
+    batched product P P^T of the residues P of C^0..C^d per chunk of
+    primes for n^2 terms, and a symmetric CRT under |G_ab| <= n R^(a + b);
+  - every combination sum_k w_k C^k comes from one kernel
+    (`combinations`): Paterson and Stockmeyer's baby and giant steps,
+    batched over the rows of weights. `certifies` decides sum_k w_k C^k =
+    L M for a 0/1 matrix M on it, modulo primes with prod p > sum_k |w_k|
+    R^k + |L|, which bounds every entry of the difference: m_C(C) = 0 and
+    h(B) = J for the Hoffman stage, and p_i(B) = A_i for every class at
+    once (`evaluates_to`) for the scheme stage;
+  - `evaluate`, the one exact p(B), is the symmetric CRT of the kernel's
+    sum_k w_k C^k under the bound sum_k |w_k| R^k;
 - the trace inner product is one integer dot product of the flattenings.
 
 Fractions are built when a file is parsed and when a boundary asks for
@@ -53,7 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import count
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -63,9 +67,10 @@ from .exact import Polynomial, Scalar
 
 Row = tuple[Fraction, ...]
 
-# the most memory one chunk of C's power residues takes (`power_residues`):
-# huge entries need so many primes that one stack of them all would take
-# several times the memory of C's integer powers
+# the most memory the residue work of one chunk of primes takes
+# (`_prime_chunks`): huge entries need so many primes that one stack of C's
+# power residues modulo them all would take several times the memory of C's
+# integer powers
 STACK_BYTES = 2**23
 
 
@@ -247,7 +252,7 @@ class MatrixPowerBasis:
     past the parser, with C as one n x n array (`entries`). B and C
     generate the same algebra, so every stage reads C: its signs, line sums
     and support directly, and its powers through their residues modulo
-    primes (`residues`, `power_residues`) bounded through R = `norm`.
+    primes (`residues`, `_powers_mod`) bounded through R = `norm`.
     `rescaled` writes a polynomial in C as one in B (the Hoffman stage's
     m_B, q and h); the predistance family applies s itself, through
     num(s)^k and den(s)^k in its closed form, with no rescaled polynomial.
@@ -256,13 +261,14 @@ class MatrixPowerBasis:
     `predistance_basis` each store their result here and return it on
     later calls; a failed gate or check stores nothing.
 
-    No integer power of C is formed. The predistance stage reads C^0 up to
-    C^d modulo the primes of one shared residue stack: the integer Gram
-    matrix G_ab = C^a . C^b of the trace form (`gram`, computed once by
-    CRT), and the certificates p(B) = A for 0/1 matrices A
-    (`evaluates_to`). `evaluate` is the one exact p(B), by CRT on the same
-    stack. The context holds C's integers, not B, so dropping B frees both
-    without the cycle collector.
+    No integer power of C is formed, and no residue of one is kept: the
+    integer Gram matrix G_ab = C^a . C^b of the trace form (`gram`,
+    computed once by CRT) is the one result kept from C's powers. Every
+    combination sum_k w_k C^k modulo primes comes from one kernel
+    (`combinations`), which decides the certificates (`certifies`,
+    `evaluates_to`) and gives `evaluate`, the one exact p(B), by CRT. The
+    context holds C's integers, not B, so dropping B frees both without the
+    cycle collector.
     """
 
     def __init__(self, base: RationalMatrix):
@@ -276,8 +282,6 @@ class MatrixPowerBasis:
         # ||C||_inf, the largest absolute row sum: it bounds every eigenvalue
         # of C, every absolute row sum of C^j by norm^j, and so every entry
         self.norm = int(abs(self.entries).sum(axis=1).max())
-        # (primes, C^0..C^k mod each prime), extended by `power_residues`
-        self._stack: tuple[list[int], np.ndarray] = ([], np.empty((0, 1, n * n)))
         self._gram: Optional[list[list[int]]] = None
         # stage results, each set once by the stage that computes it
         self.classification = None  # stochastic.MatrixClassification
@@ -291,47 +295,17 @@ class MatrixPowerBasis:
         n = self.order
         return (self.entries.reshape(1, n * n) % np.array(primes)[:, None]).astype(float).reshape(-1, n, n)
 
-    def power_residues(self, bound: int, degree: int) -> Iterator[tuple[list[int], np.ndarray]]:
-        """The residues of C^0..C^degree modulo the fewest primes whose product
-        exceeds bound, in chunks (primes, stack) with stack[r, k] = C^k mod
-        primes[r], flattened, as float64 integers in [0, p).
-
-        The primes are the descending odd primes below 2^_bits(n^2). For them
-        n^2 (p - 1)^2 < 2^53, so every float64 product of residues that sums
-        at most n^2 terms, a power's n or a Gram entry's n^2, is exact in any
-        summation order. Each chunk's stack takes at most STACK_BYTES (or
-        one prime), so huge entries, which need many primes, cost time but
-        not memory. Every request reads a prefix of the same prime sequence,
-        so the context keeps the first chunk of the longest run and highest
-        degree asked for and computes only the primes it lacks.
-        """
-        n = self.order
-        primes = _prime_run(_primes(_bits(n * n)), bound)
-        kept_primes, kept = self._stack
-        if kept.shape[1] <= degree:
-            kept_primes, kept = [], np.empty((0, degree + 1, n * n))
-        size = max(1, STACK_BYTES // (8 * kept.shape[1] * n * n))
-        missing = primes[len(kept_primes) : size]
-        if missing:
-            kept_primes = kept_primes + missing
-            kept = np.concatenate([kept, self._powers_mod(missing, kept.shape[1] - 1)])
-            self._stack = kept_primes, kept
-        yield primes[:size], kept[: min(size, len(primes)), : degree + 1]
-        for lo in range(size, len(primes), size):
-            yield primes[lo : lo + size], self._powers_mod(primes[lo : lo + size], degree)
-
     def _powers_mod(self, primes: list[int], degree: int) -> np.ndarray:
         """C^0..C^degree mod each prime: an (r, degree + 1, n^2) float64 stack."""
         n, r = self.order, len(primes)
+        stack = np.empty((r, degree + 1, n, n))
+        stack[:, 0] = np.eye(n)
+        if degree:
+            stack[:, 1] = self.residues(primes)
         p = np.array(primes, dtype=np.int64)[:, None, None]
-        base = self.residues(primes)
-        stack = np.empty((r, degree + 1, n * n))
-        power = np.broadcast_to(np.eye(n), base.shape)
-        for k in range(degree + 1):
-            stack[:, k] = power.reshape(r, n * n)
-            if k < degree:
-                power = _reduce(power @ base, p).astype(float)
-        return stack
+        for k in range(2, degree + 1):
+            stack[:, k] = _reduce(stack[:, k - 1] @ stack[:, 1], p)
+        return stack.reshape(r, degree + 1, n * n)
 
     def rescaled(self, coeffs: Sequence[int], top: int, num: int = 1, den: int = 1) -> Polynomial:
         """sum_j (num / den) coeffs_j s^(top - j) t^j, each coefficient one Fraction of integers.
@@ -346,44 +320,84 @@ class MatrixPowerBasis:
             out.append(Fraction(num * c * up, den * down))
         return Polynomial(out)
 
-    def weights(self, p: Polynomial) -> tuple[int, list[tuple[int, int]]]:
-        """(L, [(k, w_k)]) with p(B) = (sum_k w_k C^k) / L in lowest terms.
+    def weights(self, p: Polynomial) -> tuple[int, list[int]]:
+        """(L, w) with p(B) = (sum_k w_k C^k) / L in lowest terms, k = 0..deg p.
 
-        Each term p_k s^k is the integer fraction num(p_k) num(s)^k over
-        den(p_k) den(s)^k; the terms are cleared under one lcm and the result
-        reduced by one gcd, with no Fraction built.
+        Each nonzero term p_k s^k is the integer fraction num(p_k) num(s)^k
+        over den(p_k) den(s)^k; the terms are cleared under one lcm and the
+        result reduced by one gcd, with no Fraction built.
         """
         up, down = self.scale.numerator, self.scale.denominator
-        terms = []
-        for k, c in enumerate(p.coeffs):
-            if c:
-                terms.append((k, c.numerator * up**k, c.denominator * down**k))
-        den = lcm(*(q for _, _, q in terms))
-        cleared = [(k, v * (den // q)) for k, v, q in terms]
-        g = gcd(den, *(v for _, v in cleared))
-        return den // g, [(k, v // g) for k, v in cleared]
+        terms = [
+            (c.numerator * up**k, c.denominator * down**k) if c else (0, 1) for k, c in enumerate(p.coeffs)
+        ]
+        den = lcm(*(q for _, q in terms))
+        cleared = [v * (den // q) for v, q in terms]
+        g = gcd(den, *cleared)
+        return den // g, [v // g for v in cleared]
 
-    def _weighted_residues(
-        self, weights: list[tuple[int, int]], bound: int
+    def combinations(
+        self, rows: Sequence[Sequence[int]], bound: int
     ) -> Iterator[tuple[list[int], np.ndarray]]:
-        """(primes, sum_k w_k C^k mod each prime, an (r, n^2) int64 array), chunk
-        by chunk of `power_residues`, for primes whose product exceeds bound.
+        """sum_k rows[i][k] C^k for each row i, modulo the fewest primes whose
+        product exceeds bound: chunks (primes, sums) with sums[r, i] that
+        combination mod primes[r], flattened, as int64 integers in [0, p).
 
-        The weights are reduced mod p and combined with the powers in slices
-        of at most n^2 terms, one batched product per slice, so every partial
-        sum stays below 2^53.
+        Paterson and Stockmeyer's baby and giant steps (1973), batched over
+        the m rows of at most K coefficients: the baby steps C^0..C^(w-1),
+        one batched product of every row's blocks of w coefficients against
+        them, and one Horner pass over the blocks in the giant step C^w for
+        all rows at once. That takes about w + m K / w products of residue
+        matrices, fewest at w = sqrt(m K), taken in [1, K]: one row of K
+        coefficients takes about 2 sqrt(K), and K rows or more take C^0 up
+        to C^(K-1) and no giant step. A block's entries are sums of w
+        products of residues and a Horner step's of n, so the primes are
+        those for max(n, w) terms, in chunks whose work takes at most
+        STACK_BYTES.
         """
-        n2 = self.order**2
-        degree = max((k for k, _ in weights), default=0)
-        for primes, stack in self.power_residues(bound, degree):
-            w = np.zeros((len(primes), 1, degree + 1))
-            for k, c in weights:
-                w[:, 0, k] = [c % q for q in primes]
-            p = np.array(primes, dtype=np.int64)[:, None]
-            acc = np.zeros((len(primes), n2), dtype=np.int64)
-            for lo in range(0, degree + 1, n2):
-                acc = (acc + _reduce((w[:, :, lo : lo + n2] @ stack[:, lo : lo + n2])[:, 0], p)) % p
-            yield primes, acc
+        n, m = self.order, len(rows)
+        size = max(1, *map(len, rows))
+        w = max(1, min(size, isqrt(m * size)))
+        blocks = -(-size // w)
+        primes = _prime_run(_primes(_bits(max(n, w))), bound)
+        padded = [[*row, *[0] * (blocks * w - len(row))] for row in rows]
+        # per prime: the w + 1 steps, the blocks' sums with two reductions of them, and the Horner pass
+        for chunk in _prime_chunks(primes, 8 * (w + m * (3 * blocks + 4) + 1) * n * n):
+            r = len(chunk)
+            p = np.array(chunk, dtype=np.int64)[:, None, None]
+            steps = self._powers_mod(chunk, min(w, size - 1))
+            # block j of every row at [:, j], the rows' blocks stacked as one (m n) x n matrix
+            terms = np.array([[c % q for row in padded for c in row] for q in chunk], dtype=float)
+            terms = terms.reshape(r, m, blocks, w).transpose(0, 2, 1, 3).reshape(r, blocks * m, w)
+            parts = _reduce(terms @ steps[:, :w], p).reshape(r, blocks, m * n, n)
+            acc = parts[:, -1]
+            giant = steps[:, -1].reshape(r, n, n)  # C^w whenever there is more than one block
+            for j in range(blocks - 2, -1, -1):
+                acc = _reduce(acc @ giant + parts[:, j], p)
+            yield chunk, acc.reshape(r, m, n * n)
+
+    def certifies(self, rows: Sequence[Sequence[int]], scales: Sequence[int], masks: Sequence) -> list[bool]:
+        """For each i, whether sum_k rows[i][k] C^k = scales[i] masks[i], for
+        0/1 matrices masks[i] (n x n, flattened, or one value for every
+        entry, 1 for J), decided on residues.
+
+        Every entry of row i's difference is at most H_i = sum_k |rows[i][k]|
+        R^k + |scales[i]| in absolute value, so it is zero exactly when it
+        vanishes modulo primes whose product exceeds H_i. One run of primes
+        past every H_i decides all rows in one call of the kernel
+        (`combinations`), and a row that differs modulo one prime differs.
+        """
+        bound = max(
+            sum(abs(c) * self.norm**k for k, c in enumerate(row)) + abs(s) for row, s in zip(rows, scales)
+        )
+        masks = np.asarray(masks, dtype=bool).reshape(len(rows), -1)
+        holds = [True] * len(rows)
+        for primes, sums in self.combinations(rows, bound):
+            targets = np.array([[s % q for s in scales] for q in primes])[:, :, None]
+            holds = [h and v for h, v in zip(holds, (sums == targets * masks).all(axis=(0, 2)).tolist())]
+            if not any(holds):
+                break
+        return holds
 
     def evaluate(self, p: Polynomial) -> RationalMatrix:
         """p(B) = (sum_k w_k C^k) / L, the combination recovered by CRT.
@@ -392,26 +406,21 @@ class MatrixPowerBasis:
         value, so its residues modulo primes whose product exceeds twice
         that bound give it exactly by the symmetric CRT.
         """
-        den, weights = self.weights(p)
-        bound = sum(abs(w) * self.norm**k for k, w in weights)
-        primes, values = _joined(self._weighted_residues(weights, 2 * bound))
-        return RationalMatrix._cleared(den, _symmetric_crt(values, primes), self.order)
+        den, row = self.weights(p)
+        bound = sum(abs(c) * self.norm**k for k, c in enumerate(row))
+        primes, sums = _joined(self.combinations([row], 2 * bound))
+        return RationalMatrix._cleared(den, _symmetric_crt(sums[:, 0], primes), self.order)
 
-    def evaluates_to(self, p: Polynomial, mask: np.ndarray) -> bool:
-        """Whether p(B) is the 0/1 matrix mask (n x n, or flattened), decided on residues.
+    def evaluates_to(self, polys: Sequence[Polynomial], masks: Sequence) -> list[bool]:
+        """For each i, whether p_i(B) is the 0/1 matrix masks[i] (n x n, or
+        flattened), all decided in one batch on residues.
 
-        With p(B) = (sum_k w_k C^k) / L this asks sum_k w_k C^k = L mask.
-        Every entry of the difference is at most H = sum_k |w_k| R^k + L in
-        absolute value, so it is zero exactly when it vanishes modulo primes
-        whose product exceeds H.
+        With p_i(B) = (sum_k w_ik C^k) / L_i this asks sum_k w_ik C^k = L_i
+        masks[i] (`certifies`). The scheme stage asks it of every class A_i
+        = p_i(B) at once.
         """
-        den, weights = self.weights(p)
-        bound = sum(abs(w) * self.norm**k for k, w in weights) + den
-        mask = np.asarray(mask, dtype=np.int64).ravel()
-        return all(
-            (values == np.array([den % q for q in primes])[:, None] * mask).all()
-            for primes, values in self._weighted_residues(weights, bound)
-        )
+        scales, rows = zip(*map(self.weights, polys))
+        return self.certifies(rows, scales, masks)
 
     def gram(self, d: int) -> list[list[int]]:
         """The integer Gram matrix G_ab = C^a . C^b for a, b <= d, computed once.
@@ -419,20 +428,24 @@ class MatrixPowerBasis:
         <C^a, C^b> = G_ab / n; the predistance stage reads its form from G.
         Row x of C^a has absolute sum at most R^a and every entry of C^b is
         at most R^b, so |G_ab| <= n R^(a + b) <= n R^(2d) (R taken as at
-        least 1). One batched product P P^T per chunk of the residue stack P
-        of C^0..C^d gives G modulo each prime, every entry a sum of n^2
-        products, and the symmetric CRT over primes whose product exceeds
-        2 n R^(2d) recovers G exactly. A smaller d reads the leading block.
+        least 1). One batched product P P^T per chunk of primes, with P the
+        residues of C^0..C^d (`_powers_mod`), gives G modulo each prime,
+        every entry a sum of n^2 products, and the symmetric CRT over primes
+        whose product exceeds 2 n R^(2d) recovers G exactly. A smaller d
+        reads the leading block.
         """
         if self._gram is None or len(self._gram) <= d:
+            n = self.order
             rows, cols = np.triu_indices(d + 1)
-            bound = 2 * self.order * max(1, self.norm) ** (2 * d)
-            primes, residues = _joined(
-                (run, _reduce(stack @ stack.transpose(0, 2, 1), np.array(run)[:, None, None])[:, rows, cols])
-                for run, stack in self.power_residues(bound, d)
-            )
+            primes = _prime_run(_primes(_bits(n * n)), 2 * n * max(1, self.norm) ** (2 * d))
+            residues = []
+            for chunk in _prime_chunks(primes, 8 * (d + 1) * n * n):
+                stack = self._powers_mod(chunk, d)
+                products = _reduce(stack @ stack.transpose(0, 2, 1), np.array(chunk)[:, None, None])
+                residues.append(products[:, rows, cols])
+            values = _symmetric_crt(np.concatenate(residues), primes)
             gram = [[0] * (d + 1) for _ in range(d + 1)]
-            for a, b, v in zip(rows.tolist(), cols.tolist(), _symmetric_crt(residues, primes)):
+            for a, b, v in zip(rows.tolist(), cols.tolist(), values):
                 gram[a][b] = gram[b][a] = v
             self._gram = gram
         return [row[: d + 1] for row in self._gram[: d + 1]]

@@ -185,10 +185,7 @@ def _assert_invariants(family: PredistanceBasis, b: RationalMatrix) -> None:
     for i, (p, norm_sq) in enumerate(zip(polys, family.norms_sq)):
         if p.degree != i:
             raise ArithmeticError(f"internal invariant violated: deg(p_{i}) != {i}")
-        den, terms = basis.weights(p)
-        w = [0] * (i + 1)
-        for k, v in terms:
-            w[k] = v
+        den, w = basis.weights(p)
         # c^i L_i p_i(lambda) = sum_k w_ik a^k c^(i - k), by homogeneous Horner
         value, shift = 0, 1
         for v in reversed(w):

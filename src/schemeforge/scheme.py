@@ -4,10 +4,12 @@ detect_scheme runs the full decision pipeline: classification gates, the
 distance structure of the underlying digraph, the eigenvalue-count vs
 diameter comparison, the predistance basis, and the single matrix equality
 A_D = p_D(B) that settles whether the distance-D matrix is a polynomial in
-B. With p_D(B) = (sum_k w_k C^k) / L on C's powers, for B = s C, it is
-certified as sum_k w_k C^k = L A_D modulo word primes whose product exceeds
-sum_k |w_k| R^k + L, R = ||C||_inf, which bounds every entry of the
-difference (`is_class`); p_D(B) itself is never evaluated. The classes are
+B. With p_i(B) = (sum_k w_ik C^k) / L_i on C's powers, for B = s C, every
+class A_i = p_i(B) is certified as sum_k w_ik C^k = L_i A_i modulo word
+primes whose product exceeds the largest sum_k |w_ik| R^k + L_i, R =
+||C||_inf, which bounds every entry of each difference: all D + 1 classes
+in one batched call of the residue kernel (`MatrixPowerBasis.evaluates_to`),
+A_D's verdict read first. No p_i(B) is evaluated. The classes are
 never built as matrices: the BFS distance grid is their label grid, with
 A_i the level set {(x, y) : dist[x][y] = i}, and the axiom kernels read it
 directly. An accepted certificate carries that grid, the integer
@@ -171,17 +173,6 @@ def transpose_map(labels: LabelGrid) -> tuple[int, ...]:
     return tuple(perm.tolist())
 
 
-def is_class(b: RationalMatrix, labels: LabelGrid, i: int, p: Polynomial) -> bool:
-    """Whether p(B) is the class A_i = [labels = i], decided on residues.
-
-    p(B) = (sum_k w_k C^k) / L on C's powers, so A_i = p(B) reads sum_k w_k
-    C^k = L A_i. Every entry of the difference is at most sum_k |w_k| R^k + L
-    in absolute value, and it is certified modulo primes whose product
-    exceeds that bound (`MatrixPowerBasis.evaluates_to`).
-    """
-    return b.powers.evaluates_to(p, np.asarray(labels) == i)
-
-
 def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
     """Decide whether the polynomial algebra of B is a Bose-Mesner algebra.
 
@@ -213,7 +204,9 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
 
     family = predistance_basis(b)
     grid = np.array(structure.dist)
-    if not is_class(b, grid, d, family.polys[d]):
+    # A_i = p_i(B) for every class at once; A_D = p_D(B) decides
+    holds = b.powers.evaluates_to(family.polys, grid == np.arange(d + 1)[:, None, None])
+    if not holds[d]:
         return rejected(RejectionCode.AD_NOT_POLYNOMIAL, d=d, diameter=structure.diameter)
 
     def axiom_failure(axiom: str, witness: tuple) -> SchemeCertificate:
@@ -231,10 +224,9 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
             witness=witness,
         )
 
-    # guaranteed once A_D = p_D(B), but re-verified class by class below D
-    for i in range(d):
-        if not is_class(b, grid, i, family.polys[i]):
-            return axiom_failure("CLASS_POLYNOMIALITY", (i,))
+    # guaranteed once A_D = p_D(B), but certified for every class below D too
+    if not all(holds):
+        return axiom_failure("CLASS_POLYNOMIALITY", (holds.index(False),))
 
     # AS2 (a 0/1 partition of J) holds by construction: each pair has one label
     if not np.array_equal(grid == 0, np.eye(len(grid), dtype=bool)):

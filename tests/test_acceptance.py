@@ -17,7 +17,7 @@ from schemeforge.exact import Polynomial
 from schemeforge.hoffman import hoffman_polynomial, minimal_polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 from schemeforge.predistance import predistance_basis
-from schemeforge.scheme import RejectionCode, detect_scheme, is_class
+from schemeforge.scheme import RejectionCode, detect_scheme
 from schemeforge.spectral import idempotents, roots
 from schemeforge.stochastic import classify, random_lambda_ds
 
@@ -215,7 +215,8 @@ def test_criterion_4_oracle_equivalence():
                 continue
             family = predistance_basis(b)
             distance_d = class_matrices(structure.dist)[d]
-            single_equality = is_class(b, structure.dist, d, family.polys[d])
+            mask = [[int(v == d) for v in row] for row in structure.dist]
+            [single_equality] = b.powers.evaluates_to([family.polys[d]], [mask])
             assert single_equality == (distance_d == b.powers.evaluate(family.polys[d]))
             member = algebra_membership(distance_d, b, degree=d)
             assert single_equality == (member is not None)

@@ -354,13 +354,13 @@ def test_pipeline_intermediates_per_command(
 
     count(stochastic, "is_strongly_connected", "classification")
     count(hoffman, "_candidate", "candidate")  # one per prime tried; fig2 needs one
-    count(hoffman, "_vanishes", "certificates")  # m(B) = 0 and h(B) = J, on residues
+    count(MatrixPowerBasis, "combinations", "certificates")  # the one residue kernel of sum_k w_k C^k
     count(predistance, "lambda_avoiding_gram_schmidt", "gram_schmidt")
     count(predistance, "_assert_invariants", "invariants")
     count(matrix, "integer_product", "products")  # normality's two products
     count(MatrixPowerBasis, "evaluate", "evaluations")
     count(matrix, "_symmetric_crt", "gram")  # the Gram matrix's one CRT (hoffman binds its own name)
-    count(MatrixPowerBasis, "evaluates_to", "class_certificates")  # A_i = p_i(B), on residues
+    count(MatrixPowerBasis, "evaluates_to", "class_certificates")  # every A_i = p_i(B) in one batch
     # run_command parses the file afresh, so its analysis context starts empty
     run_command([command, fixture_path(fixtures_dir, name), "--json"])
     capsys.readouterr()
@@ -368,18 +368,20 @@ def test_pipeline_intermediates_per_command(
     # classify takes B B^T and B^T B; fig2's minimal polynomial has degree 4 and is
     # found on residues, and the predistance family reads C's powers only modulo
     # primes, so no other exact product is made and no p_i is evaluated at B;
-    # scheme certifies A_3 = p_3(B) and then A_0, A_1, A_2 on residues; spectrum
-    # certifies m(B) = 0 alone, as it takes no Hoffman polynomial
+    # the residue kernel certifies m(B) = 0 and h(B) = J, and for scheme all of
+    # A_0..A_3 = p_i(B) in one more call; spectrum certifies m(B) = 0 alone, as
+    # it takes no Hoffman polynomial
+    kernel_calls = {"spectrum": 1, "scheme": 3}.get(command, 2)
     assert calls == {
         "classification": classifications,
         "candidate": minimal_polynomials,
-        "certificates": (1 if command == "spectrum" else 2) * minimal_polynomials,
+        "certificates": kernel_calls * minimal_polynomials,
         "gram_schmidt": family,
         "invariants": family,
         "products": 2,
         "evaluations": 0,
         "gram": family,
-        "class_certificates": 4 if command == "scheme" else 0,
+        "class_certificates": 1 if command == "scheme" else 0,
     }
 
 

@@ -9,7 +9,6 @@ from schemeforge.exact import Polynomial
 from schemeforge.hoffman import (
     _candidate,
     _solve_pivot_systems,
-    _vanishes,
     hoffman_polynomial,
     minimal_polynomial,
 )
@@ -325,27 +324,55 @@ def test_candidate_pivot_systems_one_prime_per_chunk(monkeypatch, build):
     assert len(chunks) > 1 and all(len(run) == 1 for run in chunks)
 
 
-def assert_certificate_matches_naive(grid, coefficients):
-    """_vanishes agrees with naive_poly_at on C for coefficient lists of every
-    length from 1 to max(n + 2, 16), so that the plain Horner pass and the baby
-    and giant steps with w = 3 and 4 both run.
+def assert_certificate_matches_naive(grid, coefficients, rng):
+    """The residue kernel's certificate sum_j a_j C^j = L M
+    (`MatrixPowerBasis.certifies`) agrees with naive_poly_at on C, for rows
+    run alone and in batches of 1 to 4.
 
-    Each list a = coefficients(length) is checked against ones = the first
-    entry of sum_j a_j C^j, which holds exactly when that matrix is
-    constant; each multiple of m_C of that length must vanish.
+    The rows a = coefficients(length) take every length from 1 to max(n + 2,
+    16), so that one row alone runs w = 1 to 4 baby steps, and every multiple
+    of m_C of such a length joins them; a batch mixes their lengths and one
+    batch holds the zero polynomial. Each row is checked against a mask M,
+    J, I or a random 0/1 grid, and L the entry of sum_j a_j C^j at M's first
+    1 (0 for an empty M), so that the verdict holds exactly when the matrix
+    is L M. A multiple of m_C must hold.
     """
     context = RationalMatrix(grid).powers
     c = [[Fraction(v) for v in row] for row in context.entries.tolist()]
     n = len(c)
     m = oracle_minimal_polynomial(c)
+
+    def case(coeffs, vanishes=False):
+        mask = rng.choice(
+            [
+                [[1] * n for _ in range(n)],
+                [[int(x == y) for y in range(n)] for x in range(n)],
+                [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)],
+            ]
+        )
+        value = naive_poly_at(Polynomial(coeffs), c)
+        ones = [value[x][y] for x in range(n) for y in range(n) if mask[x][y]]
+        scale = int(ones[0]) if ones else 0
+        holds = value == [[scale * v for v in row] for row in mask]
+        assert holds or not vanishes
+        return coeffs, scale, mask, holds
+
+    cases = [case([], vanishes=True)]
     for length in range(1, max(n + 2, 16) + 1):
         coeffs = coefficients(length)
-        value = naive_poly_at(Polynomial(coeffs), c)
-        ones = int(value[0][0])
-        assert _vanishes(context, coeffs, ones) == (value == [[ones] * n for _ in range(n)])
+        cases.append(case(coeffs))
         if length > m.degree:
             multiple = m * Polynomial(coeffs[: length - m.degree - 1] + [1])
-            assert _vanishes(context, [int(v) for v in multiple.coeffs], 0)
+            cases.append(case([int(v) for v in multiple.coeffs], vanishes=True))
+    # alone, each verdict is the oracle's; in a batch, each is the same as alone
+    for coeffs, scale, mask, holds in cases:
+        assert context.certifies([coeffs], [scale], [mask]) == [holds]
+    rng.shuffle(cases)
+    while cases:
+        size = rng.randint(1, 4)
+        batch, cases = cases[:size], cases[size:]
+        rows, scales, masks, holds = map(list, zip(*batch))
+        assert context.certifies(rows, scales, masks) == holds
 
 
 @given(krylov_cases(), st.data())
@@ -353,7 +380,9 @@ def assert_certificate_matches_naive(grid, coefficients):
 def test_baby_and_giant_step_certificate_matches_naive_evaluation(grid, data):
     coefficient = st.integers(-(2**40), 2**40)
     assert_certificate_matches_naive(
-        grid, lambda length: data.draw(st.lists(coefficient, min_size=length, max_size=length))
+        grid,
+        lambda length: data.draw(st.lists(coefficient, min_size=length, max_size=length)),
+        data.draw(st.randoms(use_true_random=False)),
     )
 
 
@@ -363,11 +392,11 @@ def test_certificate_matches_naive_evaluation_one_prime_per_chunk(monkeypatch, f
     monkeypatch.setattr(matrix, "STACK_BYTES", 1)
     rng = random.Random(0)
     assert_certificate_matches_naive(
-        [list(row) for row in fig1], lambda length: [rng.randint(-(2**40), 2**40) for _ in range(length)]
+        [list(row) for row in fig1], lambda length: [rng.randint(-(2**40), 2**40) for _ in range(length)], rng
     )
     # C - I vanishes modulo the first prime alone: the second chunk must reject it
     p = first_prime(RationalMatrix([[1, 0], [0, 1]]))
-    assert not _vanishes(MatrixPowerBasis(RationalMatrix([[1, p], [p, 1]])), [-1, 1], 0)
+    assert MatrixPowerBasis(RationalMatrix([[1, p], [p, 1]])).certifies([[-1, 1]], [0], [1]) == [False]
 
 
 def test_deep_krylov_scaled_directed_cycle():
@@ -389,7 +418,7 @@ def test_deep_krylov_scaled_directed_cycle():
     assert m.degree - 1 == 29
     assert m == expected
     assert b.powers.scale == scale
-    _, stack = next(b.powers.power_residues(1, n))
+    stack = b.powers._powers_mod([first_prime(b)], n)
     for k in range(n + 1):
         assert sorted(stack[0, k].tolist()) == [0] * (n * n - n) + [1] * n
     info = hoffman_polynomial(b)
@@ -415,7 +444,7 @@ def test_unlucky_prime_is_caught_by_the_certificate(monkeypatch, fig2):
     )
     lam_c = int(classify(b).lam / b.powers.scale)
     assert _candidate(b, p) == [-lam_c, 1]
-    assert not _vanishes(b.powers, [-lam_c, 1], 0)
+    assert b.powers.certifies([[-lam_c, 1]], [0], [1]) == [False]
     assert minimal_polynomial(b) == oracle_minimal_polynomial(grid)
     h = hoffman_polynomial(b).h
     assert naive_poly_at(h, grid) == [[Fraction(1)] * len(grid) for _ in grid]
@@ -431,8 +460,7 @@ def test_certificate_uses_every_prime_its_bound_needs():
     b = RationalMatrix([[1, p], [p, 1]])
     context = MatrixPowerBasis(b)
     assert np.array_equal(context.residues([p])[0], np.eye(2))
-    assert not _vanishes(context, [-1, 1], 0)
-    assert _vanishes(context, [1 - p * p, -2, 1], 0)
+    assert context.certifies([[-1, 1], [1 - p * p, -2, 1]], [0, 0], [1, 1]) == [False, True]
     assert minimal_polynomial(b).degree == 2
 
 

@@ -18,6 +18,8 @@ from schemeforge.matrix import (
     RationalMatrix,
     _bits,
     _prime,
+    _prime_run,
+    _primes,
     integer_product,
     solve_rational_system,
     trace_inner_product,
@@ -295,18 +297,15 @@ def test_power_basis_caches_incrementally(fig2):
     assert basis.entries.ravel().tolist() == [4 * v for v in flat(fig2)]
     grid = [list(row) for row in fig2.rows]
     square = [16 * v for row in naive_mat_mul(grid, grid) for v in row]
-    primes, stack = next(basis.power_residues(1, 2))
-    assert len(primes) == 1 and stack.shape == (1, 3, 36)
+    primes = [_prime(_bits(36), 0)]
+    stack = basis._powers_mod(primes, 2)
+    assert stack.shape == (1, 3, 36)
     assert stack[0, 0].tolist() == list(flat(identity(6)))
+    assert stack[0, 1].tolist() == [v % primes[0] for v in basis.entries.ravel().tolist()]
     assert stack[0, 2].tolist() == [int(v) % primes[0] for v in square]
-    # a longer run extends the kept stack by the primes it lacks; a shorter or
-    # lower request reads a prefix of it
-    more, longer = next(basis.power_residues(primes[0] ** 2, 2))
-    assert more[:1] == primes and len(more) == 3
-    assert np.array_equal(longer[:1], stack)
-    again, prefix = next(basis.power_residues(1, 1))
-    assert again == primes and np.shares_memory(prefix, next(basis.power_residues(primes[0] ** 2, 2))[1])
+    # the Gram matrix is computed once and a lower degree reads its leading block
     assert basis.gram(2)[2][2] == sum(v * v for v in square)
+    assert basis.gram(1) == [row[:2] for row in basis.gram(2)[:2]]
     assert basis.evaluate(Polynomial([-2, 8, -16, 16])) == RationalMatrix.ones(6)
 
 
@@ -315,7 +314,6 @@ def test_matrix_keeps_one_power_basis_outside_its_value():
     basis = b.powers
     assert b.powers is basis
     assert basis.evaluate(Polynomial([0, 1])) == b
-    list(basis.power_residues(2**80, 4))
     basis.gram(3)
     fresh = load_fixture("fig2.mat")
     assert b == fresh and hash(b) == hash(fresh)
@@ -472,7 +470,8 @@ def test_power_basis_evaluate_matches_naive_oracle(grid, cs, ds):
     # B = s C with C primitive (or zero), and the stack holds C^k = B^k / s^k mod p
     assert gcd(*basis.entries.ravel().tolist()) in (0, 1)
     n = len(grid)
-    primes, stack = next(basis.power_residues(2**80, 3))
+    primes = _prime_run(_primes(_bits(n)), 2**80)
+    stack = basis._powers_mod(primes, 3)
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(4):
         c_power = [v / basis.scale**k for row in power for v in row]
@@ -512,7 +511,7 @@ def test_power_basis_inner_matches_trace_form_oracle(grid, cs, ds):
         p_den, p_weights = basis.weights(p)
         q_den, q_weights = basis.weights(q)
         gram = basis.gram(4)
-        total = sum(u * v * gram[a][c] for a, u in p_weights for c, v in q_weights)
+        total = sum(u * v * gram[a][c] for a, u in enumerate(p_weights) for c, v in enumerate(q_weights))
         return Fraction(total, p_den * q_den * len(grid))
 
     p, q = Polynomial(cs), Polynomial(ds)
@@ -564,40 +563,42 @@ def test_gram_uses_every_prime_its_bound_needs():
     p = _prime(_bits(4), 0)
     basis = RationalMatrix([[1, p], [p, 1]]).powers
     assert basis.gram(1) == [[2, 2], [2, 2 + 2 * p * p]]
-    primes, _ = next(basis.power_residues(4 * (p + 1) ** 2, 1))
+    primes = _prime_run(_primes(_bits(4)), 4 * (p + 1) ** 2)
     assert len(primes) == 3 and primes[0] * primes[1] < 4 * (2 + 2 * p * p)
 
 
 def test_residue_evaluations_use_every_prime_their_bounds_need():
-    """C = [[1, p], [p, 1]] is I modulo p, the first prime at n^2 = 4 terms.
+    """C = [[1, p], [p, 1]] is I modulo p, the first prime of the residue
+    kernel at n = 2 (a sum of at most n = 2 products of residues).
 
     The bounds 2 (p + 1) for evaluate(t) and (p + 1) + 1 for C = I each need
     a second prime: one prime short, C would evaluate to I and pass for it.
     """
-    p = _prime(_bits(4), 0)
+    p = _prime(_bits(2), 0)
     b = RationalMatrix([[1, p], [p, 1]])
     basis = b.powers
+    assert [primes for primes, _ in basis.combinations([[0, 1]], p - 1)] == [[p]]
     assert basis.evaluate(Polynomial([0, 1])) == b
-    assert not basis.evaluates_to(Polynomial([0, 1]), np.eye(2, dtype=bool))
-    assert basis.evaluates_to(Polynomial([Fraction(-1, p), Fraction(1, p)]), [[0, 1], [1, 0]])
+    assert basis.evaluates_to([Polynomial([0, 1])], [np.eye(2, dtype=bool)]) == [False]
+    assert basis.evaluates_to([Polynomial([Fraction(-1, p), Fraction(1, p)])], [[[0, 1], [1, 0]]]) == [True]
 
 
 def test_residue_chunks_bound_the_memory_of_many_primes(monkeypatch):
     # with room for one prime's stack per chunk, 10^30 I + P_6 needs dozens of
-    # chunks: the Gram matrix, the certificates and p(B) are unchanged, and the
-    # context keeps the first chunk only
+    # chunks: the Gram matrix, the certificates and p(B) are unchanged
     n = 6
     grid = [[10**30 * (x == y) + (y == (x + 1) % n) for y in range(n)] for x in range(n)]
+    shift = [[int(y == (x + 1) % n) for y in range(n)] for x in range(n)]
     b = RationalMatrix(grid)
     expected = b.powers.gram(5)
     p = Polynomial([-(10**30), 1])  # p(B) = P_6, the distance-1 class
-    assert b.powers.evaluates_to(p, [[int(y == (x + 1) % n) for y in range(n)] for x in range(n)])
+    assert b.powers.evaluates_to([p], [shift]) == [True]
     value = b.powers.evaluate(p)
     monkeypatch.setattr(matrix, "STACK_BYTES", 1)
     chunked = RationalMatrix(grid).powers
-    assert len(list(chunked.power_residues(2 * n * (10**30 + 1) ** 10, 5))) > 10
+    runs, powers = [], chunked._powers_mod
+    monkeypatch.setattr(chunked, "_powers_mod", lambda run, d: runs.append(len(run)) or powers(run, d))
     assert chunked.gram(5) == expected
-    assert chunked.evaluates_to(p, [[int(y == (x + 1) % n) for y in range(n)] for x in range(n)])
-    assert not chunked.evaluates_to(p, np.eye(n, dtype=bool))
+    assert len(runs) > 10 and set(runs) == {1}
+    assert chunked.evaluates_to([p, p], [shift, np.eye(n, dtype=bool)]) == [True, False]
     assert chunked.evaluate(p) == value
-    assert len(chunked._stack[0]) == 1

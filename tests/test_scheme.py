@@ -1,19 +1,20 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schemeforge.digraph import distance_structure, underlying_digraph
 from schemeforge import scheme
 from schemeforge.exact import Polynomial
-from schemeforge.matrix import RationalMatrix, solve_rational_system
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, solve_rational_system
 from schemeforge.scheme import (
+    Rejection,
     RejectionCode,
     SchemeAxiomError,
     detect_scheme,
     intersection_numbers,
-    is_class,
     transpose_map,
 )
 from schemeforge.predistance import predistance_basis
@@ -185,17 +186,55 @@ def circulants_with_d_equal_to_diameter(draw):
 @settings(max_examples=40, deadline=None)
 def test_residue_class_certificate_agrees_with_exact_evaluation(grid):
     # A_i = p_i(B) on residues, against p_i(B) evaluated over Fractions, for
-    # every class of accepted and AD_NOT_POLYNOMIAL draws alike
+    # every class of accepted and AD_NOT_POLYNOMIAL draws alike: all classes
+    # in one batch, and each class alone
     b = RationalMatrix(grid)
     dist = distance_structure(underlying_digraph(b)).dist
     family = predistance_basis(b)
     assert family.d == max(map(max, dist))
-    verdicts = []
-    for i, p in enumerate(family.polys):
-        exact = naive_poly_at(p, grid) == [[Fraction(int(v == i)) for v in row] for row in dist]
-        verdicts.append(is_class(b, dist, i, p))
-        assert verdicts[-1] == exact
-    assert detect_scheme(b).accepted == all(verdicts)
+    masks = [[[int(v == i) for v in row] for row in dist] for i in range(family.d + 1)]
+    pairs = list(zip(family.polys, masks))
+    exact = [naive_poly_at(p, grid) == [list(map(Fraction, row)) for row in mask] for p, mask in pairs]
+    assert b.powers.evaluates_to(family.polys, masks) == exact
+    assert [b.powers.evaluates_to([p], [mask]) for p, mask in pairs] == [[v] for v in exact]
+    assert detect_scheme(b).accepted == all(exact)
+
+
+@pytest.mark.parametrize(
+    "failing, reason",
+    [
+        (-1, Rejection(RejectionCode.AD_NOT_POLYNOMIAL, d=3, diameter=3)),
+        (0, Rejection(RejectionCode.AXIOM_FAILURE, d=3, diameter=3, axiom="CLASS_POLYNOMIALITY", witness=(0,))),
+    ],
+    ids=["class_D", "class_0"],
+)
+def test_batched_class_certificate_keeps_the_order_of_verdicts(monkeypatch, fig2, failing, reason):
+    # all classes are certified in one batch, and A_D = p_D(B) is read first: a
+    # failure there is AD_NOT_POLYNOMIAL, and one below D alone is an axiom failure
+    certify = MatrixPowerBasis.evaluates_to
+
+    def fails_one(self, polys, masks):
+        holds = certify(self, polys, masks)
+        assert holds == [True] * 4
+        holds[failing] = False
+        return holds
+
+    monkeypatch.setattr(MatrixPowerBasis, "evaluates_to", fails_one)
+    cert = detect_scheme(fig2)
+    assert not cert.accepted and cert.reason == reason
+
+
+def test_analysis_context_keeps_no_residue_stack(fig2):
+    # the class certificates and the Gram matrix read C's power residues per
+    # call: past a scheme run, C's integers are the one array the context holds
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return 1
+        return sum(map(arrays, value)) if isinstance(value, (tuple, list)) else 0
+
+    assert detect_scheme(fig2).accepted
+    held = {name: arrays(value) for name, value in vars(fig2.powers).items()}
+    assert {name: count for name, count in held.items() if count} == {"entries": 1}
 
 
 def test_rejection_monotonicity_under_entry_perturbation(fig2):
