@@ -1,11 +1,12 @@
-"""Exact rational scalars and dense univariate polynomials.
-
-Everything downstream (matrix algebra, minimal polynomials, the scheme
-pipeline) runs on these two types, so all results are exact: no tolerance
-enters until the floating-point spectral sidecar.
+"""Exact rational scalars, the polynomial value type, and synthetic division.
 
 Rationals are stdlib ``fractions.Fraction`` values, which already maintain
 the canonical form we need (reduced, positive denominator, 0 == 0/1).
+`Polynomial` is the value the stages return and the reports print: its
+ascending Fraction coefficients, degree, equality and display forms. It
+has no arithmetic; the stages work on integer coefficient lists and
+residues (see `matrix`), and build a Polynomial only for their results.
+`divide_linear` divides a coefficient list by (t - root).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ Scalar = Union[int, Fraction]
 
 
 class Polynomial:
-    """Dense univariate polynomial over Fraction, coefficients ascending.
+    """Dense univariate polynomial over Fraction, coefficients ascending: a value, with no arithmetic.
 
     Immutable. Trailing zero coefficients are stripped on construction; the
     zero polynomial stores an empty tuple and reports degree -1.
@@ -34,20 +35,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def monomial(cls, k: int, coeff: Scalar = 1) -> "Polynomial":
-        """coeff * t^k"""
-        return cls([0] * k + [coeff])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -56,42 +46,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return Polynomial(out)
-        return Polynomial([c * Fraction(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __call__(self, x: Scalar) -> Fraction:
-        """Exact Horner evaluation."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def coefficient_line(self) -> str:
         """Ascending coefficient report form: "c0 c1 c2 ..."."""

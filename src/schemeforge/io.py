@@ -5,6 +5,8 @@ then n rows of n whitespace-separated tokens. Tokens are integers ("2"),
 fractions ("1/3"), or decimals ("0.25", "1e-3"); decimals convert exactly,
 never through a float. A decimal exponent above MAX_EXPONENT in absolute
 value is an input error: 1e1000000 alone is a 3.3-million-bit integer.
+An order above MAX_ORDER is refused at the header line, before any row is
+read: a `scheme` run at n = 1296 already peaks near 520 MB.
 
 Each distinct token of a file is read once, in order of first occurrence,
 and the entries are filled in by lookup, so a file of a few distinct values
@@ -42,6 +44,7 @@ class MatrixParseError(ValueError):
 
 
 MAX_EXPONENT = 10_000
+MAX_ORDER = 2048
 # the most digits in one part of a signed integer or p/q token: 10^MAX_EXPONENT has MAX_EXPONENT + 1
 MAX_DIGITS = MAX_EXPONENT + 1
 # the exponent of a decimal token, written as Fraction reads it: sign, digits, underscores
@@ -158,6 +161,8 @@ def parse_matrix(text: str) -> RationalMatrix:
         raise MatrixParseError(
             f"matrix order must be positive, found {_shown(header)}", header_line, 1
         )
+    if n > MAX_ORDER:
+        raise MatrixParseError(f"matrix order {_shown(header)} exceeds {MAX_ORDER}", header_line, 1)
     body = data[1:]
     if len(body) != n:
         where = body[-1][0] if body else header_line

@@ -1,12 +1,14 @@
 """Dense square matrices over exact rationals, and the word-prime residue kernel.
 
-Provides the products, transposes, the normalized trace inner product
-and matrix-polynomial evaluation that the rest of the pipeline is built
-on, and an exact linear solver (fraction-free elimination) for the test
-oracles; the pipeline itself solves on residues (see `hoffman`). There is one
-encoding of a matrix: `RationalMatrix` holds its entries cleared of their
-denominators, ints / den with ints a flat row-major tuple of integers, in
-lowest terms. Its exact operations are integer operations on that encoding:
+Provides the products, transposes and the residue kernel that the rest of
+the pipeline is built on; the pipeline solves on residues (see `hoffman`).
+No stage calls the exact linear solver (`solve_rational_system`,
+fraction-free elimination), `trace_inner_product` or
+`MatrixPowerBasis.evaluate`: they are kept only because `bench/tracer.py`
+binds them. There is one encoding of a matrix: `RationalMatrix` holds its
+entries cleared of their denominators, ints / den with ints a flat
+row-major tuple of integers, in lowest terms. Its exact operations are
+integer operations on that encoding:
 
 - every matrix product is one call of `integer_product` over den * den',
   the exact product of two integer matrices: one numpy matmul, on int64
@@ -43,8 +45,9 @@ lowest terms. Its exact operations are integer operations on that encoding:
     h(B) = J for the Hoffman stage, and p_i(B) = A_i for every class at
     once (`evaluates_to`) for the scheme stage;
   - `evaluate`, the one exact p(B), is the symmetric CRT of the kernel's
-    sum_k w_k C^k under the bound sum_k |w_k| R^k;
-- the trace inner product is one integer dot product of the flattenings.
+    sum_k w_k C^k under the bound sum_k |w_k| R^k (no stage calls it);
+- the trace inner product is one integer dot product of the flattenings
+  (no stage calls it).
 
 Fractions are built when a file is parsed and when a boundary asks for
 `rows` (reports, the entry decomposition, the float sidecar); the
@@ -166,11 +169,6 @@ class RationalMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
-    @classmethod
-    def ones(cls, n: int) -> "RationalMatrix":
-        """The all-ones matrix J."""
-        return cls._cleared(1, [1] * (n * n), n)
-
     @property
     def powers(self) -> "MatrixPowerBasis":
         """The analysis context of this matrix, built on first access and kept."""
@@ -187,9 +185,6 @@ class RationalMatrix:
         n, den = self.order, self.den
         x = range(n)[x]  # IndexError past the last row, as for a tuple
         return tuple(Fraction(v, den) for v in self.ints[x * n : x * n + n])
-
-    def __iter__(self):
-        return iter(self.rows)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalMatrix):

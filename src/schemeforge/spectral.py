@@ -175,10 +175,6 @@ class PerronReport:
     modulus_matches: bool
     perron_simple: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.modulus_matches and self.perron_simple
-
 
 def perron_check(b: RationalMatrix, spectrum: Spectrum, tol: float = ASSERTION_TOL) -> PerronReport:
     """Check lambda dominates the spectrum and is simple.

@@ -3,21 +3,29 @@
 Everything here is written from first principles on plain lists of
 Fractions: no power caches, no fraction-free solver, no pipeline
 intermediates, and every matrix product goes through naive_mat_mul rather
-than the library's kernel. Slow is fine; disagreement with the library is
+than the library's kernel. Polynomials are added, scaled, multiplied and
+evaluated on their coefficient lists here (poly_add, poly_scale, poly_mul,
+poly_value), and every linear system is one Gauss-Jordan elimination over
+Fractions (gauss_jordan_solve), so the only things taken from `schemeforge`
+are the values compared against (RationalMatrix, the Polynomial type) and
+the contract of the messages (MatrixParseError, _shown, the bounds of the
+parser, SchemeAxiomError). Slow is fine; disagreement with the library is
 the signal. Three references are the plain per-entry forms of the
 library's bulk paths: popcount_intersection_tensor counts each p_ij(x, y)
 as a popcount of two bitsets, set_transpose_map collects the transposed
 labels of each class in a set, and fraction_parse_matrix reads each token
-of a matrix file as one Fraction, where it stands.
+of a matrix file as one Fraction, where it stands. coherent_closure_rank
+is the rank of the coherent closure W(B) by 2-dimensional Weisfeiler-Leman
+refinement, the other side of the paper's Theorem 2.
 
 Two sections are not oracles. Matrix arithmetic on Fraction grids builds
 test inputs: it reads every RationalMatrix through `.rows` and builds its
 results with the RationalMatrix constructor, never from the library's
 integer encoding or its product. The last section holds test conveniences
 on naive_poly_at and naive_mat_mul: the trace form of two polynomials at B,
-membership in the span of B's powers through the exact solver, and the gap
-between a Hoffman polynomial and its product form over numeric roots. The
-library itself never needs them.
+membership in the span of B's powers through gauss_jordan_solve, and the
+gap between a Hoffman polynomial and its product form over numeric roots.
+The library itself never needs them.
 """
 
 from __future__ import annotations
@@ -26,12 +34,71 @@ import itertools
 import math
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from schemeforge.exact import Polynomial
-from schemeforge.io import MAX_DIGITS, MAX_EXPONENT, MatrixParseError, _exponent_too_large, _shown
-from schemeforge.matrix import RationalMatrix, solve_rational_system
+from schemeforge.io import MAX_DIGITS, MAX_EXPONENT, MAX_ORDER, MatrixParseError, _shown
+from schemeforge.matrix import RationalMatrix
 from schemeforge.scheme import SchemeAxiomError
+
+
+def poly_add(p, q) -> list[Fraction]:
+    """The sum of two ascending coefficient lists."""
+    return [a + b for a, b in itertools.zip_longest(p, q, fillvalue=Fraction(0))]
+
+
+def poly_scale(c, p) -> list[Fraction]:
+    """c times an ascending coefficient list."""
+    return [Fraction(c) * a for a in p]
+
+
+def poly_mul(p, q) -> list[Fraction]:
+    """The schoolbook product of two ascending coefficient lists."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def poly_value(p, x) -> Fraction:
+    """An ascending coefficient list at x, by Horner."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def gauss_jordan_solve(columns, target) -> list[Fraction] | None:
+    """One solution of sum_j x_j columns[j] = target, or None when there is none.
+
+    The augmented system is brought to reduced row echelon form over
+    Fractions from scratch; free variables are set to zero.
+    """
+    k = len(columns)
+    aug = [[col[r] for col in columns] + [target[r]] for r in range(len(target))]
+    pivots: list[int] = []
+    for c in range(k + 1):
+        pivot = next((i for i in range(len(pivots), len(aug)) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rank = len(pivots)
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        # every row from `rank` on is zero left of c, so the row operations start at c
+        lead = Fraction(aug[rank][c])  # ints divide to Fractions, never to floats
+        aug[rank][c:] = tail = [v / lead for v in aug[rank][c:]]
+        for i in range(len(aug)):
+            if i != rank and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i][c:] = [v - factor * w for v, w in zip(aug[i][c:], tail)]
+        pivots.append(c)
+    if k in pivots:
+        return None  # a pivot in the target column: inconsistent
+    solution = [Fraction(0)] * k
+    for row, c in enumerate(pivots):
+        solution[c] = aug[row][k]
+    return solution
 
 
 def charpoly_leverrier(b: RationalMatrix) -> Polynomial:
@@ -200,6 +267,8 @@ def fraction_parse_matrix(text: str) -> RationalMatrix:
         raise MatrixParseError(f"expected matrix order, found {_shown(header)}", header_line, 1) from None
     if n <= 0:
         raise MatrixParseError(f"matrix order must be positive, found {_shown(header)}", header_line, 1)
+    if n > MAX_ORDER:
+        raise MatrixParseError(f"matrix order {_shown(header)} exceeds {MAX_ORDER}", header_line, 1)
     body = data[1:]
     if len(body) != n:
         where = body[-1][0] if body else header_line
@@ -211,7 +280,9 @@ def fraction_parse_matrix(text: str) -> RationalMatrix:
             raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", lineno, len(tokens))
         row = []
         for col, token in enumerate(tokens, start=1):
-            if _exponent_too_large(token):
+            exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\Z", token)
+            digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
                 raise MatrixParseError(
                     f"exponent of {_shown(token)} exceeds {MAX_EXPONENT} in absolute value", lineno, col
                 )
@@ -305,8 +376,7 @@ def naive_poly_at(p: Polynomial, grid: list[list[Fraction]]) -> list[list[Fracti
     n = len(grid)
     power = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     out = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(p.degree + 1):
-        c = p.coefficient(k)
+    for k, c in enumerate(p.coeffs):
         if c:
             for i in range(n):
                 for j in range(n):
@@ -328,11 +398,11 @@ def oracle_gram_schmidt(grid: list[list[Fraction]], d: int) -> list[Polynomial]:
 
     qs: list[Polynomial] = []
     for j in range(d + 1):
-        monomial = Polynomial.monomial(j)
-        candidate = monomial
+        monomial = Polynomial([0] * j + [1])
+        candidate = list(monomial.coeffs)
         for q in qs:
-            candidate = candidate - (inner(q, monomial) / inner(q, q)) * q
-        qs.append(candidate)
+            candidate = poly_add(candidate, poly_scale(-inner(q, monomial) / inner(q, q), q.coeffs))
+        qs.append(Polynomial(candidate))
     return qs
 
 
@@ -343,7 +413,7 @@ def oracle_predistance(
     polys = []
     for q in oracle_gram_schmidt(grid, d):
         q_at = naive_poly_at(q, grid)
-        polys.append((q(lam) / trace_form_inner(q_at, q_at)) * q)
+        polys.append(Polynomial(poly_scale(poly_value(q.coeffs, lam) / trace_form_inner(q_at, q_at), q.coeffs)))
     norms = []
     for p in polys:
         p_at = naive_poly_at(p, grid)
@@ -354,10 +424,9 @@ def oracle_predistance(
 def oracle_minimal_polynomial(grid: list[list[Fraction]]) -> Polynomial:
     """Monic minimal polynomial by Gauss-Jordan on explicit vectorized powers.
 
-    For k = 1, 2, ... the powers I, B, ..., B^k come from naive_mat_mul; the
-    augmented system sum_j x_j vec(B^j) = vec(B^k) (j < k) is brought to
-    reduced row echelon form over Fractions from scratch. The first
-    consistent k gives m(t) = t^k - sum_j x_j t^j; the lower powers are
+    For k = 1, 2, ... the powers I, B, ..., B^k come from naive_mat_mul, and
+    gauss_jordan_solve takes the system sum_j x_j vec(B^j) = vec(B^k)
+    (j < k) from scratch. The first consistent k gives m(t) = t^k - sum_j x_j t^j; the lower powers are
     then independent, so the solution is unique.
     """
     n = len(grid)
@@ -366,27 +435,9 @@ def oracle_minimal_polynomial(grid: list[list[Fraction]]) -> Polynomial:
     for k in range(1, n + 1):
         power = naive_mat_mul(power, grid)
         vectors.append([v for row in power for v in row])
-        aug = [[vectors[j][r] for j in range(k + 1)] for r in range(n * n)]
-        pivots: list[int] = []
-        for c in range(k + 1):
-            pivot = next((i for i in range(len(pivots), n * n) if aug[i][c] != 0), None)
-            if pivot is None:
-                continue
-            rank = len(pivots)
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            lead = aug[rank][c]
-            aug[rank] = [v / lead for v in aug[rank]]
-            for i in range(n * n):
-                if i != rank and aug[i][c] != 0:
-                    factor = aug[i][c]
-                    aug[i] = [v - factor * w for v, w in zip(aug[i], aug[rank])]
-            pivots.append(c)
-        if k in pivots:
-            continue  # vec(B^k) is outside the span of the lower powers
-        solution = [Fraction(0)] * k
-        for row, c in enumerate(pivots):
-            solution[c] = aug[row][k]
-        return Polynomial([-x for x in solution] + [Fraction(1)])
+        solution = gauss_jordan_solve(vectors[:k], vectors[k])
+        if solution is not None:
+            return Polynomial([-x for x in solution] + [Fraction(1)])
     raise AssertionError("no dependency up to degree n contradicts Cayley-Hamilton")
 
 
@@ -451,6 +502,37 @@ def verify_scheme_axioms(classes: list[RationalMatrix]) -> str | None:
     return None
 
 
+def coherent_closure_rank(grid: list[list[Fraction]]) -> int:
+    """rank W(B), the dimension of the coherent closure of B, by 2-dimensional Weisfeiler-Leman.
+
+    W(B) is the smallest algebra that holds B, I and J and is closed under
+    the entrywise product and the transpose; its basis is the 0/1 matrices
+    of the stable colouring of the pairs (x, y). The colours start as
+    (B_xy, B_yx, x = y), and each round refines colour(x, y) by the counts
+    of (colour(x, z), colour(z, y)) over z, on integer colour indices, until
+    a round adds no colour.
+    """
+    n = len(grid)
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    colour = _indexed({(x, y): (grid[x][y], grid[y][x], x == y) for x, y in pairs})
+    while True:
+        refined = _indexed(
+            {
+                (x, y): (colour[x, y], tuple(sorted(Counter((colour[x, z], colour[z, y]) for z in range(n)).items())))
+                for x, y in pairs
+            }
+        )
+        if max(refined.values()) == max(colour.values()):
+            return max(colour.values()) + 1
+        colour = refined
+
+
+def _indexed(signatures: dict) -> dict:
+    """Each key's signature replaced by the index of its first occurrence among the distinct signatures."""
+    index: dict = {}
+    return {key: index.setdefault(sig, len(index)) for key, sig in signatures.items()}
+
+
 def hamming_adjacency(d: int, q: int) -> list[list[int]]:
     """H(d, q): words of length d over q symbols, adjacent at Hamming distance 1."""
     words = list(itertools.product(range(q), repeat=d))
@@ -508,6 +590,11 @@ def zeros(n: int) -> RationalMatrix:
     return RationalMatrix([[0] * n for _ in range(n)])
 
 
+def all_ones(n: int) -> RationalMatrix:
+    """The all-ones matrix J."""
+    return RationalMatrix([[1] * n for _ in range(n)])
+
+
 def add(*terms: RationalMatrix) -> RationalMatrix:
     """The sum of matrices of one order."""
     assert len({m.order for m in terms}) == 1, "order mismatch"
@@ -555,7 +642,7 @@ def adjacency_matrix(successors: list[list[int]]) -> RationalMatrix:
 
 def monic(p: Polynomial) -> Polynomial:
     """p divided by its leading coefficient."""
-    return Polynomial([c / p.coeffs[-1] for c in p.coeffs])
+    return Polynomial(poly_scale(1 / p.coeffs[-1], p.coeffs))
 
 
 def poly_inner(p: Polynomial, q: Polynomial, b: RationalMatrix) -> Fraction:
@@ -576,7 +663,7 @@ def algebra_membership(m: RationalMatrix, b: RationalMatrix, degree: int) -> Pol
     for _ in range(degree + 1):
         columns.append([v for row in power for v in row])
         power = naive_mat_mul(power, grid)
-    solution = solve_rational_system(columns, flat(m))
+    solution = gauss_jordan_solve(columns, flat(m))
     return None if solution is None else Polynomial(solution)
 
 

@@ -17,7 +17,7 @@ from conftest import FIXTURES
 
 from schemeforge.cli import _exact_digits, _report_json, build_parser, run_command
 from schemeforge.hoffman import minimal_polynomial
-from schemeforge.io import MAX_DIGITS, MatrixParseError, parse_matrix, serialize_matrix
+from schemeforge.io import MAX_DIGITS, MAX_ORDER, MatrixParseError, parse_matrix, serialize_matrix
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, _bits, _prime
 from schemeforge.stochastic import classify, random_lambda_ds
 
@@ -227,9 +227,64 @@ def test_huge_order_is_not_echoed(capsys, tmp_path):
     path.write_text("9" * 4000 + "\n1\n", encoding="utf-8")
     assert run_command(["analyze", str(path)]) == 2
     captured = capsys.readouterr()
-    assert "data rows, found 1" in captured.err
+    assert "exceeds 2048" in captured.err
     assert "(4000 characters)" in captured.err
     assert len(captured.err) < 200
+
+
+def test_parse_bounds_the_order_at_the_header_line(capsys, tmp_path):
+    # MAX_ORDER admits H(4, 6), n = 1296; one more is refused at the header, before any row is read
+    assert MAX_ORDER == 2048
+    for parse in (parse_matrix, fraction_parse_matrix):
+        assert parse_outcome(parse, "# c\n2048\nx\n") == (
+            "error", 3, 1, "line 3, entry 1: expected '2048' data rows, found 1"
+        )
+        assert parse_outcome(parse, "# c\n2049\nx\n") == (
+            "error", 2, 1, "line 2, entry 1: matrix order '2049' exceeds 2048"
+        )
+    path = tmp_path / "order.mat"
+    path.write_text("2049\n1\n", encoding="utf-8")
+    assert run_command(["scheme", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 1, entry 1: matrix order '2049' exceeds 2048\n"
+
+
+cli_tokens = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    st.builds(lambda a, b: f"{a}.{b}", st.integers(-999, 999), st.integers(0, 999)),
+    st.builds(lambda a, e: f"{a}e{e}", st.integers(-9, 9), st.integers(-30, 30)),
+)
+
+
+@st.composite
+def cli_matrix_texts(draw):
+    """A matrix file of order n <= 4 over a pool of at most three tokens; half
+    the draws are circulants, so lambda-doubly stochastic ones reach every stage."""
+    pool = draw(st.lists(cli_tokens, min_size=1, max_size=3))
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        first = draw(row)
+        grid = [[first[(y - x) % n] for y in range(n)] for x in range(n)]
+    else:
+        grid = draw(st.lists(row, min_size=n, max_size=n))
+    return f"{n}\n" + "".join(" ".join(r) + "\n" for r in grid)
+
+
+@given(st.one_of(st.text(), cli_matrix_texts()))
+@settings(max_examples=150, deadline=None)
+def test_file_commands_exit_0_1_or_2_on_any_parsed_text(tmp_path_factory, text):
+    # exit 3 is a crash; `spectrum` is left out, as exit 3 is its documented
+    # numeric failure (test_crash_is_internal_error_not_rejection)
+    path = tmp_path_factory.mktemp("cli") / "any.mat"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    for command in ("analyze", "hoffman", "predistance", "scheme", "decompose"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command([command, str(path), "--json"])
+        assert code in (0, 1, 2), (command, code, err.getvalue())
+        for shown in (out.getvalue(), err.getvalue()):
+            assert "internal error" not in shown and "Traceback" not in shown
 
 
 def test_parse_serialize_roundtrip_on_fixtures(fixtures_dir):

@@ -18,12 +18,16 @@ from schemeforge.stochastic import HypothesisError, classify, random_lambda_ds
 from conftest import load_fixture
 from oracles import (
     algebra_membership,
+    all_ones,
     charpoly_leverrier,
     divides,
     identity,
     naive_mat_mul,
     naive_poly_at,
     oracle_minimal_polynomial,
+    poly_mul,
+    poly_scale,
+    poly_value,
     product_form_discrepancy,
     scaled,
     zeros,
@@ -57,23 +61,21 @@ def test_minimal_polynomial_of_identity():
 
 def test_minimal_polynomial_fig2(fig2):
     m = minimal_polynomial(fig2)
-    expected = Polynomial([-1, 1]) * Polynomial(
-        [Fraction(-1, 8), Fraction(1, 2), -1, 1]
-    )
+    expected = Polynomial(poly_mul([-1, 1], [Fraction(-1, 8), Fraction(1, 2), -1, 1]))
     assert m == expected
-    assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig2])) == zeros(6)
+    assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig2.rows])) == zeros(6)
 
 
 def test_minimal_polynomial_fig1(fig1):
     m = minimal_polynomial(fig1)
-    assert m == Polynomial([-1, 1]) * FIG1_Q
-    assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig1])) == zeros(8)
+    assert m == Polynomial(poly_mul([-1, 1], FIG1_Q.coeffs))
+    assert RationalMatrix(naive_poly_at(m, [list(r) for r in fig1.rows])) == zeros(8)
 
 
 def test_minimal_polynomial_is_minimal(fig2):
     m = minimal_polynomial(fig2)
     # powers below deg(m) are linearly independent: B^k outside the span of the lower ones
-    grid = [list(r) for r in fig2]
+    grid = [list(r) for r in fig2.rows]
     power = grid
     for k in range(1, m.degree):
         assert algebra_membership(RationalMatrix(power), fig2, degree=k - 1) is None
@@ -84,8 +86,8 @@ def test_hoffman_fig1_matches_reference_values(fig1):
     info = hoffman_polynomial(fig1)
     assert info.lam == 1
     assert info.q == FIG1_Q
-    assert info.h == Fraction(8) / FIG1_Q(1) * FIG1_Q
-    assert RationalMatrix(naive_poly_at(info.h, [list(r) for r in fig1])) == RationalMatrix.ones(8)
+    assert info.h == Polynomial(poly_scale(Fraction(8) / poly_value(FIG1_Q.coeffs, 1), FIG1_Q.coeffs))
+    assert RationalMatrix(naive_poly_at(info.h, [list(r) for r in fig1.rows])) == all_ones(8)
 
 
 def test_hoffman_fig2(fig2):
@@ -96,7 +98,7 @@ def test_hoffman_fig2(fig2):
 
 def test_hoffman_of_scaled_allones():
     n = 4
-    jn = scaled(Fraction(1, n), RationalMatrix.ones(n))
+    jn = scaled(Fraction(1, n), all_ones(n))
     info = hoffman_polynomial(jn)
     assert info.h == Polynomial([0, n])
     assert info.lam == 1
@@ -127,7 +129,7 @@ def test_hoffman_rejects_lambda_zero():
 def test_no_lower_degree_polynomial_reaches_allones(fig1, fig2):
     for b in (fig1, fig2):
         h = hoffman_polynomial(b).h
-        assert algebra_membership(RationalMatrix.ones(b.order), b, degree=h.degree - 1) is None
+        assert algebra_membership(all_ones(b.order), b, degree=h.degree - 1) is None
 
 
 @pytest.mark.parametrize(
@@ -172,7 +174,7 @@ def test_product_form_residual_fig2(fig2):
 
 
 def test_product_form_residual_scaled_allones():
-    jn = scaled(Fraction(1, 6), RationalMatrix.ones(6))
+    jn = scaled(Fraction(1, 6), all_ones(6))
     assert product_form_residual(jn, [0.0]) < 1e-12
 
 
@@ -362,8 +364,8 @@ def assert_certificate_matches_naive(grid, coefficients, rng):
         coeffs = coefficients(length)
         cases.append(case(coeffs))
         if length > m.degree:
-            multiple = m * Polynomial(coeffs[: length - m.degree - 1] + [1])
-            cases.append(case([int(v) for v in multiple.coeffs], vanishes=True))
+            multiple = poly_mul(m.coeffs, coeffs[: length - m.degree - 1] + [1])
+            cases.append(case([int(v) for v in multiple], vanishes=True))
     # alone, each verdict is the oracle's; in a batch, each is the same as alone
     for coeffs, scale, mask, holds in cases:
         assert context.certifies([coeffs], [scale], [mask]) == [holds]
@@ -392,7 +394,7 @@ def test_certificate_matches_naive_evaluation_one_prime_per_chunk(monkeypatch, f
     monkeypatch.setattr(matrix, "STACK_BYTES", 1)
     rng = random.Random(0)
     assert_certificate_matches_naive(
-        [list(row) for row in fig1], lambda length: [rng.randint(-(2**40), 2**40) for _ in range(length)], rng
+        [list(row) for row in fig1.rows], lambda length: [rng.randint(-(2**40), 2**40) for _ in range(length)], rng
     )
     # C - I vanishes modulo the first prime alone: the second chunk must reject it
     p = first_prime(RationalMatrix([[1, 0], [0, 1]]))
@@ -435,7 +437,7 @@ def test_unlucky_prime_is_caught_by_the_certificate(monkeypatch, fig2):
     """
     from schemeforge import hoffman
 
-    grid = [list(r) for r in fig2]
+    grid = [list(r) for r in fig2.rows]
     b = RationalMatrix(grid)
     p = first_prime(b)
     draw = hoffman._start
@@ -495,7 +497,7 @@ def certified_cases(draw):
     n = draw(st.integers(1, 6))
     if draw(st.booleans()):
         b = random_lambda_ds(n, draw(st.integers(2, 3)), draw(st.integers(0, 2**32)))
-        grid = [list(row) for row in b]
+        grid = [list(row) for row in b.rows]
     else:
         entry = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
         grid = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))

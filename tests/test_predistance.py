@@ -24,11 +24,15 @@ from schemeforge.stochastic import HypothesisError, classify, random_lambda_ds
 from conftest import FIXTURES, load_fixture
 from oracles import (
     add,
+    all_ones,
     identity,
     naive_poly_at,
     oracle_minimal_polynomial,
     oracle_predistance,
+    poly_add,
     poly_inner,
+    poly_scale,
+    poly_value,
     scaled,
     trace_form_inner,
 )
@@ -69,7 +73,7 @@ def monic_on_c(w):
 
 def test_inner_product_of_constants(fig1, fig2):
     one = Polynomial([1])
-    for b in (fig1, fig2, RationalMatrix.ones(3)):
+    for b in (fig1, fig2, all_ones(3)):
         assert poly_inner(one, one, b) == 1
 
 
@@ -106,7 +110,7 @@ def test_gram_schmidt_fig2_avoids_lambda(fig2):
     for i, (w, q) in enumerate(zip(weights, qs)):
         assert math.gcd(*w) == 1
         assert q.degree == i
-        assert q(4) != 0
+        assert poly_value(q.coeffs, 4) != 0
         assert gram_norms[i] == fig2.order * poly_inner(Polynomial(w), Polynomial(w), c)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -192,7 +196,7 @@ def test_gram_schmidt_never_vanishes_at_lambda_past_the_gate(b):
     weights, _ = lambda_avoiding_gram_schmidt(b, d)
     # q_j(lambda) = s^j q_j,C(lambda_C), lambda_C = lambda / s, for B = s C
     lam_c = cls.lam / b.powers.scale
-    assert all(monic_on_c(w)(lam_c) != 0 for w in weights)
+    assert all(poly_value(monic_on_c(w).coeffs, lam_c) != 0 for w in weights)
     expected, norms = oracle_predistance(grid, cls.lam, d)
     family = predistance_basis(b)
     assert family.polys == tuple(expected)
@@ -271,10 +275,10 @@ def test_predistance_basis_complete_graph():
 
 def test_predistance_basis_scaled_allones():
     n = 5
-    jn = scaled(Fraction(1, n), RationalMatrix.ones(n))
+    jn = scaled(Fraction(1, n), all_ones(n))
     family = predistance_basis(jn)
     assert family.polys == (Polynomial([1]), Polynomial([-1, n]))
-    assert family.norms_sq[1] == family.polys[1](1)
+    assert family.norms_sq[1] == poly_value(family.polys[1].coeffs, 1)
 
 
 def test_predistance_invariants_on_cycles():
@@ -285,7 +289,7 @@ def test_predistance_invariants_on_cycles():
         assert lam == Fraction(3, 2)
         for i, p in enumerate(family.polys):
             assert p.degree == i
-            assert family.norms_sq[i] == p(lam) > 0
+            assert family.norms_sq[i] == poly_value(p.coeffs, lam) > 0
             for j in range(i):
                 assert poly_inner(family.polys[j], p, b) == 0
 
@@ -294,7 +298,7 @@ def with_poly(family, i, p):
     """The family with p_i replaced by p and its norm cached as p(lambda), so the
     degree and |p_i|^2 = p_i(lambda) checks still pass."""
     polys, norms = list(family.polys), list(family.norms_sq)
-    polys[i], norms[i] = p, p(family.lam)
+    polys[i], norms[i] = p, poly_value(p.coeffs, family.lam)
     return dataclasses.replace(family, polys=tuple(polys), norms_sq=tuple(norms))
 
 
@@ -302,11 +306,11 @@ def with_poly(family, i, p):
     "tamper, message",
     [
         # 2 p_1, cached as 2 p_1(lambda) = 4, has norm 8
-        (lambda f: with_poly(f, 1, 2 * f.polys[1]), "cached norm of p_1"),
+        (lambda f: with_poly(f, 1, Polynomial(poly_scale(2, f.polys[1].coeffs))), "cached norm of p_1"),
         # a bumped constant coefficient: p_1 + 1 is no longer orthogonal to p_0 = 1
-        (lambda f: with_poly(f, 1, f.polys[1] + Polynomial([1])), "<p_0, p_1> != 0"),
+        (lambda f: with_poly(f, 1, Polynomial(poly_add(f.polys[1].coeffs, [1]))), "<p_0, p_1> != 0"),
         # p_1 / 2, cached as 1, has norm 1/2
-        (lambda f: with_poly(f, 1, Fraction(1, 2) * f.polys[1]), "violated: cached norm of p_1"),
+        (lambda f: with_poly(f, 1, Polynomial(poly_scale(Fraction(1, 2), f.polys[1].coeffs))), "violated: cached norm of p_1"),
         # a wrong cached norm that agrees with p_1 at a wrong lambda: p_1(2) = 6, not 2
         (lambda f: with_poly(dataclasses.replace(f, lam=Fraction(2)), 1, f.polys[1]), "cached norm of p_1"),
         # a wrong cached norm alone
@@ -327,7 +331,7 @@ def test_orthogonality_is_checked_for_every_lower_degree(fig2):
     # p_2 + p_1 is still orthogonal to p_0, but not to p_1
     family = predistance_basis(fig2)
     with pytest.raises(ArithmeticError, match="<p_1, p_2> != 0"):
-        _assert_invariants(with_poly(family, 2, family.polys[2] + family.polys[1]), fig2)
+        _assert_invariants(with_poly(family, 2, Polynomial(poly_add(family.polys[2].coeffs, family.polys[1].coeffs))), fig2)
 
 
 @pytest.mark.parametrize("build", [lambda: load_fixture("fig2.mat"), heavy_circulant], ids=["fig2", "circulant"])
@@ -347,7 +351,8 @@ def test_every_coefficient_of_every_p_i_is_checked(build):
 
 def test_the_family_takes_no_polynomial_arithmetic(monkeypatch):
     # the family is built and checked on integers: no Polynomial sum, product
-    # or evaluation, and no rescaled polynomial, once the stages it reads are kept
+    # or evaluation (Polynomial has none; any put back would be forbidden here),
+    # and no rescaled polynomial, once the stages it reads are kept
     cases = [load_fixture("fig2.mat"), scaled_cycle(), heavy_circulant()]
     for b in cases:
         hoffman_polynomial(b)
@@ -356,7 +361,7 @@ def test_the_family_takes_no_polynomial_arithmetic(monkeypatch):
         raise AssertionError("polynomial arithmetic in the predistance stage")
 
     for name in ("__call__", "__mul__", "__rmul__", "__add__"):
-        monkeypatch.setattr(Polynomial, name, forbidden)
+        monkeypatch.setattr(Polynomial, name, forbidden, raising=False)
     monkeypatch.setattr(MatrixPowerBasis, "rescaled", forbidden)
     for b in cases:
         assert predistance_basis(b).d == minimal_polynomial(b).degree - 1
@@ -391,10 +396,10 @@ def test_fourier_identity(fig2):
 def test_hoffman_sum_fig2(fig2):
     family = predistance_basis(fig2)
     assert verify_hoffman_sum(family, hoffman_polynomial(fig2))
-    total = Polynomial()
+    total: list = []
     for p in family.polys:
-        total = total + p
-    assert total == Polynomial([-2, 8, -16, 16])
+        total = poly_add(total, p.coeffs)
+    assert Polynomial(total) == Polynomial([-2, 8, -16, 16])
 
 
 def test_hoffman_sum_fails_on_any_changed_coefficient(fig2):
@@ -405,7 +410,7 @@ def test_hoffman_sum_fails_on_any_changed_coefficient(fig2):
             assert not verify_hoffman_sum(with_poly(family, i, bumped), h)
     # a sum of lower degree than h, and one of higher degree
     assert not verify_hoffman_sum(dataclasses.replace(family, polys=family.polys[:-1]), h)
-    longer = (*family.polys, Polynomial.monomial(family.d + 1))
+    longer = (*family.polys, Polynomial([0] * (family.d + 1) + [1]))
     assert not verify_hoffman_sum(dataclasses.replace(family, polys=longer), h)
     # a zero coefficient sum matches h's zero coefficient
     zero_sum = dataclasses.replace(family, polys=(Polynomial([1]), Polynomial([-1, 1])))

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from schemeforge.digraph import distance_structure, underlying_digraph
+from schemeforge.digraph import UnreachablePairError, distance_structure, underlying_digraph
 from schemeforge import scheme
 from schemeforge.exact import Polynomial
+from schemeforge.hoffman import minimal_polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, solve_rational_system
 from schemeforge.scheme import (
     Rejection,
@@ -24,7 +25,9 @@ from conftest import load_fixture
 from oracles import (
     add,
     algebra_membership,
+    all_ones,
     class_matrices,
+    coherent_closure_rank,
     distance_one_products,
     flat,
     hamming_adjacency,
@@ -249,7 +252,7 @@ def test_rejection_monotonicity_under_entry_perturbation(fig2):
 def test_intersection_numbers_trivial_scheme():
     n = 6
     eye = identity(n)
-    rest = sub(RationalMatrix.ones(n), eye)
+    rest = sub(all_ones(n), eye)
     tensor = intersection_numbers(labels_of([eye, rest]))
     assert tensor[1][1][0] == n - 1
     assert tensor[1][1][1] == n - 2
@@ -302,7 +305,7 @@ def test_intersection_numbers_flag_non_constant_products():
     # arcs of a directed path do not close into a coherent partition
     eye = identity(3)
     arc = RationalMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    rest = sub(RationalMatrix.ones(3), eye, arc)
+    rest = sub(all_ones(3), eye, arc)
     with pytest.raises(SchemeAxiomError) as excinfo:
         intersection_numbers(labels_of([eye, arc, rest]))
     assert excinfo.value.axiom == "AS4"
@@ -452,7 +455,7 @@ def test_transpose_map_rejects_shared_transpose_class():
 
     eye = identity(4)
     a, b, c = arcs({(0, 1)}), arcs({(2, 3)}), arcs({(1, 0), (3, 2)})
-    rest = sub(RationalMatrix.ones(4), eye, a, b, c)
+    rest = sub(all_ones(4), eye, a, b, c)
     with pytest.raises(SchemeAxiomError) as excinfo:
         transpose_map(labels_of([eye, a, b, c, rest]))
     assert excinfo.value.axiom == "AS3"
@@ -461,7 +464,7 @@ def test_transpose_map_rejects_shared_transpose_class():
 
 def test_transpose_map_symmetric_scheme():
     eye = identity(5)
-    rest = sub(RationalMatrix.ones(5), eye)
+    rest = sub(all_ones(5), eye)
     assert transpose_map(labels_of([eye, rest])) == (0, 1)
 
 
@@ -478,7 +481,7 @@ def test_transpose_map_fig2(fig2):
 def test_transpose_map_reports_missing_transpose():
     eye = identity(3)
     single_arc = RationalMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    rest = sub(RationalMatrix.ones(3), eye, single_arc)
+    rest = sub(all_ones(3), eye, single_arc)
     with pytest.raises(SchemeAxiomError) as excinfo:
         transpose_map(labels_of([eye, single_arc, rest]))
     assert excinfo.value.axiom == "AS3"
@@ -497,7 +500,7 @@ def test_vanishing_product_check_cycles(n):
 
 
 def test_vanishing_product_check_vacuous_small_diameter():
-    b = scaled(Fraction(1, 4), RationalMatrix.ones(4))
+    b = scaled(Fraction(1, 4), all_ones(4))
     structure = distance_structure(underlying_digraph(b))
     assert structure.diameter <= 2
     assert vanishing_product_check(b, structure.dist)
@@ -508,7 +511,7 @@ def test_accepted_certificates_pass_brute_force_axioms(fig2):
         fig2,
         directed_cycle_matrix(5, scale=Fraction(3, 2)),
         load_fixture("complete_4.mat"),
-        scaled(Fraction(1, 6), RationalMatrix.ones(6)),
+        scaled(Fraction(1, 6), all_ones(6)),
     ]
     for b in candidates:
         cert = detect_scheme(b)
@@ -600,3 +603,54 @@ def test_as5_row_check_reports_the_first_entrywise_witness(bumps):
     else:
         assert not cert.accepted
         assert (cert.reason.axiom, cert.reason.witness) == ("AS5", expected)
+
+
+@st.composite
+def theorem_2_draws(draw):
+    """A nonnegative circulant on Z_n, n <= 10: weights on up to three shifts,
+    directed or mirrored to a symmetric matrix, a positive combination of the
+    n-cycle's distance classes, or a scaled AD_REJECTED base with a drawn
+    diagonal, where deg m_B = D + 1 and only the rank of W(B) tells. Shift
+    weights may be 0, so reducible draws and the 1 x 1 zero matrix occur."""
+    n = draw(st.integers(1, 10))
+    positive = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)
+    kind = draw(st.sampled_from(("directed", "symmetric", "distance", "ad_rejected")))
+    weights = {}
+    if kind == "ad_rejected":
+        n, base = draw(st.sampled_from(AD_REJECTED))
+        w = draw(positive)
+        weights = {s: w * v for s, v in base.items()}
+        weights[0] = draw(st.one_of(st.just(Fraction(0)), positive))
+    elif kind == "distance":
+        # the distance-i class of the undirected n-cycle holds the shifts i and -i
+        for i in draw(st.sets(st.integers(0, n // 2), min_size=1)):
+            w = draw(positive)
+            weights.update({i: w, -i % n: w})
+    else:
+        for s in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)):
+            weights[s] = draw(st.one_of(st.just(Fraction(0)), positive))
+            if kind == "symmetric":
+                weights[-s % n] = weights[s]
+    return [[weights.get((y - x) % n, Fraction(0)) for y in range(n)] for x in range(n)]
+
+
+@given(theorem_2_draws())
+@settings(max_examples=150, deadline=None)
+def test_theorem_2_accepted_exactly_when_the_coherent_closure_has_rank_d_plus_1(grid):
+    # Theorem 2 against the coherent closure: the algebra of B, of dimension
+    # deg m_B, lies in W(B), and it is the Bose-Mesner algebra of a D-class
+    # scheme iff it is all of W(B) and deg m_B = D + 1. Every draw is
+    # nonnegative, lambda-doubly stochastic and normal; a reducible one has no
+    # diameter and is rejected. The 1 x 1 zero matrix is the one divergence:
+    # rank W(B) = deg m_B = D + 1 = 1, yet the gate rejects it with
+    # LAMBDA_ZERO, as test_stochastic.py::test_every_stage_reports_the_gates_first_failure
+    # and test_rejection_lambda_zero pin.
+    assume(grid != [[0]])
+    b = RationalMatrix(grid)
+    try:
+        diameter = distance_structure(underlying_digraph(b)).diameter
+    except UnreachablePairError:
+        closed = False
+    else:
+        closed = coherent_closure_rank(grid) == minimal_polynomial(b).degree == diameter + 1
+    assert detect_scheme(b).accepted == closed

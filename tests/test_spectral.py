@@ -19,7 +19,7 @@ from schemeforge.spectral import (
 from schemeforge.stochastic import random_lambda_ds
 
 from conftest import FIXTURES, load_fixture
-from oracles import algebra_membership, hamming_adjacency, johnson_adjacency, scaled
+from oracles import algebra_membership, all_ones, hamming_adjacency, johnson_adjacency, scaled
 
 
 def directed_cycle_matrix(n, scale=1):
@@ -110,7 +110,7 @@ def test_roots_non_convergence_carries_residuals():
 
 def test_idempotents_of_scaled_allones():
     n = 4
-    jn = scaled(Fraction(1, n), RationalMatrix.ones(n))
+    jn = scaled(Fraction(1, n), all_ones(n))
     spectrum = roots(minimal_polynomial(jn))
     family = idempotents(jn, spectrum)
     e_perron = family.projectors[0]
@@ -159,7 +159,7 @@ REFERENCE_CASES = (
     + [directed_cycle_matrix(4, scale=Fraction(3, 2))]
     + [random_lambda_ds(n, 3, seed) for n in range(1, 13) for seed in range(3)]
     # repeated roots: eig's own vectors for them are dependent
-    + [scaled(Fraction(1, n), RationalMatrix.ones(n)) for n in (4, 16)]
+    + [scaled(Fraction(1, n), all_ones(n)) for n in (4, 16)]
     + [RationalMatrix(hamming_adjacency(3, 3)), RationalMatrix(johnson_adjacency(7, 3))]
     + [paley_tournament(7)]  # normal, not symmetric, with repeated complex roots
 )
@@ -222,20 +222,21 @@ def test_transpose_is_polynomial_in_normal_matrix(fig2):
 def test_perron_check_fig2(fig2):
     spectrum = roots(minimal_polynomial(fig2))
     report = perron_check(fig2, spectrum)
-    assert report.ok
+    assert report.modulus_matches and report.perron_simple
     assert report.max_modulus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_perron_check_fig1(fig1):
     spectrum = roots(minimal_polynomial(fig1))
-    assert perron_check(fig1, spectrum).ok
+    report = perron_check(fig1, spectrum)
+    assert report.modulus_matches and report.perron_simple
 
 
 def test_perron_check_scaled_permutation_spectrum_on_circle():
     b = directed_cycle_matrix(4, scale=Fraction(3, 2))
     spectrum = roots(minimal_polynomial(b))
     report = perron_check(b, spectrum)
-    assert report.ok
+    assert report.modulus_matches and report.perron_simple
     assert all(abs(abs(z) - 1.5) < 1e-9 for z in spectrum.eigenvalues)
     assert report.perron_simple
 

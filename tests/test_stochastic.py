@@ -18,7 +18,7 @@ from schemeforge.stochastic import (
 )
 
 from conftest import load_fixture
-from oracles import algebra_membership, identity, naive_mat_mul, oracle_classification, reconstruct
+from oracles import algebra_membership, all_ones, identity, naive_mat_mul, oracle_classification, reconstruct
 
 
 def test_classify_fig1(fig1):
@@ -125,7 +125,7 @@ def test_classify_matches_fraction_oracle(grid):
 
 
 def test_irreducibility_matches_digraph_connectivity(fig1, fig2):
-    for b in (fig1, fig2, identity(3), RationalMatrix.ones(4)):
+    for b in (fig1, fig2, identity(3), all_ones(4)):
         assert classify(b).irreducible == is_strongly_connected(underlying_digraph(b))
 
 
@@ -167,7 +167,7 @@ def test_theorem_1_allones_in_the_algebra_exactly_when_hoffman_ready(grid):
     assume(grid != [[0]])
     b = RationalMatrix(grid)
     n = b.order
-    member = algebra_membership(RationalMatrix.ones(n), b, degree=n - 1)
+    member = algebra_membership(all_ones(n), b, degree=n - 1)
     assert (member is not None) == classify(b).hoffman_ready
 
 
@@ -183,7 +183,7 @@ def test_entry_decomposition_fig2(fig2):
 
 
 def test_entry_decomposition_allones():
-    j = RationalMatrix.ones(3)
+    j = all_ones(3)
     decomposition = entry_decomposition(j)
     assert decomposition.coefficients == (Fraction(1),)
     assert decomposition.indicators == (j,)
