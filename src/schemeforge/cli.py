@@ -412,13 +412,12 @@ def _cmd_decompose(args) -> int:
         report = {
             "decomposition": {
                 "coefficients": [str(c) for c in decomposition.coefficients],
-                "indicators": [io.zero_one_grid(f) for f in decomposition.indicators],
+                "indicators": [f.entries.tolist() for f in decomposition.indicators],
             }
         }
         lines = [f"distinct positive entries: {len(decomposition.coefficients)}"]
         for c, f in zip(decomposition.coefficients, decomposition.indicators):
-            support = sum(1 for row in f.rows for v in row if v)
-            lines.append(f"coefficient {c}: {support} positions")
+            lines.append(f"coefficient {c}: {int(f.entries.sum())} positions")
         _emit(report, args.json, lines)
     return EXIT_OK
 

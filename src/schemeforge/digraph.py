@@ -40,16 +40,21 @@ def successor_lists(entries: np.ndarray) -> list[list[int]]:
     return [ys[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
+def first_negative(entries: np.ndarray) -> Optional[tuple[int, int]]:
+    """The position of the first negative entry in row-major order, or None."""
+    negative = (entries < 0).ravel()
+    return divmod(int(negative.argmax()), len(entries)) if negative.any() else None
+
+
 def underlying_digraph(b: RationalMatrix) -> list[list[int]]:
     """Successor lists of the digraph with an arc (x, y) exactly where the entry (x, y) > 0.
 
-    The signs are read off C in B's analysis context, since B = s C with s > 0.
+    The signs are read off C, since B = s C with s > 0.
     """
-    entries = b.powers.entries
-    negative = (entries < 0).ravel()
-    if negative.any():
-        raise NegativeEntryError(divmod(int(negative.argmax()), b.order))
-    return successor_lists(entries)
+    position = first_negative(b.entries)
+    if position is not None:
+        raise NegativeEntryError(position)
+    return successor_lists(b.entries)
 
 
 def is_strongly_connected(successors: list[list[int]]) -> bool:

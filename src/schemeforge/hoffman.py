@@ -1,9 +1,9 @@
 """Exact minimal polynomials and Hoffman polynomials, on word-prime residues.
 
-The stage reads B in its one exact form B = s C, kept in B's analysis
-context (see `matrix`): C = ints / gcd(ints) is the primitive integer
-matrix of B's cleared integers and s = gcd(ints) / den. All the work is on
-C, and the context's `rescaled` applies s to the certified results. By
+The stage reads B in its one exact form B = s C (see `matrix`): a scale
+s > 0 and a primitive integer matrix C, shared by B's analysis context.
+All the work is on C, and the context's `rescaled` applies s to the
+certified results. By
 Gauss's lemma the minimal polynomial m_C is in Z[t], and each of its K
 roots is an eigenvalue of C, at most R = ||C||_inf (the largest absolute
 row sum) in modulus, so its coefficients obey |c_j| <= binom(K, j) R^(K -

@@ -6,7 +6,8 @@ fractions ("1/3"), or decimals ("0.25", "1e-3"); decimals convert exactly,
 never through a float. A decimal exponent above MAX_EXPONENT in absolute
 value is an input error: 1e1000000 alone is a 3.3-million-bit integer.
 An order above MAX_ORDER is refused at the header line, before any row is
-read: a `scheme` run at n = 1296 already peaks near 520 MB.
+read: a `scheme` run at n = 1296 already peaks near 520 MB. The header's
+message depends neither on its length nor on the int-to-str digit limit.
 
 Each distinct token of a file is read once, in order of first occurrence,
 and the entries are filled in by lookup, so a file of a few distinct values
@@ -29,7 +30,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .matrix import RationalMatrix
 
@@ -117,7 +118,7 @@ def _entry(token: str) -> tuple[int, int]:
 
 
 def _cleared_values(tokens: list[str]) -> tuple[int, list[int]]:
-    """(den, [den * value of each token]) for distinct tokens, in lowest terms.
+    """(den, [den * value of each token]) for distinct tokens, den the lcm of their denominators.
 
     When every token is a signed integer of at most MAX_DIGITS digits, one
     regex search for the first token that is not finds none, and int()
@@ -132,9 +133,7 @@ def _cleared_values(tokens: list[str]) -> tuple[int, list[int]]:
             pass
     entries = [_entry(token) for token in tokens]
     den = lcm(*(d for _, d in entries))
-    cleared = [v * (den // d) for v, d in entries]
-    g = gcd(den, *cleared)
-    return den // g, [v // g for v in cleared]
+    return den, [v * (den // d) for v, d in entries]
 
 
 def parse_matrix(text: str) -> RationalMatrix:
@@ -153,10 +152,16 @@ def parse_matrix(text: str) -> RationalMatrix:
     if not data:
         raise MatrixParseError("no matrix data found", 1, 1)
     header_line, header = data[0]
-    try:
-        n = int(header)
-    except ValueError:
-        raise MatrixParseError(f"expected matrix order, found {_shown(header)}", header_line, 1) from None
+    match = re.fullmatch(r"([-+]?)(\d+(?:_\d+)*)", header)  # the headers int() reads
+    if match is None:
+        raise MatrixParseError(f"expected matrix order, found {_shown(header)}", header_line, 1)
+    sign, digits = match.groups()
+    digits = digits.replace("_", "")
+    # int() reads at most the last len(str(MAX_ORDER)) digits, so the interpreter's
+    # int-to-str digit limit cannot change the message
+    width = len(str(MAX_ORDER))
+    n = MAX_ORDER + 1 if any(map(int, digits[:-width])) else int(digits[-width:])
+    n = -n if sign == "-" else n
     if n <= 0:
         raise MatrixParseError(
             f"matrix order must be positive, found {_shown(header)}", header_line, 1
@@ -186,7 +191,7 @@ def parse_matrix(text: str) -> RationalMatrix:
         raise MatrixParseError(f"expected {n} entries, found {found}", lineno, found)
     if len(distinct) < len(tokens):  # otherwise the values are in row-major order already
         values = list(map(dict(zip(distinct, values)).__getitem__, tokens))
-    return RationalMatrix._cleared(den, values, n)
+    return RationalMatrix._scaled(Fraction(1, den), values, n)
 
 
 def serialize_matrix(b: RationalMatrix, comment: str | None = None) -> str:
@@ -204,8 +209,3 @@ def serialize_matrix(b: RationalMatrix, comment: str | None = None) -> str:
 def poly_coefficients(p) -> list[str]:
     """Ascending coefficient list in report form ("p/q", or "p" for integers)."""
     return [str(c) for c in p.coeffs]
-
-
-def zero_one_grid(b: RationalMatrix) -> list[list[int]]:
-    """Row-major 0/1 grid for indicator matrices."""
-    return [[int(v) for v in row] for row in b.rows]

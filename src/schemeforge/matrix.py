@@ -5,28 +5,25 @@ the pipeline is built on; the pipeline solves on residues (see `hoffman`).
 No stage calls the exact linear solver (`solve_rational_system`,
 fraction-free elimination), `trace_inner_product` or
 `MatrixPowerBasis.evaluate`: they are kept only because `bench/tracer.py`
-binds them. There is one encoding of a matrix: `RationalMatrix` holds its
-entries cleared of their denominators, ints / den with ints a flat
-row-major tuple of integers, in lowest terms. Its exact operations are
-integer operations on that encoding:
+binds them. There is one exact form of a matrix: `RationalMatrix` holds B
+= s C, with the scale s > 0 a Fraction and C a primitive integer matrix,
+one n x n array (`entries`, int64 while every line sum of |C| fits, Python
+ints beyond). B and C generate the same algebra, so every stage works on
+C. Its exact operations are integer operations on that form:
 
-- every matrix product is one call of `integer_product` over den * den',
-  the exact product of two integer matrices: one numpy matmul, on int64
-  when a bound on the entries proves that no partial sum can overflow and
-  on object arrays of Python ints otherwise. The pipeline's only products
-  are normality's B B^T and B^T B;
+- every matrix product is (s C)(s' C') = s s' C C', one call of
+  `integer_product`, the exact product of two integer arrays: one numpy
+  matmul, on int64 when a bound on the entries proves that no partial sum
+  can overflow and on object arrays of Python ints otherwise. The
+  pipeline's only products are normality's B B^T and B^T B;
 - each matrix owns one analysis context (`RationalMatrix.powers`, built
-  on first access and kept). It holds B = s C, the one exact form of B
-  past the parser: the scale s = gcd(ints) / den and the primitive integer
-  matrix C = ints / gcd(ints), held as one n x n integer array (`entries`,
-  int64 while every line sum fits). B and C generate the same algebra, so
-  every stage works on C: the classification and the underlying digraph
-  read their signs, line sums and arcs off that array. `rescaled` writes a polynomial in C as one in B for
-  the Hoffman stage, the predistance family applies s in its closed form
-  (see `predistance`), and `weights` writes p(B) as a combination (sum_k
-  w_k C^k) / L of C's powers on integers. The context also keeps the
-  results of the pipeline stages on B, each stored by the stage that
-  computes it;
+  on first access and kept), which shares B's scale and entries. The
+  classification and the underlying digraph read their signs, line sums
+  and arcs off C. `rescaled` writes a polynomial in C as one in B for the
+  Hoffman stage, the predistance family applies s in its closed form (see
+  `predistance`), and `weights` writes p(B) as a combination (sum_k w_k
+  C^k) / L of C's powers on integers. The context also keeps the results
+  of the pipeline stages on B, each stored by the stage that computes it;
 - no integer power of C is formed. C's powers are read modulo word primes
   by float64 matmuls (`_powers_mod`), every prime below 2^b with t (p -
   1)^2 < 2^53 (`_bits` of t terms) for the longest sum of t products of
@@ -50,8 +47,8 @@ integer operations on that encoding:
   (no stage calls it).
 
 Fractions are built when a file is parsed and when a boundary asks for
-`rows` (reports, the entry decomposition, the float sidecar); the
-distance classes stay one integer label grid from the BFS to the report.
+`rows` (a serialized matrix); the distance classes stay one integer label
+grid from the BFS to the report.
 Matrices are immutable; every operation returns a fresh value.
 """
 
@@ -88,41 +85,36 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def integer_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """The exact product of two n x n integer matrices, flattened row-major.
+def integer_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact product of two n x n integer arrays (int64 or Python ints).
 
     Every partial sum of an entry is at most n * max|a| * max|b| in absolute
-    value. Each operand is read once into an int64 array, and its largest
-    and smallest entries, taken as Python ints so that -2^63 does not wrap,
-    give its maximum; an operand with an entry past int64 counts as 2^63.
-    When the bound, with each maximum taken as at least 1 so that both
-    operands fit as well, is below 2^63, the matmul runs on int64; otherwise
-    the same matmul runs on object arrays of Python ints. The bound comes
-    first because numpy integer matmul wraps on overflow without a warning.
+    value, with each maximum read off the operand's largest and smallest
+    entries as Python ints, so that -2^63 does not wrap, and taken as at
+    least 1, so that both operands fit as well. When that bound is below
+    2^63 the matmul runs on int64; otherwise the same matmul runs on object
+    arrays of Python ints. The bound comes first because numpy integer
+    matmul wraps on overflow without a warning. Its loop (no BLAS) reads rows
+    of a and columns of b, so a is taken row-major and b column-major.
     """
-    operands, bound = [], n
+    bound = len(a)
     for values in (a, b):
-        try:
-            values = np.fromiter(values, dtype=np.int64, count=n * n)
-            bound *= max(1, int(values.max()), -int(values.min()))
-        except OverflowError:
-            bound *= 2**63
-        operands.append(values)
+        bound *= max(1, int(values.max()), -int(values.min()))
     dtype = np.int64 if bound < 2**63 else object
-    left, right = (np.array(values, dtype=dtype).reshape(n, n) for values in operands)
-    return (left @ right).ravel().tolist()
+    return a.astype(dtype, order="C", copy=False) @ b.astype(dtype, order="F", copy=False)
 
 
-def _integer_grid(ints: Iterable[int], n: int) -> np.ndarray:
-    """n^2 integers, row-major, as an n x n array: int64 when n * max|v| < 2^63,
-    so that every line sum of absolute values fits, and Python ints otherwise."""
+def _integer_grid(values: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """n^2 integers (row-major, or an n x n array) as an n x n array: int64
+    when n * max|v| < 2^63, so that every line sum of absolute values fits,
+    and Python ints otherwise."""
     try:
-        grid = np.array(ints, dtype=np.int64)
+        grid = np.asarray(values, dtype=np.int64)
         if n * max(int(grid.max()), -int(grid.min())) < 2**63:
             return grid.reshape(n, n)
     except OverflowError:
         pass
-    return np.array(ints, dtype=object).reshape(n, n)
+    return np.array(values, dtype=object).reshape(n, n)
 
 
 class MatrixOrderError(ValueError):
@@ -130,18 +122,19 @@ class MatrixOrderError(ValueError):
 
 
 class RationalMatrix:
-    """Immutable n x n rational matrix, kept cleared of its denominators.
+    """Immutable n x n rational matrix B = s C, held as (order, scale, entries).
 
-    Entry (x, y) is ints[x * n + y] / den, with ints a flat row-major tuple
-    of ints, den > 0 and gcd(den, *ints) = 1, so each matrix has exactly
-    one (order, den, ints). The Fraction rows are built only on request.
-    The analysis context (`powers`) is a cache beside that encoding:
-    equality and hashing read only (order, den, ints).
+    The scale s > 0 is a Fraction (1 for the zero matrix), and the entries C
+    a primitive, read-only integer array under `_integer_grid`'s rule. Every
+    constructor goes through `_scaled`, so each matrix has exactly one
+    (order, scale, entries), which equality and hashing read. The Fraction
+    rows are built only on request; the analysis context (`powers`) is a
+    cache beside that form, sharing its scale and entries.
     """
 
-    __slots__ = ("order", "den", "ints", "_powers")
+    __slots__ = ("order", "scale", "entries", "_powers")
 
-    def __init__(self, rows: Iterable[Iterable[Scalar]]):
+    def __new__(cls, rows: Iterable[Iterable[Scalar]]) -> "RationalMatrix":
         grid = [[v if type(v) in (Fraction, int) else Fraction(v) for v in row] for row in rows]
         n = len(grid)
         if n == 0:
@@ -149,21 +142,24 @@ class RationalMatrix:
         for row in grid:
             if len(row) != n:
                 raise ValueError(f"row of length {len(row)} in matrix of order {n}")
-        # den is the lcm of the reduced denominators, so (den, ints) is in lowest terms
-        self._set(n, *clear_denominators([v for row in grid for v in row]))
-
-    def _set(self, n: int, den: int, ints: Sequence[int]) -> None:
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ints", tuple(ints))
-        object.__setattr__(self, "_powers", None)
+        den, ints = clear_denominators([v for row in grid for v in row])
+        return cls._scaled(Fraction(1, den), ints, n)
 
     @classmethod
-    def _cleared(cls, den: int, ints: Sequence[int], n: int) -> "RationalMatrix":
-        """The n x n matrix with row-major flattening ints / den (den > 0), in lowest terms."""
-        g = gcd(den, *ints)
+    def _scaled(cls, scale: Fraction, values: Sequence[int] | np.ndarray, n: int) -> "RationalMatrix":
+        """The n x n matrix scale * values, for scale > 0 and n^2 integers
+        values (row-major, or an n x n array, as `_integer_grid` takes them),
+        as s C: C = values / g and s = scale * g, with g the gcd of the
+        values; the zero matrix is stored with s = 1."""
+        grid = _integer_grid(values, n)
+        g = abs(int(np.gcd.reduce(grid, axis=None)))  # a reduce over one entry returns it as it is
+        entries = _integer_grid(grid // g, n) if g > 1 else grid
+        entries.flags.writeable = False  # shared by the analysis context and, as views, by transposes
         m = object.__new__(cls)
-        m._set(n, den // g, [v // g for v in ints] if g > 1 else ints)
+        object.__setattr__(m, "order", n)
+        object.__setattr__(m, "scale", scale * g if g else Fraction(1))
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "_powers", None)
         return m
 
     def __setattr__(self, name, value):
@@ -182,42 +178,38 @@ class RationalMatrix:
         return tuple(self[x] for x in range(self.order))
 
     def __getitem__(self, x: int) -> Row:
-        n, den = self.order, self.den
-        x = range(n)[x]  # IndexError past the last row, as for a tuple
-        return tuple(Fraction(v, den) for v in self.ints[x * n : x * n + n])
+        s = self.scale
+        return tuple(s * v for v in self.entries[x].tolist())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RationalMatrix):
-            return (self.order, self.den, self.ints) == (other.order, other.den, other.ints)
+        if isinstance(other, RationalMatrix):  # array_equal compares the shapes, so the orders, too
+            return self.scale == other.scale and np.array_equal(self.entries, other.entries)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.order, self.den, self.ints))
+        return hash((self.order, self.scale, tuple(self.entries.ravel().tolist())))
 
     def _require_same_order(self, other: "RationalMatrix") -> None:
         if self.order != other.order:
             raise MatrixOrderError(f"order mismatch: {self.order} vs {other.order}")
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Exact product: one `integer_product` of the two cleared grids over den * den'."""
+        """Exact product: (s C)(s' C') = s s' C C', one `integer_product`."""
         self._require_same_order(other)
-        n = self.order
-        return RationalMatrix._cleared(
-            self.den * other.den, integer_product(self.ints, other.ints, n), n
-        )
+        product = integer_product(self.entries, other.entries)
+        return RationalMatrix._scaled(self.scale * other.scale, product, self.order)
 
     def transpose(self) -> "RationalMatrix":
-        n, ints = self.order, self.ints
-        return RationalMatrix._cleared(self.den, [v for y in range(n) for v in ints[y::n]], n)
+        return RationalMatrix._scaled(self.scale, self.entries.T, self.order)
 
     def to_float(self):
         """Dense float copy for the numeric sidecar.
 
-        Each entry is v / den, a correctly rounded int division, so it equals
-        float(Fraction(v, den)) without building the Fraction.
+        Each entry is v num(s) / den(s), a correctly rounded int division, so
+        it equals float(s v) without building the Fraction.
         """
-        n, den = self.order, self.den
-        return np.array([v / den for v in self.ints], dtype=float).reshape(n, n)
+        up, down = self.scale.numerator, self.scale.denominator
+        return np.array([[v * up / down for v in row] for row in self.entries.tolist()], dtype=float)
 
     def __repr__(self) -> str:
         return f"RationalMatrix({[list(map(str, r)) for r in self.rows]!r})"
@@ -231,10 +223,11 @@ def trace_inner_product(m: RationalMatrix, n: RationalMatrix) -> Fraction:
 
     Both operands are real rational, so conjugation is the identity and the
     trace form and the entrywise form coincide: one integer dot product of
-    the cleared flattenings over den_M * den_N * order.
+    the flattened entries, times s_M s_N / order.
     """
     m._require_same_order(n)
-    return Fraction(sum(map(mul, m.ints, n.ints)), m.den * n.den * m.order)
+    dot = sum(map(mul, m.entries.ravel().tolist(), n.entries.ravel().tolist()))
+    return dot * m.scale * n.scale / m.order
 
 
 class MatrixPowerBasis:
@@ -242,9 +235,8 @@ class MatrixPowerBasis:
     integer matrix C, the residues of its powers modulo word primes, and the
     result of each pipeline stage on B.
 
-    For B = ints / den, s = gcd(ints) / den and C = ints / gcd(ints); the
-    zero matrix is its own C, with s = 1. This is the one exact form of B
-    past the parser, with C as one n x n array (`entries`). B and C
+    The scale and entries are B's own (`RationalMatrix.scale` and
+    `entries`, the same objects), and the context adds R = `norm`. B and C
     generate the same algebra, so every stage reads C: its signs, line sums
     and support directly, and its powers through their residues modulo
     primes (`residues`, `_powers_mod`) bounded through R = `norm`.
@@ -267,13 +259,9 @@ class MatrixPowerBasis:
     """
 
     def __init__(self, base: RationalMatrix):
-        n = base.order
-        g = gcd(*base.ints) or 1
-        self.order = n
-        self.scale = Fraction(g, base.den)
-        # C as an n x n array: int64 while every line sum of |C| fits, Python ints beyond
-        entries = _integer_grid(base.ints, n)
-        self.entries = _integer_grid((entries // g).ravel(), n) if g > 1 else entries
+        self.order = base.order
+        self.scale = base.scale
+        self.entries = base.entries
         # ||C||_inf, the largest absolute row sum: it bounds every eigenvalue
         # of C, every absolute row sum of C^j by norm^j, and so every entry
         self.norm = int(abs(self.entries).sum(axis=1).max())
@@ -404,7 +392,7 @@ class MatrixPowerBasis:
         den, row = self.weights(p)
         bound = sum(abs(c) * self.norm**k for k, c in enumerate(row))
         primes, sums = _joined(self.combinations([row], 2 * bound))
-        return RationalMatrix._cleared(den, _symmetric_crt(sums[:, 0], primes), self.order)
+        return RationalMatrix._scaled(Fraction(1, den), _symmetric_crt(sums[:, 0], primes), self.order)
 
     def evaluates_to(self, polys: Sequence[Polynomial], masks: Sequence) -> list[bool]:
         """For each i, whether p_i(B) is the 0/1 matrix masks[i] (n x n, or

@@ -3,9 +3,11 @@ distinct-entry decomposition.
 
 classify() reports the four exact flags the rest of the pipeline gates on:
 nonnegativity, a common line sum (lambda-double stochasticity), normality,
-and irreducibility. All four are read off the integers of B = s C: signs,
-line sums and the arcs for irreducibility in one array pass each over C,
-normality as B B^T = B^T B, two integer products. It never fails; bad inputs just classify negatively.
+and irreducibility. All four are read off B = s C (s > 0, C a primitive
+integer array): signs, line sums and the arcs for irreducibility in one
+array pass each over C, normality as B B^T = B^T B, two integer array
+products and one comparison. It never fails; bad inputs just classify
+negatively. The entry decomposition groups C's distinct positive values.
 MatrixClassification.failed_hypothesis() is the one gate on those flags, in
 the theorem's order; HYPOTHESIS_MESSAGES words each failure, and a stage
 whose gate fails raises HypothesisError with the failed code.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .digraph import is_strongly_connected, successor_lists
+from .digraph import first_negative, is_strongly_connected, successor_lists
 from .matrix import RationalMatrix
 
 
@@ -95,10 +97,10 @@ class MatrixClassification:
 def classify(b: RationalMatrix) -> MatrixClassification:
     """The four flags; signs, line sums and support are read off C, for B = s C.
 
-    C is the integer array in B's analysis context and s > 0, so B's signs
-    and support are C's, and its line sums are s times C's (lambda = s
-    times C's row sum). Normality compares the two products B B^T and B^T
-    B. The result is computed once and kept in B's analysis context.
+    C is B's entries and s > 0, so B's signs and support are C's, and its
+    line sums are s times C's (lambda = s times C's row sum). Normality
+    compares B B^T = s^2 C C^T with B^T B = s^2 C^T C. The result is
+    computed once and kept in B's analysis context.
     """
     context = b.powers
     if context.classification is not None:
@@ -131,16 +133,21 @@ class EntryDecomposition:
 
 
 def entry_decomposition(b: RationalMatrix) -> EntryDecomposition:
-    """Group positions of B by distinct positive value."""
-    for x, row in enumerate(b.rows):
-        for y, v in enumerate(row):
-            if v < 0:
-                raise ValueError(f"entry decomposition requires nonnegativity; entry ({x}, {y}) is {v}")
-    values = sorted({v for row in b.rows for v in row if v > 0})
-    indicators = [
-        RationalMatrix([[1 if v == c else 0 for v in row] for row in b.rows]) for c in values
-    ]
-    return EntryDecomposition(coefficients=tuple(values), indicators=tuple(indicators))
+    """Group positions of B = s C by distinct positive value.
+
+    Since s > 0, B's distinct positive values are s v for C's, in the same
+    order, and the indicator of s v is the 0/1 matrix C == v.
+    """
+    entries = b.entries
+    position = first_negative(entries)
+    if position is not None:
+        value = b.scale * int(entries[position])
+        raise ValueError(f"entry decomposition requires nonnegativity; entry {position} is {value}")
+    values = sorted(set(entries[entries > 0].tolist()))
+    return EntryDecomposition(
+        coefficients=tuple(b.scale * v for v in values),
+        indicators=tuple(RationalMatrix._scaled(Fraction(1), entries == v, b.order) for v in values),
+    )
 
 
 def random_lambda_ds(n: int, k: int, seed: int) -> RationalMatrix:

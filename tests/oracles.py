@@ -261,10 +261,15 @@ def fraction_parse_matrix(text: str) -> RationalMatrix:
     if not data:
         raise MatrixParseError("no matrix data found", 1, 1)
     header_line, header = data[0]
+    # the whole header read as one int, under a lifted int-to-str digit limit
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         n = int(header)
     except ValueError:
         raise MatrixParseError(f"expected matrix order, found {_shown(header)}", header_line, 1) from None
+    finally:
+        sys.set_int_max_str_digits(previous)
     if n <= 0:
         raise MatrixParseError(f"matrix order must be positive, found {_shown(header)}", header_line, 1)
     if n > MAX_ORDER:

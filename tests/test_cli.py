@@ -17,7 +17,7 @@ from conftest import FIXTURES
 
 from schemeforge.cli import _exact_digits, _report_json, build_parser, run_command
 from schemeforge.hoffman import minimal_polynomial
-from schemeforge.io import MAX_DIGITS, MAX_ORDER, MatrixParseError, parse_matrix, serialize_matrix
+from schemeforge.io import MAX_DIGITS, MAX_ORDER, MatrixParseError, _shown, parse_matrix, serialize_matrix
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, _bits, _prime
 from schemeforge.stochastic import classify, random_lambda_ds
 
@@ -72,12 +72,13 @@ def test_parse_rejects_missing_rows():
 
 
 def parse_outcome(parse, text):
-    """(order, den, ints) of a parsed matrix, or the (line, column, message) of its MatrixParseError."""
+    """(order, scale, dtype, entries) of a parsed matrix's s C, or the (line, column,
+    message) of its MatrixParseError."""
     try:
         b = parse(text)
     except MatrixParseError as exc:
         return ("error", exc.line, exc.column, str(exc))
-    return ("matrix", b.order, b.den, b.ints)
+    return ("matrix", b.order, b.scale, b.entries.dtype, b.entries.tolist())
 
 
 signs = st.sampled_from(("", "+", "-"))
@@ -246,6 +247,32 @@ def test_parse_bounds_the_order_at_the_header_line(capsys, tmp_path):
     path.write_text("2049\n1\n", encoding="utf-8")
     assert run_command(["scheme", str(path)]) == 2
     assert capsys.readouterr().err == "error: line 1, entry 1: matrix order '2049' exceeds 2048\n"
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("9" * 5000, "matrix order {} exceeds 2048"),
+        ("+" + "9_9" * 2500, "matrix order {} exceeds 2048"),
+        ("-" + "9" * 5000, "matrix order must be positive, found {}"),
+        ("0" * 5000 + "2049", "matrix order {} exceeds 2048"),
+        ("-" + "0" * 5000, "matrix order must be positive, found {}"),
+        ("0" * 5000 + "2", "expected {} data rows, found 0"),
+        ("9" * 5000 + ".", "expected matrix order, found {}"),
+    ],
+)
+def test_parse_header_past_the_digit_limit_has_one_message(header, message):
+    # the header is read the same way whatever the interpreter's int-to-str digit limit is
+    text = header + "\n"
+    expected = ("error", 1, 1, "line 1, entry 1: " + message.format(_shown(header)))
+    previous = sys.get_int_max_str_digits()
+    try:
+        for limit in (0, 4300, 640):
+            sys.set_int_max_str_digits(limit)
+            assert parse_outcome(parse_matrix, text) == expected
+            assert parse_outcome(fraction_parse_matrix, text) == expected
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 cli_tokens = st.one_of(

@@ -2,7 +2,6 @@ import gc
 import weakref
 from fractions import Fraction
 from math import gcd
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from schemeforge.matrix import (
     MatrixPowerBasis,
     RationalMatrix,
     _bits,
+    _integer_grid,
     _prime,
     _prime_run,
     _primes,
@@ -101,29 +101,25 @@ def test_matmul_matches_naive_product(grids):
     assert grid(ma @ mb) == naive_mat_mul(a, b)
     assert grid(mb @ ma) == naive_mat_mul(b, a)
     assert grid(ma.transpose()) == [list(col) for col in zip(*a)]
-    for m in (ma, mb, ma @ mb, mb @ ma, ma.transpose()):
-        assert m.den > 0 and gcd(m.den, *m.ints) == 1  # lowest terms
     eye = identity(ma.order)
+    for m in (ma, mb, ma @ mb, mb @ ma, ma.transpose()):
+        assert_primitive_form(m)
+        # each float entry is the correctly rounded value of the exact one
+        assert m.to_float().tolist() == [[float(v) for v in row] for row in m.rows]
+        for same in (m.transpose().transpose(), m @ eye, eye @ m):
+            assert same == m and hash(same) == hash(m)
     assert ma @ eye == eye @ ma == ma
 
 
-def product_paths(monkeypatch) -> dict:
-    """Count, from now on, the operand arrays that matrix hands to numpy by dtype.
-
-    Each integer_product builds two: int64 ones on the "int64" path, object
-    arrays of Python ints on the "python" path.
-    """
-    calls = {"int64": 0, "python": 0}
-    path_of = {np.int64: "int64", object: "python"}
-
-    def array(values, dtype=None):
-        if dtype in path_of:
-            calls[path_of[dtype]] += 1
-        return np.array(values, dtype=dtype)
-
-    # every other numpy name that matrix uses passes through unchanged
-    monkeypatch.setattr(matrix, "np", SimpleNamespace(**{**vars(np), "array": array}))
-    return calls
+def assert_primitive_form(m):
+    """m holds B = s C: s > 0, C primitive, s = 1 for the zero matrix, and C on
+    int64 exactly when n max|C| < 2^63 (Python ints otherwise)."""
+    values = m.entries.ravel().tolist()
+    assert type(m.scale) is Fraction and m.scale > 0
+    assert m.entries.shape == (m.order, m.order)
+    assert gcd(*values) == (1 if any(values) else 0)
+    assert any(values) or m.scale == 1
+    assert m.entries.dtype == (np.int64 if m.order * max(map(abs, values)) < 2**63 else object)
 
 
 def flat_integer_grid(n, bits):
@@ -143,10 +139,13 @@ def flat_integer_grid(n, bits):
 )
 @settings(max_examples=200, deadline=None)
 def test_integer_product_matches_naive_oracle(operands):
+    # the operands as a matrix holds them: int64 while n max|v| < 2^63, Python ints beyond
     n, a, b = operands
     rows = lambda flat: [flat[i : i + n] for i in range(0, n * n, n)]
-    expected = [v for row in naive_mat_mul(rows(a), rows(b)) for v in row]
-    assert integer_product(a, b, n) == expected
+    product = integer_product(_integer_grid(a, n), _integer_grid(b, n))
+    assert product.tolist() == naive_mat_mul(rows(a), rows(b))
+    bound = n * max(1, *map(abs, a)) * max(1, *map(abs, b))
+    assert product.dtype == (np.int64 if bound < 2**63 else object)
 
 
 @pytest.mark.parametrize(
@@ -156,23 +155,20 @@ def test_integer_product_matches_naive_oracle(operands):
         (8, 2**30, 2**30, "python"),  # n * a * b = 2^63
     ],
 )
-def test_integer_product_at_the_int64_bound(monkeypatch, n, a, b, path):
+def test_integer_product_at_the_int64_bound(n, a, b, path):
     assert n * a * b == (2**63 - 1 if path == "int64" else 2**63)
-    calls = product_paths(monkeypatch)
     for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
         # every entry of the product is +-n * a * b, the extreme partial sum
-        product = integer_product([sa * a] * (n * n), [sb * b] * (n * n), n)
-        assert product == [sa * sb * n * a * b] * (n * n)
-    assert calls[path] == 2 * 4 and sum(calls.values()) == 2 * 4
+        product = integer_product(np.full((n, n), sa * a), np.full((n, n), sb * b))
+        assert product.tolist() == [[sa * sb * n * a * b] * n] * n
+        assert product.dtype == (np.int64 if path == "int64" else object)
 
 
-def test_integer_product_of_a_zero_operand_with_entries_past_int64(monkeypatch):
-    calls = product_paths(monkeypatch)
-    huge = [10**30, -(2**64), 2**63, 1]
-    zero = [0] * 4
-    assert integer_product(zero, huge, 2) == zero
-    assert integer_product(huge, zero, 2) == zero
-    assert calls == {"int64": 0, "python": 2 * 2}
+def test_integer_product_of_a_zero_operand_with_entries_past_int64():
+    huge = np.array([[10**30, -(2**64)], [2**63, 1]], dtype=object)
+    zero = np.zeros((2, 2), dtype=np.int64)
+    for product in (integer_product(zero, huge), integer_product(huge, zero)):
+        assert product.tolist() == [[0, 0], [0, 0]] and product.dtype == object
 
 
 def test_entry_sizes_alone_choose_the_product_path(monkeypatch, tmp_path):
@@ -181,25 +177,22 @@ def test_entry_sizes_alone_choose_the_product_path(monkeypatch, tmp_path):
     # B B^T and B^T B, and each runs on the path its operands' entries choose
     # (the residue stages build their own arrays, which are not products)
     n = 6
-    calls = product_paths(monkeypatch)
-    products = []
+    dtypes = []
     product = matrix.integer_product
 
-    def recorded(a, b, order):
-        before = dict(calls)
-        result = product(a, b, order)
-        products.append({path: calls[path] - before[path] for path in calls})
+    def recorded(a, b):
+        result = product(a, b)
+        dtypes.append(result.dtype)
         return result
 
     monkeypatch.setattr(matrix, "integer_product", recorded)
-    for diagonal, path in ((0, "int64"), (10**30, "python")):
+    for diagonal, dtype in ((0, np.int64), (10**30, object)):
         grid = [[diagonal * (x == y) + (y == (x + 1) % n) for y in range(n)] for x in range(n)]
-        file = tmp_path / f"cycle-{path}.mat"
+        file = tmp_path / f"cycle-{diagonal}.mat"
         file.write_text(serialize_matrix(RationalMatrix(grid)))
-        products.clear()
+        dtypes.clear()
         assert run_command(["scheme", str(file), "--json"]) == 0
-        other = "python" if path == "int64" else "int64"
-        assert products == [{path: 2, other: 0}] * 2
+        assert dtypes == [dtype] * 2
 
 
 def test_identity_is_neutral(fig2):
@@ -291,6 +284,24 @@ def test_trace_form_equals_hadamard_form(grid):
     n = add(m.transpose(), identity(m.order))
     expected = trace_form_inner([list(r) for r in m.rows], [list(r) for r in n.rows])
     assert trace_inner_product(m, n) == expected
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [[Fraction(1, 4), Fraction(3, 4)], [Fraction(3, 4), Fraction(1, 4)]],
+        [[Fraction(3 * 10**30, 7), Fraction(3, 7)], [Fraction(3, 7), Fraction(3 * 10**30, 7)]],
+        [[0, 0], [0, 0]],
+    ],
+)
+def test_context_shares_the_matrix_form(grid):
+    b = RationalMatrix(grid)
+    assert b.powers.scale is b.scale and b.powers.entries is b.entries
+    # the context and every transpose (a view) share the entries, so no write reaches them
+    for m in (b, b.transpose()):
+        with pytest.raises(ValueError, match="read-only"):
+            m.entries[0, 1] = 5
+    assert b == RationalMatrix(grid)
 
 
 def test_power_basis_caches_incrementally(fig2):
@@ -468,7 +479,7 @@ def test_power_basis_evaluate_matches_naive_oracle(grid, cs, ds):
         p = Polynomial(coeffs)
         expected = naive_poly_at(p, grid)
         value = basis.evaluate(p)
-        assert gcd(value.den, *value.ints) == 1  # lowest terms
+        assert_primitive_form(value)
         assert [list(row) for row in value.rows] == expected
     # B = s C with C primitive (or zero), and the stack holds C^k = B^k / s^k mod p
     assert gcd(*basis.entries.ravel().tolist()) in (0, 1)
