@@ -361,8 +361,8 @@ def _scheme_report(b: RationalMatrix, cls: MatrixClassification, certificate) ->
         "predistance": predistance_polys,
         # the class grids and the tensor as arrays: the writer lays out each in one join
         "classes": (
-            (np.array(certificate.labels) == np.arange(certificate.d + 1)[:, None, None]).astype(np.int8)
-            if certificate.labels
+            (certificate.labels == np.arange(certificate.d + 1)[:, None, None]).astype(np.int8)
+            if certificate.labels is not None
             else None
         ),
         "intersection_numbers": (

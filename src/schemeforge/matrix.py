@@ -13,9 +13,10 @@ C. Its exact operations are integer operations on that form:
 
 - every matrix product is (s C)(s' C') = s s' C C', one call of
   `integer_product`, the exact product of two integer arrays: one numpy
-  matmul, on int64 when a bound on the entries proves that no partial sum
-  can overflow and on object arrays of Python ints otherwise. The
-  pipeline's only products are normality's B B^T and B^T B;
+  matmul, on float64 (BLAS) when a bound on the entries proves that every
+  partial sum is an integer below 2^53, on int64 when it proves that none
+  overflows, and on object arrays of Python ints otherwise. The pipeline's
+  only products are normality's B B^T and B^T B;
 - each matrix owns one analysis context (`RationalMatrix.powers`, built
   on first access and kept), which shares B's scale and entries. The
   classification and the underlying digraph read their signs, line sums
@@ -48,7 +49,7 @@ C. Its exact operations are integer operations on that form:
 
 Fractions are built when a file is parsed and when a boundary asks for
 `rows` (a serialized matrix); the distance classes stay one integer label
-grid from the BFS to the report.
+grid from the frontier pass (`digraph.distance_structure`) to the report.
 Matrices are immutable; every operation returns a fresh value.
 """
 
@@ -86,20 +87,27 @@ def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:
 
 
 def integer_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The exact product of two n x n integer arrays (int64 or Python ints).
+    """The exact product of two n x n integer arrays (int64 or Python ints),
+    as int64 or, past 2^63, as Python ints.
 
     Every partial sum of an entry is at most n * max|a| * max|b| in absolute
     value, with each maximum read off the operand's largest and smallest
     entries as Python ints, so that -2^63 does not wrap, and taken as at
-    least 1, so that both operands fit as well. When that bound is below
-    2^63 the matmul runs on int64; otherwise the same matmul runs on object
-    arrays of Python ints. The bound comes first because numpy integer
-    matmul wraps on overflow without a warning. Its loop (no BLAS) reads rows
-    of a and columns of b, so a is taken row-major and b column-major.
+    least 1, so that both operands fit as well. Below 2^53 the matmul runs
+    on float64, and its result is exact for two reasons: every partial sum
+    is an integer below 2^53 in absolute value, so the order of summation
+    does not matter; and BLAS (OpenBLAS dgemm) forms each entry as a plain
+    sum of n products, with no Strassen-type scheme. Below 2^63 the matmul
+    runs on int64, and otherwise on object arrays of Python ints. The bound
+    comes first because numpy integer matmul wraps on overflow without a
+    warning. Its loop (no BLAS) reads rows of a and columns of b, so a is
+    taken row-major and b column-major.
     """
     bound = len(a)
     for values in (a, b):
         bound *= max(1, int(values.max()), -int(values.min()))
+    if bound < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     dtype = np.int64 if bound < 2**63 else object
     return a.astype(dtype, order="C", copy=False) @ b.astype(dtype, order="F", copy=False)
 

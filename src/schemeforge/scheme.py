@@ -10,13 +10,14 @@ primes whose product exceeds the largest sum_k |w_ik| R^k + L_i, R =
 ||C||_inf, which bounds every entry of each difference: all D + 1 classes
 in one batched call of the residue kernel (`MatrixPowerBasis.evaluates_to`),
 A_D's verdict read first. No p_i(B) is evaluated. The classes are
-never built as matrices: the BFS distance grid is their label grid, with
-A_i the level set {(x, y) : dist[x][y] = i}, and the axiom kernels read it
+never built as matrices: the distance grid, one int64 array from the
+frontier pass, is their label grid, with A_i the level set {(x, y) :
+dist[x][y] = i}, and the axiom kernels and the report read that array
 directly. An accepted certificate carries that grid, the integer
 intersection tensor, and the transpose permutation; a rejection carries a
 typed reason. The intersection numbers are counted in bulk: one exact
-int64 matrix product per class and group of classes, with the counts
-packed as base-(n + 1) digits (see intersection_numbers).
+float64 matrix product per class and group of classes, with the counts
+packed as base-(n + 1) digits below 2^53 (see intersection_numbers).
 
 Rejection is a value, never an exception. The AXIOM_FAILURE reason exists
 only as a self-check trap: when the acceptance hypotheses hold it is
@@ -73,18 +74,18 @@ class Rejection:
 class SchemeCertificate:
     """Verdict of detect_scheme plus, when accepted, the scheme data.
 
-    labels is the distance grid: (x, y) lies in class labels[x][y], so the
-    distance matrix A_i (equal to p_i(B)) is the level set of label i;
-    intersection_tensor is indexed [i][j][h] with
-    A_i A_j = sum_h tensor[i][j][h] A_h; transpose_perm maps i to the index
-    of A_i^T.
+    labels is the distance grid, a read-only int64 array: (x, y) lies in
+    class labels[x, y], so the distance matrix A_i (equal to p_i(B)) is the
+    level set of label i; intersection_tensor is indexed [i][j][h] with A_i
+    A_j = sum_h tensor[i][j][h] A_h; transpose_perm maps i to the index of
+    A_i^T.
     """
 
     accepted: bool
     reason: Optional[Rejection]
     d: Optional[int] = None
     diameter: Optional[int] = None
-    labels: Optional[tuple[tuple[int, ...], ...]] = None
+    labels: Optional[np.ndarray] = None
     intersection_tensor: Optional[IntersectionTensor] = None
     transpose_perm: Optional[tuple[int, ...]] = None
     generator_polynomials: Optional[tuple[Polynomial, ...]] = None
@@ -108,9 +109,12 @@ def intersection_numbers(labels: LabelGrid) -> IntersectionTensor:
 
     The counts are packed as base-(n + 1) digits: for a group of g classes
     j0..j0+g-1, Z = sum_j (n + 1)^(j - j0) A_j, and the (x, y) entry of the
-    int64 product A_i Z is sum_j p_ij(x, y) (n + 1)^(j - j0). Each digit is
-    at most n, so the entry is below (n + 1)^g <= 2^63, and as every term is
-    nonnegative no partial sum overflows. Each entry is compared with the
+    float64 product A_i Z is sum_j p_ij(x, y) (n + 1)^(j - j0). Each digit
+    is at most n, so the entry is below (n + 1)^g <= 2^53. The product is
+    exact for two reasons: every term is a nonnegative integer, so every
+    partial sum is an integer below 2^53 and the order of summation does
+    not matter; and BLAS (OpenBLAS dgemm) forms each entry as a plain sum of
+    n products, with no Strassen-type scheme. Each entry is compared with the
     entry at the first row-major pair of its class, whose digits are the
     p^h_ij. The AS4 witness (i, j, h, x, y) is the first row-major pair whose
     counts differ from its class representative's, with (i, j) the first
@@ -124,20 +128,20 @@ def intersection_numbers(labels: LabelGrid) -> IntersectionTensor:
     cells = flat.tolist()
     rep = np.array([cells.index(h) for h in range(r)])
     rep_of_pair = rep[flat]
-    # the largest g <= r with (n + 1)^g <= 2^63
+    # the largest g <= r with (n + 1)^g <= 2^53
     g = 1
-    while g < r and (n + 1) ** (g + 1) <= 2**63:
+    while g < r and (n + 1) ** (g + 1) <= 2**53:
         g += 1
     place = np.array([(n + 1) ** k for k in range(g)], dtype=np.int64)
     tensor = np.empty((r, r, r), dtype=np.int64)  # [i, j, h]
     same = np.ones(n * n, dtype=bool)
     for j0 in range(0, r, g):
         width = min(g, r - j0)
-        weight = np.zeros(r, dtype=np.int64)
+        weight = np.zeros(r)
         weight[j0 : j0 + width] = place[:width]
         z = weight[lab]
         for i in range(r):
-            counts = ((lab == i).astype(np.int64) @ z).ravel()
+            counts = ((lab == i).astype(np.float64) @ z).astype(np.int64).ravel()
             same &= counts == counts[rep_of_pair]
             # digit k of the count at the representative of class h is p^h_ij, j = j0 + k
             tensor[i, j0 : j0 + width] = counts[rep] // place[:width, None] % (n + 1)
@@ -203,7 +207,7 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
         return rejected(RejectionCode.EIGENCOUNT_NE_DIAMETER, d=d, diameter=structure.diameter)
 
     family = predistance_basis(b)
-    grid = np.array(structure.dist)
+    grid = structure.dist
     # A_i = p_i(B) for every class at once; A_D = p_D(B) decides
     holds = b.powers.evaluates_to(family.polys, grid == np.arange(d + 1)[:, None, None])
     if not holds[d]:
@@ -248,7 +252,7 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
         reason=None,
         d=d,
         diameter=structure.diameter,
-        labels=structure.dist,
+        labels=grid,
         intersection_tensor=tensor,
         transpose_perm=perm,
         generator_polynomials=family.polys,

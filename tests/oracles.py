@@ -10,13 +10,15 @@ Fractions (gauss_jordan_solve), so the only things taken from `schemeforge`
 are the values compared against (RationalMatrix, the Polynomial type) and
 the contract of the messages (MatrixParseError, _shown, the bounds of the
 parser, SchemeAxiomError). Slow is fine; disagreement with the library is
-the signal. Three references are the plain per-entry forms of the
+the signal. Four references are the plain per-entry forms of the
 library's bulk paths: popcount_intersection_tensor counts each p_ij(x, y)
 as a popcount of two bitsets, set_transpose_map collects the transposed
-labels of each class in a set, and fraction_parse_matrix reads each token
-of a matrix file as one Fraction, where it stands. coherent_closure_rank
-is the rank of the coherent closure W(B) by 2-dimensional Weisfeiler-Leman
-refinement, the other side of the paper's Theorem 2.
+labels of each class in a set, fraction_parse_matrix reads each token of a
+matrix file as one Fraction, where it stands, and bfs_distances runs one
+breadth-first search per source where the library takes one frontier pass
+for all sources. coherent_closure_rank is the rank of the coherent
+closure W(B) by 2-dimensional Weisfeiler-Leman refinement, the other side
+of the paper's Theorem 2.
 
 Two sections are not oracles. Matrix arithmetic on Fraction grids builds
 test inputs: it reads every RationalMatrix through `.rows` and builds its
@@ -34,7 +36,7 @@ import itertools
 import math
 import re
 import sys
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 from schemeforge.exact import Polynomial
@@ -147,6 +149,27 @@ def count_walks_dfs(adjacency: list[list[int]], start: int, end: int, length: in
             for _ in range(adjacency[vertex][nxt]):
                 stack.append((nxt, steps + 1))
     return total
+
+
+def bfs_distances(successors: list[list[int]]) -> tuple[list[list[int]], int] | str:
+    """All-pairs distances by one breadth-first search per source: (grid,
+    diameter), or the message naming the first row-major unreachable pair."""
+    n = len(successors)
+    grid = []
+    for x in range(n):
+        row = [None] * n
+        row[x] = 0
+        queue = deque([x])
+        while queue:
+            u = queue.popleft()
+            for v in successors[u]:
+                if row[v] is None:
+                    row[v] = row[u] + 1
+                    queue.append(v)
+        if None in row:
+            return f"no directed path from {x} to {row.index(None)}"
+        grid.append(row)
+    return grid, max(map(max, grid))
 
 
 def naive_mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schemeforge import digraph
 from schemeforge.digraph import (
     NegativeEntryError,
     UnreachablePairError,
@@ -13,7 +15,17 @@ from schemeforge.digraph import (
 from schemeforge.exact import Polynomial
 from schemeforge.matrix import MatrixPowerBasis, RationalMatrix
 
-from oracles import add, adjacency_matrix, all_ones, class_matrices, count_walks_dfs, identity, scaled, zeros
+from oracles import (
+    add,
+    adjacency_matrix,
+    all_ones,
+    bfs_distances,
+    class_matrices,
+    count_walks_dfs,
+    identity,
+    scaled,
+    zeros,
+)
 
 
 def directed_cycle(n):
@@ -80,13 +92,90 @@ def test_complete_with_loops_has_diameter_one():
 def test_fig2_distance_structure(fig2):
     ds = distance_structure(underlying_digraph(fig2))
     assert ds.diameter == 3
-    sizes = [sum(row.count(i) for row in ds.dist) for i in range(ds.diameter + 1)]
+    sizes = [sum(row.count(i) for row in ds.dist.tolist()) for i in range(ds.diameter + 1)]
     assert sizes == [6, 12, 12, 6]
 
 
 def test_distance_structure_rejects_disconnected():
     with pytest.raises(UnreachablePairError):
         distance_structure([[1], []])
+
+
+def frontier_outcome(successors):
+    """(dist as lists, diameter) from the frontier pass, or its UnreachablePairError's message."""
+    try:
+        ds = distance_structure(successors)
+    except UnreachablePairError as exc:
+        return str(exc)
+    return ds.dist.tolist(), ds.diameter
+
+
+@pytest.mark.parametrize(
+    "successors",
+    [
+        [[]],
+        [[0]],
+        [[1], [0], [0]],
+        [[1], [2], [1]],
+        [[1], [0, 3], [1], [0]],
+        [[1], [0], [3], [2]],
+        [[], [0]],
+        [[1], [], [0]],
+        [[1], []],
+    ],
+    ids=[
+        "one-vertex",
+        "one-loop",
+        "last-has-no-in-arc",
+        "first-has-no-in-arc",
+        "middle-has-no-in-arc",
+        "two-components",
+        "first-is-a-sink",
+        "middle-is-a-sink",
+        "last-is-a-sink",
+    ],
+)
+def test_distance_structure_edge_cases_match_bfs(successors):
+    # a sink (no arc out) reads the empty sentinel row wherever its segment
+    # falls, a vertex with no arc in is never reached, and the error names the
+    # BFS's first row-major unreachable pair
+    assert frontier_outcome(successors) == bfs_distances(successors)
+
+
+def test_distance_structure_is_one_read_only_int_array():
+    dist = distance_structure(directed_cycle(70)).dist
+    assert dist.shape == (70, 70) and dist.dtype == np.int64
+    with pytest.raises(ValueError):
+        dist[0, 0] = 1
+
+
+def test_distance_structure_in_blocks_of_words_matches_bfs(monkeypatch):
+    # with no gather budget the successors' bitsets are taken one word at a
+    # time: the bitsets of 150 vertices span three words
+    monkeypatch.setattr(digraph, "STACK_BYTES", 0)
+    n = 150
+    successors = [sorted({(x + 1) % n, 7 * x % n}) for x in range(n)]
+    assert frontier_outcome(successors) == bfs_distances(successors)
+
+
+@st.composite
+def digraphs(draw):
+    """Successor lists on 1..140 vertices, so the bitsets span up to three words:
+    random arcs and, in half the draws, a spanning cycle through a random order
+    of the vertices, which makes the digraph strongly connected."""
+    n = draw(st.integers(1, 140))
+    vertex = st.integers(0, n - 1)
+    arcs = set(draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        arcs |= set(zip(order, order[1:] + order[:1]))
+    return [sorted(y for tail, y in arcs if tail == x) for x in range(n)]
+
+
+@given(digraphs())
+@settings(max_examples=100, deadline=None)
+def test_distance_structure_matches_bfs(successors):
+    assert frontier_outcome(successors) == bfs_distances(successors)
 
 
 def test_distance_classes_partition_and_triangle_inequality(fig1, fig2):

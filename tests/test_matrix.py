@@ -164,6 +164,23 @@ def test_integer_product_at_the_int64_bound(n, a, b, path):
         assert product.dtype == (np.int64 if path == "int64" else object)
 
 
+@pytest.mark.parametrize(
+    "n, a, b",
+    [
+        (1, 6361 * 69431, 20394401),  # n * a * b = 2^53 - 1: float64
+        (8, 2**25, 2**25),  # n * a * b = 2^53: int64
+        (3, 2**26 + 1, 2**26 + 1),  # odd and past 2^53, where float64 would round: int64
+    ],
+)
+def test_integer_product_at_the_float64_bound(n, a, b):
+    assert n * a * b in (2**53 - 1, 2**53) or (n * a * b > 2**53 and n * a * b % 2)
+    for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        # every entry of the product is +-n * a * b, the extreme partial sum
+        product = integer_product(np.full((n, n), sa * a), np.full((n, n), sb * b))
+        assert product.tolist() == [[sa * sb * n * a * b] * n] * n
+        assert product.dtype == np.int64
+
+
 def test_integer_product_of_a_zero_operand_with_entries_past_int64():
     huge = np.array([[10**30, -(2**64)], [2**63, 1]], dtype=object)
     zero = np.zeros((2, 2), dtype=np.int64)

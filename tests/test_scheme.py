@@ -85,7 +85,7 @@ def test_fig2_accepted(fig2):
         Polynomial([2, -8, 8]),
         Polynomial([-3, 12, -24, 16]),
     )
-    assert cert.labels == distance_structure(underlying_digraph(fig2)).dist
+    assert cert.labels.tolist() == distance_structure(underlying_digraph(fig2)).dist.tolist()
 
 
 def test_fig1_rejected_not_normal(fig1):
@@ -412,17 +412,36 @@ def test_transpose_map_matches_set_reference(labels):
         assert all(type(i) is int for i in outcome[1])
 
 
-def test_intersection_numbers_digit_groups_reach_two_to_the_63():
-    # n = 7 packs 21 counts per int64 since 8^21 = 2^63 exactly; with each of
-    # the 49 pairs its own class, every digit of every group holds a count
+def test_intersection_numbers_digit_groups_reach_two_to_the_53():
+    # n = 7 packs 17 counts per float64 group since 8^17 <= 2^53 < 8^18 (21
+    # under int64's 8^21 = 2^63); with each of the 49 pairs its own class,
+    # every digit of every group holds a count
     n = 7
-    assert (n + 1) ** 21 == 2**63
+    assert (n + 1) ** 17 <= 2**53 < (n + 1) ** 18 and (n + 1) ** 21 == 2**63
     labels = [[x * n + y for y in range(n)] for x in range(n)]
     tensor = intersection_numbers(labels)
     assert tensor == popcount_intersection_tensor(labels)
     # A_(x,z) A_(z,y) = A_(x,y): each class holds one pair, so each product is one class
     for x, z, y in itertools.product(range(n), repeat=3):
         assert tensor[x * n + z][z * n + y][x * n + y] == 1
+
+
+def test_intersection_numbers_in_two_groups_under_two_to_the_53():
+    # the orbitals of Z_4 acting regularly on {3, 4, 5, 6} and fixing 0, 1 and
+    # 2: 9 + 3 + 3 + 4 = 19 classes on n = 7 points, a coherent configuration,
+    # so AS4 holds; 19 counts take one group under 2^63 but two under 2^53
+    n = 7
+    group = [[*range(3), *(3 + (i + k) % 4 for i in range(4))] for k in range(4)]
+    orbit = {}
+    for x, y in itertools.product(range(n), repeat=2):
+        orbit.setdefault(min((g[x], g[y]) for g in group), len(orbit))
+    labels = [[orbit[min((g[x], g[y]) for g in group)] for y in range(n)] for x in range(n)]
+    assert len(orbit) == 19 and (n + 1) ** 17 <= 2**53 < (n + 1) ** 19 <= 2**63
+    tensor = intersection_numbers(labels)
+    assert tensor == popcount_intersection_tensor(labels)
+    assert [[list(row) for row in plane] for plane in tensor] == oracle_intersection_tensor(
+        class_matrices(labels)
+    )
 
 
 @pytest.mark.parametrize(
@@ -543,7 +562,7 @@ def test_recombinations_of_scheme_classes_are_accepted(fig2, theta0, theta1):
     recombined = add(scaled(theta0, classes[0]), scaled(theta1, classes[1]))
     again = detect_scheme(recombined)
     assert again.accepted
-    assert again.labels == cert.labels
+    assert again.labels.tolist() == cert.labels.tolist()
 
 
 def test_recombinations_of_cyclic_classes_are_accepted():
@@ -552,7 +571,7 @@ def test_recombinations_of_cyclic_classes_are_accepted():
     recombined = add(scaled(Fraction(1, 2), classes[0]), scaled(Fraction(7, 3), classes[1]))
     cert = detect_scheme(recombined)
     assert cert.accepted
-    assert cert.labels == base.labels
+    assert cert.labels.tolist() == base.labels.tolist()
 
 
 def test_random_accepted_instances_pass_brute_force():
