@@ -32,6 +32,7 @@ import json
 import math
 import os
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -245,7 +246,9 @@ def _layout(value, indent: str):
     return f"{brackets[0]}\n{inner}{separator.join(items)}\n{indent}{brackets[1]}"
 
 
-def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
+def _emit(report: dict, as_json: bool, lines: Iterable[str]) -> None:
+    """Print the report as JSON, or else the text lines: a generator of lines
+    is never run for a JSON report."""
     if as_json:
         print(_report_json(report))
     else:
@@ -301,18 +304,16 @@ def _cmd_hoffman(args) -> int:
                 "verified": True,
             }
         }
-        _emit(
-            report,
-            args.json,
-            [
-                f"lambda: {info.lam}",
-                f"h(t) = {info.h}",
-                f"h coefficients (ascending): {info.h.coefficient_line()}",
-                f"q coefficients (ascending): {info.q.coefficient_line()}",
-                "verification: h(B) = J holds exactly",
-            ],
-        )
+        _emit(report, args.json, _hoffman_lines(info))
     return EXIT_OK
+
+
+def _hoffman_lines(info):
+    yield f"lambda: {info.lam}"
+    yield f"h(t) = {info.h}"
+    yield f"h coefficients (ascending): {info.h.coefficient_line()}"
+    yield f"q coefficients (ascending): {info.q.coefficient_line()}"
+    yield "verification: h(B) = J holds exactly"
 
 
 def _cmd_predistance(args) -> int:
@@ -333,14 +334,18 @@ def _cmd_predistance(args) -> int:
                 "hoffman_sum_verified": True,
             }
         }
-        lines = [f"lambda: {family.lam}", f"d: {family.d}"]
-        for i, p in enumerate(family.polys):
-            lines.append(f"p_{i}(t) = {p}")
-            lines.append(f"  coefficients (ascending): {p.coefficient_line()}")
-            lines.append(f"  p_{i}(lambda) = {family.norms_sq[i]}")
-        lines.append("hoffman sum: verified")
-        _emit(report, args.json, lines)
+        _emit(report, args.json, _predistance_lines(family))
     return EXIT_OK
+
+
+def _predistance_lines(family):
+    yield f"lambda: {family.lam}"
+    yield f"d: {family.d}"
+    for i, p in enumerate(family.polys):
+        yield f"p_{i}(t) = {p}"
+        yield f"  coefficients (ascending): {p.coefficient_line()}"
+        yield f"  p_{i}(lambda) = {family.norms_sq[i]}"
+    yield "hoffman sum: verified"
 
 
 def _scheme_report(b: RationalMatrix, cls: MatrixClassification, certificate) -> dict:
@@ -381,24 +386,27 @@ def _cmd_scheme(args) -> int:
     certificate = detect_scheme(b)
     with _exact_digits():
         report = _scheme_report(b, cls, certificate)
-        lines = [f"verdict: {report['verdict']}"]
-        if certificate.reason is not None:
-            lines.append(f"reason: {certificate.reason.describe()}")
-        if report["lambda"] is not None:
-            lines.append(f"lambda: {report['lambda']}")
-        if certificate.d is not None:
-            lines.append(f"d: {certificate.d}  D: {certificate.diameter}")
-        if certificate.accepted:
-            lines.append(f"classes: {certificate.d + 1}")
-            for i, p in enumerate(certificate.generator_polynomials):
-                lines.append(f"p_{i}(t) = {p}")
-            lines.append(f"transpose map: {list(certificate.transpose_perm)}")
-            lines.append("intersection numbers (A_i A_j = sum_h p[h] A_h):")
-            for i, plane in enumerate(certificate.intersection_tensor):
-                for j, row in enumerate(plane):
-                    lines.append(f"  ({i},{j}): {list(row)}")
-        _emit(report, args.json, lines)
+        _emit(report, args.json, _scheme_lines(report, certificate))
     return EXIT_OK if certificate.accepted else EXIT_REJECTED
+
+
+def _scheme_lines(report: dict, certificate):
+    yield f"verdict: {report['verdict']}"
+    if certificate.reason is not None:
+        yield f"reason: {certificate.reason.describe()}"
+    if report["lambda"] is not None:
+        yield f"lambda: {report['lambda']}"
+    if certificate.d is not None:
+        yield f"d: {certificate.d}  D: {certificate.diameter}"
+    if certificate.accepted:
+        yield f"classes: {certificate.d + 1}"
+        for i, p in enumerate(certificate.generator_polynomials):
+            yield f"p_{i}(t) = {p}"
+        yield f"transpose map: {list(certificate.transpose_perm)}"
+        yield "intersection numbers (A_i A_j = sum_h p[h] A_h):"
+        for i, plane in enumerate(certificate.intersection_tensor):
+            for j, row in enumerate(plane):
+                yield f"  ({i},{j}): {list(row)}"
 
 
 def _cmd_decompose(args) -> int:

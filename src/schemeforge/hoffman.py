@@ -19,12 +19,13 @@ stages). They are exact: each prime is below 2^b with n (p -
 so every partial sum is an integer below 2^53, in any summation order.
 Results are reduced with int64 `%`. No power of B is formed: the Krylov
 sequence takes one matrix-vector product per vector, and each certificate
-about 2 sqrt(K) products of C's residues, not one per power of C:
+takes either K matrix-vector products or about 2 sqrt(K) products of C's
+residues, not one per power of C:
 
-- The Krylov sequence v, Cv, ..., C^K v of an integer start vector v takes
-  K matrix-vector products on one prime. Each new vector is reduced
-  against the kept rows as it arrives, held in reduced echelon form
-  together with their combinations of the sequence, and the first
+- The Krylov sequence v, Cv, ..., C^K v of a start vector v with entries
+  in [1, 2^10] takes K matrix-vector products on one prime. Each new vector
+  is reduced against the kept rows as it arrives, held in reduced echelon
+  form together with their combinations of the sequence, and the first
   dependent vector gives the degree K, K pivot coordinates R and the
   combination y with C^K v = sum_j y_j C^j v mod p. The K x K minor of
   [v, ..., C^(K-1) v] on R is nonzero mod p, hence over Z, so the minimal
@@ -33,16 +34,35 @@ about 2 sqrt(K) products of C's residues, not one per power of C:
 - The K x K pivot system sum_j y_j (C^j v)[R] = (C^K v)[R] is read off K
   matrix-vector products batched over each chunk of further CRT primes; a
   prime on which the minor vanishes is skipped.
-- An identity sum_j a_j C^j = a_J J with integer a is decided by the
-  context's one residue kernel (`MatrixPowerBasis.certifies`): Paterson and
-  Stockmeyer's baby and giant steps (1973) on one row, C^0..C^w with w =
-  isqrt(K + 1), every block of w coefficients against them in one batched
-  product, then a Horner pass in C^w, in chunks of primes of at most
-  STACK_BYTES. That is m_C(C) = 0, and h(B) = J as sum_j n q_j C^j =
-  q(lambda_C) J, where m_C = (t - lambda_C) q and lambda_C = lambda / s is
-  the line sum of C. Every entry of the difference is at most H = sum_j
-  |a_j| R^j + |a_J| in absolute value, so it is zero once it vanishes
-  modulo primes with prod p > H.
+- When K = n, v is a cyclic vector: v, Cv, ..., C^(n-1) v are a basis of
+  Q^n, and a polynomial f with f(C) v = 0 kills the whole basis, as
+  f(C) C^j v = C^j f(C) v, so f(C) = 0 (Keller-Gehrig 1985, Wiedemann
+  1986). Both certificates then take matrix-vector work on v:
+  - m_C(C) = 0: every pivot system is the full system, so m(C) v = 0
+    modulo each prime whose row the CRT reads. Every entry of m(C) v is at
+    most ||v||_inf sum_j |m_j| R^j <= ||v||_inf (2R)^n for m = m_C, so the
+    CRT primes run past that a-priori bound too, in the same batches. The
+    certificate reads m's residues against the rows and the product of the
+    primes against ||v||_inf sum_j |m_j| R^j for the m it got; a candidate
+    that fails either goes to the kernel certificate below.
+  - h(B) = J: as sum_j n q_j C^j = q(lambda_C) J with m_C = (t - lambda_C)
+    q, reduced by g = gcd(n, q(lambda_C)), it is checked on v alone:
+    (n / g) q(C) v = (q(lambda_C) / g) (1^T v) 1, by one Horner pass of
+    matrix-vector products on the residues of primes whose product exceeds
+    (n / g) sum_j |q_j| R^j ||v||_inf + |q(lambda_C) / g| 1^T v. The gate
+    gives C 1 = lambda_C 1 and 1^T C = lambda_C 1^T, so J C^j v =
+    lambda_C^j (1^T v) 1 and both sides agree on every C^j v.
+- Otherwise (K < n), an identity sum_j a_j C^j = a_J J with integer a is
+  decided by the context's one residue kernel
+  (`MatrixPowerBasis.certifies`): Paterson and Stockmeyer's baby and giant
+  steps (1973) on one row, C^0..C^w with w = isqrt(K + 1), every block of
+  w coefficients against them in one batched product, then a Horner pass
+  in C^w, in chunks of primes of at most STACK_BYTES. That is m_C(C) = 0,
+  and h(B) = J as sum_j n q_j C^j = q(lambda_C) J. Every entry of the
+  difference is at most H = sum_j |a_j| R^j + |a_J| in absolute value, so
+  it is zero once it vanishes modulo primes with prod p > H. The scheme
+  stage's class certificates A_i = p_i(B) always take this kernel: A_i
+  need not commute with C, so p_i(C) v = A_i v does not give p_i(C) = A_i.
 
 A certified candidate is monic of degree K <= deg m_C and annihilates C, so
 it is m_C. A candidate fails when v misses part of m_C over Q, which holds
@@ -53,14 +73,15 @@ next prime is tried. No verdict depends on the choice of primes or of v.
 For a lambda-doubly stochastic irreducible B with lambda != 0, the Hoffman
 polynomial h is the unique minimal-degree polynomial with h(B) = J; it is
 always certified against J before being returned. Both are computed once
-per matrix and kept in its analysis context, `B.powers`.
+per matrix and kept in its analysis context, `B.powers`, with v when it is
+cyclic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -87,17 +108,40 @@ class HoffmanPolynomial:
     lam: Fraction
 
 
-def _start(n: int, p: int) -> np.ndarray:
-    """The Krylov start vector for the prime p: n int64 entries in [1, p).
+@dataclass(frozen=True)
+class Candidate:
+    """A monic candidate m for m_C, found from the start vector v modulo primes.
 
-    Entry i is a splitmix64 hash of (i, p), so v changes with p: a v whose
-    sequence misses part of m_C over Q is not drawn again on every later
-    prime.
+    coeffs are m's integer coefficients, ascending, and rows[i] the y with
+    C^K v = sum_j y_j C^j v on the pivot coordinates modulo primes[i] (the
+    Krylov prime first), of which coeffs[:K] are the symmetric CRT of -y.
+    """
+
+    coeffs: list[int]
+    start: np.ndarray
+    primes: list[int]
+    rows: list[list[int]]
+
+    @property
+    def cyclic(self) -> bool:
+        """K = n: v, Cv, ..., C^(n-1) v are a basis of Q^n."""
+        return len(self.coeffs) == len(self.start) + 1
+
+
+def _start(n: int, p: int) -> np.ndarray:
+    """The Krylov start vector for the prime p: n int64 entries in [1, 2^10].
+
+    Entry i is 1 plus the top 10 bits of a splitmix64 hash of (i, p), so v
+    changes with p: a v whose sequence misses part of m_C over Q is not
+    drawn again on every later prime. ||v||_inf enters the bound of the
+    cyclic certificates, so the entries are kept small: with R = 1, K = n
+    <= 12 and n (p - 1)^2 < 2^53, 2^n ||v||_inf <= 2^22 stays below the
+    Krylov prime.
     """
     x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) ^ np.uint64(p)
     x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
-    return ((x ^ x >> np.uint64(31)) % np.uint64(p - 1)).astype(np.int64) + 1
+    return ((x ^ x >> np.uint64(31)) >> np.uint64(54)).astype(np.int64) + 1
 
 
 def _krylov(context: MatrixPowerBasis, p: int, start: np.ndarray) -> tuple[list[int], list[int]]:
@@ -178,15 +222,16 @@ def _solve_pivot_systems(
     return [row if good else None for row, good in zip(y.tolist(), ok)]
 
 
-def _candidate(b: RationalMatrix, p: int) -> list[int]:
-    """Integer coefficients of the monic m of the degree K found modulo p, for C.
+def _candidate(b: RationalMatrix, p: int) -> Candidate:
+    """The monic m of the degree K found modulo p, for C, with its residues.
 
     m(t) = t^K - sum_j y_j t^j, with each y_j the symmetric CRT of its
     residues over primes whose product exceeds twice the bound on the
     coefficients of m_C: p's residues come from the Krylov pass on the
     start vector drawn for p, and the pivot systems on the same vector give
-    those of any further primes, in chunks of at most STACK_BYTES. Only the
-    certificate decides whether m = m_C.
+    those of any further primes, in chunks of at most STACK_BYTES. For K =
+    n the product also exceeds ||v||_inf (2R)^n, the cyclic certificate's
+    bound on m_C(C) v. Only a certificate decides whether m = m_C.
     """
     context = b.powers
     n = b.order
@@ -194,6 +239,8 @@ def _candidate(b: RationalMatrix, p: int) -> list[int]:
     pivots, y = _krylov(context, p, start)
     k = len(pivots)
     bound = 2 * max(comb(k, j) * context.norm ** (k - j) for j in range(k + 1))
+    if k == n:
+        bound = max(bound, int(start.max()) * (2 * context.norm) ** n)
     modulus, primes, rows = p, [p], [y]
     others = (q for q in _primes(_bits(n)) if q != p)
     while modulus <= bound:
@@ -204,25 +251,78 @@ def _candidate(b: RationalMatrix, p: int) -> list[int]:
                     primes.append(q)
                     rows.append(row)
                     modulus *= q
-    return [-y for y in _symmetric_crt(np.array(rows, dtype=np.int64), primes)] + [1]
+    coeffs = [-y for y in _symmetric_crt(np.array(rows, dtype=np.int64), primes)] + [1]
+    return Candidate(coeffs, start, primes, rows)
+
+
+def _annihilates_cyclic(candidate: Candidate, norm: int) -> bool:
+    """Whether m(C) = 0 follows from the relations that gave the candidate m.
+
+    Only a cyclic candidate can pass. With K = n each row is the full
+    relation C^n v = sum_j y_j C^j v modulo its prime, so m(C) v = 0 modulo
+    every prime on which m's residues are t^n - sum_j y_j t^j. Every entry
+    of m(C) v is at most ||v||_inf sum_j |m_j| R^j in absolute value, so it
+    is zero once the product of those primes exceeds that, and m(C) kills
+    the basis v, ..., C^(n-1) v.
+    """
+    if not candidate.cyclic:
+        return False
+    coeffs = candidate.coeffs
+    bound = int(candidate.start.max()) * sum(abs(c) * norm**j for j, c in enumerate(coeffs))
+    return prod(candidate.primes) > bound and all(
+        [-c % q for c in coeffs[:-1]] == row for q, row in zip(candidate.primes, candidate.rows)
+    )
+
+
+def _sends_to_ones(context: MatrixPowerBasis, coeffs: list[int], scale: int, start: np.ndarray) -> bool:
+    """Whether sum_j coeffs_j C^j v = scale (1^T v) 1 for the positive vector v.
+
+    Decided on residues by Horner's rule in C, one matrix-vector product per
+    coefficient and prime, with coeffs_j v added as a residue: a sum of n
+    products of residues and one residue, below 2^53 for the primes of n
+    terms. Every entry of the difference is at most ||v||_inf sum_j
+    |coeffs_j| R^j + |scale| 1^T v in absolute value, so it is zero once it
+    vanishes modulo primes whose product exceeds that.
+    """
+    n = context.order
+    total = int(start.sum())
+    bound = int(start.max()) * sum(abs(c) * context.norm**j for j, c in enumerate(coeffs))
+    primes = _prime_run(_primes(_bits(n)), bound + abs(scale) * total)
+    # per prime: C's residues, as int64 and as float64, and the K residues of coeffs_j v
+    for chunk in _prime_chunks(primes, 8 * (2 * n + len(coeffs)) * n):
+        p = np.array(chunk, dtype=np.int64)[:, None]
+        base = context.residues(chunk)
+        weights = np.array([[c % q for c in coeffs] for q in chunk], dtype=np.int64)
+        terms = weights[:, :, None] * (start % p)[:, None] % p[:, :, None]
+        acc = terms[:, -1]
+        for j in range(len(coeffs) - 2, -1, -1):
+            acc = _reduce((base @ acc[:, :, None])[:, :, 0] + terms[:, j], p)
+        if not (acc == np.array([scale * total % q for q in chunk])[:, None]).all():
+            return False
+    return True
 
 
 def minimal_polynomial(b: RationalMatrix) -> Polynomial:
     """Smallest monic m with m(B) = 0: a candidate modulo a prime, certified exactly.
 
     A candidate m_C with m_C(C) = 0 is monic of degree K <= deg m_C and
-    annihilates C, so it is m_C. Otherwise the start vector missed part of
-    m_C or the Krylov prime divides a nonzero minor, and the next prime,
-    with its own start vector, is tried. The certified m_C and m_B(t) = s^K
-    m_C(t / s) are both kept in B's analysis context.
+    annihilates C, so it is m_C. A cyclic candidate (K = n) is certified on
+    its start vector, and any other, or one whose relations do not decide
+    it, by the residue kernel. A failed candidate missed part of m_C or met
+    a Krylov prime that divides a nonzero minor, and the next prime, with
+    its own start vector, is tried. The certified m_C and m_B(t) = s^K
+    m_C(t / s) are both kept in B's analysis context, with the start vector
+    when it is cyclic.
     """
     context = b.powers
     if context.minimal is not None:
         return context.minimal
     for p in _primes(_bits(b.order)):
-        coeffs = _candidate(b, p)
-        if context.certifies([coeffs], [0], [1])[0]:
+        candidate = _candidate(b, p)
+        coeffs = candidate.coeffs
+        if _annihilates_cyclic(candidate, context.norm) or context.certifies([coeffs], [0], [1])[0]:
             context.primitive_minimal = coeffs
+            context.cyclic_start = candidate.start if candidate.cyclic else None
             context.minimal = context.rescaled(coeffs, len(coeffs) - 1)
             return context.minimal
 
@@ -234,9 +334,11 @@ def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
     failed (normality is not required). The work is on C: its line sum is
     the integer lambda_C = lambda / s, m_C = (t - lambda_C) q_C with q_C in
     Z[t], and h(B) = J reads sum_j n q_C,j C^j = q_C(lambda_C) J, decided on
-    residues. q_C and q_C(lambda_C) come from synthetic division and a Horner
-    pass on ints. Then q(t) = s^(K-1) q_C(t / s) and h(t) = n q_C(t / s) /
-    q_C(lambda_C). The certified h is kept in B's analysis context.
+    residues: on the cyclic start vector v when m_C has degree n, and by the
+    residue kernel otherwise. q_C and q_C(lambda_C) come from synthetic
+    division and a Horner pass on ints. Then q(t) = s^(K-1) q_C(t / s) and
+    h(t) = n q_C(t / s) / q_C(lambda_C). The certified h is kept in B's
+    analysis context.
     """
     context = b.powers
     if context.hoffman is not None:
@@ -257,7 +359,12 @@ def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
         raise ArithmeticError("internal invariant violated: q(lambda) = 0")
     n = b.order
     g = gcd(n, q_at_lam)
-    if not context.certifies([[n // g * c for c in q]], [q_at_lam // g], [1])[0]:
+    scaled, target, start = [n // g * c for c in q], q_at_lam // g, context.cyclic_start
+    if start is not None:
+        holds = _sends_to_ones(context, scaled, target, start)
+    else:
+        holds = context.certifies([scaled], [target], [1])[0]
+    if not holds:
         raise ArithmeticError("internal invariant violated: h(B) != J")
     context.hoffman = HoffmanPolynomial(
         h=context.rescaled(q, 0, n, q_at_lam), q=context.rescaled(q, len(q) - 1), lam=cls.lam

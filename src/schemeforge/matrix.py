@@ -40,8 +40,11 @@ C. Its exact operations are integer operations on that form:
     batched over the rows of weights. `certifies` decides sum_k w_k C^k =
     L M for a 0/1 matrix M on it, modulo primes with prod p > sum_k |w_k|
     R^k + |L|, which bounds every entry of the difference: m_C(C) = 0 and
-    h(B) = J for the Hoffman stage, and p_i(B) = A_i for every class at
-    once (`evaluates_to`) for the scheme stage;
+    h(B) = J for the Hoffman stage when deg m_C < n (at deg m_C = n that
+    stage certifies both on a cyclic vector of C, with matrix-vector
+    products: see `hoffman`), and p_i(B) = A_i for every class at once
+    (`evaluates_to`) for the scheme stage, which no vector can stand in
+    for, as A_i need not commute with C;
   - `evaluate`, the one exact p(B), is the symmetric CRT of the kernel's
     sum_k w_k C^k under the bound sum_k |w_k| R^k (no stage calls it);
 - the trace inner product is one integer dot product of the flattenings
@@ -254,7 +257,8 @@ class MatrixPowerBasis:
     `weights` writes a polynomial in B as a combination of C's powers, on
     integers. `classify`, `minimal_polynomial`, `hoffman_polynomial` and
     `predistance_basis` each store their result here and return it on
-    later calls; a failed gate or check stores nothing.
+    later calls, and `minimal_polynomial` its start vector when it is
+    cyclic; a failed gate or check stores nothing.
 
     No integer power of C is formed, and no residue of one is kept: the
     integer Gram matrix G_ab = C^a . C^b of the trace form (`gram`,
@@ -277,6 +281,7 @@ class MatrixPowerBasis:
         # stage results, each set once by the stage that computes it
         self.classification = None  # stochastic.MatrixClassification
         self.primitive_minimal = None  # m_C's integer coefficients, ascending
+        self.cyclic_start = None  # its Krylov start vector v, when v, ..., C^(n-1) v span Q^n
         self.minimal = None  # hoffman.minimal_polynomial
         self.hoffman = None  # hoffman.HoffmanPolynomial
         self.predistance = None  # predistance.PredistanceBasis

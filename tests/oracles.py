@@ -469,6 +469,22 @@ def oracle_minimal_polynomial(grid: list[list[Fraction]]) -> Polynomial:
     raise AssertionError("no dependency up to degree n contradicts Cayley-Hamilton")
 
 
+def oracle_hoffman(grid: list[list[Fraction]], lam: Fraction) -> Polynomial:
+    """h = n q / q(lam) with q = m / (t - lam), for m from oracle_minimal_polynomial.
+
+    q comes from schoolbook division of m by t - lam, one coefficient of m
+    per step from the top; lam must leave no remainder.
+    """
+    m = oracle_minimal_polynomial(grid).coeffs
+    q = [Fraction(0)] * (len(m) - 1)
+    carry = Fraction(0)
+    for j in range(len(m) - 1, 0, -1):
+        carry = m[j] + lam * carry
+        q[j - 1] = carry
+    assert m[0] + lam * carry == 0, "lam is not a root of the minimal polynomial"
+    return Polynomial(poly_scale(Fraction(len(grid)) / poly_value(q, lam), q))
+
+
 def trace_form_inner(m: list[list[Fraction]], other: list[list[Fraction]]) -> Fraction:
     """(1/n) trace(M N^T) via an explicit matrix product, not a Hadamard sum."""
     n = len(m)

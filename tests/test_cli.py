@@ -393,6 +393,21 @@ def test_predistance_fig2_json(capsys, fixtures_dir):
     assert section["norms_squared"] == ["1", "2", "2", "1"]
 
 
+@pytest.mark.parametrize("command", ["hoffman", "predistance", "scheme"])
+def test_json_reports_format_no_text_lines(capsys, fixtures_dir, monkeypatch, command):
+    """A --json run never builds the text lines: no polynomial is written in
+    human form or as a coefficient line, and the text run still is."""
+    from schemeforge.exact import Polynomial
+
+    path = fixture_path(fixtures_dir, "fig2.mat")
+    assert run_command([command, path]) == 0
+    text = capsys.readouterr().out
+    for attr in ("__str__", "coefficient_line"):
+        monkeypatch.setattr(Polynomial, attr, lambda self: pytest.fail("text line built for a JSON report"))
+    assert run_command([command, path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) and "lambda: 1" in text
+
+
 @pytest.mark.parametrize(
     "command, name, classifications, minimal_polynomials",
     [
@@ -402,6 +417,11 @@ def test_predistance_fig2_json(capsys, fixtures_dir):
         ("scheme", "fig2.mat", 1, 1),
         ("hoffman", "fig2.mat", 1, 1),
         ("spectrum", "fig2.mat", 1, 1),
+        # the directed 5-cycle: d = 4, so K = n = 5 and its start vector is cyclic
+        ("spectrum", "cyclic_5.mat", 1, 1),
+        ("hoffman", "cyclic_5.mat", 1, 1),
+        ("predistance", "cyclic_5.mat", 1, 1),
+        ("scheme", "cyclic_5.mat", 1, 1),
     ],
 )
 def test_pipeline_intermediates_per_command(
@@ -452,12 +472,16 @@ def test_pipeline_intermediates_per_command(
     # primes, so no other exact product is made and no p_i is evaluated at B;
     # the residue kernel certifies m(B) = 0 and h(B) = J, and for scheme all of
     # A_0..A_3 = p_i(B) in one more call; spectrum certifies m(B) = 0 alone, as
-    # it takes no Hoffman polynomial
-    kernel_calls = {"spectrum": 1, "scheme": 3}.get(command, 2)
+    # it takes no Hoffman polynomial. On the 5-cycle (K = n) m and h are
+    # certified on the start vector, and only scheme's classes take the kernel
+    if name == "cyclic_5.mat":
+        kernel_calls = int(command == "scheme")
+    else:
+        kernel_calls = {"spectrum": 1, "scheme": 3}.get(command, 2) * minimal_polynomials
     assert calls == {
         "classification": classifications,
         "candidate": minimal_polynomials,
-        "certificates": kernel_calls * minimal_polynomials,
+        "certificates": kernel_calls,
         "gram_schmidt": family,
         "invariants": family,
         "products": 2,

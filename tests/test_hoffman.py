@@ -1,18 +1,24 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd, prod
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from schemeforge.exact import Polynomial
+from schemeforge.exact import Polynomial, divide_linear
 from schemeforge.hoffman import (
+    _annihilates_cyclic,
     _candidate,
+    _sends_to_ones,
     _solve_pivot_systems,
+    _start,
     hoffman_polynomial,
     minimal_polynomial,
 )
-from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, _bits, _prime
+from schemeforge.matrix import MatrixPowerBasis, RationalMatrix, _bits, _prime, _symmetric_crt
 from schemeforge.stochastic import HypothesisError, classify, random_lambda_ds
 
 from conftest import load_fixture
@@ -24,6 +30,7 @@ from oracles import (
     identity,
     naive_mat_mul,
     naive_poly_at,
+    oracle_hoffman,
     oracle_minimal_polynomial,
     poly_mul,
     poly_scale,
@@ -32,7 +39,7 @@ from oracles import (
     scaled,
     zeros,
 )
-from test_predistance import heavy_circulant, scaled_cycle
+from test_predistance import heavy_circulant, scaled_cycle, weighted_circulant
 
 
 def first_prime(b):
@@ -415,7 +422,11 @@ def test_deep_krylov_scaled_directed_cycle():
     )
     expected = Polynomial([-(scale**n)] + [0] * (n - 1) + [1])
     # B = (3/2) C with C = P primitive, so the candidate is m_C = t^30 - 1
-    assert _candidate(b, first_prime(b)) == [-1] + [0] * (n - 1) + [1]
+    candidate = _candidate(b, first_prime(b))
+    assert candidate.coeffs == [-1] + [0] * (n - 1) + [1]
+    # K = n: certified on its start vector, past ||v||_inf 2^30 > p
+    assert candidate.cyclic and len(candidate.primes) > 1
+    assert _annihilates_cyclic(candidate, 1)
     m = minimal_polynomial(b)
     assert m.degree - 1 == 29
     assert m == expected
@@ -445,11 +456,176 @@ def test_unlucky_prime_is_caught_by_the_certificate(monkeypatch, fig2):
         hoffman, "_start", lambda n, q: np.ones(n, dtype=np.int64) if q == p else draw(n, q)
     )
     lam_c = int(classify(b).lam / b.powers.scale)
-    assert _candidate(b, p) == [-lam_c, 1]
+    candidate = _candidate(b, p)
+    assert candidate.coeffs == [-lam_c, 1] and not candidate.cyclic
     assert b.powers.certifies([[-lam_c, 1]], [0], [1]) == [False]
     assert minimal_polynomial(b) == oracle_minimal_polynomial(grid)
     h = hoffman_polynomial(b).h
     assert naive_poly_at(h, grid) == [[Fraction(1)] * len(grid) for _ in grid]
+
+
+# --- the cyclic certificates: K = n ---------------------------------------------
+
+
+@st.composite
+def cyclic_cases(draw):
+    """A content times a hoffman-ready lambda-DS draw or a directed weighted
+    circulant (n <= 7) whose minimal polynomial has degree n, by the oracle."""
+    content = draw(contents)
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        b = random_lambda_ds(n, draw(st.integers(2, 3)), draw(st.integers(0, 2**32)))
+    else:
+        shifts = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n))
+        shifts[1 % n] += 1  # the shift by one keeps the digraph strongly connected
+        b = weighted_circulant(n, dict(enumerate(shifts)))
+    grid = [[content * v for v in row] for row in b.rows]
+    assume(oracle_minimal_polynomial(grid).degree == n)
+    assume(classify(RationalMatrix(grid)).hoffman_ready)
+    return grid
+
+
+@given(cyclic_cases())
+@settings(max_examples=60, deadline=None)
+def test_cyclic_certificates_match_the_oracle(grid):
+    """On K = n inputs m and h are the oracle's, h(B) = J, and the residue kernel never runs."""
+    n = len(grid)
+    b = RationalMatrix(grid)
+    with mock.patch.object(MatrixPowerBasis, "combinations", side_effect=AssertionError("kernel called")):
+        m = minimal_polynomial(b)
+        info = hoffman_polynomial(b)
+    assert b.powers.cyclic_start is not None
+    assert m == oracle_minimal_polynomial(grid)
+    assert info.h == oracle_hoffman(grid, info.lam)
+    assert naive_poly_at(info.h, grid) == [[Fraction(1)] * n for _ in range(n)]
+
+
+def cyclic_candidate():
+    """I plus a superdiagonal of weights near 10^6: one Jordan block, so K = n
+    = 5 and m = (t - 1)^5, whose coefficients are small against R^5 ~ 10^30;
+    and its candidate on the first prime."""
+    weights = [10**6, 10**6 + 1, 10**6, 10**6 + 1, 0]
+    b = RationalMatrix([[int(x == y) + weights[x] * (y == x + 1) for y in range(5)] for x in range(5)])
+    candidate = _candidate(b, first_prime(b))
+    assert candidate.coeffs == [-1, 5, -10, 10, -5, 1]
+    assert candidate.cyclic and len(candidate.primes) > 2
+    return b, candidate
+
+
+def kernel_verdicts(monkeypatch) -> list:
+    """The verdicts of every `MatrixPowerBasis.certifies` call from now on, in order."""
+    verdicts = []
+    certify = MatrixPowerBasis.certifies
+
+    def recorded(self, *args):
+        verdicts.append(certify(self, *args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(MatrixPowerBasis, "certifies", recorded)
+    return verdicts
+
+
+def test_forged_cyclic_candidate_is_never_accepted(monkeypatch):
+    """Each coefficient of the cyclic candidate moved by 1 fails the cyclic
+    certificate; forged on the first prime, the kernel rejects it too and
+    the second prime's candidate gives m."""
+    from schemeforge import hoffman
+
+    b, candidate = cyclic_candidate()
+    assert _annihilates_cyclic(candidate, b.powers.norm)
+    for j in range(len(candidate.coeffs) - 1):
+        for delta in (1, -1):
+            coeffs = list(candidate.coeffs)
+            coeffs[j] += delta
+            assert not _annihilates_cyclic(replace(candidate, coeffs=coeffs), b.powers.norm)
+    forged = replace(candidate, coeffs=[candidate.coeffs[0] + 1, *candidate.coeffs[1:]])
+    draw = hoffman._candidate
+    monkeypatch.setattr(hoffman, "_candidate", lambda b, p: forged if p == first_prime(b) else draw(b, p))
+    verdicts = kernel_verdicts(monkeypatch)
+    grid = [list(row) for row in b.rows]
+    b = RationalMatrix(grid)
+    assert minimal_polynomial(b) == oracle_minimal_polynomial(grid)
+    assert verdicts == [[False]]
+    assert not np.array_equal(b.powers.cyclic_start, candidate.start)
+
+
+def test_cyclic_certificate_needs_every_prime_of_its_bound(monkeypatch):
+    """A run one prime short of the bound ||v||_inf sum_j |m_j| R^j fails the
+    cyclic certificate although its CRT still gives m exactly, the run that
+    reaches the bound passes, and the pipeline sends the short run's
+    candidate to the residue kernel, which accepts it."""
+    from schemeforge import hoffman
+
+    b, candidate = cyclic_candidate()
+    norm, coeffs, primes = b.powers.norm, candidate.coeffs, candidate.primes
+    bound = int(candidate.start.max()) * sum(abs(c) * norm**j for j, c in enumerate(coeffs))
+    reach = next(i for i in range(1, len(primes) + 1) if prod(primes[:i]) > bound)
+    assert reach > 1 and prod(primes[: reach - 1]) > 2 * max(map(abs, coeffs))
+
+    def run(i):
+        rows = candidate.rows[:i]
+        assert [-y for y in _symmetric_crt(np.array(rows, dtype=np.int64), primes[:i])] + [1] == coeffs
+        return replace(candidate, primes=primes[:i], rows=rows)
+
+    assert _annihilates_cyclic(run(reach), norm)
+    short = run(reach - 1)
+    assert not _annihilates_cyclic(short, norm)
+    monkeypatch.setattr(hoffman, "_candidate", lambda b, p: short)
+    verdicts = kernel_verdicts(monkeypatch)
+    grid = [list(row) for row in b.rows]
+    b = RationalMatrix(grid)
+    assert minimal_polynomial(b) == oracle_minimal_polynomial(grid)
+    assert verdicts == [[True]] and b.powers.cyclic_start is short.start
+
+
+def test_directed_12_cycle_takes_the_krylov_prime_alone(monkeypatch):
+    """R = 1 and K = n = 12: the coefficient bound 2 binom(12, 6) and the
+    relation bound 2^12 ||v||_inf <= 2^22 both lie below the Krylov prime, so
+    no pivot system and no residue kernel runs for m or for h."""
+    from schemeforge import hoffman
+
+    n = 12
+    b = RationalMatrix([[int(y == (x + 1) % n) for y in range(n)] for x in range(n)])
+    p = first_prime(b)
+    start = hoffman._start(n, p)
+    assert start.min() >= 1 and start.max() <= 2**10 and 2**n * int(start.max()) < p
+    monkeypatch.setattr(hoffman, "_solve_pivot_systems", lambda *args: pytest.fail("pivot systems ran"))
+    monkeypatch.setattr(MatrixPowerBasis, "combinations", lambda *args: pytest.fail("residue kernel ran"))
+    assert minimal_polynomial(b) == Polynomial([-1] + [0] * (n - 1) + [1])
+    assert hoffman_polynomial(b).h == Polynomial([1] * n)
+
+
+def test_hoffman_vector_check_rejects_a_moved_coefficient():
+    """(n / g) q(C) v = (q(lambda_C) / g) (1^T v) 1 holds for the certified q
+    and fails with any coefficient of n q / g, or its target, moved by 1."""
+    b = random_lambda_ds(6, 3, 7)
+    info = hoffman_polynomial(b)
+    context = b.powers
+    start = context.cyclic_start
+    assert start is not None
+    lam = int(info.lam / context.scale)
+    q = divide_linear(context.primitive_minimal, lam)
+    q_at_lam = sum(c * lam**j for j, c in enumerate(q))
+    g = gcd(b.order, q_at_lam)
+    scaled, target = [b.order // g * c for c in q], q_at_lam // g
+    assert _sends_to_ones(context, scaled, target, start)
+    assert not _sends_to_ones(context, scaled, target + 1, start)
+    for j in range(len(scaled)):
+        for delta in (1, -1):
+            moved = list(scaled)
+            moved[j] += delta
+            assert not _sends_to_ones(context, moved, target, start)
+
+
+def test_vector_check_uses_every_prime_its_bound_needs():
+    """(C - I) v for B = [[1, p], [p, 1]] is p (v_2, v_1): it vanishes modulo
+    the first prime p alone, and the bound ||v||_inf (1 + R) = ||v||_inf (p +
+    2) needs a second prime; m_C(C) v = 0 holds."""
+    p = first_prime(RationalMatrix([[1, 0], [0, 1]]))
+    context = RationalMatrix([[1, p], [p, 1]]).powers
+    for start in (np.ones(2, dtype=np.int64), _start(2, p)):
+        assert not _sends_to_ones(context, [-1, 1], 0, start)
+        assert _sends_to_ones(context, [1 - p * p, -2, 1], 0, start)
 
 
 def test_certificate_uses_every_prime_its_bound_needs():
