@@ -12,9 +12,9 @@ j). They come out exactly from a symmetric CRT over primes p with prod p >
 = s^K m_C(t / s).
 
 Every residue comes from float64 matmuls on the residue kernel that
-`matrix` holds (its prime table, prime runs, symmetric CRT and the
-certificate of sum_k w_k C^k, shared with the predistance and scheme
-stages). They are exact: each prime is below 2^b with n (p -
+`matrix` holds (its prime table, prime runs and symmetric CRT, shared
+with the predistance and scheme stages, and the certificate of sum_k w_k
+C^k = L J). They are exact: each prime is below 2^b with n (p -
 1)^2 < 2^53 (`_bits` of n terms, as a product of residues sums n of them),
 so every partial sum is an integer below 2^53, in any summation order.
 Results are reduced with int64 `%`. No power of B is formed: the Krylov
@@ -60,9 +60,7 @@ residues, not one per power of C:
   in C^w, in chunks of primes of at most STACK_BYTES. That is m_C(C) = 0,
   and h(B) = J as sum_j n q_j C^j = q(lambda_C) J. Every entry of the
   difference is at most H = sum_j |a_j| R^j + |a_J| in absolute value, so
-  it is zero once it vanishes modulo primes with prod p > H. The scheme
-  stage's class certificates A_i = p_i(B) always take this kernel: A_i
-  need not commute with C, so p_i(C) v = A_i v does not give p_i(C) = A_i.
+  it is zero once it vanishes modulo primes with prod p > H.
 
 A certified candidate is monic of degree K <= deg m_C and annihilates C, so
 it is m_C. A candidate fails when v misses part of m_C over Q, which holds
@@ -320,7 +318,7 @@ def minimal_polynomial(b: RationalMatrix) -> Polynomial:
     for p in _primes(_bits(b.order)):
         candidate = _candidate(b, p)
         coeffs = candidate.coeffs
-        if _annihilates_cyclic(candidate, context.norm) or context.certifies([coeffs], [0], [1])[0]:
+        if _annihilates_cyclic(candidate, context.norm) or context.certifies(coeffs, 0):
             context.primitive_minimal = coeffs
             context.cyclic_start = candidate.start if candidate.cyclic else None
             context.minimal = context.rescaled(coeffs, len(coeffs) - 1)
@@ -363,7 +361,7 @@ def hoffman_polynomial(b: RationalMatrix) -> HoffmanPolynomial:
     if start is not None:
         holds = _sends_to_ones(context, scaled, target, start)
     else:
-        holds = context.certifies([scaled], [target], [1])[0]
+        holds = context.certifies(scaled, target)
     if not holds:
         raise ArithmeticError("internal invariant violated: h(B) != J")
     context.hoffman = HoffmanPolynomial(

@@ -32,19 +32,18 @@ C. Its exact operations are integer operations on that form:
   and in chunks of primes whose work takes at most STACK_BYTES. Each
   result is decided under a proven bound, with R = ||C||_inf bounding
   every absolute row sum of C^k by R^k:
-  - the Gram matrix G_ab = C^a . C^b of the trace form (`gram`) is one
-    batched product P P^T of the residues P of C^0..C^d per chunk of
-    primes for n^2 terms, and a symmetric CRT under |G_ab| <= n R^(a + b);
-  - every combination sum_k w_k C^k comes from one kernel
-    (`combinations`): Paterson and Stockmeyer's baby and giant steps,
-    batched over the rows of weights. `certifies` decides sum_k w_k C^k =
-    L M for a 0/1 matrix M on it, modulo primes with prod p > sum_k |w_k|
-    R^k + |L|, which bounds every entry of the difference: m_C(C) = 0 and
-    h(B) = J for the Hoffman stage when deg m_C < n (at deg m_C = n that
-    stage certifies both on a cyclic vector of C, with matrix-vector
-    products: see `hoffman`), and p_i(B) = A_i for every class at once
-    (`evaluates_to`) for the scheme stage, which no vector can stand in
-    for, as A_i need not commute with C;
+  - the Gram matrix G_ab = C^a . C^b of the trace form (`gram`) and the
+    moments C^k . A_i of 0/1 matrices A_i (`class_moments`) come from one
+    pass: batched products of the residues P of C^0..C^d per chunk of
+    primes for n^2 terms, and one symmetric CRT under |G_ab| <= n R^(a +
+    b). `evaluates_to` decides p_i(B) = A_i for the scheme stage's classes
+    on that exact G and the moments, with no residue of its own;
+  - every other combination sum_k w_k C^k comes from one kernel
+    (`combinations`): Paterson and Stockmeyer's baby and giant steps on one
+    row of weights. `certifies` decides sum_k w_k C^k = L J on it, modulo
+    primes with prod p > sum_k |w_k| R^k + |L|: m_C(C) = 0 and h(B) = J for
+    the Hoffman stage when deg m_C < n (at deg m_C = n that stage certifies
+    both on a cyclic vector of C: see `hoffman`);
   - `evaluate`, the one exact p(B), is the symmetric CRT of the kernel's
     sum_k w_k C^k under the bound sum_k |w_k| R^k (no stage calls it);
 - the trace inner product is one integer dot product of the flattenings
@@ -262,12 +261,12 @@ class MatrixPowerBasis:
 
     No integer power of C is formed, and no residue of one is kept: the
     integer Gram matrix G_ab = C^a . C^b of the trace form (`gram`,
-    computed once by CRT) is the one result kept from C's powers. Every
-    combination sum_k w_k C^k modulo primes comes from one kernel
-    (`combinations`), which decides the certificates (`certifies`,
-    `evaluates_to`) and gives `evaluate`, the one exact p(B), by CRT. The
-    context holds C's integers, not B, so dropping B frees both without the
-    cycle collector.
+    computed once by CRT) is the one result kept from C's powers, and
+    `evaluates_to` decides the classes on it. Every other combination sum_k
+    w_k C^k modulo primes comes from one kernel (`combinations`), which
+    decides `certifies` and gives `evaluate`, the one exact p(B), by CRT.
+    The context holds C's integers, not B, so dropping B frees both without
+    the cycle collector.
     """
 
     def __init__(self, base: RationalMatrix):
@@ -332,119 +331,116 @@ class MatrixPowerBasis:
         g = gcd(den, *cleared)
         return den // g, [v // g for v in cleared]
 
-    def combinations(
-        self, rows: Sequence[Sequence[int]], bound: int
-    ) -> Iterator[tuple[list[int], np.ndarray]]:
-        """sum_k rows[i][k] C^k for each row i, modulo the fewest primes whose
-        product exceeds bound: chunks (primes, sums) with sums[r, i] that
-        combination mod primes[r], flattened, as int64 integers in [0, p).
+    def combinations(self, row: Sequence[int], bound: int) -> Iterator[tuple[list[int], np.ndarray]]:
+        """sum_k row[k] C^k modulo the fewest primes whose product exceeds
+        bound: chunks (primes, sums), sums[r] that sum mod primes[r], flattened,
+        as int64 integers in [0, p).
 
-        Paterson and Stockmeyer's baby and giant steps (1973), batched over
-        the m rows of at most K coefficients: the baby steps C^0..C^(w-1),
-        one batched product of every row's blocks of w coefficients against
-        them, and one Horner pass over the blocks in the giant step C^w for
-        all rows at once. That takes about w + m K / w products of residue
-        matrices, fewest at w = sqrt(m K), taken in [1, K]: one row of K
-        coefficients takes about 2 sqrt(K), and K rows or more take C^0 up
-        to C^(K-1) and no giant step. A block's entries are sums of w
-        products of residues and a Horner step's of n, so the primes are
-        those for max(n, w) terms, in chunks whose work takes at most
-        STACK_BYTES.
+        Paterson and Stockmeyer's baby and giant steps (1973) on K
+        coefficients: C^0..C^(w-1), one batched product of the blocks of w
+        coefficients against them, and one Horner pass over the blocks in C^w,
+        about 2 sqrt(K) products of residue matrices at w = isqrt(K). The
+        primes are those for max(n, w) terms, in chunks of at most STACK_BYTES.
         """
-        n, m = self.order, len(rows)
-        size = max(1, *map(len, rows))
-        w = max(1, min(size, isqrt(m * size)))
+        n, size = self.order, max(1, len(row))
+        w = isqrt(size)
         blocks = -(-size // w)
         primes = _prime_run(_primes(_bits(max(n, w))), bound)
-        padded = [[*row, *[0] * (blocks * w - len(row))] for row in rows]
         # per prime: the w + 1 steps, the blocks' sums with two reductions of them, and the Horner pass
-        for chunk in _prime_chunks(primes, 8 * (w + m * (3 * blocks + 4) + 1) * n * n):
+        for chunk in _prime_chunks(primes, 8 * (w + 3 * blocks + 5) * n * n):
             r = len(chunk)
             p = np.array(chunk, dtype=np.int64)[:, None, None]
             steps = self._powers_mod(chunk, min(w, size - 1))
-            # block j of every row at [:, j], the rows' blocks stacked as one (m n) x n matrix
-            terms = np.array([[c % q for row in padded for c in row] for q in chunk], dtype=float)
-            terms = terms.reshape(r, m, blocks, w).transpose(0, 2, 1, 3).reshape(r, blocks * m, w)
-            parts = _reduce(terms @ steps[:, :w], p).reshape(r, blocks, m * n, n)
+            terms = np.zeros((r, blocks, w))  # block j at [:, j], zero past the row
+            terms.reshape(r, -1)[:, : len(row)] = [[c % q for c in row] for q in chunk]
+            parts = _reduce(terms @ steps[:, :w], p).reshape(r, blocks, n, n)
             acc = parts[:, -1]
             giant = steps[:, -1].reshape(r, n, n)  # C^w whenever there is more than one block
             for j in range(blocks - 2, -1, -1):
                 acc = _reduce(acc @ giant + parts[:, j], p)
-            yield chunk, acc.reshape(r, m, n * n)
+            yield chunk, acc.reshape(r, n * n)
 
-    def certifies(self, rows: Sequence[Sequence[int]], scales: Sequence[int], masks: Sequence) -> list[bool]:
-        """For each i, whether sum_k rows[i][k] C^k = scales[i] masks[i], for
-        0/1 matrices masks[i] (n x n, flattened, or one value for every
-        entry, 1 for J), decided on residues.
-
-        Every entry of row i's difference is at most H_i = sum_k |rows[i][k]|
-        R^k + |scales[i]| in absolute value, so it is zero exactly when it
-        vanishes modulo primes whose product exceeds H_i. One run of primes
-        past every H_i decides all rows in one call of the kernel
-        (`combinations`), and a row that differs modulo one prime differs.
+    def certifies(self, row: Sequence[int], scale: int) -> bool:
+        """Whether sum_k row[k] C^k = scale J: every entry of the difference is
+        at most H = sum_k |row[k]| R^k + |scale| in absolute value, so it is
+        zero exactly when it vanishes modulo primes whose product exceeds H
+        (`combinations`), and a chunk that differs modulo one prime decides.
         """
-        bound = max(
-            sum(abs(c) * self.norm**k for k, c in enumerate(row)) + abs(s) for row, s in zip(rows, scales)
+        bound = sum(abs(c) * self.norm**k for k, c in enumerate(row)) + abs(scale)
+        return all(
+            (sums == np.array([scale % q for q in primes])[:, None]).all()
+            for primes, sums in self.combinations(row, bound)
         )
-        masks = np.asarray(masks, dtype=bool).reshape(len(rows), -1)
-        holds = [True] * len(rows)
-        for primes, sums in self.combinations(rows, bound):
-            targets = np.array([[s % q for s in scales] for q in primes])[:, :, None]
-            holds = [h and v for h, v in zip(holds, (sums == targets * masks).all(axis=(0, 2)).tolist())]
-            if not any(holds):
-                break
-        return holds
 
     def evaluate(self, p: Polynomial) -> RationalMatrix:
         """p(B) = (sum_k w_k C^k) / L, the combination recovered by CRT.
 
         Every entry of sum_k w_k C^k is at most sum_k |w_k| R^k in absolute
-        value, so its residues modulo primes whose product exceeds twice
-        that bound give it exactly by the symmetric CRT.
+        value, so its residues modulo primes whose product exceeds twice that
+        bound give it exactly by the symmetric CRT.
         """
         den, row = self.weights(p)
         bound = sum(abs(c) * self.norm**k for k, c in enumerate(row))
-        primes, sums = _joined(self.combinations([row], 2 * bound))
-        return RationalMatrix._scaled(Fraction(1, den), _symmetric_crt(sums[:, 0], primes), self.order)
+        primes, sums = _joined(self.combinations(row, 2 * bound))
+        return RationalMatrix._scaled(Fraction(1, den), _symmetric_crt(sums, primes), self.order)
 
-    def evaluates_to(self, polys: Sequence[Polynomial], masks: Sequence) -> list[bool]:
-        """For each i, whether p_i(B) is the 0/1 matrix masks[i] (n x n, or
-        flattened), all decided in one batch on residues.
+    def evaluates_to(self, polys: Sequence[Polynomial], moments: Sequence[tuple[int, list[int]]]) -> list[bool]:
+        """For each i, whether p_i(B) is the 0/1 matrix A_i with moments[i] =
+        (|A_i|, mu_i) (`class_moments`), decided on the exact G and mu_i.
 
-        With p_i(B) = (sum_k w_ik C^k) / L_i this asks sum_k w_ik C^k = L_i
-        masks[i] (`certifies`). The scheme stage asks it of every class A_i
-        = p_i(B) at once.
+        With p_i(B) = (sum_k w_ik C^k) / L_i and C real, ||sum_k w_ik C^k -
+        L_i A_i||_F^2 = w_i . G w_i - 2 L_i w_i . mu_i + L_i^2 |A_i| is zero
+        exactly when p_i(B) = A_i. One object-array product gives G w_i for
+        every row; no residue is formed.
         """
         scales, rows = zip(*map(self.weights, polys))
-        return self.certifies(rows, scales, masks)
+        d = max(1, *map(len, rows)) - 1
+        w = np.array([[*row, *[0] * (d + 1 - len(row))] for row in rows], dtype=object)
+        sizes, mus = zip(*moments)
+        if min(map(len, mus)) <= d:
+            raise ValueError(f"class moments stop below C^{d}, the polynomials' top power")
+        mu = np.array([v[: d + 1] for v in mus], dtype=object)
+        scales, sizes = np.array(scales, dtype=object), np.array(sizes, dtype=object)
+        squares = ((w @ np.array(self.gram(d), dtype=object)) * w).sum(axis=1)
+        return (squares - 2 * scales * (w * mu).sum(axis=1) + scales * scales * sizes == 0).tolist()
 
     def gram(self, d: int) -> list[list[int]]:
-        """The integer Gram matrix G_ab = C^a . C^b for a, b <= d, computed once.
-
-        <C^a, C^b> = G_ab / n; the predistance stage reads its form from G.
-        Row x of C^a has absolute sum at most R^a and every entry of C^b is
-        at most R^b, so |G_ab| <= n R^(a + b) <= n R^(2d) (R taken as at
-        least 1). One batched product P P^T per chunk of primes, with P the
-        residues of C^0..C^d (`_powers_mod`), gives G modulo each prime,
-        every entry a sum of n^2 products, and the symmetric CRT over primes
-        whose product exceeds 2 n R^(2d) recovers G exactly. A smaller d
-        reads the leading block.
+        """The integer Gram matrix G_ab = C^a . C^b = n <C^a, C^b> for a, b <=
+        d, computed once (`class_moments`); a smaller d reads the leading block.
         """
         if self._gram is None or len(self._gram) <= d:
-            n = self.order
-            rows, cols = np.triu_indices(d + 1)
-            primes = _prime_run(_primes(_bits(n * n)), 2 * n * max(1, self.norm) ** (2 * d))
-            residues = []
-            for chunk in _prime_chunks(primes, 8 * (d + 1) * n * n):
-                stack = self._powers_mod(chunk, d)
-                products = _reduce(stack @ stack.transpose(0, 2, 1), np.array(chunk)[:, None, None])
-                residues.append(products[:, rows, cols])
-            values = _symmetric_crt(np.concatenate(residues), primes)
-            gram = [[0] * (d + 1) for _ in range(d + 1)]
-            for a, b, v in zip(rows.tolist(), cols.tolist(), values):
-                gram[a][b] = gram[b][a] = v
-            self._gram = gram
+            self.class_moments(d, ())
         return [row[: d + 1] for row in self._gram[: d + 1]]
+
+    def class_moments(self, d: int, masks: Sequence) -> list[tuple[int, list[int]]]:
+        """(|A_i|, [mu_0i, ..., mu_di]), mu_ki = C^k . A_i, for each 0/1 matrix
+        A_i in masks (n x n, or flattened), in one pass with the Gram matrix
+        of C^0..C^d, which it keeps as Python ints (`gram`).
+
+        Row x of C^a has absolute sum at most R^a and every entry of C^b is
+        at most R^b, so |G_ab| <= n R^(2d) (R taken as at least 1), and
+        |mu_ki| <= n R^k. Per chunk of primes, with P the residues of
+        C^0..C^d, P P^T gives G and P M^T, for the masks M, the moments, each
+        entry a sum of at most n^2 products of residues; one symmetric CRT
+        over primes whose product exceeds 2 n R^(2d) recovers both.
+        """
+        n = self.order
+        masks = np.asarray(masks, dtype=bool).reshape(len(masks), n * n)
+        rows, cols = np.triu_indices(d + 1)
+        primes = _prime_run(_primes(_bits(n * n)), 2 * n * max(1, self.norm) ** (2 * d))
+        residues = []
+        for chunk in _prime_chunks(primes, 8 * (d + 1) * n * n):
+            stack = self._powers_mod(chunk, d)
+            p = np.array(chunk)[:, None, None]
+            products = _reduce(stack @ stack.transpose(0, 2, 1), p)[:, rows, cols]
+            mu = _reduce(stack @ masks.T, p).reshape(len(chunk), -1)  # mu_ki at k m + i
+            residues.append(np.concatenate([products, mu], axis=1))
+        values = _symmetric_crt(np.concatenate(residues), primes)
+        self._gram = [[0] * (d + 1) for _ in range(d + 1)]
+        for a, b, v in zip(rows.tolist(), cols.tolist(), values):
+            self._gram[a][b] = self._gram[b][a] = v
+        moments, m = values[len(rows) :], len(masks)
+        return [(size, moments[i::m]) for i, size in enumerate(np.count_nonzero(masks, axis=1).tolist())]
 
 
 # ---------------------------------------------------------------------------

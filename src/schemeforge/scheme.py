@@ -5,11 +5,12 @@ distance structure of the underlying digraph, the eigenvalue-count vs
 diameter comparison, the predistance basis, and the single matrix equality
 A_D = p_D(B) that settles whether the distance-D matrix is a polynomial in
 B. With p_i(B) = (sum_k w_ik C^k) / L_i on C's powers, for B = s C, every
-class A_i = p_i(B) is certified as sum_k w_ik C^k = L_i A_i modulo word
-primes whose product exceeds the largest sum_k |w_ik| R^k + L_i, R =
-||C||_inf, which bounds every entry of each difference: all D + 1 classes
-in one batched call of the residue kernel (`MatrixPowerBasis.evaluates_to`),
-A_D's verdict read first. No p_i(B) is evaluated. The classes are
+class A_i = p_i(B) is certified by ||sum_k w_ik C^k - L_i A_i||_F^2 = w_i .
+G w_i - 2 L_i w_i . mu_i + L_i^2 |A_i| = 0, with G the exact Gram matrix
+of C^0..C^d and mu_ki = C^k . A_i the class moments, found in G's own pass
+of residues (`MatrixPowerBasis.class_moments`) before the predistance stage
+reads G: all D + 1 classes in one call (`evaluates_to`), A_D's verdict read
+first. No p_i(B) is evaluated. The classes are
 never built as matrices: the distance grid, one int64 array from the
 frontier pass, is their label grid, with A_i the level set {(x, y) :
 dist[x][y] = i}, and the axiom kernels and the report read that array
@@ -206,10 +207,12 @@ def detect_scheme(b: RationalMatrix) -> SchemeCertificate:
     if d != structure.diameter:
         return rejected(RejectionCode.EIGENCOUNT_NE_DIAMETER, d=d, diameter=structure.diameter)
 
-    family = predistance_basis(b)
     grid = structure.dist
+    # the classes' moments ride the pass that forms G, which the predistance stage then reads
+    moments = b.powers.class_moments(d, grid == np.arange(d + 1)[:, None, None])
+    family = predistance_basis(b)
     # A_i = p_i(B) for every class at once; A_D = p_D(B) decides
-    holds = b.powers.evaluates_to(family.polys, grid == np.arange(d + 1)[:, None, None])
+    holds = b.powers.evaluates_to(family.polys, moments)
     if not holds[d]:
         return rejected(RejectionCode.AD_NOT_POLYNOMIAL, d=d, diameter=structure.diameter)
 

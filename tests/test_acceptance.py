@@ -219,7 +219,7 @@ def test_criterion_4_oracle_equivalence():
             family = predistance_basis(b)
             distance_d = class_matrices(structure.dist)[d]
             mask = [[int(v == d) for v in row] for row in structure.dist]
-            [single_equality] = b.powers.evaluates_to([family.polys[d]], [mask])
+            [single_equality] = b.powers.evaluates_to([family.polys[d]], b.powers.class_moments(d, [mask]))
             assert single_equality == (distance_d == b.powers.evaluate(family.polys[d]))
             member = algebra_membership(distance_d, b, degree=d)
             assert single_equality == (member is not None)

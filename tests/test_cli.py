@@ -441,6 +441,7 @@ def test_pipeline_intermediates_per_command(
             "evaluations",
             "gram",
             "class_certificates",
+            "passes",
         ),
         0,
     )
@@ -456,13 +457,15 @@ def test_pipeline_intermediates_per_command(
 
     count(stochastic, "is_strongly_connected", "classification")
     count(hoffman, "_candidate", "candidate")  # one per prime tried; fig2 needs one
-    count(MatrixPowerBasis, "combinations", "certificates")  # the one residue kernel of sum_k w_k C^k
+    count(MatrixPowerBasis, "combinations", "certificates")  # the one residue kernel of sum_k w_k C^k = L J
     count(predistance, "lambda_avoiding_gram_schmidt", "gram_schmidt")
     count(predistance, "_assert_invariants", "invariants")
     count(matrix, "integer_product", "products")  # normality's two products
     count(MatrixPowerBasis, "evaluate", "evaluations")
     count(matrix, "_symmetric_crt", "gram")  # the Gram matrix's one CRT (hoffman binds its own name)
     count(MatrixPowerBasis, "evaluates_to", "class_certificates")  # every A_i = p_i(B) in one batch
+    # each pass over C's power residues: every pass here is one chunk of primes
+    count(MatrixPowerBasis, "_powers_mod", "passes")
     # run_command parses the file afresh, so its analysis context starts empty
     run_command([command, fixture_path(fixtures_dir, name), "--json"])
     capsys.readouterr()
@@ -470,14 +473,14 @@ def test_pipeline_intermediates_per_command(
     # classify takes B B^T and B^T B; fig2's minimal polynomial has degree 4 and is
     # found on residues, and the predistance family reads C's powers only modulo
     # primes, so no other exact product is made and no p_i is evaluated at B;
-    # the residue kernel certifies m(B) = 0 and h(B) = J, and for scheme all of
-    # A_0..A_3 = p_i(B) in one more call; spectrum certifies m(B) = 0 alone, as
-    # it takes no Hoffman polynomial. On the 5-cycle (K = n) m and h are
-    # certified on the start vector, and only scheme's classes take the kernel
-    if name == "cyclic_5.mat":
-        kernel_calls = int(command == "scheme")
-    else:
-        kernel_calls = {"spectrum": 1, "scheme": 3}.get(command, 2) * minimal_polynomials
+    # the residue kernel certifies m(B) = 0 and h(B) = J; spectrum certifies
+    # m(B) = 0 alone, as it takes no Hoffman polynomial. On the 5-cycle (K =
+    # n) m and h are certified on the start vector, with no kernel call. The
+    # Gram matrix takes one more pass, and scheme's classes A_0..A_d = p_i(B)
+    # ride it: they are decided on G and the class moments, with no pass. So
+    # fig2 takes 2 passes under hoffman, 3 under predistance and scheme and 1
+    # under spectrum, and the 5-cycle 1 under predistance and scheme alone
+    kernel_calls = 0 if name == "cyclic_5.mat" else {"spectrum": 1}.get(command, 2) * minimal_polynomials
     assert calls == {
         "classification": classifications,
         "candidate": minimal_polynomials,
@@ -488,6 +491,7 @@ def test_pipeline_intermediates_per_command(
         "evaluations": 0,
         "gram": family,
         "class_certificates": 1 if command == "scheme" else 0,
+        "passes": kernel_calls + family,
     }
 
 

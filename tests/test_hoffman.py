@@ -333,55 +333,35 @@ def test_candidate_pivot_systems_one_prime_per_chunk(monkeypatch, build):
     assert len(chunks) > 1 and all(len(run) == 1 for run in chunks)
 
 
-def assert_certificate_matches_naive(grid, coefficients, rng):
-    """The residue kernel's certificate sum_j a_j C^j = L M
-    (`MatrixPowerBasis.certifies`) agrees with naive_poly_at on C, for rows
-    run alone and in batches of 1 to 4.
+def assert_certificate_matches_naive(grid, coefficients):
+    """The residue kernel's certificate sum_j a_j C^j = L J
+    (`MatrixPowerBasis.certifies`) agrees with naive_poly_at on C.
 
     The rows a = coefficients(length) take every length from 1 to max(n + 2,
-    16), so that one row alone runs w = 1 to 4 baby steps, and every multiple
-    of m_C of such a length joins them; a batch mixes their lengths and one
-    batch holds the zero polynomial. Each row is checked against a mask M,
-    J, I or a random 0/1 grid, and L the entry of sum_j a_j C^j at M's first
-    1 (0 for an empty M), so that the verdict holds exactly when the matrix
-    is L M. A multiple of m_C must hold.
+    16), so that one row runs w = 1 to 4 baby steps, and every multiple of
+    m_C of such a length joins them, as does the zero polynomial. L is the
+    (0, 0) entry of sum_j a_j C^j, so that the verdict holds exactly when the
+    matrix is L J. A multiple of m_C must hold.
     """
     context = RationalMatrix(grid).powers
     c = [[Fraction(v) for v in row] for row in context.entries.tolist()]
     n = len(c)
     m = oracle_minimal_polynomial(c)
 
-    def case(coeffs, vanishes=False):
-        mask = rng.choice(
-            [
-                [[1] * n for _ in range(n)],
-                [[int(x == y) for y in range(n)] for x in range(n)],
-                [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)],
-            ]
-        )
+    def check(coeffs, vanishes=False):
         value = naive_poly_at(Polynomial(coeffs), c)
-        ones = [value[x][y] for x in range(n) for y in range(n) if mask[x][y]]
-        scale = int(ones[0]) if ones else 0
-        holds = value == [[scale * v for v in row] for row in mask]
+        scale = int(value[0][0])
+        holds = all(v == scale for row in value for v in row)
         assert holds or not vanishes
-        return coeffs, scale, mask, holds
+        assert context.certifies(coeffs, scale) == holds
 
-    cases = [case([], vanishes=True)]
+    check([], vanishes=True)
     for length in range(1, max(n + 2, 16) + 1):
         coeffs = coefficients(length)
-        cases.append(case(coeffs))
+        check(coeffs)
         if length > m.degree:
             multiple = poly_mul(m.coeffs, coeffs[: length - m.degree - 1] + [1])
-            cases.append(case([int(v) for v in multiple], vanishes=True))
-    # alone, each verdict is the oracle's; in a batch, each is the same as alone
-    for coeffs, scale, mask, holds in cases:
-        assert context.certifies([coeffs], [scale], [mask]) == [holds]
-    rng.shuffle(cases)
-    while cases:
-        size = rng.randint(1, 4)
-        batch, cases = cases[:size], cases[size:]
-        rows, scales, masks, holds = map(list, zip(*batch))
-        assert context.certifies(rows, scales, masks) == holds
+            check([int(v) for v in multiple], vanishes=True)
 
 
 @given(krylov_cases(), st.data())
@@ -389,9 +369,7 @@ def assert_certificate_matches_naive(grid, coefficients, rng):
 def test_baby_and_giant_step_certificate_matches_naive_evaluation(grid, data):
     coefficient = st.integers(-(2**40), 2**40)
     assert_certificate_matches_naive(
-        grid,
-        lambda length: data.draw(st.lists(coefficient, min_size=length, max_size=length)),
-        data.draw(st.randoms(use_true_random=False)),
+        grid, lambda length: data.draw(st.lists(coefficient, min_size=length, max_size=length))
     )
 
 
@@ -401,11 +379,63 @@ def test_certificate_matches_naive_evaluation_one_prime_per_chunk(monkeypatch, f
     monkeypatch.setattr(matrix, "STACK_BYTES", 1)
     rng = random.Random(0)
     assert_certificate_matches_naive(
-        [list(row) for row in fig1.rows], lambda length: [rng.randint(-(2**40), 2**40) for _ in range(length)], rng
+        [list(row) for row in fig1.rows], lambda length: [rng.randint(-(2**40), 2**40) for _ in range(length)]
     )
     # C - I vanishes modulo the first prime alone: the second chunk must reject it
     p = first_prime(RationalMatrix([[1, 0], [0, 1]]))
-    assert MatrixPowerBasis(RationalMatrix([[1, p], [p, 1]])).certifies([[-1, 1]], [0], [1]) == [False]
+    assert not MatrixPowerBasis(RationalMatrix([[1, p], [p, 1]])).certifies([-1, 1], 0)
+
+
+@st.composite
+def class_certificate_cases(draw):
+    """A grid (`krylov_cases`) and a batch of 1 to 4 pairs (p_i, A_i).
+
+    Each p_i has up to max(n + 2, 8) rational coefficients, or is such a
+    polynomial times m_B, so that p_i(B) = 0. Each mask A_i is J, I, the
+    cyclic shift, a random 0/1 grid, the empty grid or the support of
+    p_i(B), so the masks of a batch need not partition the pairs; p_i is
+    divided by the entry of p_i(B) at the first 1 of A_i when that entry is
+    not 0, so that the verdict holds whenever p_i(B) is a multiple of A_i.
+    """
+    grid = draw(krylov_cases())
+    n = len(grid)
+    m = oracle_minimal_polynomial(grid)
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(st.lists(entries, max_size=max(n + 2, 8)))
+        if draw(st.booleans()):
+            coeffs = poly_mul(m.coeffs, coeffs)
+        value = naive_poly_at(Polynomial(coeffs), grid)
+        grids = st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n)
+        fixed = [
+            [[1] * n for _ in range(n)],
+            [[int(x == y) for y in range(n)] for x in range(n)],
+            [[int(y == (x + 1) % n) for y in range(n)] for x in range(n)],
+            [[0] * n for _ in range(n)],
+            [[int(v != 0) for v in row] for row in value],
+        ]
+        mask = draw(st.sampled_from(fixed) | grids)
+        first = next((v for vs, ms in zip(value, mask) for v, one in zip(vs, ms) if one), 0)
+        batch.append((Polynomial(poly_scale(1 / first, coeffs) if first else coeffs), mask))
+    return grid, batch
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 1], ids=["default", "one_prime_per_chunk"])
+@given(class_certificate_cases())
+@settings(max_examples=60, deadline=None)
+def test_class_certificate_matches_naive_evaluation(stack_bytes, case):
+    # p_i(B) = A_i on G and the class moments, against naive_poly_at over
+    # Fractions: the batch in one call, and each pair alone on its moments
+    from schemeforge import matrix
+
+    grid, batch = case
+    polys, masks = map(list, zip(*batch))
+    exact = [naive_poly_at(p, grid) == [list(map(Fraction, row)) for row in mask] for p, mask in batch]
+    with mock.patch.object(matrix, "STACK_BYTES", stack_bytes or matrix.STACK_BYTES):
+        context = RationalMatrix(grid).powers
+        moments = context.class_moments(max(0, *(p.degree for p in polys)), masks)
+        assert context.evaluates_to(polys, moments) == exact
+        assert [context.evaluates_to([p], [mu]) for p, mu in zip(polys, moments)] == [[v] for v in exact]
 
 
 def test_deep_krylov_scaled_directed_cycle():
@@ -458,7 +488,7 @@ def test_unlucky_prime_is_caught_by_the_certificate(monkeypatch, fig2):
     lam_c = int(classify(b).lam / b.powers.scale)
     candidate = _candidate(b, p)
     assert candidate.coeffs == [-lam_c, 1] and not candidate.cyclic
-    assert b.powers.certifies([[-lam_c, 1]], [0], [1]) == [False]
+    assert not b.powers.certifies([-lam_c, 1], 0)
     assert minimal_polynomial(b) == oracle_minimal_polynomial(grid)
     h = hoffman_polynomial(b).h
     assert naive_poly_at(h, grid) == [[Fraction(1)] * len(grid) for _ in grid]
@@ -545,7 +575,7 @@ def test_forged_cyclic_candidate_is_never_accepted(monkeypatch):
     grid = [list(row) for row in b.rows]
     b = RationalMatrix(grid)
     assert minimal_polynomial(b) == oracle_minimal_polynomial(grid)
-    assert verdicts == [[False]]
+    assert verdicts == [False]
     assert not np.array_equal(b.powers.cyclic_start, candidate.start)
 
 
@@ -575,7 +605,7 @@ def test_cyclic_certificate_needs_every_prime_of_its_bound(monkeypatch):
     grid = [list(row) for row in b.rows]
     b = RationalMatrix(grid)
     assert minimal_polynomial(b) == oracle_minimal_polynomial(grid)
-    assert verdicts == [[True]] and b.powers.cyclic_start is short.start
+    assert verdicts == [True] and b.powers.cyclic_start is short.start
 
 
 def test_directed_12_cycle_takes_the_krylov_prime_alone(monkeypatch):
@@ -638,7 +668,7 @@ def test_certificate_uses_every_prime_its_bound_needs():
     b = RationalMatrix([[1, p], [p, 1]])
     context = MatrixPowerBasis(b)
     assert np.array_equal(context.residues([p])[0], np.eye(2))
-    assert context.certifies([[-1, 1], [1 - p * p, -2, 1]], [0, 0], [1, 1]) == [False, True]
+    assert not context.certifies([-1, 1], 0) and context.certifies([1 - p * p, -2, 1], 0)
     assert minimal_polynomial(b).degree == 2
 
 

@@ -602,34 +602,44 @@ def test_residue_evaluations_use_every_prime_their_bounds_need():
     """C = [[1, p], [p, 1]] is I modulo p, the first prime of the residue
     kernel at n = 2 (a sum of at most n = 2 products of residues).
 
-    The bounds 2 (p + 1) for evaluate(t) and (p + 1) + 1 for C = I each need
-    a second prime: one prime short, C would evaluate to I and pass for it.
+    The bound 2 (p + 1) for evaluate(t) needs a second prime: one prime
+    short, C would evaluate to I. The class certificate reads C = I as
+    ||C - I||^2 = G_11 - 2 mu_10 + |I| = 2 p^2, a multiple of p, so it
+    rejects C as I only on the exact G and moments.
     """
     p = _prime(_bits(2), 0)
     b = RationalMatrix([[1, p], [p, 1]])
     basis = b.powers
-    assert [primes for primes, _ in basis.combinations([[0, 1]], p - 1)] == [[p]]
+    assert [primes for primes, _ in basis.combinations([0, 1], p - 1)] == [[p]]
     assert basis.evaluate(Polynomial([0, 1])) == b
-    assert basis.evaluates_to([Polynomial([0, 1])], [np.eye(2, dtype=bool)]) == [False]
-    assert basis.evaluates_to([Polynomial([Fraction(-1, p), Fraction(1, p)])], [[[0, 1], [1, 0]]]) == [True]
+    moments = basis.class_moments(1, [np.eye(2, dtype=bool), [[0, 1], [1, 0]]])
+    assert moments == [(2, [2, 2]), (2, [0, 2 * p])]
+    polys = [Polynomial([0, 1]), Polynomial([Fraction(-1, p), Fraction(1, p)])]
+    assert basis.evaluates_to(polys, moments) == [False, True]
+    with pytest.raises(ValueError, match="class moments stop below C"):
+        basis.evaluates_to(polys, basis.class_moments(0, [np.eye(2, dtype=bool)] * 2))
 
 
 def test_residue_chunks_bound_the_memory_of_many_primes(monkeypatch):
     # with room for one prime's stack per chunk, 10^30 I + P_6 needs dozens of
-    # chunks: the Gram matrix, the certificates and p(B) are unchanged
+    # chunks: the Gram matrix, the class moments, the certificates and p(B)
+    # are unchanged, and the moments' pass is the Gram matrix's
     n = 6
     grid = [[10**30 * (x == y) + (y == (x + 1) % n) for y in range(n)] for x in range(n)]
-    shift = [[int(y == (x + 1) % n) for y in range(n)] for x in range(n)]
+    masks = [[[int(y == (x + 1) % n) for y in range(n)] for x in range(n)], np.eye(n, dtype=bool)]
     b = RationalMatrix(grid)
     expected = b.powers.gram(5)
+    moments = b.powers.class_moments(5, masks)
     p = Polynomial([-(10**30), 1])  # p(B) = P_6, the distance-1 class
-    assert b.powers.evaluates_to([p], [shift]) == [True]
+    assert b.powers.evaluates_to([p, p], moments) == [True, False]
     value = b.powers.evaluate(p)
     monkeypatch.setattr(matrix, "STACK_BYTES", 1)
     chunked = RationalMatrix(grid).powers
     runs, powers = [], chunked._powers_mod
     monkeypatch.setattr(chunked, "_powers_mod", lambda run, d: runs.append(len(run)) or powers(run, d))
-    assert chunked.gram(5) == expected
+    assert chunked.class_moments(5, masks) == moments
     assert len(runs) > 10 and set(runs) == {1}
-    assert chunked.evaluates_to([p, p], [shift, np.eye(n, dtype=bool)]) == [True, False]
+    passes = len(runs)
+    assert chunked.gram(5) == expected and len(runs) == passes
+    assert chunked.evaluates_to([p, p], moments) == [True, False] and len(runs) == passes
     assert chunked.evaluate(p) == value

@@ -188,9 +188,9 @@ def circulants_with_d_equal_to_diameter(draw):
 @given(circulants_with_d_equal_to_diameter())
 @settings(max_examples=40, deadline=None)
 def test_residue_class_certificate_agrees_with_exact_evaluation(grid):
-    # A_i = p_i(B) on residues, against p_i(B) evaluated over Fractions, for
-    # every class of accepted and AD_NOT_POLYNOMIAL draws alike: all classes
-    # in one batch, and each class alone
+    # A_i = p_i(B) on G and the class moments, against p_i(B) evaluated over
+    # Fractions, for every class of accepted and AD_NOT_POLYNOMIAL draws
+    # alike: all classes in one batch, and each class alone on its own moments
     b = RationalMatrix(grid)
     dist = distance_structure(underlying_digraph(b)).dist
     family = predistance_basis(b)
@@ -198,8 +198,9 @@ def test_residue_class_certificate_agrees_with_exact_evaluation(grid):
     masks = [[[int(v == i) for v in row] for row in dist] for i in range(family.d + 1)]
     pairs = list(zip(family.polys, masks))
     exact = [naive_poly_at(p, grid) == [list(map(Fraction, row)) for row in mask] for p, mask in pairs]
-    assert b.powers.evaluates_to(family.polys, masks) == exact
-    assert [b.powers.evaluates_to([p], [mask]) for p, mask in pairs] == [[v] for v in exact]
+    assert b.powers.evaluates_to(family.polys, b.powers.class_moments(family.d, masks)) == exact
+    alone = [b.powers.evaluates_to([p], b.powers.class_moments(p.degree, [mask])) for p, mask in pairs]
+    assert alone == [[v] for v in exact]
     assert detect_scheme(b).accepted == all(exact)
 
 
@@ -216,8 +217,8 @@ def test_batched_class_certificate_keeps_the_order_of_verdicts(monkeypatch, fig2
     # failure there is AD_NOT_POLYNOMIAL, and one below D alone is an axiom failure
     certify = MatrixPowerBasis.evaluates_to
 
-    def fails_one(self, polys, masks):
-        holds = certify(self, polys, masks)
+    def fails_one(self, polys, moments):
+        holds = certify(self, polys, moments)
         assert holds == [True] * 4
         holds[failing] = False
         return holds
@@ -228,8 +229,9 @@ def test_batched_class_certificate_keeps_the_order_of_verdicts(monkeypatch, fig2
 
 
 def test_analysis_context_keeps_no_residue_stack(fig2):
-    # the class certificates and the Gram matrix read C's power residues per
-    # call: past a scheme run, C's integers are the one array the context holds
+    # the Gram matrix and the class moments read C's power residues in one
+    # pass and keep Python ints: past a scheme run, C's integers are the one
+    # array the context holds
     def arrays(value):
         if isinstance(value, np.ndarray):
             return 1
