@@ -414,15 +414,16 @@ class MatrixPowerBasis:
 
     def class_moments(self, d: int, masks: Sequence) -> list[tuple[int, list[int]]]:
         """(|A_i|, [mu_0i, ..., mu_di]), mu_ki = C^k . A_i, for each 0/1 matrix
-        A_i in masks (n x n, or flattened), in one pass with the Gram matrix
-        of C^0..C^d, which it keeps as Python ints (`gram`).
+        A_i in masks (n x n, or flattened), in one pass with the Gram matrix of
+        C^0..C^d; it keeps that G as Python ints (`gram`) unless a larger one is
+        kept, so it saves a pass only when called before anything reads `gram`.
 
         Row x of C^a has absolute sum at most R^a and every entry of C^b is
         at most R^b, so |G_ab| <= n R^(2d) (R taken as at least 1), and
         |mu_ki| <= n R^k. Per chunk of primes, with P the residues of
-        C^0..C^d, P P^T gives G and P M^T, for the masks M, the moments, each
-        entry a sum of at most n^2 products of residues; one symmetric CRT
-        over primes whose product exceeds 2 n R^(2d) recovers both.
+        C^0..C^d, P P^T gives G and P A_i, one float64 mask at a time, the
+        moments, each entry a sum of at most n^2 products of residues; one
+        symmetric CRT over primes whose product exceeds 2 n R^(2d) recovers both.
         """
         n = self.order
         masks = np.asarray(masks, dtype=bool).reshape(len(masks), n * n)
@@ -433,14 +434,15 @@ class MatrixPowerBasis:
             stack = self._powers_mod(chunk, d)
             p = np.array(chunk)[:, None, None]
             products = _reduce(stack @ stack.transpose(0, 2, 1), p)[:, rows, cols]
-            mu = _reduce(stack @ masks.T, p).reshape(len(chunk), -1)  # mu_ki at k m + i
-            residues.append(np.concatenate([products, mu], axis=1))
+            mu = [_reduce(stack @ mask.astype(float), p[:, 0]) for mask in masks]  # mu_ki at (d + 1) i + k
+            residues.append(np.concatenate([products, *mu], axis=1))
         values = _symmetric_crt(np.concatenate(residues), primes)
-        self._gram = [[0] * (d + 1) for _ in range(d + 1)]
-        for a, b, v in zip(rows.tolist(), cols.tolist(), values):
-            self._gram[a][b] = self._gram[b][a] = v
-        moments, m = values[len(rows) :], len(masks)
-        return [(size, moments[i::m]) for i, size in enumerate(np.count_nonzero(masks, axis=1).tolist())]
+        if self._gram is None or len(self._gram) <= d + 1:
+            self._gram = [[0] * (d + 1) for _ in range(d + 1)]
+            for a, b, v in zip(rows.tolist(), cols.tolist(), values):
+                self._gram[a][b] = self._gram[b][a] = v
+        moments, k = values[len(rows) :], d + 1
+        return [(int(mask.sum()), moments[i * k : i * k + k]) for i, mask in enumerate(masks)]
 
 
 # ---------------------------------------------------------------------------

@@ -642,4 +642,8 @@ def test_residue_chunks_bound_the_memory_of_many_primes(monkeypatch):
     passes = len(runs)
     assert chunked.gram(5) == expected and len(runs) == passes
     assert chunked.evaluates_to([p, p], moments) == [True, False] and len(runs) == passes
+    # moments for a smaller d keep the larger G, which gram(5) reads with no further pass
+    assert chunked.class_moments(2, masks) == [(size, mu[:3]) for size, mu in moments]
+    passes = len(runs)
+    assert chunked.gram(5) == expected and len(runs) == passes
     assert chunked.evaluate(p) == value
